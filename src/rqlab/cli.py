@@ -7,6 +7,12 @@ configuration is by flags; ``--config FILE`` supplies defaults from a JSON
 object with the same keys as the envelope's config echo (explicit flags
 win).  Output is a schema-versioned JSON envelope, a CSV table, or a plain
 text table.
+
+eigenfunction, verify, disjoint and sweep read eigenvalues and eigenpairs
+from the solver's per-order store, so within one process an order is
+rescanned only for a longer prefix and each eigenfunction is extracted
+once; spectrum and ``ritz --cross-check`` scan directly with their own step
+and ceiling.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from .reporting import (
     rollup_from_reports,
     to_jsonable,
 )
+from .reports import not_applicable
 from .ritz import assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
     antisym_equals_next_sym,
-    cached_spectrum,
+    cached_eigenpair,
     det_indicator,
     eigenpair_from_function,
     scan_spectrum,
@@ -84,24 +91,12 @@ def _positive_float(value: str) -> float:
 def build_parser() -> _Parser:
     parser = _Parser(prog="rqlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rqlab {__version__}")
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-    parser.subparser_map = subparsers
-    _sub = parser.add_subparsers(dest="command", required=True)
-
-    class _SubFactory:
-        def add_parser(self, name, **kw):
-            p = _sub.add_parser(name, **kw)
-            subparsers[name] = p
-            return p
-
-    sub = _SubFactory()
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--config", default=None, help="JSON file with flag defaults")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel solver jobs where applicable")
 
     p = sub.add_parser("spectrum", help="scan eigenvalues with a Ritz cross-check column")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -237,8 +232,7 @@ def _cmd_eigenfunction(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     if args.index < 0:
         raise ConfigError("--index must be >= 0")
-    slice_ = cached_spectrum(args.n, args.p, args.parity, args.index + 1)
-    pair = slice_.pairs[args.index]
+    pair = cached_eigenpair(args.n, args.p, args.parity, args.index)
     if pair is None:
         raise SolverError(f"eigenpair {args.index} flagged non-simple")
     roots = root_system(spec.p, pair.Lambda).roots
@@ -271,10 +265,10 @@ def _cmd_verify(args):
     )
     try:
         reports.extend(antisym_equals_next_sym(args.n, args.p, args.count, tol=args.tol))
-    except SolverError:
-        pass  # parity-shift column is best-effort inside verify
+    except SolverError as exc:
+        reports.append(not_applicable("parity-shift", (args.n, args.p), notes=str(exc)))
     if args.inject_fault:
-        first = cached_spectrum(args.n, args.p, SYMMETRIC, 1).pairs[0]
+        first = cached_eigenpair(args.n, args.p, SYMMETRIC, 0)
         if first is not None:
             reports.append(invariants.check_stone_identity(_corrupted_pair(first), args.tol))
     rollup = rollup_from_reports(reports)
@@ -293,9 +287,11 @@ def _cmd_disjoint(args):
             )
     condition_reports = []
     for cand in table.candidates:
-        zn = cached_spectrum(args.n, args.p, SYMMETRIC, cand.index_n + 1).pairs[cand.index_n]
-        zm = cached_spectrum(args.m, args.p, SYMMETRIC, cand.index_m + 1).pairs[cand.index_m]
-        if zn is not None and zm is not None and args.n > args.p:
+        if args.n <= args.p:  # stone machinery unavailable: gap table only
+            continue
+        zn = cached_eigenpair(args.n, args.p, SYMMETRIC, cand.index_n)
+        zm = cached_eigenpair(args.m, args.p, SYMMETRIC, cand.index_m)
+        if zn is not None and zm is not None:
             condition_reports.append(
                 evaluate_necessary_conditions(zn, zm, args.collision_tol)
             )
@@ -312,9 +308,7 @@ def _cmd_disjoint(args):
 
 
 def _cmd_sweep(args):
-    summary = sweep_conjecture(
-        args.p, args.n_max, args.count, args.collision_tol, jobs=args.jobs
-    )
+    summary = sweep_conjecture(args.p, args.n_max, args.count, args.collision_tol)
     rows = [
         {
             "n": sp.n,
@@ -411,7 +405,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # defaults must land on the subparser: it re-applies its own defaults
         # when the command line is re-parsed
-        parser.subparser_map[args.command].set_defaults(**overrides)
+        parser.commands.choices[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)  # explicit flags still win
     return args
 

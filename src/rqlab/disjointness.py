@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, RQLabError
 from .invariants import bracket, kernel_annihilation_residual, moments, stone_polynomials
 from .reports import FAIL, PASS, IdentityReport
-from .solver import EigenPair, cached_spectrum
+from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
 INDETERMINATE = "indeterminate"
 CONSISTENT = "consistent"
@@ -136,8 +136,8 @@ def compare_spectra(
         raise ConfigError(f"need m > n >= p >= 1, got n={n}, m={m}, p={p}")
     if count < 1:
         raise ConfigError("count must be >= 1")
-    ev_n = cached_spectrum(n, p, "symmetric", count, with_eigenfunctions=False).eigenvalues
-    ev_m = cached_spectrum(m, p, "symmetric", count, with_eigenfunctions=False).eigenvalues
+    ev_n = cached_spectrum(n, p, "symmetric", count)
+    ev_m = cached_spectrum(m, p, "symmetric", count)
     gaps = []
     min_gap, min_pair = float("inf"), (0, 0)
     candidates = []
@@ -401,30 +401,16 @@ def sweep_conjecture(
     n_max: int,
     count: int,
     collision_tol: float = DEFAULT_COLLISION_TOL,
-    jobs: int = 1,
 ) -> SweepSummary:
     """All order pairs p <= n < m <= n_max, gap tables plus candidate follow-up.
 
-    With jobs > 1 the per-order spectra are prewarmed concurrently; results
-    are merged in deterministic pair order either way (the scans themselves
-    are pure, and the memo cache makes the merge phase cheap).
+    A pair whose spectra cannot be computed is recorded with its error and
+    the sweep continues, so the summary may be partial.
     """
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
     if p < 1 or p > n_max - 1:
         raise ConfigError("need 1 <= p < n_max")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                # keyword form: lru_cache keys positional and keyword calls
-                # differently, and compare_spectra uses the keyword form
-                pool.submit(cached_spectrum, n, p, "symmetric", count, with_eigenfunctions=False)
-                for n in range(p, n_max + 1)
-            ]
-            for f in futures:
-                f.result()
     pairs = []
     all_candidates: list[CollisionCandidate] = []
     reports: list[NecessaryConditionReport] = []
@@ -434,7 +420,7 @@ def sweep_conjecture(
         for m in range(n + 1, n_max + 1):
             try:
                 table = compare_spectra(n, m, p, count, collision_tol)
-            except Exception as exc:  # record and continue: partial results
+            except RQLabError as exc:  # record and continue: partial results
                 pairs.append(
                     SweepPair(n=n, m=m, min_gap=float("nan"), min_pair=(-1, -1),
                               candidate_count=0, error=f"{type(exc).__name__}: {exc}")
@@ -455,8 +441,8 @@ def sweep_conjecture(
             for cand in table.candidates:
                 if cand.n <= p:  # stone machinery unavailable: gap table only
                     continue
-                zn = cached_spectrum(n, p, "symmetric", cand.index_n + 1).pairs[cand.index_n]
-                zm = cached_spectrum(m, p, "symmetric", cand.index_m + 1).pairs[cand.index_m]
+                zn = cached_eigenpair(n, p, "symmetric", cand.index_n)
+                zm = cached_eigenpair(m, p, "symmetric", cand.index_m)
                 if zn is None or zm is None:
                     partial = True
                     continue

@@ -355,14 +355,6 @@ class SigmaPolynomial:
         return acc
 
 
-def apply_sigma_polynomial(op: SigmaPolynomial, f: ExpPoly) -> ExpPoly:
-    return op.apply(f)
-
-
-def multiply(f: ExpPoly, g: ExpPoly) -> ExpPoly:
-    return f * g
-
-
 def inner_product(f: ExpPoly, g: ExpPoly) -> complex:
     """Bilinear <f g> = int_{-1}^{1} f(x) g(x) dx (no conjugation)."""
     return (f * g).integrate_unit()

@@ -33,7 +33,7 @@ from .reports import (
     not_applicable,
     relative_residual,
 )
-from .solver import EigenPair, cached_spectrum
+from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
 STONE_FLOOR = 1e-6  # |stone| must exceed this times the natural scale
 COEFF_CONSISTENCY_TOL = 1e-9
@@ -693,6 +693,13 @@ def check_gamma_roundtrip(pair: EigenPair) -> IdentityReport:
 # --------------------------------------------------------------------------
 
 
+def _simple_pairs(n: int, p: int, count: int) -> list[EigenPair]:
+    """The simple ones among the first ``count`` symmetric eigenpairs of order n."""
+    cached_spectrum(n, p, "symmetric", count)  # one scan for the whole prefix
+    pairs = (cached_eigenpair(n, p, "symmetric", i) for i in range(count))
+    return [pr for pr in pairs if pr is not None]
+
+
 def run_identity_suite(
     n: int,
     p: int,
@@ -707,7 +714,7 @@ def run_identity_suite(
     replaced by the adjacent lower order when only that is available.
     """
     reports: list[IdentityReport] = []
-    pairs = [pr for pr in cached_spectrum(n, p, "symmetric", count).pairs if pr is not None]
+    pairs = _simple_pairs(n, p, count)
 
     for pair in pairs:
         reports.append(check_stone_lemma(pair, tol))
@@ -721,19 +728,16 @@ def run_identity_suite(
             reports.append(check_positivity_family(pair, k, tol))
 
     if n - 1 >= p:
-        lower = [
-            pr for pr in cached_spectrum(n - 1, p, "symmetric", count).pairs if pr is not None
-        ]
-        for prev in lower:
+        for prev in _simple_pairs(n - 1, p, count):
             for pair in pairs:
                 reports.append(check_cross_identity(prev, pair, tol))
 
     if m is not None and m > n:
         left = pairs
-        right = [pr for pr in cached_spectrum(m, p, "symmetric", count).pairs if pr is not None]
+        right = _simple_pairs(m, p, count)
         lo, hi = n, m
     elif n - 1 >= p:
-        left = [pr for pr in cached_spectrum(n - 1, p, "symmetric", count).pairs if pr is not None]
+        left = _simple_pairs(n - 1, p, count)
         right = pairs
         lo, hi = n - 1, n
     else:

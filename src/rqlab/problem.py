@@ -68,10 +68,6 @@ class RootSystem:
     def has_imaginary_pair(self) -> bool:
         return self.p % 2 == 0
 
-    @property
-    def real_root(self) -> float:
-        return self.rho
-
     def upper_half_representatives(self) -> tuple[complex, ...]:
         """One root per conjugate pair, Im > 0, angle ascending (p-1 of them)."""
         return tuple(self.roots[j] for j in range(1, self.p))

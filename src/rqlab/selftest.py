@@ -18,14 +18,17 @@ from scipy.integrate import IntegrationWarning, quad
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
 from .problem import ProblemSpec
 from .reports import IdentityReport, bound_report, equality_report
-from .solver import cached_spectrum, eigenpair_from_function
+from .solver import cached_eigenpair, cached_spectrum, eigenpair_from_function
 from . import invariants
 
 PI = math.pi
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
+def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
+    """Plain bisection oracle; fn(lo) and fn(hi) must straddle zero."""
     flo = fn(lo)
+    if flo * fn(hi) > 0:
+        raise ValueError("bisection oracle needs a sign change")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
@@ -41,16 +44,16 @@ def closed_form_spectrum_checks() -> list[IdentityReport]:
     reports = []
 
     def compare(name, n, p, parity, expected, tol):
-        got = cached_spectrum(n, p, parity, len(expected), with_eigenfunctions=False).eigenvalues
+        got = cached_spectrum(n, p, parity, len(expected))
         for i, (g, e) in enumerate(zip(got, expected)):
             reports.append(equality_report(name, (n, p, i), g, e, tol))
 
     compare("closed-form", 1, 1, "symmetric", [((k + 0.5) * PI) ** 2 for k in range(3)], 1e-9)
     compare("closed-form", 1, 1, "antisymmetric", [(k * PI) ** 2 for k in (1, 2)], 1e-9)
     compare("closed-form", 2, 1, "symmetric", [(k * PI) ** 2 for k in (1, 2)], 1e-9)
-    root = _bisect(lambda t: math.tan(t) - t, PI, 1.5 * PI - 1e-9)
+    root = bisect_root(lambda t: math.tan(t) - t, PI, 1.5 * PI - 1e-9)
     compare("closed-form", 3, 1, "symmetric", [root**2], 1e-7)
-    root = _bisect(lambda t: math.tan(t) + math.tanh(t), 0.5 * PI + 1e-9, PI)
+    root = bisect_root(lambda t: math.tan(t) + math.tanh(t), 0.5 * PI + 1e-9, PI)
     compare("closed-form", 2, 2, "symmetric", [root**4], 1e-7)
     return reports
 
@@ -171,7 +174,8 @@ def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
 
     worst_b = worst_o = 0.0
     for (n, p) in ((2, 1), (3, 2), (4, 2)):
-        for pair in cached_spectrum(n, p, "symmetric", 2).pairs:
+        cached_spectrum(n, p, "symmetric", 2)  # one scan for both pairs
+        for pair in (cached_eigenpair(n, p, "symmetric", i) for i in range(2)):
             r = pair.residuals
             worst_b = max(worst_b, r.boundary_residual / max(r.boundary_scale, 1e-300))
             worst_o = max(worst_o, r.operator_residual / max(r.operator_scale, 1e-300))

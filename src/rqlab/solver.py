@@ -9,9 +9,8 @@ null direction of the boundary matrix via SVD.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -376,32 +375,51 @@ def scan_spectrum(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def cached_spectrum(
-    n: int, p: int, parity: str, count: int, with_eigenfunctions: bool = True
-) -> SpectrumSlice:
-    """Memoized scan; everything downstream is pure, so sharing is safe."""
-    return scan_spectrum(
-        ProblemSpec(n, p, parity), count, with_eigenfunctions=with_eigenfunctions
-    )
+@dataclass
+class _Order:
+    """What the store knows of one (n, p, parity): an eigenvalue prefix and its pairs."""
+
+    eigenvalues: tuple[float, ...] = ()
+    pairs: dict[int, EigenPair | None] = field(default_factory=dict)
 
 
-def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair:
-    slice_ = cached_spectrum(n, p, parity, index + 1)
-    pair = slice_.pairs[index]
-    if pair is None:
-        raise SolverError(f"eigenpair {index} of ({n},{p},{parity}) flagged non-simple")
-    return pair
+_STORE: dict[tuple[int, int, str], _Order] = {}
+
+
+def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...]:
+    """First ``count`` eigenvalues of (n, p, parity), scanned once per order.
+
+    The scan walks the same grid whatever its count and only stops earlier
+    for a smaller one, so a stored prefix is bit-identical to a shorter
+    scan; the order is rescanned only when a caller asks for more.
+    """
+    order = _STORE.setdefault((n, p, parity), _Order())
+    if not 0 < count <= len(order.eigenvalues):
+        spec = ProblemSpec(n, p, parity)
+        order.eigenvalues = scan_spectrum(spec, count, with_eigenfunctions=False).eigenvalues
+    return order.eigenvalues[:count]
+
+
+def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair | None:
+    """Eigenpair ``index`` of (n, p, parity), extracted once; None when non-simple."""
+    Lambda = cached_spectrum(n, p, parity, index + 1)[index]
+    pairs = _STORE[(n, p, parity)].pairs
+    if index not in pairs:
+        try:
+            pairs[index] = extract_eigenfunction(ProblemSpec(n, p, parity), Lambda, index=index)
+        except NonSimpleEigenvalueError:
+            pairs[index] = None
+    return pairs[index]
 
 
 def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[IdentityReport]:
     """Compare the antisymmetric spectrum of order n with the symmetric one of n+1."""
     if count < 1:
         raise ConfigError("count must be >= 1")
-    anti = cached_spectrum(n, p, "antisymmetric", count, with_eigenfunctions=False)
-    sym = cached_spectrum(n + 1, p, "symmetric", count, with_eigenfunctions=False)
+    anti = cached_spectrum(n, p, "antisymmetric", count)
+    sym = cached_spectrum(n + 1, p, "symmetric", count)
     reports = []
-    for i, (la, ls) in enumerate(zip(anti.eigenvalues, sym.eigenvalues)):
+    for i, (la, ls) in enumerate(zip(anti, sym)):
         reports.append(
             equality_report(
                 "parity-shift",

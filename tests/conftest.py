@@ -1,55 +1,18 @@
 """Shared test helpers: independent oracles and random instance generators.
 
-The oracles here deliberately avoid the package's own closed-form paths:
+The oracles live in ``rqlab.selftest``, which the built-in self-test uses
+too.  They deliberately avoid the package's own closed-form paths:
 integrals are checked against adaptive quadrature, transcendental roots
 against plain bisection, so a failure in the library cannot hide itself.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
 
-from rqlab.exppoly import ExpPoly
-
-
-def quad_integral(f: ExpPoly) -> complex:
-    """Adaptive-quadrature oracle for integrals over [-1, 1]."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, _ = quad(lambda x: f.evaluate(x).real, -1.0, 1.0, limit=800, epsabs=0.0, epsrel=1e-12)
-        im, _ = quad(lambda x: f.evaluate(x).imag, -1.0, 1.0, limit=800, epsabs=0.0, epsrel=1e-12)
-    return complex(re, im)
-
-
-def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
-    """Plain bisection; fn(lo) and fn(hi) must straddle zero."""
-    flo = fn(lo)
-    assert flo * fn(hi) <= 0, "bisection oracle needs a sign change"
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if flo * fn(mid) <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fn(mid)
-    return 0.5 * (lo + hi)
-
-
-def random_exppoly(rng: np.random.RandomState, freq_scale=50.0, max_degree=8, terms=3) -> ExpPoly:
-    raw = []
-    for _ in range(rng.randint(1, terms + 1)):
-        mu = complex(rng.uniform(-freq_scale, freq_scale), rng.uniform(-freq_scale, freq_scale))
-        degree = rng.randint(0, max_degree + 1)
-        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(degree + 1)]
-        raw.append((mu, tuple(coeffs)))
-    return ExpPoly.build(raw)
-
-
-def random_real_exppoly(rng: np.random.RandomState, **kw) -> ExpPoly:
-    f = random_exppoly(rng, **kw)
-    return f + f.conjugate()
+from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
+from rqlab.selftest import quadrature_integral as quad_integral
 
 
 @pytest.fixture

@@ -19,7 +19,12 @@ from rqlab.exppoly import ExpPoly, inner_product, l2_norm_sq
 from rqlab.problem import ProblemSpec
 from rqlab.ritz import assemble, ritz_values
 from rqlab.selftest import run_selftest
-from rqlab.solver import antisym_equals_next_sym, cached_spectrum, eigenpair_from_function
+from rqlab.solver import (
+    antisym_equals_next_sym,
+    cached_eigenpair,
+    cached_spectrum,
+    eigenpair_from_function,
+)
 
 from conftest import PI, bisect_root, quad_integral, random_exppoly, random_real_exppoly, rel_err
 
@@ -40,7 +45,7 @@ def test_criterion_01_closed_form_eigenvalues(capsys):
     checks = []
 
     def spectrum(n, p, parity, count):
-        return cached_spectrum(n, p, parity, count, with_eigenfunctions=False).eigenvalues
+        return cached_spectrum(n, p, parity, count)
 
     got = spectrum(1, 1, S, 3)
     want = [((k + 0.5) * PI) ** 2 for k in range(3)]
@@ -79,7 +84,7 @@ def test_criterion_03_ritz_cross_oracle(capsys):
     for (n, p) in GRID:
         for parity in (S, "antisymmetric"):
             spec = ProblemSpec(n, p, parity)
-            det_val = cached_spectrum(n, p, parity, 1, with_eigenfunctions=False).eigenvalues[0]
+            det_val = cached_spectrum(n, p, parity, 1)[0]
             ritz = ritz_values(assemble(spec, 20), 1)[0]
             gap = rel_err(ritz, det_val)
             worst = max(worst, gap)
@@ -96,8 +101,8 @@ def test_criterion_04_strict_monotonicity(capsys):
     for (n, p) in GRID:
         if (n - 1, p) not in GRID:
             continue
-        lo = cached_spectrum(n - 1, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
-        hi = cached_spectrum(n, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
+        lo = cached_spectrum(n - 1, p, S, 1)[0]
+        hi = cached_spectrum(n, p, S, 1)[0]
         margin = (hi - lo) / hi
         smallest = min(smallest, margin)
         ok &= margin > 1e-6
@@ -241,7 +246,8 @@ def test_criterion_09_property_suites(capsys):
     ok &= worst <= 1e-10
 
     for (n, p) in ((2, 1), (3, 2), (5, 2)):
-        for pair in cached_spectrum(n, p, S, 2).pairs:
+        cached_spectrum(n, p, S, 2)  # one scan for both pairs
+        for pair in (cached_eigenpair(n, p, S, i) for i in range(2)):
             r = pair.residuals
             ok &= r.boundary_residual <= 1e-9 * r.boundary_scale
             ok &= r.operator_residual <= 1e-8 * r.operator_scale

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import rqlab.cli
 from rqlab.cli import main
+from rqlab.errors import SolverError
 
 from conftest import PI
 
@@ -29,6 +31,8 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1",
                              "--parity", "sideways")
         assert code == 1
+        code, _, err = run_cli(capsys, "sweep", "--p", "1", "--n-max", "3", "--jobs", "2")
+        assert code == 1 and "--jobs" in err
 
     def test_solver_failure_is_two(self, capsys):
         # ceiling below the first eigenvalue: explicit scan failure
@@ -51,6 +55,23 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["rollup"]["pass"] is True
         assert payload["rollup"]["n_fail"] == 0
+
+    def test_verify_reports_an_uncomputable_parity_shift(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("antisymmetric scan ran out of ceiling")
+
+        monkeypatch.setattr(rqlab.cli, "antisym_equals_next_sym", fail)
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--format", "json"
+        )
+        assert code == 0
+        shift = [
+            r for r in json.loads(out)["results"]["reports"] if r["identity_id"] == "parity-shift"
+        ]
+        assert len(shift) == 1
+        assert shift[0]["verdict"] == "not-applicable"
+        assert shift[0]["index"] == [2, 1]
+        assert shift[0]["notes"] == "antisymmetric scan ran out of ceiling"
 
     def test_verify_with_explicit_partner_order(self, capsys):
         code, out, _ = run_cli(

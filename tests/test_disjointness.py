@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rqlab import disjointness
 from rqlab.disjointness import (
     alpha_sequence,
     compare_spectra,
@@ -13,7 +14,7 @@ from rqlab.disjointness import (
     series_product,
     sweep_conjecture,
 )
-from rqlab.errors import ConfigError
+from rqlab.errors import ConfigError, SolverError
 from rqlab.invariants import bracket
 from rqlab.solver import cached_eigenpair
 
@@ -146,10 +147,22 @@ class TestSweep:
         b = sweep_conjecture(1, 3, 3)
         assert a == b
 
-    def test_jobs_parameter_gives_same_answer(self):
-        a = sweep_conjecture(2, 4, 3)
-        b = sweep_conjecture(2, 4, 3, jobs=4)
-        assert a == b
+    def test_solver_errors_make_a_partial_row(self, monkeypatch):
+        def fail(*args):
+            raise SolverError("no spectrum")
+
+        monkeypatch.setattr(disjointness, "compare_spectra", fail)
+        summary = sweep_conjecture(1, 3, 2)
+        assert summary.partial
+        assert all(sp.error == "SolverError: no spectrum" for sp in summary.pairs)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(disjointness, "compare_spectra", broken)
+        with pytest.raises(TypeError):
+            sweep_conjecture(1, 3, 2)
 
     def test_degenerate_grid_guard(self):
         with pytest.raises(ConfigError):

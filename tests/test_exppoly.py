@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rqlab.exppoly import (
-    ExpPoly,
-    SigmaPolynomial,
-    apply_sigma_polynomial,
-    inner_product,
-    l2_norm_sq,
-    multiply,
-)
+from rqlab.exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
 
 from conftest import PI, quad_integral, random_exppoly, random_real_exppoly, rel_err
 
@@ -84,7 +77,7 @@ class TestDifferentiate:
 class TestMultiply:
     def test_one_is_neutral(self, rng):
         f = random_exppoly(rng)
-        assert multiply(f, ExpPoly.constant(1)) == f
+        assert f * ExpPoly.constant(1) == f
 
     def test_half_cosine_squared(self):
         f = ExpPoly.cosine(PI / 2)
@@ -135,7 +128,7 @@ class TestEvaluate:
 class TestSigmaPolynomial:
     def test_annihilates_cos_and_maps_constant(self):
         op = SigmaPolynomial((-PI * PI, 0, 1))  # sigma^2 - pi^2
-        image = apply_sigma_polynomial(op, z2_closed_form())
+        image = op.apply(z2_closed_form())
         assert len(image.terms) == 1 and image.terms[0][0] == 0
         assert image.terms[0][1][0].real == pytest.approx(-PI * PI, rel=1e-13)
         # cross-check against plain differentiation: sigma^2 = -d^2

@@ -5,7 +5,7 @@ import pytest
 from rqlab import invariants as inv
 from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec
-from rqlab.solver import cached_eigenpair, cached_spectrum, eigenpair_from_function, rescaled
+from rqlab.solver import cached_eigenpair, eigenpair_from_function, rescaled
 
 from conftest import PI, quad_integral
 
@@ -38,7 +38,7 @@ class TestStone:
     def test_antisymmetric_residue_is_linear(self):
         # odd parity: the reduced-operator residue is c*x and the slope is
         # reported; for (2,1,a) with z = A sin(rho x) + B x it equals -Lambda*B
-        pair = cached_spectrum(2, 1, "antisymmetric", 1).pairs[0]
+        pair = cached_eigenpair(2, 1, "antisymmetric", 0)
         slope = inv.stone(pair)
         expect = -pair.Lambda * pair.poly_coeffs[1]
         assert slope == pytest.approx(expect, rel=1e-10)
@@ -80,7 +80,7 @@ class TestStonePolynomials:
         assert len(sp.coefficients) == 4  # k = 0..n-p-1
 
     def test_rejects_wrong_parity(self):
-        pair = cached_spectrum(3, 1, "antisymmetric", 1).pairs[0]
+        pair = cached_eigenpair(3, 1, "antisymmetric", 0)
         with pytest.raises(ValueError):
             inv.stone_polynomials(pair)
 

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
+from rqlab import solver
+from rqlab.cli import main
 from rqlab.errors import ConfigError, SolverError
 from rqlab.exppoly import inner_product
 from rqlab.problem import ProblemSpec
 from rqlab.solver import (
     antisym_equals_next_sym,
+    cached_eigenpair,
     cached_spectrum,
     det_indicator,
     extract_eigenfunction,
@@ -96,7 +99,8 @@ class TestExtraction:
 
     def test_boundary_residual_bound(self):
         for (n, p, parity) in [(2, 1, S), (3, 2, A), (5, 2, S), (4, 4, S)]:
-            for pair in cached_spectrum(n, p, parity, 2).pairs:
+            cached_spectrum(n, p, parity, 2)  # one scan for both pairs
+            for pair in (cached_eigenpair(n, p, parity, i) for i in range(2)):
                 r = pair.residuals
                 assert r.boundary_residual <= 1e-9 * r.boundary_scale
                 assert r.operator_residual <= 1e-8 * r.operator_scale
@@ -104,7 +108,7 @@ class TestExtraction:
 
     def test_eigenfunction_has_requested_parity(self):
         for parity, sign in ((S, 1.0), (A, -1.0)):
-            pair = cached_spectrum(3, 1, parity, 1).pairs[0]
+            pair = cached_eigenpair(3, 1, parity, 0)
             for x in (0.3, 0.77, 1.0):
                 left = pair.z.evaluate(-x).real
                 right = pair.z.evaluate(x).real
@@ -113,7 +117,7 @@ class TestExtraction:
     def test_quotient_equals_eigenvalue(self):
         # with <(z^(n-p))^2> = 1 the quotient reads directly as <(z^(n))^2>
         for (n, p) in [(2, 1), (3, 2), (4, 2)]:
-            pair = cached_spectrum(n, p, S, 1).pairs[0]
+            pair = cached_eigenpair(n, p, S, 0)
             hi = pair.z.differentiate(n)
             assert inner_product(hi, hi).real == pytest.approx(pair.Lambda, rel=1e-10)
 
@@ -129,7 +133,7 @@ class TestExtraction:
         assert pair.poly_coeffs[0] == pytest.approx(1 / PI, rel=1e-12)
 
     def test_rescaled_view(self):
-        pair = cached_spectrum(3, 1, S, 1).pairs[0]
+        pair = cached_eigenpair(3, 1, S, 0)
         doubled = rescaled(pair, 2.0)
         assert doubled.mean() == pytest.approx(2 * pair.mean(), rel=1e-13)
         assert doubled.poly_coeffs[0] == pytest.approx(2 * pair.poly_coeffs[0], rel=1e-13)
@@ -139,7 +143,7 @@ class TestSpectrumStructure:
     def test_parity_shift_closed_form(self):
         reports = antisym_equals_next_sym(1, 1, 2, tol=1e-10)
         assert all(r.passed for r in reports)
-        anti = cached_spectrum(1, 1, A, 2, with_eigenfunctions=False).eigenvalues
+        anti = cached_spectrum(1, 1, A, 2)
         for value, expect in zip(anti, [PI * PI, 4 * PI * PI]):
             assert rel_err(value, expect) < 1e-12
 
@@ -156,15 +160,15 @@ class TestSpectrumStructure:
 
     def test_variational_ordering(self):
         for (n, p) in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-            lo = cached_spectrum(n, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
-            hi = cached_spectrum(n + 1, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
+            lo = cached_spectrum(n, p, S, 1)[0]
+            hi = cached_spectrum(n + 1, p, S, 1)[0]
             assert lo <= hi * (1 + 1e-9)
 
     def test_strict_monotonicity_in_order(self):
         for p in (1, 2, 3):
             for n in range(p + 1, 7):
-                lo = cached_spectrum(n - 1, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
-                hi = cached_spectrum(n, p, S, 1, with_eigenfunctions=False).eigenvalues[0]
+                lo = cached_spectrum(n - 1, p, S, 1)[0]
+                hi = cached_spectrum(n, p, S, 1)[0]
                 assert (hi - lo) / hi > 1e-6
 
     def test_high_order_envelope(self):
@@ -181,10 +185,66 @@ class TestSpectrumStructure:
         # lives in the determinant domain: undo the root before comparing
         for (n, p, parity) in [(2, 1, S), (3, 2, S), (4, 2, A)]:
             spec = ProblemSpec(n, p, parity)
-            for lam_value in cached_spectrum(n, p, parity, 2).eigenvalues:
+            for lam_value in cached_spectrum(n, p, parity, 2):
                 local = max(
                     abs(det_indicator(spec, lam_value * 1.02)),
                     abs(det_indicator(spec, lam_value * 0.98)),
                 )
                 residual = abs(det_indicator(spec, lam_value))
                 assert residual**n < 1e-9 * local**n
+
+
+class TestSpectrumStore:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """An empty store, with scan and extraction calls counted."""
+        monkeypatch.setattr(solver, "_STORE", {})
+        counts = {"scan_spectrum": 0, "extract_eigenfunction": 0}
+        for name in counts:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, scans, extractions",
+        [
+            # orders 3, 2 and 4 for the suite, antisymmetric 3 for the parity shift
+            ("verify --n 3 --p 1 --count 3 --m 4", 4, 9),
+            # one candidate pair, one eigenpair on each side
+            ("disjoint --n 3 --m 5 --p 1 --count 5 --collision-tol 0.05", 2, 2),
+            # a candidate at n = p has no stones to compare: no extraction
+            ("disjoint --n 2 --m 4 --p 2 --count 4 --collision-tol 0.05", 2, 0),
+            ("eigenfunction --n 3 --p 1 --index 3", 1, 1),
+        ],
+    )
+    def test_each_order_is_scanned_once(self, calls, capsys, argv, scans, extractions):
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert calls == {"scan_spectrum": scans, "extract_eigenfunction": extractions}
+
+    def test_longer_prefix_rescans_shorter_does_not(self, calls):
+        cached_spectrum(2, 1, S, 2)
+        cached_spectrum(2, 1, S, 1)
+        assert calls["scan_spectrum"] == 1
+        cached_spectrum(2, 1, S, 3)
+        cached_eigenpair(2, 1, S, 2)
+        cached_eigenpair(2, 1, S, 2)
+        assert calls == {"scan_spectrum": 2, "extract_eigenfunction": 1}
+
+    @pytest.mark.parametrize("n, p, parity", [(3, 1, S), (4, 2, A), (5, 3, S)])
+    def test_store_is_bit_identical_to_a_direct_scan(self, monkeypatch, n, p, parity):
+        monkeypatch.setattr(solver, "_STORE", {})
+        spec = ProblemSpec(n, p, parity)
+        longer = scan_spectrum(spec, 5, with_eigenfunctions=False).eigenvalues
+        assert cached_spectrum(n, p, parity, 2) == longer[:2]
+        assert cached_spectrum(n, p, parity, 5) == longer
+        assert cached_eigenpair(n, p, parity, 1).z == scan_spectrum(spec, 2).pairs[1].z
+
+    def test_count_validation(self):
+        with pytest.raises(ConfigError):
+            cached_spectrum(1, 1, S, 0)
