@@ -13,6 +13,15 @@ class SolverError(RQLabError):
     """Numerical failure in spectrum scanning or eigenfunction extraction."""
 
 
+class ScanExhaustedError(SolverError):
+    """The scan ran out of grid before ``count`` eigenvalues; keeps those it found."""
+
+    def __init__(self, label: str, eigenvalues: tuple[float, ...], count: int, ceiling: float):
+        super().__init__(f"found only {len(eigenvalues)} of {count} eigenvalues for {label} "
+                         f"below lambda={ceiling} (raise the ceiling)")
+        self.eigenvalues, self.ceiling = eigenvalues, ceiling
+
+
 class DegenerateSystemError(SolverError):
     """Boundary-condition matrix has an identically vanishing row."""
 

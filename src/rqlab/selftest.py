@@ -9,11 +9,9 @@ the exponential-polynomial core.
 from __future__ import annotations
 
 import math
-
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
 from .problem import ProblemSpec
@@ -105,6 +103,9 @@ def random_real_exppoly(rng: np.random.RandomState, **kw) -> ExpPoly:
 
 def quadrature_integral(f: ExpPoly) -> complex:
     """Adaptive-quadrature reference for the closed-form integrator."""
+    # imported here: every CLI command imports this module, few need quadrature
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, _ = quad(lambda x: f.evaluate(x).real, -1.0, 1.0, limit=800, epsabs=0.0, epsrel=1e-12)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError, SolverError
+from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
+from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
 from .problem import ProblemSpec, SolutionBasis, build_operator, root_system, solution_basis
 from .reports import IdentityReport, equality_report
@@ -340,13 +341,10 @@ def scan_spectrum(
                 suspects.append(l1)
         lam, f_prev, prev_trusted = lam_next, f_next, True
 
-    if len(found) < count:
-        raise SolverError(
-            f"found only {len(found)} of {count} eigenvalues for {spec.label()} below "
-            f"lambda={ceiling} (raise the ceiling)"
-        )
-
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
+    if len(found) < count:
+        raise ScanExhaustedError(spec.label(), eigenvalues, count, ceiling)
+
     pairs: list[EigenPair | None] = []
     if with_eigenfunctions:
         for idx, Lam in enumerate(eigenvalues):
@@ -381,6 +379,7 @@ class _Order:
 
     eigenvalues: tuple[float, ...] = ()
     pairs: dict[int, EigenPair | None] = field(default_factory=dict)
+    exhausted_at: float | None = None  # ceiling a scan ran out of grid at, after `eigenvalues`
 
 
 _STORE: dict[tuple[int, int, str], _Order] = {}
@@ -391,12 +390,20 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
 
     The scan walks the same grid whatever its count and only stops earlier
     for a smaller one, so a stored prefix is bit-identical to a shorter
-    scan; the order is rescanned only when a caller asks for more.
+    scan; the order is rescanned only when a caller asks for more.  A scan
+    that runs out of grid keeps the roots it found, and a later request for
+    more raises the error a fresh scan would, without scanning again.
     """
     order = _STORE.setdefault((n, p, parity), _Order())
     if not 0 < count <= len(order.eigenvalues):
         spec = ProblemSpec(n, p, parity)
-        order.eigenvalues = scan_spectrum(spec, count, with_eigenfunctions=False).eigenvalues
+        if order.exhausted_at is not None and count > 0:
+            raise ScanExhaustedError(spec.label(), order.eigenvalues, count, order.exhausted_at)
+        try:
+            order.eigenvalues = scan_spectrum(spec, count, with_eigenfunctions=False).eigenvalues
+        except ScanExhaustedError as exc:
+            order.eigenvalues, order.exhausted_at = exc.eigenvalues, exc.ceiling
+            raise
     return order.eigenvalues[:count]
 
 

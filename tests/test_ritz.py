@@ -1,18 +1,51 @@
 """Variational oracle: exact assembly, bound property, convergence."""
 
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rqlab.errors import ConfigError
+from rqlab.exppoly import ExpPoly, inner_product
 from rqlab.problem import ProblemSpec
 from rqlab.ritz import MAX_BASIS_SIZE, assemble, rayleigh_quotient, ritz_values, ritz_vector
 from rqlab.solver import cached_spectrum
 
 from conftest import PI, bisect_root, rel_err
 
-S = "symmetric"
+S, A = "symmetric", "antisymmetric"
+
+
+def _absolute(f: ExpPoly) -> ExpPoly:
+    """The polynomial with the absolute values of f's coefficients."""
+    return ExpPoly.build([(0j, tuple(abs(c) for c in f.zero_frequency_coefficients()))])
+
+
+def _forward(lower, m):
+    """L^(-1) m for a unit lower triangular L, in exact rationals."""
+    out = []
+    for i, row in enumerate(m):
+        out.append([v - sum(lower[i][k] * out[k][j] for k in range(i)) for j, v in enumerate(row)])
+    return out
+
+
+def _fraction_reduced_matrix(system):
+    """Reference reduction in Fractions: LDL^T of B, then L^(-1) A L^(-T), rounded once."""
+    K, a, b = system.K, system.stiffness_exact, system.mass_exact
+    lower = [[Fraction(int(i == j)) for j in range(K)] for i in range(K)]
+    pivots = []
+    for j in range(K):
+        pivots.append(b[j][j] - sum(lower[j][k] ** 2 * pivots[k] for k in range(j)))
+        for i in range(j + 1, K):
+            lower[i][j] = (
+                b[i][j] - sum(lower[i][k] * lower[j][k] * pivots[k] for k in range(j))
+            ) / pivots[j]
+    w = _forward(lower, list(zip(*_forward(lower, a))))  # A and W are symmetric
+    inv_sqrt = [1.0 / math.sqrt(float(v)) for v in pivots]
+    return np.array([[float(w[i][j]) * inv_sqrt[i] * inv_sqrt[j] for j in range(K)]
+                     for i in range(K)])
 
 
 class TestAssembly:
@@ -29,6 +62,19 @@ class TestAssembly:
                     assert system.stiffness_exact[i][j] == system.stiffness_exact[j][i]
                     assert system.mass_exact[i][j] == system.mass_exact[j][i]
 
+    @pytest.mark.parametrize("n, p, parity", [(1, 1, S), (2, 1, A), (3, 2, S), (4, 2, A), (6, 6, A)])
+    def test_entries_match_exppoly_inner_products(self, n, p, parity):
+        # the ExpPoly path sums float monomial integrals, so its rounding is
+        # relative to the integral of the coefficient-wise absolute product
+        system = assemble(ProblemSpec(n, p, parity), 6)
+        for order, exact in ((n, system.stiffness_exact), (n - p, system.mass_exact)):
+            d = [system.trial_function(k).differentiate(order) for k in range(6)]
+            for i in range(6):
+                for j in range(6):
+                    scale = inner_product(_absolute(d[i]), _absolute(d[j])).real
+                    got = inner_product(d[i], d[j]).real
+                    assert abs(got - float(exact[i][j])) <= 1e-12 * scale
+
     def test_size_guards(self):
         with pytest.raises(ConfigError):
             assemble(ProblemSpec(1, 1, S), 0)
@@ -39,6 +85,13 @@ class TestAssembly:
 class TestValues:
     def test_first_value_k1(self):
         assert ritz_values(assemble(ProblemSpec(1, 1, S), 1), 1)[0] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("n, p, parity", [(2, 1, S), (4, 2, A), (6, 3, S)])
+    @pytest.mark.parametrize("K", [12, 20])
+    def test_bit_identical_to_fraction_reduction(self, n, p, parity, K):
+        system = assemble(ProblemSpec(n, p, parity), K)
+        reference = np.linalg.eigvalsh(_fraction_reduced_matrix(system))
+        assert ritz_values(system, K) == [float(v) for v in reference]
 
     def test_2_1_converges_to_pi_squared(self):
         value = ritz_values(assemble(ProblemSpec(2, 1, S), 8), 1)[0]
@@ -66,6 +119,22 @@ class TestValues:
                 true_value = cached_spectrum(n, p, S, 1)[0]
                 ritz = ritz_values(assemble(spec, 12), 1)[0]
                 assert ritz >= true_value * (1 - 1e-9)
+
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_index_witness(self, parity):
+        # the k-th Ritz value bounds the k-th eigenvalue from above, so a root
+        # the scan skipped would push every later eigenvalue past its bound.
+        # The float eigensolve of the reduced matrix is exact only to about
+        # K * eps * its norm (the largest Ritz value): at (4,4,anti) that
+        # absolute error reaches 2e-8 of the third value, below the true one.
+        K = 20
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                det = cached_spectrum(n, p, parity, 4)
+                ritz = ritz_values(assemble(ProblemSpec(n, p, parity), K), K)
+                rounding = K * sys.float_info.epsilon * ritz[-1]
+                for k in range(4):
+                    assert det[k] <= ritz[k] * (1 + 1e-9) + rounding
 
     def test_higher_index_agreement_where_converged(self):
         # K=20 has converged well past index 2 for these low-order problems

@@ -1,5 +1,6 @@
 """Determinant scan and eigenfunction extraction."""
 
+import functools
 import math
 
 import pytest
@@ -235,6 +236,23 @@ class TestSpectrumStore:
         cached_eigenpair(2, 1, S, 2)
         cached_eigenpair(2, 1, S, 2)
         assert calls == {"scan_spectrum": 2, "extract_eigenfunction": 1}
+
+    def test_exhausted_scan_is_kept(self, calls, monkeypatch):
+        # (1,1,sym) has lambda = (k + 1/2) pi, so a ceiling of 5 holds two roots
+        monkeypatch.setattr(solver, "scan_spectrum",
+                            functools.partial(solver.scan_spectrum, lambda_ceiling=5.0))
+        spec = ProblemSpec(1, 1, S)
+        for count in (3, 3, 4):
+            with pytest.raises(SolverError) as caught:
+                cached_spectrum(1, 1, S, count)
+            with pytest.raises(SolverError) as fresh:
+                scan_spectrum(spec, count, lambda_ceiling=5.0, with_eigenfunctions=False)
+            assert str(caught.value) == str(fresh.value)
+        assert str(caught.value).startswith("found only 2 of 4 eigenvalues")
+        prefix = scan_spectrum(spec, 2, lambda_ceiling=5.0, with_eigenfunctions=False)
+        assert cached_spectrum(1, 1, S, 2) == prefix.eigenvalues
+        assert cached_spectrum(1, 1, S, 1) == prefix.eigenvalues[:1]
+        assert calls["scan_spectrum"] == 1
 
     @pytest.mark.parametrize("n, p, parity", [(3, 1, S), (4, 2, A), (5, 3, S)])
     def test_store_is_bit_identical_to_a_direct_scan(self, monkeypatch, n, p, parity):
