@@ -9,7 +9,7 @@ spectral-disjointness facts on the computed eigenpairs at machine precision.
 __version__ = "0.1.0"
 
 from .exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
-from .problem import ProblemSpec, RootSystem, SolutionBasis, build_operator, root_system, solution_basis
+from .problem import ProblemSpec, RootSystem, build_operator, root_system, solution_basis
 from .ritz import RitzSystem, assemble, ritz_values
 from .solver import (
     EigenPair,
@@ -27,7 +27,6 @@ __all__ = [
     "l2_norm_sq",
     "ProblemSpec",
     "RootSystem",
-    "SolutionBasis",
     "build_operator",
     "root_system",
     "solution_basis",

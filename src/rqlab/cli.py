@@ -32,10 +32,10 @@ from .reporting import (
     format_csv,
     format_table,
     make_envelope,
+    not_applicable,
     rollup_from_reports,
     to_jsonable,
 )
-from .reports import not_applicable
 from .ritz import assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (

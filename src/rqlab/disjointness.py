@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, RQLabError
 from .invariants import bracket, kernel_annihilation_residual, moments, stone_polynomials
-from .reports import FAIL, PASS, IdentityReport
+from .reporting import FAIL, PASS, IdentityReport
 from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
 INDETERMINATE = "indeterminate"
@@ -67,18 +67,6 @@ class CollisionCandidate:
     index_m: int
     Lambda_m: float
     gap: float  # |Lambda_n - Lambda_m| / max
-
-    @property
-    def order_gap(self) -> int:
-        return self.m - self.n
-
-    @property
-    def q(self) -> int:
-        return self.order_gap // 2
-
-    @property
-    def parity_defect(self) -> int:
-        return self.order_gap - 2 * self.q
 
 
 @dataclass(frozen=True)

@@ -157,16 +157,6 @@ class ExpPoly:
     def sine(w: float) -> "ExpPoly":
         return ExpPoly.build([(complex(0, w), (-0.5j,)), (complex(0, -w), (0.5j,))])
 
-    @staticmethod
-    def hyperbolic_cosine(w: float, scale: float = 1.0) -> "ExpPoly":
-        h = 0.5 * scale
-        return ExpPoly.build([(complex(w), (complex(h),)), (complex(-w), (complex(h),))])
-
-    @staticmethod
-    def hyperbolic_sine(w: float, scale: float = 1.0) -> "ExpPoly":
-        h = 0.5 * scale
-        return ExpPoly.build([(complex(w), (complex(h),)), (complex(-w), (complex(-h),))])
-
     # ----- basic algebra -------------------------------------------------
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
@@ -334,9 +324,6 @@ class SigmaPolynomial:
             for j, b in enumerate(other.coeffs):
                 prod[i + j] += a * b
         return SigmaPolynomial(tuple(prod))
-
-    def conjugate(self) -> "SigmaPolynomial":
-        return SigmaPolynomial(tuple(c.conjugate() for c in self.coeffs))
 
     def at(self, value) -> complex:
         acc = 0j

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import IdentityViolationError
 from .exppoly import ExpPoly, SigmaPolynomial, hermitian_inner_product, inner_product, l2_norm_sq
 from .problem import reduced_operator, root_system
-from .reports import (
+from .reporting import (
     FAIL,
     PASS,
     IdentityReport,
@@ -43,10 +43,6 @@ DEFAULT_IDENTITY_TOL = 1e-8
 def lambda_sq(pair: EigenPair) -> float:
     """Square of the positive real characteristic root, Lambda^(1/p)."""
     return pair.Lambda ** (1.0 / pair.spec.p)
-
-
-def epsilon(pair: EigenPair) -> float:
-    return pair.Lambda ** (-1.0 / pair.spec.p)
 
 
 def _reduced_operator(pair: EigenPair, order: int) -> SigmaPolynomial:
@@ -205,39 +201,6 @@ def bracket(f, g, k: int) -> float:
     for i in range(k + 1):
         acc += f[k - i] * g[i]
     return (-1) ** k * acc
-
-
-@dataclass(frozen=True)
-class StoneMomentData:
-    """Stone/moment view of one eigenpair, ready for bracket arithmetic."""
-
-    owner: EigenPair
-    stone: float | None
-    stone_coeffs: tuple[float, ...]
-    moments: tuple[float, ...]
-    eps: float
-    lambda_sq: float
-
-
-def stone_moment_data(pair: EigenPair, moment_count: int | None = None) -> StoneMomentData:
-    spec = pair.spec
-    if moment_count is None:
-        moment_count = max(spec.n - spec.p - 1, 0) + 4
-    if spec.has_stones and spec.symmetric:
-        sp = stone_polynomials(pair)
-        stone_value: float | None = sp.coefficients[0]
-        coeffs = sp.coefficients
-    else:
-        stone_value = None
-        coeffs = ()
-    return StoneMomentData(
-        owner=pair,
-        stone=stone_value,
-        stone_coeffs=coeffs,
-        moments=tuple(moments(pair, moment_count)),
-        eps=epsilon(pair),
-        lambda_sq=lambda_sq(pair),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ kernel splits into exponentials at the 2p complex roots of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .exppoly import ExpPoly, SigmaPolynomial
@@ -47,9 +47,9 @@ class ProblemSpec:
         return self.n > self.p
 
     @property
-    def poly_dimension(self) -> int:
-        """Number of monomials in the parity solution basis."""
-        return self.n - self.p
+    def monomial_degrees(self) -> tuple[int, ...]:
+        """Degrees of the n-p monomials of the parity solution basis."""
+        return tuple(range(0 if self.symmetric else 1, 2 * (self.n - self.p), 2))
 
     def label(self) -> str:
         return f"(n={self.n}, p={self.p}, {'sym' if self.symmetric else 'antisym'})"
@@ -64,17 +64,9 @@ class RootSystem:
     rho: float
     roots: tuple[complex, ...]
 
-    @property
-    def has_imaginary_pair(self) -> bool:
-        return self.p % 2 == 0
-
     def upper_half_representatives(self) -> tuple[complex, ...]:
         """One root per conjugate pair, Im > 0, angle ascending (p-1 of them)."""
         return tuple(self.roots[j] for j in range(1, self.p))
-
-    def quadruple_representatives(self) -> tuple[complex, ...]:
-        """First-quadrant representatives of strictly-complex quadruples."""
-        return tuple(self.roots[j] for j in range(1, (self.p + 1) // 2))
 
 
 def _root(p: int, j: int, rho: float) -> complex:
@@ -118,75 +110,55 @@ def reduced_operator(spec: ProblemSpec, Lambda: float, order: int) -> SigmaPolyn
     return build_operator(ProblemSpec(order, spec.p, spec.parity), Lambda)
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
-    """Parity-restricted solution space: p kernel functions + n-p monomials."""
-
-    spec: ProblemSpec
-    Lambda: float
-    kernel_functions: tuple[ExpPoly, ...]
-    kernel_scales: tuple[float, ...]
-    kernel_labels: tuple[str, ...]
-    monomials: tuple[ExpPoly, ...] = field(default=())
-
-    @property
-    def functions(self) -> tuple[ExpPoly, ...]:
-        return self.kernel_functions + self.monomials
-
-    @property
-    def size(self) -> int:
-        return len(self.kernel_functions) + len(self.monomials)
+Terms = tuple[tuple[complex, complex], ...]  # (frequency, coefficient) of each c e^(mu x)
 
 
-def solution_basis(spec: ProblemSpec, Lambda: float) -> SolutionBasis:
-    """Real kernel basis + parity monomials.
+def _product(f: Terms, g: Terms) -> Terms:
+    """Terms of the product of two functions, in canonical order.
 
-    Hyperbolically growing functions carry a baked-in scale exp(-b) (exp(-rho)
-    for the pure hyperbolic pair) so every basis function stays O(1) on
-    [-1, 1]; cosh(rho) alone overflows near rho ~ 700 and ruins determinant
-    scaling much earlier.
+    ``0j +`` turns a -0.0 part into +0.0 as ExpPoly's product does, so the
+    basis keeps its exact coefficients (signed zeros reach the envelopes).
     """
-    rs = root_system(spec.p, Lambda)
-    rho, p = rs.rho, spec.p
-    kernel: list[ExpPoly] = []
-    scales: list[float] = []
-    labels: list[str] = []
+    terms = [(m1 + m2, 0j + c1 * c2) for m1, c1 in f for m2, c2 in g]
+    return tuple(sorted(terms, key=lambda t: (t[0].real, t[0].imag)))
 
-    def push(fn: ExpPoly, scale: float, label: str):
-        kernel.append(fn)
-        scales.append(scale)
-        labels.append(label)
 
-    if spec.symmetric:
-        push(ExpPoly.cosine(rho), 1.0, "cos")
-    else:
-        push(ExpPoly.sine(rho), 1.0, "sin")
-    for lam in rs.upper_half_representatives():
-        a, b = lam.real, lam.imag
-        if a == 0.0:  # imaginary pair -> pure hyperbolic function
-            s = math.exp(-rho)
-            if spec.symmetric:
-                push(ExpPoly.hyperbolic_cosine(rho, s), s, "cosh")
-            else:
-                push(ExpPoly.hyperbolic_sine(rho, s), s, "sinh")
-        elif a > 0.0:  # first-quadrant quadruple representative
-            s = math.exp(-b)
-            if spec.symmetric:
-                push(ExpPoly.cosine(a) * ExpPoly.hyperbolic_cosine(b, s), s, "cos*cosh")
-                push(ExpPoly.sine(a) * ExpPoly.hyperbolic_sine(b, s), s, "sin*sinh")
-            else:
-                push(ExpPoly.sine(a) * ExpPoly.hyperbolic_cosine(b, s), s, "sin*cosh")
-                push(ExpPoly.cosine(a) * ExpPoly.hyperbolic_sine(b, s), s, "cos*sinh")
+def kernel_terms(spec: ProblemSpec, Lambda: float) -> tuple[Terms, ...]:
+    """(frequency, coefficient) terms of each real kernel function, p columns.
 
-    offset = 0 if spec.symmetric else 1
-    monomials = tuple(
-        ExpPoly.monomial(2 * k + offset) for k in range(spec.poly_dimension)
-    )
-    return SolutionBasis(
-        spec=spec,
-        Lambda=Lambda,
-        kernel_functions=tuple(kernel),
-        kernel_scales=tuple(scales),
-        kernel_labels=tuple(labels),
-        monomials=monomials,
+    For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
+    of a trig factor in ``a x`` and a hyperbolic factor in ``b x`` that have
+    the spec's parity, scaled by ``exp(-b)`` so every function stays O(1) on
+    [-1, 1] (cosh alone overflows near 700 and ruins determinant scaling
+    much earlier).  The real root (``b = 0``) gives cos or sin alone, the
+    imaginary root (``a = 0``) cosh or sinh alone, and every other root a
+    pair of four-term functions.  Roots with ``a < 0`` repeat these.  Terms
+    come in ExpPoly's canonical order.
+    """
+    columns = []
+    for root in root_system(spec.p, Lambda).roots[: spec.p]:
+        a, b = root.real, root.imag
+        if a < 0.0:
+            continue
+        h = 0.5 * math.exp(-b)
+        cos = ((complex(0, -a), 0.5 + 0j), (complex(0, a), 0.5 + 0j))
+        sin = ((complex(0, -a), 0.5j), (complex(0, a), -0.5j))
+        cosh = ((complex(-b), complex(h)), (complex(b), complex(h)))
+        sinh = ((complex(-b), complex(-h)), (complex(b), complex(h)))
+        if b == 0.0:
+            columns.append(cos if spec.symmetric else sin)
+        elif a == 0.0:
+            columns.append(cosh if spec.symmetric else sinh)
+        elif spec.symmetric:
+            columns += [_product(cos, cosh), _product(sin, sinh)]
+        else:
+            columns += [_product(sin, cosh), _product(cos, sinh)]
+    return tuple(columns)
+
+
+def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:
+    """The p kernel functions of :func:`kernel_terms`, then the n-p parity monomials."""
+    kernel = kernel_terms(spec, Lambda)
+    return tuple(ExpPoly.build((mu, (c,)) for mu, c in terms) for terms in kernel) + tuple(
+        ExpPoly.monomial(m) for m in spec.monomial_degrees
     )

@@ -1,4 +1,7 @@
-"""Report envelopes: canonical JSON and CSV emission.
+"""Identity reports and the envelopes that carry them: canonical JSON and CSV.
+
+An :class:`IdentityReport` is the machine-readable verdict of one identity
+or inequality check.
 
 Envelope layout (schema 1)::
 
@@ -21,9 +24,9 @@ decimal strings to keep the interchange lossless.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
@@ -31,6 +34,81 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+
+PASS = "pass"
+FAIL = "fail"
+NOT_APPLICABLE = "not-applicable"
+
+RESIDUAL_FLOOR = 1e-30  # avoids 0/0 verdicts on identically-zero identities
+
+
+def relative_residual(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """One checked identity/inequality instance.
+
+    ``identity_id`` names the relation, ``index`` carries whatever index
+    tuple applies (k, l, order gap, ...).  ``details`` holds auxiliary
+    residuals (alternate evaluation routes, sign-variant diagnostics).
+    """
+
+    identity_id: str
+    index: tuple = ()
+    lhs: float = 0.0
+    rhs: float = 0.0
+    abs_residual: float = 0.0
+    rel_residual: float = 0.0
+    verdict: str = PASS
+    notes: str = ""
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == PASS
+
+    @property
+    def applicable(self) -> bool:
+        return self.verdict != NOT_APPLICABLE
+
+
+def equality_report(identity_id, index, lhs, rhs, tol, notes="", details=None) -> IdentityReport:
+    rel = relative_residual(lhs, rhs)
+    return IdentityReport(
+        identity_id=identity_id,
+        index=tuple(index),
+        lhs=float(lhs),
+        rhs=float(rhs),
+        abs_residual=abs(lhs - rhs),
+        rel_residual=rel,
+        verdict=PASS if rel <= tol else FAIL,
+        notes=notes,
+        details=details or {},
+    )
+
+
+def bound_report(identity_id, index, value, bound, notes="", details=None) -> IdentityReport:
+    """Pass when value <= bound (one-sided smallness check)."""
+    return IdentityReport(
+        identity_id=identity_id,
+        index=tuple(index),
+        lhs=float(value),
+        rhs=float(bound),
+        abs_residual=max(value - bound, 0.0),
+        rel_residual=float(value) / max(abs(bound), RESIDUAL_FLOOR),
+        verdict=PASS if value <= bound else FAIL,
+        notes=notes,
+        details=details or {},
+    )
+
+
+def not_applicable(identity_id, index, notes="") -> IdentityReport:
+    return IdentityReport(
+        identity_id=identity_id, index=tuple(index), verdict=NOT_APPLICABLE, notes=notes
+    )
+
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "rqlab"
@@ -53,8 +131,8 @@ def to_jsonable(obj: Any) -> Any:
         return str(obj)
     if isinstance(obj, np.generic):
         return to_jsonable(obj.item())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
@@ -80,8 +158,8 @@ def dumps_envelope(envelope: dict) -> str:
 
 
 def rollup_from_reports(reports) -> dict:
-    n_pass = sum(1 for r in reports if r.verdict == "pass")
-    n_fail = sum(1 for r in reports if r.verdict == "fail")
+    n_pass = sum(1 for r in reports if r.verdict == PASS)
+    n_fail = sum(1 for r in reports if r.verdict == FAIL)
     n_na = len(reports) - n_pass - n_fail
     return {"pass": n_fail == 0, "n_pass": n_pass, "n_fail": n_fail, "n_na": n_na}
 

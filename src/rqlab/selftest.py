@@ -15,7 +15,7 @@ import numpy as np
 
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
 from .problem import ProblemSpec
-from .reports import IdentityReport, bound_report, equality_report
+from .reporting import IdentityReport, bound_report, equality_report
 from .solver import cached_eigenpair, cached_spectrum, eigenpair_from_function
 from . import invariants
 

@@ -9,6 +9,7 @@ null direction of the boundary matrix via SVD.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,8 +19,8 @@ from scipy.optimize import brentq
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
-from .problem import ProblemSpec, SolutionBasis, build_operator, root_system, solution_basis
-from .reports import IdentityReport, equality_report
+from .problem import ProblemSpec, build_operator, kernel_terms, root_system, solution_basis
+from .reporting import IdentityReport, equality_report
 
 DEFAULT_SCAN_STEP = 0.05
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
@@ -27,34 +28,39 @@ NULLSPACE_QUALITY_LIMIT = 1e-6
 SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff noise
 
 
-def _boundary_rows(spec: ProblemSpec, basis: SolutionBasis):
-    """Derivative values at x=1 (rows j=0..n-1) plus per-row magnitude bounds."""
-    values = np.empty((spec.n, basis.size))
-    bounds = np.empty((spec.n, basis.size))
-    current = list(basis.functions)
-    for j in range(spec.n):
-        for i, fn in enumerate(current):
-            values[j, i] = fn.evaluate(1.0).real
-            bounds[j, i] = fn.magnitude_bound()
-        if j + 1 < spec.n:
-            current = [fn.differentiate() for fn in current]
-    return values, bounds
-
-
 def boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
     """Row-scaled clamped-condition matrix whose null space holds eigenfunctions.
 
-    Each row is divided by the largest a-priori magnitude bound among its
-    entries.  Unlike scaling by the max actual entry, the bound cannot vanish
-    and does not re-inflate a row that legitimately passes through zero at an
-    eigenvalue, so determinant zeros stay put and the smallest singular value
-    is a faithful null-space quality measure.  Scaling is positive, so the
-    null space is untouched.
+    Row j holds the j-th derivatives at x=1 of the parity basis, in closed
+    form: ``sum c mu^j e^mu`` over the terms ``c e^(mu x)`` of a kernel
+    function, ``m!/(m-j)!`` for the monomial ``x^m``.  Each row is divided by
+    the largest a-priori magnitude bound among its entries, ``sum
+    e^|Re mu| |c mu^j|`` (the monomial's own value).  Unlike scaling by the
+    max actual entry, the bound cannot vanish and does not re-inflate a row
+    that legitimately passes through zero at an eigenvalue, so determinant
+    zeros stay put and the smallest singular value is a faithful null-space
+    quality measure.  Scaling is positive, so the null space is untouched.
     """
-    basis = solution_basis(spec, Lambda)
-    values, bounds = _boundary_rows(spec, basis)
+    n = spec.n
+    values = np.empty((n, n))
+    bounds = np.empty((n, n))
+    for i, terms in enumerate(kernel_terms(spec, Lambda)):
+        mus = [mu for mu, _ in terms]
+        exps = [cmath.exp(mu) for mu in mus]
+        growth = [math.exp(abs(mu.real)) for mu in mus]
+        coeffs = [c for _, c in terms]  # c mu^j, one factor mu per row
+        for j in range(n):
+            total = 0j
+            for c, e in zip(coeffs, exps):
+                total += c * e
+            values[j, i] = total.real
+            bounds[j, i] = sum(g * abs(c) for g, c in zip(growth, coeffs))
+            coeffs = [mu * c for mu, c in zip(mus, coeffs)]
+    for i, m in enumerate(spec.monomial_degrees, spec.p):
+        for j in range(n):
+            values[j, i] = bounds[j, i] = math.perm(m, j)
     scaled = np.empty_like(values)
-    for j in range(spec.n):
+    for j in range(n):
         bound = np.max(bounds[j])
         if bound == 0.0 or not np.any(values[j]):
             raise DegenerateSystemError(
@@ -119,10 +125,6 @@ class EigenPair:
     @property
     def kernel_part(self) -> ExpPoly:
         return self.z.nonzero_frequency_part()
-
-    @property
-    def poly_part(self) -> ExpPoly:
-        return self.z.zero_frequency_part()
 
     def mean(self) -> float:
         return self.z.integrate_unit().real
@@ -200,7 +202,7 @@ def extract_eigenfunction(
     coeffs = vt[-1]
     basis = solution_basis(spec, Lambda)
     z = ExpPoly.zero()
-    for c, fn in zip(coeffs, basis.functions):
+    for c, fn in zip(coeffs, basis):
         if c != 0.0:
             z = z + fn.scaled(float(c))
     if normalize:
@@ -254,7 +256,6 @@ class ScanMetadata:
 @dataclass(frozen=True)
 class SpectrumSlice:
     spec: ProblemSpec
-    Lambda_max: float
     eigenvalues: tuple[float, ...]
     pairs: tuple[EigenPair | None, ...]
     metadata: ScanMetadata
@@ -366,7 +367,6 @@ def scan_spectrum(
     )
     return SpectrumSlice(
         spec=spec,
-        Lambda_max=eigenvalues[-1],
         eigenvalues=eigenvalues,
         pairs=tuple(pairs),
         metadata=metadata,

@@ -106,13 +106,6 @@ class TestMomentsAndBrackets:
         with pytest.raises(IndexError):
             inv.bracket([1.0], [1.0], 1)
 
-    def test_stone_moment_data_bundle(self, z2):
-        data = inv.stone_moment_data(z2, moment_count=3)
-        assert data.stone == pytest.approx(-PI * PI, rel=1e-12)
-        assert data.lambda_sq == pytest.approx(PI * PI)
-        assert data.eps == pytest.approx(1 / (PI * PI))
-        assert len(data.moments) == 4
-
 
 class TestStoneIdentity:
     def test_closed_form_anchor(self, z2):

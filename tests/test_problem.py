@@ -7,7 +7,7 @@ import pytest
 
 from rqlab.errors import ConfigError
 from rqlab.exppoly import ExpPoly
-from rqlab.problem import ProblemSpec, build_operator, root_system, solution_basis
+from rqlab.problem import ProblemSpec, build_operator, kernel_terms, root_system, solution_basis
 
 from conftest import PI
 
@@ -26,6 +26,20 @@ class TestProblemSpec:
         assert ProblemSpec(3, 2, "symmetric").has_stones
 
 
+def column_counts(spec: ProblemSpec, Lambda: float) -> tuple[int, int, int]:
+    """(columns, four-term columns, real-frequency pairs) of the kernel table."""
+    table = kernel_terms(spec, Lambda)
+    quads = sum(1 for terms in table if len(terms) == 4)
+    real_pairs = sum(1 for terms in table if all(mu.imag == 0 for mu, _ in terms))
+    return len(table), quads, real_pairs
+
+
+def hyperbolic(b: float, odd: bool) -> ExpPoly:
+    """cosh(b x) or sinh(b x), scaled by exp(-b)."""
+    h = 0.5 * math.exp(-b)
+    return ExpPoly.exponential(b, (h,)) + ExpPoly.exponential(-b, (-h if odd else h,))
+
+
 class TestRootSystem:
     def test_square_roots(self):
         rs = root_system(1, PI * PI)
@@ -34,14 +48,13 @@ class TestRootSystem:
     def test_fourth_roots_with_imaginary_pair(self):
         rs = root_system(2, 16.0)
         assert rs.roots == (2, 2j, -2, -2j)
-        assert rs.has_imaginary_pair
+        assert column_counts(ProblemSpec(2, 2), 16.0) == (2, 0, 1)
 
     def test_sixth_roots_classification(self):
         rs = root_system(3, 1.0)
-        assert not rs.has_imaginary_pair
         expected = [complex(math.cos(PI * j / 3), math.sin(PI * j / 3)) for j in range(6)]
         assert np.allclose(rs.roots, expected)
-        assert len(rs.quadruple_representatives()) == 1
+        assert column_counts(ProblemSpec(3, 3), 1.0) == (3, 2, 0)
 
     def test_power_and_closure_invariants(self):
         for p in (1, 2, 3, 4, 5):
@@ -64,20 +77,23 @@ class TestRootSystem:
     def test_high_order_classification_counts(self):
         # one real pair; imaginary pair iff p even; the rest in quadruples
         for p in (4, 5, 6, 7):
-            rs = root_system(p, 3.7)
-            quads = rs.quadruple_representatives()
-            assert len(quads) == (p - 1) // 2
-            assert all(q.real > 0 and q.imag > 0 for q in quads)
-            imag = [r for r in rs.roots if r.real == 0]
-            assert len(imag) == (2 if p % 2 == 0 else 0)
+            for parity in ("symmetric", "antisymmetric"):
+                spec = ProblemSpec(p, p, parity)
+                even = 1 if p % 2 == 0 else 0
+                assert column_counts(spec, 3.7) == (p, 2 * ((p - 1) // 2), even)
+                for terms in kernel_terms(spec, 3.7):
+                    if len(terms) == 4:  # a first-quadrant root: complex frequencies only
+                        assert all(mu.real != 0 and mu.imag != 0 for mu, _ in terms)
+            imag = [r for r in root_system(p, 3.7).roots if r.real == 0]
+            assert len(imag) == 2 * even
 
     def test_high_order_basis_annihilation(self):
         for p in (4, 5):
             spec = ProblemSpec(p + 1, p, "symmetric")
             basis = solution_basis(spec, 257.0)
             op = build_operator(spec, 257.0)
-            assert len(basis.kernel_functions) == p
-            for fn in basis.functions:
+            assert len(kernel_terms(spec, 257.0)) == p and len(basis) == p + 1
+            for fn in basis:
                 image = op.apply(fn)
                 scale = fn.differentiate(2 * spec.n).magnitude_bound()
                 assert image.magnitude_bound() <= 1e-9 * max(scale, 1e-300)
@@ -102,30 +118,49 @@ class TestOperator:
 
 class TestSolutionBasis:
     def test_shape_2_1(self):
-        basis = solution_basis(ProblemSpec(2, 1, "symmetric"), 5.0)
-        assert basis.kernel_labels == ("cos",)
-        assert len(basis.monomials) == 1
-        assert basis.monomials[0] == ExpPoly.constant(1)
+        spec, rho = ProblemSpec(2, 1, "symmetric"), 5.0**0.5
+        assert kernel_terms(spec, 5.0) == (((-1j * rho, 0.5), (1j * rho, 0.5)),)  # cos
+        basis = solution_basis(spec, 5.0)
+        assert basis == (ExpPoly.cosine(rho), ExpPoly.constant(1))
 
     def test_shape_2_2(self):
-        basis = solution_basis(ProblemSpec(2, 2, "symmetric"), 5.0)
-        assert basis.kernel_labels == ("cos", "cosh")
-        assert basis.monomials == ()
+        spec, rho = ProblemSpec(2, 2, "symmetric"), 5.0**0.25
+        h = 0.5 * math.exp(-rho)
+        cos = ((-1j * rho, 0.5), (1j * rho, 0.5))
+        cosh = ((complex(-rho), h), (complex(rho), h))
+        assert kernel_terms(spec, 5.0) == (cos, cosh)
+        assert solution_basis(spec, 5.0) == (ExpPoly.cosine(rho), hyperbolic(rho, odd=False))
 
     def test_shape_3_1(self):
-        basis = solution_basis(ProblemSpec(3, 1, "symmetric"), 5.0)
-        assert basis.kernel_labels == ("cos",)
-        assert [m.zero_frequency_coefficients() for m in basis.monomials] == [
-            (1,), (0, 0, 1),
-        ]
+        spec = ProblemSpec(3, 1, "symmetric")
+        assert column_counts(spec, 5.0) == (1, 0, 0)
+        basis = solution_basis(spec, 5.0)
+        assert basis[0] == ExpPoly.cosine(5.0**0.5)
+        assert [m.zero_frequency_coefficients() for m in basis[1:]] == [(1,), (0, 0, 1)]
 
     def test_count_invariant(self):
         for n in range(1, 7):
             for p in range(1, n + 1):
                 for parity in ("symmetric", "antisymmetric"):
-                    basis = solution_basis(ProblemSpec(n, p, parity), 11.7)
-                    assert len(basis.kernel_functions) == p
-                    assert len(basis.monomials) == n - p
+                    spec = ProblemSpec(n, p, parity)
+                    basis = solution_basis(spec, 11.7)
+                    assert len(kernel_terms(spec, 11.7)) == p
+                    assert len(basis) == n
+                    assert all(fn.nonzero_frequency_part().is_zero() for fn in basis[p:])
+
+    def test_quadruple_columns_are_trig_times_hyperbolic(self):
+        # sym: cos*cosh, sin*sinh; antisym: sin*cosh, cos*sinh, per first-quadrant root
+        for p, parity in [(3, "symmetric"), (3, "antisymmetric"), (5, "symmetric")]:
+            spec = ProblemSpec(p, p, parity)
+            rs = root_system(p, 42.0)
+            basis = solution_basis(spec, 42.0)
+            for j in range(1, (p + 1) // 2):
+                a, b = rs.roots[j].real, rs.roots[j].imag
+                first, second = (ExpPoly.cosine(a), ExpPoly.sine(a))
+                if parity == "antisymmetric":
+                    first, second = second, first
+                assert basis[2 * j - 1] == first * hyperbolic(b, odd=False)
+                assert basis[2 * j] == second * hyperbolic(b, odd=True)
 
     def test_basis_annihilated_on_random_grid(self, rng):
         for _ in range(25):
@@ -136,7 +171,7 @@ class TestSolutionBasis:
             spec = ProblemSpec(n, p, parity)
             basis = solution_basis(spec, Lam)
             op = build_operator(spec, Lam)
-            for fn in basis.functions:
+            for fn in basis:
                 image = op.apply(fn)
                 scale = fn.differentiate(2 * n).magnitude_bound() + Lam * fn.differentiate(
                     2 * n - 2 * p
@@ -148,7 +183,7 @@ class TestSolutionBasis:
         for (n, p, parity) in [(3, 2, "symmetric"), (4, 2, "antisymmetric"), (5, 3, "symmetric")]:
             basis = solution_basis(ProblemSpec(n, p, parity), 42.0)
             sign = 1.0 if parity == "symmetric" else -1.0
-            for fn in basis.functions:
+            for fn in basis:
                 for x in xs:
                     left, right = fn.evaluate(-x), fn.evaluate(x)
                     assert abs(left - sign * right) <= 1e-12 * max(abs(right), 1.0)
@@ -160,7 +195,7 @@ class TestSolutionBasis:
                 spec = ProblemSpec(n, p, "symmetric")
                 basis = solution_basis(spec, Lam)
                 rho = Lam ** (1.0 / (2 * p))
-                for fn in basis.kernel_functions:
+                for fn in basis[:p]:
                     best = 0.0
                     deriv = fn
                     for j in range(n):

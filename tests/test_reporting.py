@@ -5,12 +5,12 @@ from fractions import Fraction
 
 from rqlab.reporting import (
     dumps_envelope,
+    equality_report,
     format_csv,
     make_envelope,
     rollup_from_reports,
     to_jsonable,
 )
-from rqlab.reports import equality_report
 
 
 class TestToJsonable:

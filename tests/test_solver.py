@@ -3,15 +3,17 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from rqlab import solver
 from rqlab.cli import main
 from rqlab.errors import ConfigError, SolverError
 from rqlab.exppoly import inner_product
-from rqlab.problem import ProblemSpec
+from rqlab.problem import ProblemSpec, solution_basis
 from rqlab.solver import (
     antisym_equals_next_sym,
+    boundary_matrix,
     cached_eigenpair,
     cached_spectrum,
     det_indicator,
@@ -44,6 +46,30 @@ class TestDetIndicator:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ConfigError):
             det_indicator(ProblemSpec(2, 1, S), -3.0)
+
+
+def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
+    """The boundary matrix through ExpPoly differentiation, the closed form's oracle."""
+    values, bounds = [], []
+    derivatives = solution_basis(spec, Lambda)
+    for _ in range(spec.n):
+        values.append([fn.evaluate(1.0).real for fn in derivatives])
+        bounds.append([fn.magnitude_bound() for fn in derivatives])
+        derivatives = [fn.differentiate() for fn in derivatives]
+    return np.array(values) / np.max(bounds, axis=1, keepdims=True)
+
+
+class TestBoundaryMatrix:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_is_bit_identical_to_exppoly_chain(self, n):
+        for p in range(1, n + 1):
+            for parity in (S, A):
+                spec = ProblemSpec(n, p, parity)
+                for lam in np.arange(0.02, 60.0, 0.91):
+                    Lambda = float(lam) ** (2 * p)
+                    assert np.array_equal(
+                        boundary_matrix(spec, Lambda), exppoly_boundary_matrix(spec, Lambda)
+                    ), (spec.label(), float(lam))
 
 
 class TestScanSpectrum:
