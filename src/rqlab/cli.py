@@ -4,15 +4,14 @@ Subcommands: spectrum, eigenfunction, verify, disjoint, sweep, ritz,
 plotdata, selftest.  Exit codes are a stable contract: 0 success, 1 invalid
 configuration, 2 numerical/solver failure, 3 identity violation.  All
 configuration is by flags; ``--config FILE`` supplies defaults from a JSON
-object with the same keys as the envelope's config echo (explicit flags
-win).  Output is a schema-versioned JSON envelope, a CSV table, or a plain
-text table.
+object with the same keys as the envelope's config echo, each value checked
+as its flag is (explicit flags win).  Output is a schema-versioned JSON
+envelope, a CSV table, or a plain text table.
 
-eigenfunction, verify, disjoint and sweep read eigenvalues and eigenpairs
-from the solver's per-order store, so within one process an order is
-rescanned only for a longer prefix and each eigenfunction is extracted
-once; spectrum and ``ritz --cross-check`` scan directly with their own step
-and ceiling.
+Every command but spectrum reads eigenvalues and eigenpairs from the
+solver's per-order store, so within one process an order is rescanned only
+for a longer prefix and each eigenfunction is extracted once; spectrum
+scans directly with its own step and ceiling.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import sys
 
 from . import __version__, invariants
-from .disjointness import compare_spectra, evaluate_necessary_conditions, sweep_conjecture
+from .disjointness import compare_spectra, follow_up_candidates, sweep_conjecture
 from .errors import ConfigError, IdentityViolationError, RQLabError, SolverError
 from .exppoly import ExpPoly
 from .problem import ANTISYMMETRIC, SYMMETRIC, ProblemSpec, root_system
@@ -39,11 +38,14 @@ from .reporting import (
 from .ritz import assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
+    DEFAULT_LAMBDA_CEILING,
     antisym_equals_next_sym,
     cached_eigenpair,
+    cached_spectrum,
     det_indicator,
     eigenpair_from_function,
     scan_spectrum,
+    simple_eigenpair,
 )
 
 EXIT_OK = 0
@@ -193,12 +195,16 @@ def _report_rows(reports):
 
 def _cmd_spectrum(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
-    slice_ = scan_spectrum(spec, args.count, Lambda_hint=args.lambda_max, step=args.step)
+    ceiling = DEFAULT_LAMBDA_CEILING
+    if args.lambda_max is not None:
+        ceiling = args.lambda_max ** (1.0 / (2 * spec.p))
+    slice_ = scan_spectrum(spec, args.count, step=args.step, lambda_ceiling=ceiling)
+    pairs = [simple_eigenpair(spec, lam, i) for i, lam in enumerate(slice_.eigenvalues)]
     k = max(args.ritz_k, args.count)
     ritz = ritz_values(assemble(spec, k), args.count)
     rows = []
-    for i, lam in enumerate(slice_.eigenvalues):
-        pair = slice_.pairs[i]
+    suspects = list(slice_.metadata.suspects)
+    for i, (lam, pair) in enumerate(zip(slice_.eigenvalues, pairs)):
         row = {
             "index": i,
             "Lambda": lam,
@@ -206,7 +212,9 @@ def _cmd_spectrum(args):
             "ritz": ritz[i],
             "ritz_rel_gap": abs(ritz[i] - lam) / lam,
         }
-        if pair is not None:
+        if pair is None:
+            suspects.append(row["lambda"])
+        else:
             r = pair.residuals
             row.update(
                 nullspace_quality=r.nullspace_quality,
@@ -214,12 +222,13 @@ def _cmd_spectrum(args):
                 boundary_residual_rel=r.boundary_residual / max(r.boundary_scale, 1e-300),
             )
         rows.append(row)
+    metadata = dataclasses.replace(slice_.metadata, suspects=tuple(suspects))
     results = {
         "spec": dataclasses.asdict(spec),
         "eigenvalues": slice_.eigenvalues,
         "ritz": ritz,
         "rows": rows,
-        "scan_metadata": to_jsonable(slice_.metadata),
+        "scan_metadata": to_jsonable(metadata),
     }
     columns = [
         "index", "Lambda", "lambda", "ritz", "ritz_rel_gap",
@@ -285,16 +294,7 @@ def _cmd_disjoint(args):
             rows.append(
                 {"i": i, "Lambda_n": li, "j": j, "Lambda_m": lj, "rel_gap": table.gaps[i][j]}
             )
-    condition_reports = []
-    for cand in table.candidates:
-        if args.n <= args.p:  # stone machinery unavailable: gap table only
-            continue
-        zn = cached_eigenpair(args.n, args.p, SYMMETRIC, cand.index_n)
-        zm = cached_eigenpair(args.m, args.p, SYMMETRIC, cand.index_m)
-        if zn is not None and zm is not None:
-            condition_reports.append(
-                evaluate_necessary_conditions(zn, zm, args.collision_tol)
-            )
+    condition_reports, _ = follow_up_candidates(table, args.collision_tol)
     results = {
         "table": to_jsonable(table),
         "condition_reports": to_jsonable(condition_reports),
@@ -346,7 +346,7 @@ def _cmd_ritz(args):
     rows = [{"index": i, "ritz": v} for i, v in enumerate(values)]
     columns = ["index", "ritz"]
     if args.cross_check:
-        scanned = scan_spectrum(spec, args.count, with_eigenfunctions=False).eigenvalues
+        scanned = cached_spectrum(args.n, args.p, args.parity, args.count)
         for row, lam in zip(rows, scanned):
             row["determinant"] = lam
             row["rel_gap"] = abs(row["ritz"] - lam) / lam
@@ -399,14 +399,24 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError("config file must hold a JSON object")
-        valid = set(vars(args))
-        unknown = set(overrides) - valid
+        unknown = set(overrides) - set(vars(args))
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # defaults must land on the subparser: it re-applies its own defaults
-        # when the command line is re-parsed
-        parser.commands.choices[args.command].set_defaults(**overrides)
-        args = parser.parse_args(argv)  # explicit flags still win
+        command = overrides.pop("command", args.command)
+        if command != args.command:
+            raise ConfigError(f"config file is for command {command!r}, not {args.command!r}")
+        # each value goes through its flag's converter and choices: as flag
+        # tokens right after the command, so explicit flags still win
+        flags = {a.dest: a.option_strings[0]
+                 for a in parser.commands.choices[args.command]._actions if a.option_strings}
+        tokens = []
+        for key, value in overrides.items():
+            if value is True:
+                tokens.append(flags[key])  # a switch, or a missing value the parser reports
+            elif value is not False and value is not None:
+                tokens.append(f"{flags[key]}={value}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args
 
 

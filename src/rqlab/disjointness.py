@@ -357,6 +357,29 @@ def evaluate_necessary_conditions(
     )
 
 
+def follow_up_candidates(
+    table: GapTable, collision_tol: float = DEFAULT_COLLISION_TOL
+) -> tuple[list[NecessaryConditionReport], bool]:
+    """Necessary conditions on each candidate of a gap table.
+
+    Returns the reports and whether an eigenpair was non-simple, which
+    leaves its candidate without a report.  At n = p there are no stones to
+    compare, so only the gap table stands.
+    """
+    reports: list[NecessaryConditionReport] = []
+    non_simple = False
+    if table.n <= table.p:
+        return reports, non_simple
+    for cand in table.candidates:
+        zn = cached_eigenpair(table.n, table.p, "symmetric", cand.index_n)
+        zm = cached_eigenpair(table.m, table.p, "symmetric", cand.index_m)
+        if zn is None or zm is None:
+            non_simple = True
+        else:
+            reports.append(evaluate_necessary_conditions(zn, zm, collision_tol))
+    return reports, non_simple
+
+
 @dataclass(frozen=True)
 class SweepPair:
     n: int
@@ -426,15 +449,9 @@ def sweep_conjecture(
             )
             global_min = min(global_min, table.min_gap)
             all_candidates.extend(table.candidates)
-            for cand in table.candidates:
-                if cand.n <= p:  # stone machinery unavailable: gap table only
-                    continue
-                zn = cached_eigenpair(n, p, "symmetric", cand.index_n)
-                zm = cached_eigenpair(m, p, "symmetric", cand.index_m)
-                if zn is None or zm is None:
-                    partial = True
-                    continue
-                reports.append(evaluate_necessary_conditions(zn, zm, collision_tol))
+            followed, non_simple = follow_up_candidates(table, collision_tol)
+            reports.extend(followed)
+            partial = partial or non_simple
     return SweepSummary(
         p=p,
         n_max=n_max,

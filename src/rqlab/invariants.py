@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IdentityViolationError
+from .errors import ConfigError, IdentityViolationError
 from .exppoly import ExpPoly, SigmaPolynomial, hermitian_inner_product, inner_product, l2_norm_sq
 from .problem import reduced_operator, root_system
 from .reporting import (
@@ -43,11 +43,6 @@ DEFAULT_IDENTITY_TOL = 1e-8
 def lambda_sq(pair: EigenPair) -> float:
     """Square of the positive real characteristic root, Lambda^(1/p)."""
     return pair.Lambda ** (1.0 / pair.spec.p)
-
-
-def _reduced_operator(pair: EigenPair, order: int) -> SigmaPolynomial:
-    """sigma^{2*order-2p}(sigma^{2p} - Lambda) at the pair's own Lambda."""
-    return reduced_operator(pair.spec, pair.Lambda, order)
 
 
 def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
@@ -71,16 +66,21 @@ def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
     return factor
 
 
-def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-9) -> ExpPoly:
-    """Apply the reduced operator and return the polynomial residue.
+def _reduced_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
+    """The reduced operator's image of z, and how well it kills the kernel part.
 
-    The kernel part of z must be annihilated; its exact image is compared
-    against the size it would have without cancellation.
+    The residual is the image's kernel residue relative to the size the
+    kernel part would have there without cancellation.
     """
-    image = _reduced_operator(pair, order).apply(pair.z)
-    kernel_residue = image.nonzero_frequency_part()
+    image = reduced_operator(pair.spec, pair.Lambda, order).apply(pair.z)
     scale = pair.kernel_part.differentiate(2 * order).magnitude_bound()
-    if kernel_residue.magnitude_bound() > annihilation_tol * max(scale, 1e-300):
+    return image, image.nonzero_frequency_part().magnitude_bound() / max(scale, 1e-300)
+
+
+def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-9) -> ExpPoly:
+    """The polynomial residue of the reduced operator's image; the kernel must be annihilated."""
+    image, residual = _reduced_image(pair, order)
+    if residual > annihilation_tol:
         raise IdentityViolationError(
             f"kernel not annihilated by reduced operator (order {order}) for "
             f"{pair.spec.label()}, Lambda={pair.Lambda!r}: bad eigenpair"
@@ -90,11 +90,7 @@ def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-
 
 def kernel_annihilation_residual(pair: EigenPair, order: int | None = None) -> float:
     """How well the reduced operator kills the kernel part, relative to its size."""
-    if order is None:
-        order = pair.spec.n - 1
-    image = _reduced_operator(pair, order).apply(pair.z)
-    scale = pair.kernel_part.differentiate(2 * order).magnitude_bound()
-    return image.nonzero_frequency_part().magnitude_bound() / max(scale, 1e-300)
+    return _reduced_image(pair, pair.spec.n - 1 if order is None else order)[1]
 
 
 def stone(pair: EigenPair) -> float:
@@ -484,15 +480,8 @@ def check_root_completeness(pair: EigenPair, tol: float = 1e-8) -> IdentityRepor
     )
 
 
-@dataclass(frozen=True)
-class SquareVariableDerivative:
-    """Expansion of (d/d(x^2))^k as sum_j t_{kj} x^{j-2k} d^j with exact t."""
-
-    order: int
-    coefficients: tuple[Fraction, ...]  # index j-1 holds t_{kj}, j = 1..k
-
-
-def square_variable_derivative(order: int) -> SquareVariableDerivative:
+def square_variable_derivative(order: int) -> tuple[Fraction, ...]:
+    """Exact t_{kj} of (d/d(x^2))^k = sum_j t_{kj} x^{j-2k} d^j; index j-1 holds j = 1..k."""
     if order < 1:
         raise ValueError("order must be >= 1")
     t = [Fraction(1, 2)]  # k = 1: (1/(2x)) d
@@ -503,18 +492,17 @@ def square_variable_derivative(order: int) -> SquareVariableDerivative:
             nxt[j0] += Fraction(j - 2 * k, 2) * val
             nxt[j] += Fraction(1, 2) * val
         t = nxt
-    return SquareVariableDerivative(order=order, coefficients=tuple(t))
+    return tuple(t)
 
 
 def _xi_derivative_at_one(fn: ExpPoly, order: int) -> tuple[float, float]:
     """(value, magnitude scale) of (d/d(x^2))^order fn at x = 1."""
     if order == 0:
         return fn.evaluate(1.0).real, fn.magnitude_bound()
-    expansion = square_variable_derivative(order)
     value = 0.0
     scale = 0.0
     deriv = fn
-    for j0, t in enumerate(expansion.coefficients):
+    for j0, t in enumerate(square_variable_derivative(order)):
         deriv = deriv.differentiate()  # j = j0 + 1
         value += float(t) * deriv.evaluate(1.0).real
         scale += abs(float(t)) * deriv.magnitude_bound()
@@ -673,9 +661,11 @@ def run_identity_suite(
     """Every applicable check on the first `count` symmetric eigenpairs.
 
     Cross-order checks couple (n-1, p) with (n, p); the bilinear and
-    Cauchy-Schwarz families couple (n, p) with (m, p), default m = n + 1
-    replaced by the adjacent lower order when only that is available.
+    Cauchy-Schwarz families couple (n, p) with a partner order m > n, or by
+    default (n-1, p) with (n, p).
     """
+    if m is not None and m <= n:
+        raise ConfigError(f"partner order m={m} must exceed n={n}")
     reports: list[IdentityReport] = []
     pairs = _simple_pairs(n, p, count)
 
@@ -695,7 +685,7 @@ def run_identity_suite(
             for pair in pairs:
                 reports.append(check_cross_identity(prev, pair, tol))
 
-    if m is not None and m > n:
+    if m is not None:
         left = pairs
         right = _simple_pairs(m, p, count)
         lo, hi = n, m

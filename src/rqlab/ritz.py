@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, RitzConditioningError
-from .exppoly import ExpPoly, inner_product
+from .exppoly import ExpPoly
 from .problem import ProblemSpec
 
 MAX_BASIS_SIZE = 64  # far beyond the useful double-precision envelope (K ~ 25)
@@ -112,8 +112,8 @@ def _fraction_free_ldl(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return [row[i] for i, row in enumerate(work)], inverse
 
 
-def _reduced_matrix(system: RitzSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Float ``D^(-1/2) L^(-1) A L^(-T) D^(-1/2)`` and ``D^(-1/2) L^(-1)``.
+def _reduced_matrix(system: RitzSystem) -> np.ndarray:
+    """Float ``D^(-1/2) L^(-1) A L^(-T) D^(-1/2)``.
 
     Each reduced entry is one exact integer ratio, and integer true division
     rounds correctly, exactly as the rounded rational reduction would.
@@ -129,45 +129,18 @@ def _reduced_matrix(system: RitzSystem) -> tuple[np.ndarray, np.ndarray]:
     # each row of L^(-1) stops at the diagonal, and map() stops with it; A is symmetric
     rows_a = [[sum(map(operator.mul, row, a_m)) for a_m in a] for row in rows]
     reduced = np.empty((K, K))
-    transform = np.zeros((K, K))
     for i in range(K):
         for j in range(i + 1):
             w = sum(map(operator.mul, rows_a[i], rows[j])) / (scale * before[i] * before[j])
             reduced[i, j] = w * inv_sqrt[i] * inv_sqrt[j]
             reduced[j, i] = w * inv_sqrt[j] * inv_sqrt[i]
-            transform[i, j] = rows[i][j] / before[i] * inv_sqrt[i]
-    return reduced, transform
+    return reduced
 
 
 def ritz_values(system: RitzSystem, count: int) -> list[float]:
     """The smallest `count` Ritz values (upper bounds for true eigenvalues)."""
     if not 1 <= count <= system.K:
         raise ConfigError(f"need 1 <= count <= K={system.K}")
-    reduced, _ = _reduced_matrix(system)
-    values = np.linalg.eigvalsh(reduced)
+    values = np.linalg.eigvalsh(_reduced_matrix(system))
     return [float(v) for v in values[:count]]
 
-
-def ritz_vector(system: RitzSystem, index: int = 0) -> tuple[float, ExpPoly]:
-    """(Ritz value, assembled trial-space function) for the given index."""
-    if not 0 <= index < system.K:
-        raise ConfigError("index out of range")
-    reduced, transform = _reduced_matrix(system)
-    values, vectors = np.linalg.eigh(reduced)
-    coeffs = transform.T @ vectors[:, index]  # back-substitution through the exact L^(-1)
-    fn = ExpPoly.zero()
-    for k, c in enumerate(coeffs):
-        if c != 0.0:
-            fn = fn + system.trial_function(k).scaled(float(c))
-    return float(values[index]), fn
-
-
-def rayleigh_quotient(spec: ProblemSpec, fn: ExpPoly) -> float:
-    """<(u^(n))^2> / <(u^(n-p))^2> evaluated in exact ExpPoly arithmetic."""
-    hi = fn.differentiate(spec.n)
-    lo = fn.differentiate(spec.n - spec.p)
-    num = inner_product(hi, hi).real
-    den = inner_product(lo, lo).real
-    if den <= 0:
-        raise ConfigError("trial function has vanishing constraint norm")
-    return num / den

@@ -110,15 +110,13 @@ class EigenPair:
 
     ``kernel_coeffs[j]`` is the coefficient of exp(i * root_j * x) in z,
     aligned with ``root_system(p, Lambda).roots``; ``poly_coeffs`` are
-    the real coefficients of the polynomial part.
+    the real coefficients of the polynomial part.  Both are read off z.
     """
 
     spec: ProblemSpec
     Lambda: float
     index: int
     z: ExpPoly
-    kernel_coeffs: tuple[complex, ...]
-    poly_coeffs: tuple[float, ...]
     residuals: EigenResiduals
     normalized: bool = True
 
@@ -126,21 +124,30 @@ class EigenPair:
     def kernel_part(self) -> ExpPoly:
         return self.z.nonzero_frequency_part()
 
+    @property
+    def kernel_coeffs(self) -> tuple[complex, ...]:
+        roots = root_system(self.spec.p, self.Lambda).roots
+        return tuple((self.z.coefficient_at(1j * lam) or (0j,))[0] for lam in roots)
+
+    @property
+    def poly_coeffs(self) -> tuple[float, ...]:
+        return tuple(c.real for c in self.z.zero_frequency_coefficients())
+
     def mean(self) -> float:
         return self.z.integrate_unit().real
 
 
-def _kernel_and_poly_views(spec: ProblemSpec, Lambda: float, z: ExpPoly):
-    roots = root_system(spec.p, Lambda).roots
-    kernel_coeffs = []
-    for lam in roots:
-        coeffs = z.coefficient_at(1j * lam)
-        kernel_coeffs.append(coeffs[0] if coeffs else 0j)
-    poly = tuple(c.real for c in z.zero_frequency_coefficients())
-    return tuple(kernel_coeffs), poly
-
-
-def _residuals(spec: ProblemSpec, Lambda: float, z: ExpPoly, indicator: float, quality: float):
+def _eigenpair(
+    spec: ProblemSpec,
+    Lambda: float,
+    z: ExpPoly,
+    index: int,
+    matrix: np.ndarray,
+    quality: float,
+    normalized: bool,
+) -> EigenPair:
+    """EigenPair of z with its residuals; ``matrix`` is the boundary matrix at Lambda."""
+    indicator, _ = _indicator_from_matrix(matrix)
     operator = build_operator(spec, Lambda)
     op_res = math.sqrt(max(l2_norm_sq(operator.apply(z)), 0.0))
     op_scale = math.sqrt(max(l2_norm_sq(z.differentiate(2 * spec.n)), 0.0))
@@ -151,7 +158,7 @@ def _residuals(spec: ProblemSpec, Lambda: float, z: ExpPoly, indicator: float, q
         boundary = max(boundary, abs(deriv.evaluate(1.0)), abs(deriv.evaluate(-1.0)))
         bscale = max(bscale, deriv.magnitude_bound())
         deriv = deriv.differentiate()
-    return EigenResiduals(
+    residuals = EigenResiduals(
         det_indicator=indicator,
         nullspace_quality=quality,
         operator_residual=op_res,
@@ -159,6 +166,7 @@ def _residuals(spec: ProblemSpec, Lambda: float, z: ExpPoly, indicator: float, q
         boundary_residual=boundary,
         boundary_scale=bscale,
     )
+    return EigenPair(spec, Lambda, index, z, residuals, normalized)
 
 
 def _fix_sign(z: ExpPoly) -> ExpPoly:
@@ -211,36 +219,22 @@ def extract_eigenfunction(
         if not norm_sq > 0:
             raise SolverError("degenerate normalization integral")
         z = z.scaled(1.0 / math.sqrt(norm_sq))
-    z = _fix_sign(z)
-    kernel_coeffs, poly_coeffs = _kernel_and_poly_views(spec, Lambda, z)
-    indicator = det_indicator(spec, Lambda)
-    return EigenPair(
-        spec=spec,
-        Lambda=Lambda,
-        index=index,
-        z=z,
-        kernel_coeffs=kernel_coeffs,
-        poly_coeffs=poly_coeffs,
-        residuals=_residuals(spec, Lambda, z, indicator, quality),
-        normalized=normalize,
-    )
+    return _eigenpair(spec, Lambda, _fix_sign(z), index, matrix, quality, normalize)
+
+
+def simple_eigenpair(spec: ProblemSpec, Lambda: float, index: int) -> EigenPair | None:
+    """The extracted eigenpair at a refined eigenvalue, or None when it looks non-simple."""
+    try:
+        return extract_eigenfunction(spec, Lambda, index=index)
+    except NonSimpleEigenvalueError:
+        return None
 
 
 def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
-    kernel_coeffs, poly_coeffs = _kernel_and_poly_views(spec, Lambda, z)
-    return EigenPair(
-        spec=spec,
-        Lambda=Lambda,
-        index=index,
-        z=z,
-        kernel_coeffs=kernel_coeffs,
-        poly_coeffs=poly_coeffs,
-        residuals=_residuals(spec, Lambda, z, det_indicator(spec, Lambda), 0.0),
-        normalized=False,
-    )
+    return _eigenpair(spec, Lambda, z, index, boundary_matrix(spec, Lambda), 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,6 @@ class ScanMetadata:
 class SpectrumSlice:
     spec: ProblemSpec
     eigenvalues: tuple[float, ...]
-    pairs: tuple[EigenPair | None, ...]
     metadata: ScanMetadata
 
     def __post_init__(self):
@@ -269,13 +262,11 @@ class SpectrumSlice:
 def scan_spectrum(
     spec: ProblemSpec,
     count: int,
-    Lambda_hint: float | None = None,
     *,
     step: float = DEFAULT_SCAN_STEP,
     lambda_ceiling: float = DEFAULT_LAMBDA_CEILING,
-    with_eigenfunctions: bool = True,
 ) -> SpectrumSlice:
-    """First ``count`` parity eigenvalues below the ceiling.
+    """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
 
     Brackets come from sign changes of the determinant indicator on a uniform
     grid in lambda = Lambda^(1/2p); each bracket is polished by Brent root
@@ -286,11 +277,6 @@ def scan_spectrum(
         raise ConfigError("count must be >= 1")
     if step <= 0:
         raise ConfigError("scan step must be positive")
-    ceiling = lambda_ceiling
-    if Lambda_hint is not None:
-        if Lambda_hint <= 0:
-            raise ConfigError("Lambda_hint must be positive")
-        ceiling = Lambda_hint ** (1.0 / (2 * spec.p))
 
     def indicator_at(lam: float) -> float:
         return det_indicator(spec, lam ** (2 * spec.p))
@@ -311,7 +297,7 @@ def scan_spectrum(
         window.append((lam, f_prev))
     else:
         untrusted_points += 1
-    while len(found) < count and lam < ceiling:
+    while len(found) < count and lam < lambda_ceiling:
         lam_next = lam + step
         f_next, trusted = sample(lam_next)
         if not trusted:
@@ -344,33 +330,16 @@ def scan_spectrum(
 
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
     if len(found) < count:
-        raise ScanExhaustedError(spec.label(), eigenvalues, count, ceiling)
-
-    pairs: list[EigenPair | None] = []
-    if with_eigenfunctions:
-        for idx, Lam in enumerate(eigenvalues):
-            try:
-                pairs.append(extract_eigenfunction(spec, Lam, index=idx))
-            except NonSimpleEigenvalueError:
-                suspects.append(found[idx])
-                pairs.append(None)
-    else:
-        pairs = [None] * len(eigenvalues)
-
+        raise ScanExhaustedError(spec.label(), eigenvalues, count, lambda_ceiling)
     metadata = ScanMetadata(
         grid_step=step,
         bracket_count=bracket_count,
         refinement_iterations=tuple(iterations),
         suspects=tuple(suspects),
-        lambda_ceiling=ceiling,
+        lambda_ceiling=lambda_ceiling,
         untrusted_points=untrusted_points,
     )
-    return SpectrumSlice(
-        spec=spec,
-        eigenvalues=eigenvalues,
-        pairs=tuple(pairs),
-        metadata=metadata,
-    )
+    return SpectrumSlice(spec=spec, eigenvalues=eigenvalues, metadata=metadata)
 
 
 @dataclass
@@ -400,7 +369,7 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
         if order.exhausted_at is not None and count > 0:
             raise ScanExhaustedError(spec.label(), order.eigenvalues, count, order.exhausted_at)
         try:
-            order.eigenvalues = scan_spectrum(spec, count, with_eigenfunctions=False).eigenvalues
+            order.eigenvalues = scan_spectrum(spec, count).eigenvalues
         except ScanExhaustedError as exc:
             order.eigenvalues, order.exhausted_at = exc.eigenvalues, exc.ceiling
             raise
@@ -412,10 +381,7 @@ def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair | Non
     Lambda = cached_spectrum(n, p, parity, index + 1)[index]
     pairs = _STORE[(n, p, parity)].pairs
     if index not in pairs:
-        try:
-            pairs[index] = extract_eigenfunction(ProblemSpec(n, p, parity), Lambda, index=index)
-        except NonSimpleEigenvalueError:
-            pairs[index] = None
+        pairs[index] = simple_eigenpair(ProblemSpec(n, p, parity), Lambda, index)
     return pairs[index]
 
 
@@ -442,7 +408,4 @@ def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[Iden
 
 def rescaled(pair: EigenPair, factor: float) -> EigenPair:
     """Same eigenpair with z scaled by factor (identities are homogeneous)."""
-    z = pair.z.scaled(factor)
-    kernel = tuple(c * factor for c in pair.kernel_coeffs)
-    poly = tuple(c * factor for c in pair.poly_coeffs)
-    return replace(pair, z=z, kernel_coeffs=kernel, poly_coeffs=poly, normalized=False)
+    return replace(pair, z=pair.z.scaled(factor), normalized=False)

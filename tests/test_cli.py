@@ -73,6 +73,12 @@ class TestExitCodes:
         assert shift[0]["index"] == [2, 1]
         assert shift[0]["notes"] == "antisymmetric scan ran out of ceiling"
 
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_verify_partner_order_must_exceed_n(self, capsys, m):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--p", "1", "--m", m)
+        assert code == 1 and out == ""
+        assert f"partner order m={m} must exceed n=3" in err
+
     def test_verify_with_explicit_partner_order(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "3", "--p", "1", "--m", "5", "--count", "1",
@@ -204,6 +210,33 @@ class TestConfigAndOutput:
         )
         payload = json.loads(out)  # format came from the config file
         assert payload["config"]["count"] == 1  # explicit flag wins
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            ("ritz --n 1 --p 1", {"count": 1.5}),
+            ("plotdata --n 2 --p 1 --lambda-to 50", {"step": 0}),
+            ("spectrum --n 1 --p 1 --count 1", {"format": "xml"}),
+            ("sweep --p 1 --n-max 3", {"count": 0}),
+            ("spectrum --n 1 --p 1 --count 1", {"command": "ritz"}),
+        ],
+    )
+    def test_config_values_pass_the_flag_checks(self, capsys, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv.split(), "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "configuration error" in err
+
+    def test_config_switches_and_nulls(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cross_check": True, "format": "json", "out": None}))
+        argv = ("ritz", "--n", "2", "--p", "1", "--K", "8", "--config", str(cfg))
+        _, out, _ = run_cli(capsys, *argv)
+        assert "determinant" in json.loads(out)["results"]["rows"][0]
+        cfg.write_text(json.dumps({"cross_check": False, "format": "json"}))
+        _, out, _ = run_cli(capsys, *argv)
+        assert "determinant" not in json.loads(out)["results"]["rows"][0]
 
     def test_config_file_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

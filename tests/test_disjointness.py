@@ -10,6 +10,7 @@ from rqlab.disjointness import (
     alpha_sequence,
     compare_spectra,
     evaluate_necessary_conditions,
+    follow_up_candidates,
     gf_coefficients,
     series_product,
     sweep_conjecture,
@@ -155,6 +156,17 @@ class TestSweep:
         summary = sweep_conjecture(1, 3, 2)
         assert summary.partial
         assert all(sp.error == "SolverError: no spectrum" for sp in summary.pairs)
+
+    def test_non_simple_candidate_makes_the_sweep_partial(self, monkeypatch):
+        # (3, 5) at p = 1 has one candidate at this tolerance
+        table = compare_spectra(3, 5, 1, 5, 0.05)
+        reports, non_simple = follow_up_candidates(table, 0.05)
+        assert len(table.candidates) == len(reports) == 1 and not non_simple
+        monkeypatch.setattr(disjointness, "cached_eigenpair", lambda *args: None)
+        assert follow_up_candidates(table, 0.05) == ([], True)
+        summary = sweep_conjecture(1, 5, 5, 0.05)
+        assert summary.partial and summary.candidates and not summary.condition_reports
+        assert not any(sp.error for sp in summary.pairs)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args):

@@ -221,8 +221,7 @@ class TestRootCompleteness:
 
 class TestXiDerivatives:
     def test_expansion_coefficients(self):
-        expansion = inv.square_variable_derivative(2)
-        assert expansion.coefficients == (inv.Fraction(-1, 4), inv.Fraction(1, 4))
+        assert inv.square_variable_derivative(2) == (inv.Fraction(-1, 4), inv.Fraction(1, 4))
 
     def test_closed_form_2_1(self, z2):
         assert inv.check_xi_derivatives(z2).passed

@@ -10,7 +10,7 @@ import pytest
 from rqlab.errors import ConfigError
 from rqlab.exppoly import ExpPoly, inner_product
 from rqlab.problem import ProblemSpec
-from rqlab.ritz import MAX_BASIS_SIZE, assemble, rayleigh_quotient, ritz_values, ritz_vector
+from rqlab.ritz import MAX_BASIS_SIZE, assemble, ritz_values
 from rqlab.solver import cached_spectrum
 
 from conftest import PI, bisect_root, rel_err
@@ -152,11 +152,6 @@ class TestValues:
 
 
 class TestVectors:
-    def test_rayleigh_quotient_consistency(self):
-        spec = ProblemSpec(2, 2, S)
-        value, fn = ritz_vector(assemble(spec, 12), 0)
-        assert rel_err(rayleigh_quotient(spec, fn), value) < 1e-10
-
     def test_trial_functions_are_clamped(self):
         spec = ProblemSpec(3, 1, S)
         system = assemble(spec, 4)

@@ -74,18 +74,18 @@ class TestBoundaryMatrix:
 
 class TestScanSpectrum:
     def test_1_1_symmetric_closed_form(self):
-        got = scan_spectrum(ProblemSpec(1, 1, S), 3, with_eigenfunctions=False).eigenvalues
+        got = scan_spectrum(ProblemSpec(1, 1, S), 3).eigenvalues
         for value, expect in zip(got, [((k + 0.5) * PI) ** 2 for k in range(3)]):
             assert rel_err(value, expect) < 1e-12
 
     def test_2_1_symmetric_closed_form(self):
-        got = scan_spectrum(ProblemSpec(2, 1, S), 2, with_eigenfunctions=False).eigenvalues
+        got = scan_spectrum(ProblemSpec(2, 1, S), 2).eigenvalues
         for value, expect in zip(got, [(k * PI) ** 2 for k in (1, 2)]):
             assert rel_err(value, expect) < 1e-12
 
     def test_3_1_first_matches_tangent_oracle(self):
         root = bisect_root(lambda t: math.tan(t) - t, PI + 1e-9, 1.5 * PI - 1e-9)
-        got = scan_spectrum(ProblemSpec(3, 1, S), 1, with_eigenfunctions=False).eigenvalues[0]
+        got = scan_spectrum(ProblemSpec(3, 1, S), 1).eigenvalues[0]
         assert rel_err(got, root * root) < 1e-9
 
     def test_metadata_and_ordering(self):
@@ -97,15 +97,15 @@ class TestScanSpectrum:
 
     def test_ceiling_failure_is_explicit(self):
         with pytest.raises(SolverError):
-            scan_spectrum(ProblemSpec(1, 1, S), 3, Lambda_hint=4.0)
+            scan_spectrum(ProblemSpec(1, 1, S), 3, lambda_ceiling=2.0)
 
     def test_count_validation(self):
         with pytest.raises(ConfigError):
             scan_spectrum(ProblemSpec(1, 1, S), 0)
 
     def test_determinism(self):
-        a = scan_spectrum(ProblemSpec(3, 2, S), 2, with_eigenfunctions=False)
-        b = scan_spectrum(ProblemSpec(3, 2, S), 2, with_eigenfunctions=False)
+        a = scan_spectrum(ProblemSpec(3, 2, S), 2)
+        b = scan_spectrum(ProblemSpec(3, 2, S), 2)
         assert a.eigenvalues == b.eigenvalues
 
 
@@ -163,7 +163,25 @@ class TestExtraction:
         pair = cached_eigenpair(3, 1, S, 0)
         doubled = rescaled(pair, 2.0)
         assert doubled.mean() == pytest.approx(2 * pair.mean(), rel=1e-13)
-        assert doubled.poly_coeffs[0] == pytest.approx(2 * pair.poly_coeffs[0], rel=1e-13)
+        assert not doubled.normalized
+        assert doubled.poly_coeffs == tuple(2 * c for c in pair.poly_coeffs)
+        assert doubled.kernel_coeffs == tuple(2 * c for c in pair.kernel_coeffs)
+        assert len(doubled.kernel_coeffs) == 2 and len(doubled.poly_coeffs) == 3
+
+    def test_extraction_builds_one_boundary_matrix(self, monkeypatch):
+        calls = []
+        original = solver.boundary_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "boundary_matrix", counted)
+        Lambda = cached_spectrum(3, 1, S, 1)[0]
+        calls.clear()
+        pair = extract_eigenfunction(ProblemSpec(3, 1, S), Lambda, index=0)
+        assert len(calls) == 1
+        assert pair.residuals.det_indicator == det_indicator(ProblemSpec(3, 1, S), Lambda)
 
 
 class TestSpectrumStructure:
@@ -201,9 +219,8 @@ class TestSpectrumStructure:
     def test_high_order_envelope(self):
         # engineering envelope: n up to 8 stays at machine-precision residuals
         for (n, p) in [(7, 1), (8, 4)]:
-            out = scan_spectrum(ProblemSpec(n, p, S), 1)
-            pair = out.pairs[0]
-            r = pair.residuals
+            Lambda = scan_spectrum(ProblemSpec(n, p, S), 1).eigenvalues[0]
+            r = extract_eigenfunction(ProblemSpec(n, p, S), Lambda, index=0).residuals
             assert r.operator_residual <= 1e-8 * r.operator_scale
             assert r.boundary_residual <= 1e-9 * r.boundary_scale
 
@@ -247,6 +264,8 @@ class TestSpectrumStore:
             # a candidate at n = p has no stones to compare: no extraction
             ("disjoint --n 2 --m 4 --p 2 --count 4 --collision-tol 0.05", 2, 0),
             ("eigenfunction --n 3 --p 1 --index 3", 1, 1),
+            # the cross-check column reads the store; Ritz needs no eigenpair
+            ("ritz --n 3 --p 1 --K 12 --count 2 --cross-check", 1, 0),
         ],
     )
     def test_each_order_is_scanned_once(self, calls, capsys, argv, scans, extractions):
@@ -272,10 +291,10 @@ class TestSpectrumStore:
             with pytest.raises(SolverError) as caught:
                 cached_spectrum(1, 1, S, count)
             with pytest.raises(SolverError) as fresh:
-                scan_spectrum(spec, count, lambda_ceiling=5.0, with_eigenfunctions=False)
+                scan_spectrum(spec, count, lambda_ceiling=5.0)
             assert str(caught.value) == str(fresh.value)
         assert str(caught.value).startswith("found only 2 of 4 eigenvalues")
-        prefix = scan_spectrum(spec, 2, lambda_ceiling=5.0, with_eigenfunctions=False)
+        prefix = scan_spectrum(spec, 2, lambda_ceiling=5.0)
         assert cached_spectrum(1, 1, S, 2) == prefix.eigenvalues
         assert cached_spectrum(1, 1, S, 1) == prefix.eigenvalues[:1]
         assert calls["scan_spectrum"] == 1
@@ -284,10 +303,11 @@ class TestSpectrumStore:
     def test_store_is_bit_identical_to_a_direct_scan(self, monkeypatch, n, p, parity):
         monkeypatch.setattr(solver, "_STORE", {})
         spec = ProblemSpec(n, p, parity)
-        longer = scan_spectrum(spec, 5, with_eigenfunctions=False).eigenvalues
+        longer = scan_spectrum(spec, 5).eigenvalues
         assert cached_spectrum(n, p, parity, 2) == longer[:2]
         assert cached_spectrum(n, p, parity, 5) == longer
-        assert cached_eigenpair(n, p, parity, 1).z == scan_spectrum(spec, 2).pairs[1].z
+        shorter = scan_spectrum(spec, 2).eigenvalues
+        assert cached_eigenpair(n, p, parity, 1).z == extract_eigenfunction(spec, shorter[1]).z
 
     def test_count_validation(self):
         with pytest.raises(ConfigError):
