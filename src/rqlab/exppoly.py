@@ -225,9 +225,6 @@ class ExpPoly:
             total += p * cmath.exp(mu * x)
         return total
 
-    def derivative_at(self, order: int, x) -> complex:
-        return self.differentiate(order).evaluate(x)
-
     def integrate_unit(self) -> complex:
         """Exact integral over [-1, 1] via the closed form for x^k e^{mu x}."""
         total = 0j
@@ -263,16 +260,11 @@ class ExpPoly:
     def zero_frequency_part(self) -> "ExpPoly":
         return ExpPoly(tuple((mu, coeffs) for mu, coeffs in self.terms if mu == 0))
 
-    def is_real(self, rel_tol: float = 1e-12) -> bool:
-        """True when the term set is conjugation-closed (real-valued on the axis)."""
-        diff = self - self.conjugate()
-        return diff.magnitude_bound() <= rel_tol * max(self.magnitude_bound(), 1e-300)
-
-    def coefficient_at(self, mu, match_tol: float = 1e-9) -> tuple[complex, ...]:
-        """Coefficients of the term whose frequency matches mu, () if absent."""
+    def coefficient_at(self, mu) -> tuple[complex, ...]:
+        """Coefficients of the term whose frequency matches mu to 1e-9 relative, () if absent."""
         target = complex(mu)
         for freq, coeffs in self.terms:
-            if abs(freq - target) <= match_tol * (1.0 + abs(target)):
+            if abs(freq - target) <= 1e-9 * (1.0 + abs(target)):
                 return coeffs
         return ()
 
@@ -301,22 +293,19 @@ class SigmaPolynomial:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in trimmed))
 
     @staticmethod
-    def sigma_power(k: int, coeff=1.0) -> "SigmaPolynomial":
-        return SigmaPolynomial((0j,) * k + (complex(coeff),))
+    def sigma_power(k: int) -> "SigmaPolynomial":
+        return SigmaPolynomial((0j,) * k + (1 + 0j,))
 
     @staticmethod
-    def from_roots(roots, leading=1.0) -> "SigmaPolynomial":
-        coeffs = [complex(leading)]
+    def from_roots(roots) -> "SigmaPolynomial":
+        """The monic polynomial prod (sigma - r) over the roots."""
+        coeffs = [1 + 0j]
         for r in roots:
             z = complex(r)
             coeffs = [0j] + coeffs
             for k in range(len(coeffs) - 1):
                 coeffs[k] -= z * coeffs[k + 1]
         return SigmaPolynomial(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __mul__(self, other: "SigmaPolynomial") -> "SigmaPolynomial":
         prod = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -18,6 +18,7 @@ verify identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,11 +67,19 @@ def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
     return factor
 
 
+@functools.cache
+def _half_image(pair: EigenPair, order: int) -> ExpPoly:
+    """A_order(z), computed once per (pair, order)."""
+    return annihilation_factor(pair, order).apply(pair.z)
+
+
+@functools.cache
 def _reduced_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
     """The reduced operator's image of z, and how well it kills the kernel part.
 
     The residual is the image's kernel residue relative to the size the
-    kernel part would have there without cancellation.
+    kernel part would have there without cancellation.  Computed once per
+    (pair, order); the guards that read it stay with the callers.
     """
     image = reduced_operator(pair.spec, pair.Lambda, order).apply(pair.z)
     scale = pair.kernel_part.differentiate(2 * order).magnitude_bound()
@@ -88,9 +97,9 @@ def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-
     return image.zero_frequency_part()
 
 
-def kernel_annihilation_residual(pair: EigenPair, order: int | None = None) -> float:
-    """How well the reduced operator kills the kernel part, relative to its size."""
-    return _reduced_image(pair, pair.spec.n - 1 if order is None else order)[1]
+def kernel_annihilation_residual(pair: EigenPair) -> float:
+    """How well the order-(n-1) reduced operator kills the kernel part, relative to its size."""
+    return _reduced_image(pair, pair.spec.n - 1)[1]
 
 
 def stone(pair: EigenPair) -> float:
@@ -128,11 +137,10 @@ class StonePolynomials:
 
 def stone_polynomials(
     pair: EigenPair,
-    k_max: int | None = None,
     annihilation_tol: float = 1e-9,
     consistency_tol: float = COEFF_CONSISTENCY_TOL,
 ) -> StonePolynomials:
-    """Stone polynomials h^k = (-1)^k [order n-k-1 reduced operator](z), k = 0..k_max.
+    """Stone polynomials h^k = (-1)^k [order n-k-1 reduced operator](z), k = 0..n-p-1.
 
     The expansion h^k = sum_j c_j x^{2(k-j)}/(2(k-j))! is overdetermined:
     every admissible k re-derives each c_j, and the extractions must agree
@@ -145,18 +153,13 @@ def stone_polynomials(
     if not spec.has_stones:
         raise ValueError(f"stone polynomials undefined for n = p = {spec.n}")
     top = spec.n - spec.p - 1
-    if k_max is None:
-        k_max = top
-    if not 0 <= k_max <= top:
-        raise ValueError(f"need 0 <= k_max <= n-p-1 = {top}")
-
     hs = []
-    for k in range(k_max + 1):
+    for k in range(top + 1):
         image = _polynomial_image(pair, spec.n - k - 1, annihilation_tol)
         hs.append(image if k % 2 == 0 else image.scaled(-1.0))
 
     # c_j extracted from every h^k with k >= j must agree
-    extracted: list[list[float]] = [[] for _ in range(k_max + 1)]
+    extracted: list[list[float]] = [[] for _ in range(top + 1)]
     for k, h in enumerate(hs):
         coeffs = h.zero_frequency_coefficients()
         for j in range(k + 1):
@@ -209,8 +212,7 @@ def check_stone_identity(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> 
     spec = pair.spec
     if not spec.has_stones:
         return not_applicable("stone-identity", (spec.n, spec.p), notes="n = p")
-    factor = annihilation_factor(pair, spec.n)
-    lhs = l2_norm_sq(factor.apply(pair.z))
+    lhs = l2_norm_sq(_half_image(pair, spec.n))
     c = stone(pair)
     mean = pair.mean()
     rhs = -lambda_sq(pair) * c * mean
@@ -267,7 +269,6 @@ def check_bilinear_family(
     zm: EigenPair,
     k: int,
     tol: float = DEFAULT_IDENTITY_TOL,
-    consistency_tol: float = 1e-9,
 ) -> IdentityReport:
     """Two-route check of the order-bridging bilinear identity at shift k.
 
@@ -296,8 +297,10 @@ def check_bilinear_family(
             notes=f"k outside [{k_lo}, {k_hi}]",
         )
 
-    h_n = stone_polynomials(zn).h(k) if k >= 0 else ExpPoly.zero()
-    h_m = stone_polynomials(zm).h(k + delta_order)
+    sp_n = stone_polynomials(zn) if sn.has_stones else None
+    sp_m = stone_polynomials(zm)
+    h_n = sp_n.h(k) if k >= 0 else ExpPoly.zero()
+    h_m = sp_m.h(k + delta_order)
     lhs_direct = (
         inner_product(zm.z, h_n).real
         - (-1) ** delta_order * inner_product(zn.z, h_m).real
@@ -309,8 +312,8 @@ def check_bilinear_family(
 
     b = moments(zm, max(k, 0))
     a = moments(zn, k + delta_order)
-    c = stone_polynomials(zn).coefficients if sn.has_stones else ()
-    d = stone_polynomials(zm).coefficients
+    c = sp_n.coefficients if sn.has_stones else ()
+    d = sp_m.coefficients
     term_bc = bracket(b, c, k) if k >= 0 else 0.0
     lhs_bracket = term_bc - bracket(a, d, k + delta_order)
     rhs_plain = gap * coupling
@@ -323,7 +326,7 @@ def check_bilinear_family(
     rel_bracket = min(rel_plain, rel_alternating)
     translation = relative_residual(lhs_direct, (-1) ** k * lhs_bracket)
 
-    ok = rel_direct <= tol and rel_bracket <= tol and translation <= consistency_tol
+    ok = rel_direct <= tol and rel_bracket <= tol and translation <= COEFF_CONSISTENCY_TOL
     return IdentityReport(
         identity_id="bilinear",
         index=(sn.n, sm.n, p, k, zn.index, zm.index),
@@ -346,10 +349,7 @@ def check_bilinear_family(
 
 
 def check_positivity_family(
-    pair: EigenPair,
-    k: int,
-    tol: float = DEFAULT_IDENTITY_TOL,
-    margin: float = 1e-9,
+    pair: EigenPair, k: int, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """Three-route evaluation of the strictly positive stepped-norm quantity.
 
@@ -366,7 +366,7 @@ def check_positivity_family(
             "positivity", (spec.n, spec.p, k), notes=f"k outside [0, {spec.n - spec.p - 1}]"
         )
     lam2 = lambda_sq(pair)
-    v_norm = l2_norm_sq(annihilation_factor(pair, spec.n - k).apply(pair.z))
+    v_norm = l2_norm_sq(_half_image(pair, spec.n - k))
     sp = stone_polynomials(pair)
     ip_prev = inner_product(pair.z, sp.h(k - 1)).real
     ip_cur = inner_product(pair.z, sp.h(k)).real
@@ -380,7 +380,7 @@ def check_positivity_family(
     rel_nb = relative_residual(v_norm, v_bracket)
     rel_hb = relative_residual(v_h, v_bracket)
     agree = max(rel_nh, rel_nb, rel_hb)
-    positive = min(v_norm, v_h, v_bracket) > margin * scale
+    positive = min(v_norm, v_h, v_bracket) > 1e-9 * scale
     return IdentityReport(
         identity_id="positivity",
         index=(spec.n, spec.p, k, pair.index),
@@ -400,13 +400,7 @@ def check_positivity_family(
     )
 
 
-def check_cauchy_schwarz(
-    zn: EigenPair,
-    zm: EigenPair,
-    l: int,
-    k: int,
-    tol: float = 1e-10,
-) -> IdentityReport:
+def check_cauchy_schwarz(zn: EigenPair, zm: EigenPair, l: int, k: int) -> IdentityReport:
     """|<u, v>|^2 <= ||u||^2 ||v||^2 for the two half-factor images.
 
     u = A_{mu-2k+l}(z_m), v = A_{n-l}(z_n) with mu = n + 2*floor((m-n)/2).
@@ -434,14 +428,14 @@ def check_cauchy_schwarz(
     other = mu_order - 2 * k + l
     if other < p + 1 or sn.n - l < p + 1:
         return not_applicable("cauchy-schwarz", idx, notes="operator order below p+1")
-    v = annihilation_factor(zn, sn.n - l).apply(zn.z)
-    u = annihilation_factor(zm, other).apply(zm.z)
+    v = _half_image(zn, sn.n - l)
+    u = _half_image(zm, other)
     cross = hermitian_inner_product(u, v)
     lhs = abs(cross) ** 2
     rhs = l2_norm_sq(u) * l2_norm_sq(v)
     slack = rhs - lhs
     proportional = slack <= 1e-10 * max(rhs, 1e-300)
-    ok = lhs <= rhs * (1.0 + tol)
+    ok = lhs <= rhs * (1.0 + 1e-10)
     return IdentityReport(
         identity_id="cauchy-schwarz",
         index=idx,
@@ -455,7 +449,7 @@ def check_cauchy_schwarz(
     )
 
 
-def check_root_completeness(pair: EigenPair, tol: float = 1e-8) -> IdentityReport:
+def check_root_completeness(pair: EigenPair) -> IdentityReport:
     """Every characteristic root must appear in the kernel with a nonzero weight."""
     magnitudes = [abs(c) for c in pair.kernel_coeffs]
     top = max(magnitudes) if magnitudes else 0.0
@@ -471,10 +465,10 @@ def check_root_completeness(pair: EigenPair, tol: float = 1e-8) -> IdentityRepor
         identity_id="root-completeness",
         index=(pair.spec.n, pair.spec.p, pair.index),
         lhs=worst,
-        rhs=tol,
+        rhs=1e-8,
         abs_residual=0.0,
         rel_residual=0.0,
-        verdict=PASS if worst > tol else FAIL,
+        verdict=PASS if worst > 1e-8 else FAIL,
         notes=f"min/max kernel weight ratio {worst:.3e}",
         details={"weight_ratios": tuple(m / top for m in magnitudes)},
     )
@@ -509,7 +503,7 @@ def _xi_derivative_at_one(fn: ExpPoly, order: int) -> tuple[float, float]:
     return value, scale
 
 
-def check_xi_derivatives(pair: EigenPair, tol: float = 1e-8) -> IdentityReport:
+def check_xi_derivatives(pair: EigenPair) -> IdentityReport:
     """Kernel flatness in the squared variable xi = x^2 at xi = 1.
 
     For an order-n eigenfunction the kernel part R satisfies
@@ -540,10 +534,10 @@ def check_xi_derivatives(pair: EigenPair, tol: float = 1e-8) -> IdentityReport:
         identity_id="xi-flatness",
         index=(spec.n, spec.p, pair.index),
         lhs=worst_rel,
-        rhs=tol,
+        rhs=1e-8,
         abs_residual=worst_rel,
         rel_residual=worst_rel,
-        verdict=PASS if worst_rel <= tol else FAIL,
+        verdict=PASS if worst_rel <= 1e-8 else FAIL,
         details=values,
     )
 
@@ -570,7 +564,7 @@ def gamma_expansion(pair: EigenPair) -> list[float]:
     return gamma
 
 
-def check_stone_lemma(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityReport:
+def check_stone_lemma(pair: EigenPair) -> IdentityReport:
     """Stone is bounded away from zero and opposes the sign of <z>."""
     spec = pair.spec
     if not spec.has_stones or not spec.symmetric:
@@ -596,7 +590,7 @@ def check_stone_lemma(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> Ide
     )
 
 
-def check_h_ladder(pair: EigenPair, tol: float = 1e-12) -> IdentityReport:
+def check_h_ladder(pair: EigenPair) -> IdentityReport:
     """d^2 h^k must reproduce h^(k-1) coefficient by coefficient."""
     spec = pair.spec
     if not spec.has_stones or not spec.symmetric:
@@ -613,7 +607,7 @@ def check_h_ladder(pair: EigenPair, tol: float = 1e-12) -> IdentityReport:
         rhs=0.0,
         abs_residual=worst,
         rel_residual=worst,
-        verdict=PASS if worst <= tol else FAIL,
+        verdict=PASS if worst <= 1e-12 else FAIL,
         details={"k_max": len(sp.polynomials) - 1},
     )
 
@@ -670,7 +664,7 @@ def run_identity_suite(
     pairs = _simple_pairs(n, p, count)
 
     for pair in pairs:
-        reports.append(check_stone_lemma(pair, tol))
+        reports.append(check_stone_lemma(pair))
         reports.append(check_stone_identity(pair, tol))
         reports.append(check_h_ladder(pair))
         reports.append(check_gamma_roundtrip(pair))

@@ -184,15 +184,14 @@ def _fix_sign(z: ExpPoly) -> ExpPoly:
     return z
 
 
-def extract_eigenfunction(
-    spec: ProblemSpec, Lambda: float, index: int = -1, normalize: bool = True
-) -> EigenPair:
+def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> EigenPair:
     """Assemble the eigenfunction at a refined eigenvalue.
 
     The coefficient vector is the smallest singular direction of the
     row-scaled boundary matrix.  Fails when the null-space quality is poor
     (eigenvalue not refined enough) or a second pivot is also tiny (the
     eigenvalue looks multiple; flagged rather than split heuristically).
+    z is scaled to ``<z^(n-p) z^(n-p)> = 1``.
     """
     matrix = boundary_matrix(spec, Lambda)
     _, svals, vt = np.linalg.svd(matrix)
@@ -213,13 +212,12 @@ def extract_eigenfunction(
     for c, fn in zip(coeffs, basis):
         if c != 0.0:
             z = z + fn.scaled(float(c))
-    if normalize:
-        w = z.differentiate(spec.n - spec.p)
-        norm_sq = inner_product(w, w).real
-        if not norm_sq > 0:
-            raise SolverError("degenerate normalization integral")
-        z = z.scaled(1.0 / math.sqrt(norm_sq))
-    return _eigenpair(spec, Lambda, _fix_sign(z), index, matrix, quality, normalize)
+    w = z.differentiate(spec.n - spec.p)
+    norm_sq = inner_product(w, w).real
+    if not norm_sq > 0:
+        raise SolverError("degenerate normalization integral")
+    z = z.scaled(1.0 / math.sqrt(norm_sq))
+    return _eigenpair(spec, Lambda, _fix_sign(z), index, matrix, quality, True)
 
 
 def simple_eigenpair(spec: ProblemSpec, Lambda: float, index: int) -> EigenPair | None:

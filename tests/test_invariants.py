@@ -1,10 +1,14 @@
 """Stone/moment apparatus and the identity suite."""
 
+import dataclasses
+
 import pytest
 
 from rqlab import invariants as inv
+from rqlab import solver
+from rqlab.errors import IdentityViolationError
 from rqlab.exppoly import ExpPoly
-from rqlab.problem import ProblemSpec
+from rqlab.problem import ProblemSpec, reduced_operator
 from rqlab.solver import cached_eigenpair, eigenpair_from_function, rescaled
 
 from conftest import PI, quad_integral
@@ -71,7 +75,7 @@ class TestStonePolynomials:
         assert sp.h(-5).is_zero()
 
     def test_single_stone_for_2_1(self, z2):
-        sp = inv.stone_polynomials(z2, k_max=0)
+        sp = inv.stone_polynomials(z2)
         assert sp.coefficients == pytest.approx((-PI * PI,), rel=1e-12)
 
     def test_cross_order_consistency_enforced(self):
@@ -83,6 +87,33 @@ class TestStonePolynomials:
         pair = cached_eigenpair(3, 1, "antisymmetric", 0)
         with pytest.raises(ValueError):
             inv.stone_polynomials(pair)
+
+
+class TestResidues:
+    def test_one_reduced_operator_per_residue(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STORE", {})
+        inv._reduced_image.cache_clear()
+        inv._half_image.cache_clear()
+        calls = []
+
+        def counted(spec, Lambda, order):
+            calls.append((spec, Lambda, order))
+            return reduced_operator(spec, Lambda, order)
+
+        monkeypatch.setattr(inv, "reduced_operator", counted)
+        inv.run_identity_suite(4, 1, count=3)
+        # orders 3, 2, 1 for each of three (4,1) pairs; 2, 1 for three (3,1) pairs
+        assert len(calls) == len(set(calls)) == 15
+
+    def test_strict_guard_on_a_perturbed_eigenvalue(self):
+        genuine = cached_eigenpair(4, 1, S, 0)
+        bad = dataclasses.replace(genuine, Lambda=genuine.Lambda * (1 + 1e-6))
+        for _ in range(2):  # a raise is never remembered as a pass
+            with pytest.raises(IdentityViolationError, match=r"\(order 3\)"):
+                inv.stone_polynomials(bad)
+        assert len(inv.stone_polynomials(genuine).coefficients) == 3
+        assert inv.kernel_annihilation_residual(genuine) < 1e-14
+        assert 1e-7 < inv.kernel_annihilation_residual(bad) < 1e-5
 
 
 class TestMomentsAndBrackets:

@@ -158,5 +158,5 @@ class TestVectors:
         for k in range(4):
             fn = system.trial_function(k)
             for j in range(spec.n):
-                assert abs(fn.derivative_at(j, 1.0)) < 1e-12
-                assert abs(fn.derivative_at(j, -1.0)) < 1e-12
+                assert abs(fn.differentiate(j).evaluate(1.0)) < 1e-12
+                assert abs(fn.differentiate(j).evaluate(-1.0)) < 1e-12

@@ -224,6 +224,17 @@ class TestSpectrumStructure:
             assert r.operator_residual <= 1e-8 * r.operator_scale
             assert r.boundary_residual <= 1e-9 * r.boundary_scale
 
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_index_witness_root_coordinate_gaps(self, parity):
+        # per parity the roots lambda_k = Lambda_k^(1/2p) are spaced about pi
+        # apart (0.997 pi to 1.15 pi for n <= 6), so a root skipped inside one
+        # grid cell shows up as a gap near 2 pi
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                roots = [v ** (1 / (2 * p)) for v in cached_spectrum(n, p, parity, 6)]
+                for lo, hi in zip(roots, roots[1:]):
+                    assert 0.75 * PI < hi - lo < 1.25 * PI, (n, p, lo, hi)
+
     def test_indicator_self_consistency_at_refined_eigenvalues(self):
         # the indicator is sign * |det|^(1/n), so the residual-vs-scale bound
         # lives in the determinant domain: undo the root before comparing
