@@ -98,16 +98,6 @@ class NecessaryConditionReport:
     verdict: str
     data_consistency: tuple[float, float] = (0.0, 0.0)  # per-side kernel residuals
 
-    @property
-    def all_reports(self) -> tuple[IdentityReport, ...]:
-        return (
-            self.pair_inequalities
-            + self.pair_equalities
-            + self.moment_signs
-            + self.gf_inequalities
-            + self.gf_factorization
-        )
-
 
 # --- operations -------------------------------------------------------------
 

@@ -192,9 +192,6 @@ class ExpPoly:
     def __rmul__(self, other):
         return self.scaled(other)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # ----- calculus ------------------------------------------------------
 
     def differentiate(self, order: int = 1) -> "ExpPoly":

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,25 +36,26 @@ def _trial_terms(spec: ProblemSpec, k: int, order: int) -> list[tuple[int, int]]
     return [(e - order, c * math.perm(e, order)) for e, c in powers if e >= order]
 
 
-def _gram(terms: list[list[tuple[int, int]]], weights: list[int], denominator: int):
-    """``<f_i f_j>`` as the integer ``sum f_a g_b w[a+b]`` over ``denominator``."""
+def _gram(terms: list[list[tuple[int, int]]], weights: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``<f_i f_j>`` times the common denominator: the integers ``sum f_a g_b w[a+b]``."""
     size = len(terms)
-    g = [[Fraction(0)] * size for _ in range(size)]
+    g = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
             total = sum(fa * fb * weights[a + b] for a, fa in terms[i] for b, fb in terms[j])
-            g[i][j] = g[j][i] = Fraction(total, denominator)
+            g[i][j] = g[j][i] = total
     return tuple(tuple(row) for row in g)
 
 
 @dataclass(frozen=True)
 class RitzSystem:
-    """Exact Gram matrices of derivative inner products on the trial space."""
+    """Exact Gram matrices of derivative inner products, as integers over ``denominator``."""
 
     spec: ProblemSpec
     K: int
-    stiffness_exact: tuple[tuple[Fraction, ...], ...]  # <phi_k^(n) phi_l^(n)>
-    mass_exact: tuple[tuple[Fraction, ...], ...]  # <phi_k^(n-p) phi_l^(n-p)>
+    stiffness: tuple[tuple[int, ...], ...]  # <phi_k^(n) phi_l^(n)> * denominator
+    mass: tuple[tuple[int, ...], ...]  # <phi_k^(n-p) phi_l^(n-p)> * denominator
+    denominator: int
 
     def trial_function(self, k: int) -> ExpPoly:
         # monomials of one frequency merge into a single polynomial term
@@ -77,8 +77,9 @@ def assemble(spec: ProblemSpec, K: int) -> RitzSystem:
     return RitzSystem(
         spec=spec,
         K=K,
-        stiffness_exact=_gram(hi, weights, denominator),
-        mass_exact=_gram(lo, weights, denominator),
+        stiffness=_gram(hi, weights),
+        mass=_gram(lo, weights),
+        denominator=denominator,
     )
 
 
@@ -118,11 +119,8 @@ def _reduced_matrix(system: RitzSystem) -> np.ndarray:
     Each reduced entry is one exact integer ratio, and integer true division
     rounds correctly, exactly as the rounded rational reduction would.
     """
-    K = system.K
-    exact = (system.stiffness_exact, system.mass_exact)
-    scale = math.lcm(*(v.denominator for m in exact for row in m for v in row))
-    a, b = ([[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in exact)
-    delta, rows = _fraction_free_ldl(b)
+    K, a, scale = system.K, system.stiffness, system.denominator
+    delta, rows = _fraction_free_ldl(system.mass)
     before = [1] + delta[:-1]  # delta[i-1]
     # the common denominator cancels from L^(-1) but stays in D and A
     inv_sqrt = [1.0 / math.sqrt(delta[i] / (scale * before[i])) for i in range(K)]

@@ -3,18 +3,17 @@
 Eigenvalues are located as zeros of a scaled boundary-condition determinant
 swept in the root coordinate ``lambda = Lambda^(1/2p)`` (the determinant
 oscillates roughly periodically in lambda, not Lambda), bracketed by sign
-changes and polished with Brent's method.  Eigenfunctions come from the
-null direction of the boundary matrix via SVD.
+changes and refined by regula falsi on the determinant itself.
+Eigenfunctions come from the null direction of the boundary matrix via SVD.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
@@ -239,7 +238,7 @@ def eigenpair_from_function(
 class ScanMetadata:
     grid_step: float
     bracket_count: int
-    refinement_iterations: tuple[int, ...]
+    refinement_iterations: tuple[int, ...]  # determinant evaluations per refined root
     suspects: tuple[float, ...]  # lambda locations of sign-preserving near-zero dips
     lambda_ceiling: float
     untrusted_points: int = 0  # grid points with determinant below the sign-trust floor
@@ -257,6 +256,35 @@ class SpectrumSlice:
                 raise SolverError(f"spectrum not strictly increasing: {a} !< {b}")
 
 
+def _refine(indicator, n: int, a: float, fa: float, b: float, fb: float) -> tuple[float, int]:
+    """Root of ``indicator`` in the sign-change bracket a < b, and the evaluations it took.
+
+    Illinois regula falsi (Dowell & Jarratt 1971) on ``f |f|^(n-1)``, the
+    row-scaled determinant, which is smooth where the n-th-root indicator has
+    a cusp.  ``fa`` and ``fb`` are the indicator values the caller already
+    holds.  Every trial point stays half the tolerance inside the bracket, so
+    each step narrows it; an end kept twice running has its weight halved.
+    """
+    ga, gb = fa * abs(fa) ** (n - 1), fb * abs(fb) ** (n - 1)
+    wa, wb, side, evaluations = ga, gb, 0, 0  # interpolation weights, end replaced last
+    while b - a > (tol := 1e-15 + 4e-15 * abs(b)):
+        if evaluations == 100:
+            raise SolverError(f"refinement did not converge in [{a!r}, {b!r}]")
+        x = min(max(b - wb * (b - a) / (wb - wa), a + tol / 2), b - tol / 2)
+        fx = indicator(x)
+        evaluations += 1
+        gx = fx * abs(fx) ** (n - 1)
+        if gx == 0.0:
+            return x, evaluations
+        if (gx > 0.0) == (gb > 0.0):
+            b, gb, wb, wa = x, gx, gx, wa * (0.5 if side == 1 else 1.0)
+            side = 1
+        else:
+            a, ga, wa, wb = x, gx, gx, wb * (0.5 if side == -1 else 1.0)
+            side = -1
+    return (a if abs(ga) < abs(gb) else b), evaluations
+
+
 def scan_spectrum(
     spec: ProblemSpec,
     count: int,
@@ -267,17 +295,15 @@ def scan_spectrum(
     """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
 
     Brackets come from sign changes of the determinant indicator on a uniform
-    grid in lambda = Lambda^(1/2p); each bracket is polished by Brent root
-    iteration to ~1e-13 relative.  Sign-preserving near-zero dips are recorded
-    as suspected double roots instead of being split heuristically.
+    grid in lambda = Lambda^(1/2p), between consecutive grid points whose sign
+    is trusted; each bracket is refined to ~1e-15 relative in lambda.
+    Sign-preserving near-zero dips are recorded as suspected double roots
+    instead of being split heuristically.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     if step <= 0:
         raise ConfigError("scan step must be positive")
-
-    def indicator_at(lam: float) -> float:
-        return det_indicator(spec, lam ** (2 * spec.p))
 
     def sample(lam: float) -> tuple[float, bool]:
         return _indicator_from_matrix(boundary_matrix(spec, lam ** (2 * spec.p)))
@@ -288,31 +314,25 @@ def scan_spectrum(
     bracket_count = 0
     untrusted_points = 0
     window: list[tuple[float, float]] = []  # trailing trusted (lambda, f) samples
+    last: tuple[float, float] | None = None  # latest trusted (lambda, f) sample
 
-    lam = step
-    f_prev, prev_trusted = sample(lam)
-    if prev_trusted:
-        window.append((lam, f_prev))
-    else:
-        untrusted_points += 1
+    lam = 0.0
     while len(found) < count and lam < lambda_ceiling:
-        lam_next = lam + step
-        f_next, trusted = sample(lam_next)
+        lam += step
+        f, trusted = sample(lam)
         if not trusted:
-            # basis numerically rank-deficient (e.g. Lambda -> 0): the sign is
-            # noise, so never bracket against this point
+            # the sign is roundoff noise (rank-deficient basis as Lambda -> 0,
+            # or a root close by at high n): never bracket against this point
             untrusted_points += 1
             window.clear()
-            lam, f_prev, prev_trusted = lam_next, f_next, False
             continue
-        if prev_trusted and f_prev * f_next < 0.0:
+        if last is not None and last[1] * f < 0.0:
             bracket_count += 1
-            root, info = brentq(
-                indicator_at, lam, lam_next, xtol=1e-15, rtol=4e-15, full_output=True
-            )
-            iterations.append(int(info.iterations))
-            found.append(float(root))
-        window.append((lam_next, f_next))
+            root, evaluations = _refine(lambda x: sample(x)[0], spec.n, *last, lam, f)
+            iterations.append(evaluations)
+            found.append(root)
+        last = (lam, f)
+        window.append(last)
         if len(window) > 3:
             window.pop(0)
         if len(window) == 3:
@@ -324,7 +344,6 @@ def scan_spectrum(
                 and abs(f1) <= 1e-8 * max(abs(f0), abs(f2))
             ):
                 suspects.append(l1)
-        lam, f_prev, prev_trusted = lam_next, f_next, True
 
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
     if len(found) < count:
@@ -402,8 +421,3 @@ def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[Iden
             )
         )
     return reports
-
-
-def rescaled(pair: EigenPair, factor: float) -> EigenPair:
-    """Same eigenpair with z scaled by factor (identities are homogeneous)."""
-    return replace(pair, z=pair.z.scaled(factor), normalized=False)

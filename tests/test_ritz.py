@@ -33,7 +33,9 @@ def _forward(lower, m):
 
 def _fraction_reduced_matrix(system):
     """Reference reduction in Fractions: LDL^T of B, then L^(-1) A L^(-T), rounded once."""
-    K, a, b = system.K, system.stiffness_exact, system.mass_exact
+    K = system.K
+    a, b = ([[Fraction(v, system.denominator) for v in row] for row in m]
+            for m in (system.stiffness, system.mass))
     lower = [[Fraction(int(i == j)) for j in range(K)] for i in range(K)]
     pivots = []
     for j in range(K):
@@ -51,29 +53,30 @@ def _fraction_reduced_matrix(system):
 class TestAssembly:
     def test_1_1_hand_integrals(self):
         system = assemble(ProblemSpec(1, 1, S), 1)
-        assert system.stiffness_exact[0][0] == Fraction(8, 3)
-        assert system.mass_exact[0][0] == Fraction(16, 15)
+        assert Fraction(system.stiffness[0][0], system.denominator) == Fraction(8, 3)
+        assert Fraction(system.mass[0][0], system.denominator) == Fraction(16, 15)
 
     def test_exact_symmetry(self):
         for spec in (ProblemSpec(2, 1, S), ProblemSpec(3, 2, "antisymmetric")):
             system = assemble(spec, 6)
             for i in range(6):
                 for j in range(6):
-                    assert system.stiffness_exact[i][j] == system.stiffness_exact[j][i]
-                    assert system.mass_exact[i][j] == system.mass_exact[j][i]
+                    assert system.stiffness[i][j] == system.stiffness[j][i]
+                    assert system.mass[i][j] == system.mass[j][i]
 
     @pytest.mark.parametrize("n, p, parity", [(1, 1, S), (2, 1, A), (3, 2, S), (4, 2, A), (6, 6, A)])
     def test_entries_match_exppoly_inner_products(self, n, p, parity):
         # the ExpPoly path sums float monomial integrals, so its rounding is
         # relative to the integral of the coefficient-wise absolute product
         system = assemble(ProblemSpec(n, p, parity), 6)
-        for order, exact in ((n, system.stiffness_exact), (n - p, system.mass_exact)):
+        for order, exact in ((n, system.stiffness), (n - p, system.mass)):
             d = [system.trial_function(k).differentiate(order) for k in range(6)]
             for i in range(6):
                 for j in range(6):
                     scale = inner_product(_absolute(d[i]), _absolute(d[j])).real
                     got = inner_product(d[i], d[j]).real
-                    assert abs(got - float(exact[i][j])) <= 1e-12 * scale
+                    want = Fraction(exact[i][j], system.denominator)
+                    assert abs(got - float(want)) <= 1e-12 * scale
 
     def test_size_guards(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,17 @@
 """Determinant scan and eigenfunction extraction."""
 
+import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqlab
 from rqlab import solver
 from rqlab.cli import main
 from rqlab.errors import ConfigError, SolverError
@@ -18,7 +24,6 @@ from rqlab.solver import (
     cached_spectrum,
     det_indicator,
     extract_eigenfunction,
-    rescaled,
     scan_spectrum,
 )
 
@@ -108,6 +113,50 @@ class TestScanSpectrum:
         b = scan_spectrum(ProblemSpec(3, 2, S), 2)
         assert a.eigenvalues == b.eigenvalues
 
+    def test_refinement_reuses_the_grid_and_converges_fast(self, monkeypatch):
+        # the refiner starts from the two grid samples of its bracket, so the
+        # scan builds one boundary matrix per grid point and per refinement step
+        calls = []
+        original = solver.boundary_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "boundary_matrix", counted)
+        evaluations = []
+        for (n, p) in [(2, 1), (4, 2), (6, 3)]:
+            for parity in (S, A):
+                calls.clear()
+                out = scan_spectrum(ProblemSpec(n, p, parity), 5)
+                refinement = out.metadata.refinement_iterations
+                root = out.eigenvalues[-1] ** (1 / (2 * p))
+                grid_points = math.floor(root / out.metadata.grid_step) + 1
+                assert len(calls) == grid_points + sum(refinement)
+                evaluations.extend(refinement)
+        assert sum(evaluations) / len(evaluations) <= 8
+
+    def test_refine_on_a_jump_stays_in_its_bracket(self):
+        for jump in (0.1 + 1e-16, 0.1234567, 0.1499999999):
+            trials = []
+
+            def step_function(x):
+                assert 0.1 < x < 0.15
+                trials.append(x)
+                return -1.0 if x < jump else 1.0
+
+            root, evaluations = solver._refine(step_function, 3, 0.1, -1.0, 0.15, 1.0)
+            assert evaluations == len(trials) < 100
+            assert abs(root - jump) <= 1e-15 + 4e-15 * 0.15
+
+    def test_import_leaves_scipy_out(self):
+        # scipy serves only the self-test's quadrature oracle, imported on use
+        code = "import rqlab.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = {**os.environ, "PYTHONPATH": str(Path(rqlab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestExtraction:
     def test_2_1_closed_form_with_normalization(self):
@@ -161,7 +210,7 @@ class TestExtraction:
 
     def test_rescaled_view(self):
         pair = cached_eigenpair(3, 1, S, 0)
-        doubled = rescaled(pair, 2.0)
+        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0), normalized=False)
         assert doubled.mean() == pytest.approx(2 * pair.mean(), rel=1e-13)
         assert not doubled.normalized
         assert doubled.poly_coeffs == tuple(2 * c for c in pair.poly_coeffs)
@@ -234,6 +283,20 @@ class TestSpectrumStructure:
                 roots = [v ** (1 / (2 * p)) for v in cached_spectrum(n, p, parity, 6)]
                 for lo, hi in zip(roots, roots[1:]):
                     assert 0.75 * PI < hi - lo < 1.25 * PI, (n, p, lo, hi)
+
+    def test_root_next_to_an_untrusted_grid_point_is_kept(self):
+        # at n = 9 a grid point beside a root can fall below the sign-trust
+        # floor; the bracket then spans it instead of losing the root
+        roots = [v ** (1 / 8) for v in cached_spectrum(9, 4, S, 8)]
+        for lo, hi in zip(roots, roots[1:]):
+            assert 0.75 * PI < hi - lo < 1.25 * PI, (lo, hi)
+        assert rel_err(cached_spectrum(9, 4, S, 8)[7], cached_spectrum(8, 4, A, 8)[7]) < 1e-10
+        assert len(cached_spectrum(8, 1, S, 8)) == 8
+
+    def test_parity_shift_to_machine_precision(self):
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                assert all(r.passed for r in antisym_equals_next_sym(n, p, 5, tol=1e-14)), (n, p)
 
     def test_indicator_self_consistency_at_refined_eigenvalues(self):
         # the indicator is sign * |det|^(1/n), so the residual-vs-scale bound
