@@ -42,8 +42,8 @@ from .solver import (
     antisym_equals_next_sym,
     cached_eigenpair,
     cached_spectrum,
-    det_indicator,
     eigenpair_from_function,
+    indicator_series,
     scan_spectrum,
     simple_eigenpair,
 )
@@ -357,14 +357,12 @@ def _cmd_ritz(args):
 def _cmd_plotdata(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     lam_max = args.lambda_to ** (1.0 / (2 * spec.p))
-    rows = []
     steps = int(lam_max / args.step)
-    for i in range(1, steps + 1):
-        lam = i * args.step
-        big_lambda = lam ** (2 * spec.p)
-        rows.append(
-            {"lambda": lam, "Lambda": big_lambda, "indicator": det_indicator(spec, big_lambda)}
-        )
+    grid = (i * args.step for i in range(1, steps + 1))
+    rows = [
+        {"lambda": lam, "Lambda": lam ** (2 * spec.p), "indicator": f}
+        for lam, f, _ in indicator_series(spec, grid)
+    ]
     results = {"spec": dataclasses.asdict(spec), "rows": rows}
     return results, rows, ["lambda", "Lambda", "indicator"], {"pass": True}, EXIT_OK
 

@@ -10,8 +10,12 @@ kernel splits into exponentials at the 2p complex roots of
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .exppoly import ExpPoly, SigmaPolynomial
@@ -110,21 +114,57 @@ def reduced_operator(spec: ProblemSpec, Lambda: float, order: int) -> SigmaPolyn
     return build_operator(ProblemSpec(order, spec.p, spec.parity), Lambda)
 
 
-Terms = tuple[tuple[complex, complex], ...]  # (frequency, coefficient) of each c e^(mu x)
+KERNEL_SLOTS = 4  # terms per kernel function; two-term functions are front-padded
 
 
-def _product(f: Terms, g: Terms) -> Terms:
-    """Terms of the product of two functions, in canonical order.
+@functools.cache
+def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(p, parity) constants of the kernel table, as read-only arrays.
 
-    ``0j +`` turns a -0.0 part into +0.0 as ExpPoly's product does, so the
-    basis keeps its exact coefficients (signed zeros reach the envelopes).
+    ``unit`` holds ``(b, a)`` of each column's root ``a + ib`` at ``rho = 1``
+    (exact axis values), shape ``(p, 1, 2)``.  Per column and slot,
+    ``signs`` holds ``(b_sign, a_sign)`` and ``kappa`` a complex constant
+    as ``(Re, Im)``: the term has frequency ``mu = b_sign b + i a_sign a``
+    and coefficient ``kappa h`` with ``h = e^(-b) / 2``, so ``h = 1/2`` for
+    the real root, where ``b = 0``.  Products of a trig and a hyperbolic
+    factor carry ExpPoly's ``0j +``, which turns -0.0 parts into +0.0, and
+    come in its canonical order (sign of ``Re mu``, then of ``Im mu``, as
+    ``a, b > 0`` there).  A two-term function is padded in front with zero
+    terms (``mu = kappa = 0``), which add exact zeros before its own terms.
     """
-    terms = [(m1 + m2, 0j + c1 * c2) for m1, c1 in f for m2, c2 in g]
-    return tuple(sorted(terms, key=lambda t: (t[0].real, t[0].imag)))
+    cos = ((-1, 1 + 0j), (1, 1 + 0j))  # (a_sign, kappa): cos(ax) at h = 1/2
+    sin = ((-1, 1j), (1, -1j))
+    cosh = ((-1, 1 + 0j), (1, 1 + 0j))  # (b_sign, kappa): e^(-b) cosh(bx) = h e^(-bx) + h e^(bx)
+    sinh = ((-1, -1 + 0j), (1, 1 + 0j))
+    unit, columns = [], []
+    for j in range(p):
+        root = _root(p, j, 1.0)
+        if root.real < 0.0:
+            continue
+        if root.imag == 0.0:
+            columns.append([(0, a, k) for a, k in (cos if symmetric else sin)])
+        elif root.real == 0.0:
+            columns.append([(b, 0, k) for b, k in (cosh if symmetric else sinh)])
+        else:
+            pairs = [(cos, cosh), (sin, sinh)] if symmetric else [(sin, cosh), (cos, sinh)]
+            for trig, hyp in pairs:
+                columns.append(sorted((b, a, 0j + 0.5 * t * k) for a, t in trig for b, k in hyp))
+        unit += [[(root.imag, root.real)]] * (len(columns) - len(unit))
+    padded = [[(0, 0, 0j)] * (KERNEL_SLOTS - len(col)) + col for col in columns]
+    arrays = (
+        np.array(unit),
+        np.array([[(b, a) for b, a, _ in col] for col in padded], dtype=float),
+        np.array([[(k.real, k.imag) for *_, k in col] for col in padded]),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
-def kernel_terms(spec: ProblemSpec, Lambda: float) -> tuple[Terms, ...]:
-    """(frequency, coefficient) terms of each real kernel function, p columns.
+def kernel_terms(
+    spec: ProblemSpec, Lambda: float | Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies ``mu`` and coefficients ``c`` of the terms of each real kernel function.
 
     For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
     of a trig factor in ``a x`` and a hyperbolic factor in ``b x`` that have
@@ -132,33 +172,35 @@ def kernel_terms(spec: ProblemSpec, Lambda: float) -> tuple[Terms, ...]:
     [-1, 1] (cosh alone overflows near 700 and ruins determinant scaling
     much earlier).  The real root (``b = 0``) gives cos or sin alone, the
     imaginary root (``a = 0``) cosh or sinh alone, and every other root a
-    pair of four-term functions.  Roots with ``a < 0`` repeat these.  Terms
-    come in ExpPoly's canonical order.
+    pair of four-term functions.  Roots with ``a < 0`` repeat these.
+
+    ``Lambda`` is a number or a 1-D array; the complex arrays have shape
+    ``(p, KERNEL_SLOTS)`` or ``(len(Lambda), p, KERNEL_SLOTS)``, terms in
+    ExpPoly's canonical order after the zero padding of two-term functions.
+    The arithmetic is CPython's, term for term: ``rho`` comes from Python's
+    ``**`` and ``e^(-b)`` from the complex exponential, which matches libm
+    where numpy's real one does not.
     """
-    columns = []
-    for root in root_system(spec.p, Lambda).roots[: spec.p]:
-        a, b = root.real, root.imag
-        if a < 0.0:
-            continue
-        h = 0.5 * math.exp(-b)
-        cos = ((complex(0, -a), 0.5 + 0j), (complex(0, a), 0.5 + 0j))
-        sin = ((complex(0, -a), 0.5j), (complex(0, a), -0.5j))
-        cosh = ((complex(-b), complex(h)), (complex(b), complex(h)))
-        sinh = ((complex(-b), complex(-h)), (complex(b), complex(h)))
-        if b == 0.0:
-            columns.append(cos if spec.symmetric else sin)
-        elif a == 0.0:
-            columns.append(cosh if spec.symmetric else sinh)
-        elif spec.symmetric:
-            columns += [_product(cos, cosh), _product(sin, sinh)]
-        else:
-            columns += [_product(sin, cosh), _product(cos, sinh)]
-    return tuple(columns)
+    values = np.asarray(Lambda, dtype=float)
+    points = values.ravel().tolist()
+    if not all(value > 0 for value in points):
+        raise ConfigError("Lambda must be positive")
+    unit, signs, kappa = _kernel_template(spec.p, spec.symmetric)
+    exponent = 1.0 / (2 * spec.p)
+    rho = np.array([value**exponent for value in points])
+    ba = rho[:, None, None, None] * unit  # (L, p, 1, 2): (b, a) of each column's root
+    h = 0.5 * np.exp(-ba[..., :1] + 0j).real
+    shape = values.shape + signs.shape[:2]
+    mu = (signs * ba).view(complex).reshape(shape)
+    c = (kappa * h).view(complex).reshape(shape)
+    return mu, c
 
 
 def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:
     """The p kernel functions of :func:`kernel_terms`, then the n-p parity monomials."""
-    kernel = kernel_terms(spec, Lambda)
-    return tuple(ExpPoly.build((mu, (c,)) for mu, c in terms) for terms in kernel) + tuple(
-        ExpPoly.monomial(m) for m in spec.monomial_degrees
+    mu, c = kernel_terms(spec, Lambda)
+    kernel = tuple(
+        ExpPoly.build((m, (k,)) for m, k in zip(ms, ks) if m or k)  # without the zero padding
+        for ms, ks in zip(mu.tolist(), c.tolist())
     )
+    return kernel + tuple(ExpPoly.monomial(m) for m in spec.monomial_degrees)

@@ -9,8 +9,10 @@ Eigenfunctions come from the null direction of the boundary matrix via SVD.
 
 from __future__ import annotations
 
-import cmath
+import functools
+import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +27,18 @@ DEFAULT_SCAN_STEP = 0.05
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
 NULLSPACE_QUALITY_LIMIT = 1e-6
 SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff noise
+SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
 
 
-def boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
+@functools.cache
+def _monomial_rows(spec: ProblemSpec) -> np.ndarray:
+    """``m!/(m-j)!`` for the parity monomials ``x^m``: value and bound of row j alike."""
+    table = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)])
+    table.setflags(write=False)
+    return table
+
+
+def boundary_matrix(spec: ProblemSpec, Lambda: float | Sequence[float]) -> np.ndarray:
     """Row-scaled clamped-condition matrix whose null space holds eigenfunctions.
 
     Row j holds the j-th derivatives at x=1 of the parity basis, in closed
@@ -39,48 +50,62 @@ def boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
     that legitimately passes through zero at an eigenvalue, so determinant
     zeros stay put and the smallest singular value is a faithful null-space
     quality measure.  Scaling is positive, so the null space is untouched.
+
+    ``Lambda`` is a number, giving one ``(n, n)`` matrix, or a 1-D array,
+    giving an ``(L, n, n)`` stack in one numpy pass.  Each point's matrix is
+    bit-identical either way and to CPython's complex arithmetic: products
+    are split into real parts in its operand order (numpy's complex product
+    fuses multiply-adds), sums run term by term from ``0.0``, ``|c|`` is
+    ``hypot`` and ``e^|Re mu|`` comes from the complex exponential.
     """
-    n = spec.n
-    values = np.empty((n, n))
-    bounds = np.empty((n, n))
-    for i, terms in enumerate(kernel_terms(spec, Lambda)):
-        mus = [mu for mu, _ in terms]
-        exps = [cmath.exp(mu) for mu in mus]
-        growth = [math.exp(abs(mu.real)) for mu in mus]
-        coeffs = [c for _, c in terms]  # c mu^j, one factor mu per row
-        for j in range(n):
-            total = 0j
-            for c, e in zip(coeffs, exps):
-                total += c * e
-            values[j, i] = total.real
-            bounds[j, i] = sum(g * abs(c) for g, c in zip(growth, coeffs))
-            coeffs = [mu * c for mu, c in zip(mus, coeffs)]
-    for i, m in enumerate(spec.monomial_degrees, spec.p):
-        for j in range(n):
-            values[j, i] = bounds[j, i] = math.perm(m, j)
-    scaled = np.empty_like(values)
-    for j in range(n):
-        bound = np.max(bounds[j])
-        if bound == 0.0 or not np.any(values[j]):
-            raise DegenerateSystemError(
-                f"boundary row {j} vanishes identically for {spec.label()}, Lambda={Lambda}"
-            )
-        scaled[j] = values[j] / bound
-    return scaled
+    n, p = spec.n, spec.p
+    points = np.asarray(Lambda, dtype=float)
+    mu, c = kernel_terms(spec, points.reshape(-1))  # (L, p, slots)
+    pairs = mu.shape + (2,)  # complex values as (Re, Im) on the last axis
+    m = mu.view(float).reshape(pairs)
+    m_cross = m[..., 1:] * [-1.0, 1.0]  # (-mi, mi)
+    coeffs = np.empty((len(mu), n) + pairs[1:])  # c mu^j, one factor mu per derivative order j
+    coeffs[:, 0] = c.view(float).reshape(pairs)
+    for j in range(1, n):
+        # CPython's mu * c: (mr cr - mi ci, mr ci + mi cr), with x - y as x + (-y)
+        prev, step = coeffs[:, j - 1], coeffs[:, j]
+        np.multiply(m[..., :1], prev, out=step)
+        step += m_cross * prev[..., ::-1]
+    products = coeffs * np.exp(mu).view(float).reshape(pairs)[:, None]  # (cr er, ci ei)
+    growth = np.exp(np.abs(m[..., 0]) + 0j).real[:, None]  # e^|Re mu|
+    parts = np.empty((2,) + coeffs.shape[:-1])  # Re(c mu^j e^mu), e^|Re mu| |c mu^j|
+    np.subtract(products[..., 0], products[..., 1], out=parts[0])
+    np.multiply(growth, np.hypot(coeffs[..., 0], coeffs[..., 1]), out=parts[1])
+    values, bounds = entries = np.empty((2, len(mu), n, n))
+    # numpy adds fewer than eight elements one by one, so this is CPython's
+    # 0.0 + t0 + t1 + ...; the zero padding in front adds exact zeros
+    entries[..., :p] = parts.sum(axis=-1, initial=0.0)
+    entries[..., p:] = _monomial_rows(spec)
+    scale = bounds.max(axis=-1)
+    if not (scale.all() and values.any(axis=-1).all()):
+        point, row = np.argwhere((scale == 0.0) | ~values.any(axis=-1))[0]
+        raise DegenerateSystemError(
+            f"boundary row {row} vanishes identically for {spec.label()}, "
+            f"Lambda={points.reshape(-1)[point]}"
+        )
+    values /= scale[..., None]
+    return values if points.ndim else values[0]
 
 
-def _indicator_from_matrix(matrix: np.ndarray) -> tuple[float, bool]:
-    """(sign * |det|^(1/n), sign-trust flag via the Hadamard ratio)."""
-    n = matrix.shape[0]
-    sign, logabs = np.linalg.slogdet(matrix)
-    row_norms = np.sqrt((matrix * matrix).sum(axis=1))
-    if np.any(row_norms == 0.0):
-        return 0.0, False
-    log_hadamard = float(np.log(row_norms).sum())
-    trusted = logabs - log_hadamard > math.log(SIGN_TRUST_RATIO)
-    if sign == 0.0:
-        return 0.0, False
-    return float(sign * math.exp(logabs / n)), bool(trusted)
+def _indicators(matrices: np.ndarray) -> list[tuple[float, bool]]:
+    """(sign * |det|^(1/n), sign-trust flag via the Hadamard ratio) of each matrix in a stack."""
+    n = matrices.shape[-1]
+    sign, logabs = np.linalg.slogdet(matrices)
+    row_norms = np.sqrt((matrices * matrices).sum(axis=-1))
+    with np.errstate(divide="ignore"):  # a zero row makes the point singular
+        log_hadamard = np.log(row_norms).sum(axis=-1)
+    floor = math.log(SIGN_TRUST_RATIO)
+    return [
+        (sg * math.exp(la / n), la - lh > floor) if sg and full else (0.0, False)
+        for sg, la, lh, full in zip(
+            sign.tolist(), logabs.tolist(), log_hadamard.tolist(), row_norms.all(axis=-1).tolist()
+        )
+    ]
 
 
 def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
@@ -89,8 +114,24 @@ def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
     Returns sign(det) * |det|^(1/n) of the row-scaled boundary matrix, which
     keeps values comparable across nearby Lambda.
     """
-    value, _ = _indicator_from_matrix(boundary_matrix(spec, Lambda))
-    return value
+    return _indicators(boundary_matrix(spec, [Lambda]))[0][0]
+
+
+def indicator_series(
+    spec: ProblemSpec, lams: Iterable[float]
+) -> Iterator[tuple[float, float, bool]]:
+    """``(lam, indicator, sign-trust flag)`` at each root coordinate ``lam = Lambda^(1/2p)``.
+
+    ``lams`` is read lazily, ``SCAN_CHUNK`` points per batched boundary
+    matrix, so a caller that stops early has evaluated at most the rest of
+    the chunk it stopped in.  Each value equals ``det_indicator`` at that
+    point, bit for bit.
+    """
+    points = iter(lams)
+    while chunk := list(itertools.islice(points, SCAN_CHUNK)):
+        matrices = boundary_matrix(spec, [lam ** (2 * spec.p) for lam in chunk])
+        for lam, (f, trusted) in zip(chunk, _indicators(matrices)):
+            yield lam, f, trusted
 
 
 @dataclass(frozen=True)
@@ -146,7 +187,7 @@ def _eigenpair(
     normalized: bool,
 ) -> EigenPair:
     """EigenPair of z with its residuals; ``matrix`` is the boundary matrix at Lambda."""
-    indicator, _ = _indicator_from_matrix(matrix)
+    indicator = _indicators(matrix[None])[0][0]
     operator = build_operator(spec, Lambda)
     op_res = math.sqrt(max(l2_norm_sq(operator.apply(z)), 0.0))
     op_scale = math.sqrt(max(l2_norm_sq(z.differentiate(2 * spec.n)), 0.0))
@@ -305,8 +346,11 @@ def scan_spectrum(
     if step <= 0:
         raise ConfigError("scan step must be positive")
 
-    def sample(lam: float) -> tuple[float, bool]:
-        return _indicator_from_matrix(boundary_matrix(spec, lam ** (2 * spec.p)))
+    def grid() -> Iterator[float]:
+        lam = 0.0
+        while lam < lambda_ceiling:
+            lam += step
+            yield lam
 
     found: list[float] = []
     iterations: list[int] = []
@@ -316,10 +360,7 @@ def scan_spectrum(
     window: list[tuple[float, float]] = []  # trailing trusted (lambda, f) samples
     last: tuple[float, float] | None = None  # latest trusted (lambda, f) sample
 
-    lam = 0.0
-    while len(found) < count and lam < lambda_ceiling:
-        lam += step
-        f, trusted = sample(lam)
+    for lam, f, trusted in indicator_series(spec, grid()):
         if not trusted:
             # the sign is roundoff noise (rank-deficient basis as Lambda -> 0,
             # or a root close by at high n): never bracket against this point
@@ -328,7 +369,9 @@ def scan_spectrum(
             continue
         if last is not None and last[1] * f < 0.0:
             bracket_count += 1
-            root, evaluations = _refine(lambda x: sample(x)[0], spec.n, *last, lam, f)
+            root, evaluations = _refine(
+                lambda x: det_indicator(spec, x ** (2 * spec.p)), spec.n, *last, lam, f
+            )
             iterations.append(evaluations)
             found.append(root)
         last = (lam, f)
@@ -344,6 +387,8 @@ def scan_spectrum(
                 and abs(f1) <= 1e-8 * max(abs(f0), abs(f2))
             ):
                 suspects.append(l1)
+        if len(found) == count:
+            break
 
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
     if len(found) < count:

@@ -7,7 +7,14 @@ import pytest
 
 from rqlab.errors import ConfigError
 from rqlab.exppoly import ExpPoly
-from rqlab.problem import ProblemSpec, build_operator, kernel_terms, root_system, solution_basis
+from rqlab.problem import (
+    KERNEL_SLOTS,
+    ProblemSpec,
+    build_operator,
+    kernel_terms,
+    root_system,
+    solution_basis,
+)
 
 from conftest import PI
 
@@ -26,9 +33,18 @@ class TestProblemSpec:
         assert ProblemSpec(3, 2, "symmetric").has_stones
 
 
+def kernel_table(spec: ProblemSpec, Lambda: float) -> tuple:
+    """The (frequency, coefficient) terms of each kernel function at one Lambda, unpadded."""
+    mu, c = kernel_terms(spec, Lambda)
+    assert mu.shape == c.shape == (spec.p, KERNEL_SLOTS)
+    return tuple(
+        tuple((m, k) for m, k in zip(ms, ks) if m or k) for ms, ks in zip(mu.tolist(), c.tolist())
+    )
+
+
 def column_counts(spec: ProblemSpec, Lambda: float) -> tuple[int, int, int]:
     """(columns, four-term columns, real-frequency pairs) of the kernel table."""
-    table = kernel_terms(spec, Lambda)
+    table = kernel_table(spec, Lambda)
     quads = sum(1 for terms in table if len(terms) == 4)
     real_pairs = sum(1 for terms in table if all(mu.imag == 0 for mu, _ in terms))
     return len(table), quads, real_pairs
@@ -81,7 +97,7 @@ class TestRootSystem:
                 spec = ProblemSpec(p, p, parity)
                 even = 1 if p % 2 == 0 else 0
                 assert column_counts(spec, 3.7) == (p, 2 * ((p - 1) // 2), even)
-                for terms in kernel_terms(spec, 3.7):
+                for terms in kernel_table(spec, 3.7):
                     if len(terms) == 4:  # a first-quadrant root: complex frequencies only
                         assert all(mu.real != 0 and mu.imag != 0 for mu, _ in terms)
             imag = [r for r in root_system(p, 3.7).roots if r.real == 0]
@@ -92,7 +108,7 @@ class TestRootSystem:
             spec = ProblemSpec(p + 1, p, "symmetric")
             basis = solution_basis(spec, 257.0)
             op = build_operator(spec, 257.0)
-            assert len(kernel_terms(spec, 257.0)) == p and len(basis) == p + 1
+            assert len(kernel_table(spec, 257.0)) == p and len(basis) == p + 1
             for fn in basis:
                 image = op.apply(fn)
                 scale = fn.differentiate(2 * spec.n).magnitude_bound()
@@ -119,7 +135,7 @@ class TestOperator:
 class TestSolutionBasis:
     def test_shape_2_1(self):
         spec, rho = ProblemSpec(2, 1, "symmetric"), 5.0**0.5
-        assert kernel_terms(spec, 5.0) == (((-1j * rho, 0.5), (1j * rho, 0.5)),)  # cos
+        assert kernel_table(spec, 5.0) == (((-1j * rho, 0.5), (1j * rho, 0.5)),)  # cos
         basis = solution_basis(spec, 5.0)
         assert basis == (ExpPoly.cosine(rho), ExpPoly.constant(1))
 
@@ -128,7 +144,7 @@ class TestSolutionBasis:
         h = 0.5 * math.exp(-rho)
         cos = ((-1j * rho, 0.5), (1j * rho, 0.5))
         cosh = ((complex(-rho), h), (complex(rho), h))
-        assert kernel_terms(spec, 5.0) == (cos, cosh)
+        assert kernel_table(spec, 5.0) == (cos, cosh)
         assert solution_basis(spec, 5.0) == (ExpPoly.cosine(rho), hyperbolic(rho, odd=False))
 
     def test_shape_3_1(self):
@@ -144,7 +160,7 @@ class TestSolutionBasis:
                 for parity in ("symmetric", "antisymmetric"):
                     spec = ProblemSpec(n, p, parity)
                     basis = solution_basis(spec, 11.7)
-                    assert len(kernel_terms(spec, 11.7)) == p
+                    assert len(kernel_table(spec, 11.7)) == p
                     assert len(basis) == n
                     assert all(not fn.nonzero_frequency_part().terms for fn in basis[p:])
 

@@ -14,7 +14,7 @@ import pytest
 import rqlab
 from rqlab import solver
 from rqlab.cli import main
-from rqlab.errors import ConfigError, SolverError
+from rqlab.errors import ConfigError, ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
 from rqlab.problem import ProblemSpec, solution_basis
 from rqlab.solver import (
@@ -70,11 +70,37 @@ class TestBoundaryMatrix:
         for p in range(1, n + 1):
             for parity in (S, A):
                 spec = ProblemSpec(n, p, parity)
-                for lam in np.arange(0.02, 60.0, 0.91):
-                    Lambda = float(lam) ** (2 * p)
-                    assert np.array_equal(
-                        boundary_matrix(spec, Lambda), exppoly_boundary_matrix(spec, Lambda)
-                    ), (spec.label(), float(lam))
+                Lambdas = [float(lam) ** (2 * p) for lam in np.arange(0.02, 60.0, 0.91)]
+                batched = boundary_matrix(spec, Lambdas)
+                assert batched.shape == (len(Lambdas), n, n)
+                for matrix, Lambda in zip(batched, Lambdas):
+                    oracle = exppoly_boundary_matrix(spec, Lambda)
+                    assert np.array_equal(matrix, oracle), (spec.label(), Lambda)
+                    one_point = boundary_matrix(spec, Lambda)
+                    assert np.array_equal(one_point, oracle), (spec.label(), Lambda)
+
+    def test_batched_rows_equal_one_point_calls_and_the_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+            st.sampled_from((S, A)),
+            st.lists(st.floats(0.02, 60.0, exclude_min=True, exclude_max=True),
+                     min_size=1, max_size=12),
+        )
+        def rows_match(order, parity, lams):
+            spec = ProblemSpec(*order, parity)
+            Lambdas = [lam ** (2 * spec.p) for lam in lams]
+            batched = boundary_matrix(spec, Lambdas)
+            indicators = [f for _, f, _ in solver.indicator_series(spec, lams)]
+            for matrix, Lambda, f in zip(batched, Lambdas, indicators):
+                assert np.array_equal(matrix, boundary_matrix(spec, Lambda))
+                assert np.array_equal(matrix, exppoly_boundary_matrix(spec, Lambda))
+                assert f == det_indicator(spec, Lambda)
+
+        rows_match()
 
 
 class TestScanSpectrum:
@@ -115,26 +141,44 @@ class TestScanSpectrum:
 
     def test_refinement_reuses_the_grid_and_converges_fast(self, monkeypatch):
         # the refiner starts from the two grid samples of its bracket, so the
-        # scan builds one boundary matrix per grid point and per refinement step
-        calls = []
+        # scan evaluates the grid up to the end of the chunk holding its last
+        # root, and one more point per refinement step
+        points = []
         original = solver.boundary_matrix
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(spec, Lambda):
+            points.append(np.size(Lambda))
+            return original(spec, Lambda)
 
         monkeypatch.setattr(solver, "boundary_matrix", counted)
         evaluations = []
         for (n, p) in [(2, 1), (4, 2), (6, 3)]:
             for parity in (S, A):
-                calls.clear()
+                points.clear()
                 out = scan_spectrum(ProblemSpec(n, p, parity), 5)
                 refinement = out.metadata.refinement_iterations
                 root = out.eigenvalues[-1] ** (1 / (2 * p))
                 grid_points = math.floor(root / out.metadata.grid_step) + 1
-                assert len(calls) == grid_points + sum(refinement)
+                chunks = -(-grid_points // solver.SCAN_CHUNK)
+                assert sum(points) == chunks * solver.SCAN_CHUNK + sum(refinement)
+                assert len(points) == chunks + sum(refinement)
                 evaluations.extend(refinement)
         assert sum(evaluations) / len(evaluations) <= 8
+
+    @pytest.mark.parametrize("chunk", [1, 7, solver.SCAN_CHUNK])
+    def test_scan_is_independent_of_the_chunk_size(self, monkeypatch, chunk):
+        cases = [(1, 1, S), (3, 2, A), (5, 1, S), (6, 3, A), (9, 4, S)]
+        expected = {case: scan_spectrum(ProblemSpec(*case), 6) for case in cases}
+        with pytest.raises(ScanExhaustedError) as exhausted:
+            scan_spectrum(ProblemSpec(1, 1, S), 3, lambda_ceiling=2.0)
+        monkeypatch.setattr(solver, "SCAN_CHUNK", chunk)
+        for case, out in expected.items():
+            assert scan_spectrum(ProblemSpec(*case), 6) == out, case
+        with pytest.raises(ScanExhaustedError) as again:
+            scan_spectrum(ProblemSpec(1, 1, S), 3, lambda_ceiling=2.0)
+        assert again.value.args == exhausted.value.args
+        assert (again.value.eigenvalues, again.value.ceiling) == (
+            exhausted.value.eigenvalues, exhausted.value.ceiling)
 
     def test_refine_on_a_jump_stays_in_its_bracket(self):
         for jump in (0.1 + 1e-16, 0.1234567, 0.1499999999):
