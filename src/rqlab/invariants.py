@@ -51,9 +51,9 @@ def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
 
     ``lambda_i`` runs over one representative per conjugate root pair (upper
     half plane, angle ascending); conjugating the coefficients gives the
-    other half, and the product of the two halves equals
-    (sigma^2 - lambda0^2/...)-free reduced operator difference used in the
-    stone identity.  Requires order >= p + 1.
+    other half.  The product of the two halves is the reduced operator
+    sigma^{2 order - 2p}(sigma^{2p} - Lambda) with one factor sigma^2
+    replaced by (sigma^2 - lambda0^2).  Requires order >= p + 1.
     """
     p = pair.spec.p
     if order < p + 1:

@@ -114,47 +114,43 @@ def reduced_operator(spec: ProblemSpec, Lambda: float, order: int) -> SigmaPolyn
     return build_operator(ProblemSpec(order, spec.p, spec.parity), Lambda)
 
 
-KERNEL_SLOTS = 4  # terms per kernel function; two-term functions are front-padded
+KERNEL_SLOTS = 4  # terms per kernel function; two-term functions are zero-padded
 
 
 @functools.cache
 def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(p, parity) constants of the kernel table, as read-only arrays.
+    """Per-(p, parity) constants of the kernel table at ``rho = 1``, as read-only arrays.
 
-    ``unit`` holds ``(b, a)`` of each column's root ``a + ib`` at ``rho = 1``
-    (exact axis values), shape ``(p, 1, 2)``.  Per column and slot,
-    ``signs`` holds ``(b_sign, a_sign)`` and ``kappa`` a complex constant
-    as ``(Re, Im)``: the term has frequency ``mu = b_sign b + i a_sign a``
-    and coefficient ``kappa h`` with ``h = e^(-b) / 2``, so ``h = 1/2`` for
-    the real root, where ``b = 0``.  Products of a trig and a hyperbolic
-    factor carry ExpPoly's ``0j +``, which turns -0.0 parts into +0.0, and
-    come in its canonical order (sign of ``Re mu``, then of ``Im mu``, as
-    ``a, b > 0`` there).  A two-term function is padded in front with zero
-    terms (``mu = kappa = 0``), which add exact zeros before its own terms.
+    ``freq`` and ``kappa`` have shape ``(p, KERNEL_SLOTS)``: at ``rho`` the
+    term has frequency ``rho freq`` and coefficient ``kappa h``, where
+    ``h = e^(-b) / 2`` for the column's root ``a + ib`` (so ``h = 1/2`` for
+    the real root).  ``depth`` holds each column's ``b`` at ``rho = 1``,
+    shape ``(p, 1)``.  A two-term function is padded with zero terms.
     """
-    cos = ((-1, 1 + 0j), (1, 1 + 0j))  # (a_sign, kappa): cos(ax) at h = 1/2
-    sin = ((-1, 1j), (1, -1j))
-    cosh = ((-1, 1 + 0j), (1, 1 + 0j))  # (b_sign, kappa): e^(-b) cosh(bx) = h e^(-bx) + h e^(bx)
-    sinh = ((-1, -1 + 0j), (1, 1 + 0j))
-    unit, columns = [], []
+    # (sign of a in mu, kappa) per term of cos(ax), sin(ax) at h = 1/2 ...
+    trig = {True: ((-1, 1), (1, 1)), False: ((-1, 1j), (1, -1j))}
+    # ... and (sign of b in mu, kappa) per term of e^(-b) cosh(bx), e^(-b) sinh(bx)
+    hyp = {True: ((-1, 1), (1, 1)), False: ((-1, -1), (1, 1))}
+    columns, depth = [], []
     for j in range(p):
         root = _root(p, j, 1.0)
-        if root.real < 0.0:
+        a, b = root.real, root.imag
+        if a < 0.0:
             continue
-        if root.imag == 0.0:
-            columns.append([(0, a, k) for a, k in (cos if symmetric else sin)])
-        elif root.real == 0.0:
-            columns.append([(b, 0, k) for b, k in (cosh if symmetric else sinh)])
-        else:
-            pairs = [(cos, cosh), (sin, sinh)] if symmetric else [(sin, cosh), (cos, sinh)]
-            for trig, hyp in pairs:
-                columns.append(sorted((b, a, 0j + 0.5 * t * k) for a, t in trig for b, k in hyp))
-        unit += [[(root.imag, root.real)]] * (len(columns) - len(unit))
-    padded = [[(0, 0, 0j)] * (KERNEL_SLOTS - len(col)) + col for col in columns]
+        if b == 0.0:
+            columns.append([(1j * s * a, k) for s, k in trig[symmetric]])
+        elif a == 0.0:
+            columns.append([(s * b, k) for s, k in hyp[symmetric]])
+        else:  # sym: cos cosh, sin sinh; antisym: sin cosh, cos sinh
+            for even in (True, False):
+                columns.append([(t * b + 1j * s * a, 0.5 * k * w)
+                                for s, k in trig[even == symmetric] for t, w in hyp[even]])
+        depth += [[b]] * (len(columns) - len(depth))
+    padded = [col + [(0, 0)] * (KERNEL_SLOTS - len(col)) for col in columns]
     arrays = (
-        np.array(unit),
-        np.array([[(b, a) for b, a, _ in col] for col in padded], dtype=float),
-        np.array([[(k.real, k.imag) for *_, k in col] for col in padded]),
+        np.array([[mu for mu, _ in col] for col in padded], dtype=complex),
+        np.array([[k for _, k in col] for col in padded], dtype=complex),
+        np.array(depth),
     )
     for array in arrays:
         array.setflags(write=False)
@@ -175,25 +171,15 @@ def kernel_terms(
     pair of four-term functions.  Roots with ``a < 0`` repeat these.
 
     ``Lambda`` is a number or a 1-D array; the complex arrays have shape
-    ``(p, KERNEL_SLOTS)`` or ``(len(Lambda), p, KERNEL_SLOTS)``, terms in
-    ExpPoly's canonical order after the zero padding of two-term functions.
-    The arithmetic is CPython's, term for term: ``rho`` comes from Python's
-    ``**`` and ``e^(-b)`` from the complex exponential, which matches libm
-    where numpy's real one does not.
+    ``(p, KERNEL_SLOTS)`` or ``(len(Lambda), p, KERNEL_SLOTS)``, with the
+    zero padding of two-term functions.
     """
     values = np.asarray(Lambda, dtype=float)
-    points = values.ravel().tolist()
-    if not all(value > 0 for value in points):
+    if not (values > 0).all():
         raise ConfigError("Lambda must be positive")
-    unit, signs, kappa = _kernel_template(spec.p, spec.symmetric)
-    exponent = 1.0 / (2 * spec.p)
-    rho = np.array([value**exponent for value in points])
-    ba = rho[:, None, None, None] * unit  # (L, p, 1, 2): (b, a) of each column's root
-    h = 0.5 * np.exp(-ba[..., :1] + 0j).real
-    shape = values.shape + signs.shape[:2]
-    mu = (signs * ba).view(complex).reshape(shape)
-    c = (kappa * h).view(complex).reshape(shape)
-    return mu, c
+    freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
+    rho = values[..., None, None] ** (1.0 / (2 * spec.p))
+    return rho * freq, kappa * (0.5 * np.exp(-rho * depth))
 
 
 def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:

@@ -53,33 +53,16 @@ def boundary_matrix(spec: ProblemSpec, Lambda: float | Sequence[float]) -> np.nd
 
     ``Lambda`` is a number, giving one ``(n, n)`` matrix, or a 1-D array,
     giving an ``(L, n, n)`` stack in one numpy pass.  Each point's matrix is
-    bit-identical either way and to CPython's complex arithmetic: products
-    are split into real parts in its operand order (numpy's complex product
-    fuses multiply-adds), sums run term by term from ``0.0``, ``|c|`` is
-    ``hypot`` and ``e^|Re mu|`` comes from the complex exponential.
+    bit-identical either way, so a scan does not depend on how it batches
+    its grid.
     """
     n, p = spec.n, spec.p
     points = np.asarray(Lambda, dtype=float)
     mu, c = kernel_terms(spec, points.reshape(-1))  # (L, p, slots)
-    pairs = mu.shape + (2,)  # complex values as (Re, Im) on the last axis
-    m = mu.view(float).reshape(pairs)
-    m_cross = m[..., 1:] * [-1.0, 1.0]  # (-mi, mi)
-    coeffs = np.empty((len(mu), n) + pairs[1:])  # c mu^j, one factor mu per derivative order j
-    coeffs[:, 0] = c.view(float).reshape(pairs)
-    for j in range(1, n):
-        # CPython's mu * c: (mr cr - mi ci, mr ci + mi cr), with x - y as x + (-y)
-        prev, step = coeffs[:, j - 1], coeffs[:, j]
-        np.multiply(m[..., :1], prev, out=step)
-        step += m_cross * prev[..., ::-1]
-    products = coeffs * np.exp(mu).view(float).reshape(pairs)[:, None]  # (cr er, ci ei)
-    growth = np.exp(np.abs(m[..., 0]) + 0j).real[:, None]  # e^|Re mu|
-    parts = np.empty((2,) + coeffs.shape[:-1])  # Re(c mu^j e^mu), e^|Re mu| |c mu^j|
-    np.subtract(products[..., 0], products[..., 1], out=parts[0])
-    np.multiply(growth, np.hypot(coeffs[..., 0], coeffs[..., 1]), out=parts[1])
+    coeffs = c[:, None] * mu[:, None] ** np.arange(n)[:, None, None]  # c mu^j: (L, n, p, slots)
     values, bounds = entries = np.empty((2, len(mu), n, n))
-    # numpy adds fewer than eight elements one by one, so this is CPython's
-    # 0.0 + t0 + t1 + ...; the zero padding in front adds exact zeros
-    entries[..., :p] = parts.sum(axis=-1, initial=0.0)
+    values[..., :p] = (coeffs * np.exp(mu)[:, None]).real.sum(axis=-1)
+    bounds[..., :p] = (np.abs(coeffs) * np.exp(np.abs(mu.real))[:, None]).sum(axis=-1)
     entries[..., p:] = _monomial_rows(spec)
     scale = bounds.max(axis=-1)
     if not (scale.all() and values.any(axis=-1).all()):
@@ -92,20 +75,20 @@ def boundary_matrix(spec: ProblemSpec, Lambda: float | Sequence[float]) -> np.nd
     return values if points.ndim else values[0]
 
 
-def _indicators(matrices: np.ndarray) -> list[tuple[float, bool]]:
-    """(sign * |det|^(1/n), sign-trust flag via the Hadamard ratio) of each matrix in a stack."""
+def _indicators(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sign * |det|^(1/n) of each matrix in a stack, and its sign-trust flag.
+
+    The sign is trusted when |det| exceeds ``SIGN_TRUST_RATIO`` times the
+    Hadamard bound, the product of the row norms.
+    """
     n = matrices.shape[-1]
     sign, logabs = np.linalg.slogdet(matrices)
     row_norms = np.sqrt((matrices * matrices).sum(axis=-1))
     with np.errstate(divide="ignore"):  # a zero row makes the point singular
         log_hadamard = np.log(row_norms).sum(axis=-1)
-    floor = math.log(SIGN_TRUST_RATIO)
-    return [
-        (sg * math.exp(la / n), la - lh > floor) if sg and full else (0.0, False)
-        for sg, la, lh, full in zip(
-            sign.tolist(), logabs.tolist(), log_hadamard.tolist(), row_norms.all(axis=-1).tolist()
-        )
-    ]
+    full = (sign != 0.0) & row_norms.all(axis=-1)
+    values = np.where(full, sign * np.exp(logabs / n), 0.0)
+    return values, full & (logabs - log_hadamard > math.log(SIGN_TRUST_RATIO))
 
 
 def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
@@ -114,7 +97,7 @@ def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
     Returns sign(det) * |det|^(1/n) of the row-scaled boundary matrix, which
     keeps values comparable across nearby Lambda.
     """
-    return _indicators(boundary_matrix(spec, [Lambda]))[0][0]
+    return float(_indicators(boundary_matrix(spec, [Lambda]))[0][0])
 
 
 def indicator_series(
@@ -130,8 +113,8 @@ def indicator_series(
     points = iter(lams)
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
         matrices = boundary_matrix(spec, [lam ** (2 * spec.p) for lam in chunk])
-        for lam, (f, trusted) in zip(chunk, _indicators(matrices)):
-            yield lam, f, trusted
+        values, trusted = _indicators(matrices)
+        yield from zip(chunk, values.tolist(), trusted.tolist())
 
 
 @dataclass(frozen=True)
@@ -187,7 +170,7 @@ def _eigenpair(
     normalized: bool,
 ) -> EigenPair:
     """EigenPair of z with its residuals; ``matrix`` is the boundary matrix at Lambda."""
-    indicator = _indicators(matrix[None])[0][0]
+    indicator = float(_indicators(matrix[None])[0][0])
     operator = build_operator(spec, Lambda)
     op_res = math.sqrt(max(l2_norm_sq(operator.apply(z)), 0.0))
     op_scale = math.sqrt(max(l2_norm_sq(z.differentiate(2 * spec.n)), 0.0))
@@ -336,8 +319,9 @@ def scan_spectrum(
     """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
 
     Brackets come from sign changes of the determinant indicator on a uniform
-    grid in lambda = Lambda^(1/2p), between consecutive grid points whose sign
-    is trusted; each bracket is refined to ~1e-15 relative in lambda.
+    grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
+    between consecutive grid points whose sign is trusted; each bracket is
+    refined to ~1e-15 relative in lambda.
     Sign-preserving near-zero dips are recorded as suspected double roots
     instead of being split heuristically.
     """
@@ -347,10 +331,11 @@ def scan_spectrum(
         raise ConfigError("scan step must be positive")
 
     def grid() -> Iterator[float]:
-        lam = 0.0
+        lam = step
         while lam < lambda_ceiling:
-            lam += step
             yield lam
+            lam += step
+        yield lambda_ceiling
 
     found: list[float] = []
     iterations: list[int] = []

@@ -40,6 +40,11 @@ class TestExitCodes:
             capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1", "--lambda-max", "1.5"
         )
         assert code == 2 and "solver failure" in err
+        # the second eigenvalue, (3 pi / 2)^2 = 22.2066, lies just above the ceiling
+        code, _, err = run_cli(
+            capsys, "spectrum", "--n", "1", "--p", "1", "--count", "2", "--lambda-max", "22.1"
+        )
+        assert code == 2 and "found only 1 of 2" in err
 
     def test_identity_violation_is_three(self, capsys):
         code, _, _ = run_cli(
@@ -137,6 +142,21 @@ class TestCommands:
         )
         values = json.loads(out)["results"]["eigenvalues"]
         assert abs(values[0] - 31.28524) < 1e-4
+
+    def test_spectrum_lists_a_non_simple_eigenvalue_as_a_suspect(self, capsys, monkeypatch):
+        extract = rqlab.cli.simple_eigenpair
+        monkeypatch.setattr(rqlab.cli, "simple_eigenpair", lambda spec, Lambda, index: (
+            None if index == 1 else extract(spec, Lambda, index)))
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--n", "2", "--p", "1", "--count", "3", "--format", "json"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        rows = results["rows"]
+        residuals = {"nullspace_quality", "operator_residual_rel", "boundary_residual_rel"}
+        assert residuals <= rows[0].keys() and residuals <= rows[2].keys()
+        assert not residuals & rows[1].keys()
+        assert results["scan_metadata"]["suspects"] == [rows[1]["lambda"]]
 
     def test_eigenfunction_detail(self, capsys):
         _, out, _ = run_cli(

@@ -53,6 +53,11 @@ class TestDetIndicator:
             det_indicator(ProblemSpec(2, 1, S), -3.0)
 
 
+# row-scaled entries lie in [-1, 1]; the closed form and the ExpPoly chain round
+# differently, by at most a few ulps of 1
+ORACLE_BOUND = 8 * np.finfo(float).eps
+
+
 def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
     """The boundary matrix through ExpPoly differentiation, the closed form's oracle."""
     values, bounds = [], []
@@ -65,8 +70,8 @@ def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
 
 
 class TestBoundaryMatrix:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_closed_form_is_bit_identical_to_exppoly_chain(self, n):
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form_agrees_with_exppoly_chain(self, n):
         for p in range(1, n + 1):
             for parity in (S, A):
                 spec = ProblemSpec(n, p, parity)
@@ -75,9 +80,9 @@ class TestBoundaryMatrix:
                 assert batched.shape == (len(Lambdas), n, n)
                 for matrix, Lambda in zip(batched, Lambdas):
                     oracle = exppoly_boundary_matrix(spec, Lambda)
-                    assert np.array_equal(matrix, oracle), (spec.label(), Lambda)
+                    assert np.abs(matrix - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
                     one_point = boundary_matrix(spec, Lambda)
-                    assert np.array_equal(one_point, oracle), (spec.label(), Lambda)
+                    assert np.array_equal(one_point, matrix), (spec.label(), Lambda)
 
     def test_batched_rows_equal_one_point_calls_and_the_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -97,7 +102,7 @@ class TestBoundaryMatrix:
             indicators = [f for _, f, _ in solver.indicator_series(spec, lams)]
             for matrix, Lambda, f in zip(batched, Lambdas, indicators):
                 assert np.array_equal(matrix, boundary_matrix(spec, Lambda))
-                assert np.array_equal(matrix, exppoly_boundary_matrix(spec, Lambda))
+                assert np.abs(matrix - exppoly_boundary_matrix(spec, Lambda)).max() <= ORACLE_BOUND
                 assert f == det_indicator(spec, Lambda)
 
         rows_match()
@@ -129,6 +134,24 @@ class TestScanSpectrum:
     def test_ceiling_failure_is_explicit(self):
         with pytest.raises(SolverError):
             scan_spectrum(ProblemSpec(1, 1, S), 3, lambda_ceiling=2.0)
+        # the grid ends at the ceiling: a root below it is found, one above it is not
+        with pytest.raises(ScanExhaustedError) as exhausted:
+            scan_spectrum(ProblemSpec(1, 1, S), 2, lambda_ceiling=4.7)
+        assert exhausted.value.eigenvalues == scan_spectrum(ProblemSpec(1, 1, S), 1).eigenvalues
+        got = scan_spectrum(ProblemSpec(1, 1, S), 2, lambda_ceiling=4.72).eigenvalues
+        assert rel_err(got[1], (1.5 * PI) ** 2) < 1e-12
+
+    def test_near_zero_dip_is_recorded_as_a_suspect(self, monkeypatch):
+        # a dip below 1e-8 of its neighbours without a sign change is a suspected
+        # double root; a shallower dip is not
+        series = [(0.05, 1.0), (0.10, 1e-9), (0.15, 1.0), (0.20, 1e-3), (0.25, 1.0),
+                  (0.30, 0.5), (0.35, -0.5)]
+        monkeypatch.setattr(solver, "indicator_series",
+                            lambda spec, lams: ((lam, f, True) for lam, f in series))
+        monkeypatch.setattr(solver, "det_indicator", lambda spec, Lambda: 0.325 - Lambda**0.5)
+        out = scan_spectrum(ProblemSpec(1, 1, S), 1)
+        assert out.metadata.suspects == (0.10,)
+        assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
 
     def test_count_validation(self):
         with pytest.raises(ConfigError):
