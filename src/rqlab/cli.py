@@ -197,18 +197,22 @@ def _cmd_spectrum(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     ceiling = DEFAULT_LAMBDA_CEILING
     if args.lambda_max is not None:
-        ceiling = args.lambda_max ** (1.0 / (2 * spec.p))
+        ceiling = root_system(spec.p, args.lambda_max).rho
     slice_ = scan_spectrum(spec, args.count, step=args.step, lambda_ceiling=ceiling)
-    pairs = [simple_eigenpair(spec, lam, i) for i, lam in enumerate(slice_.eigenvalues)]
     k = max(args.ritz_k, args.count)
-    ritz = ritz_values(assemble(spec, k), args.count)
+    bounds = ritz_values(assemble(spec, k), k)  # upper bounds, up to the eigensolve's rounding
+    ritz = bounds[:args.count]
     rows = []
     suspects = list(slice_.metadata.suspects)
-    for i, (lam, pair) in enumerate(zip(slice_.eigenvalues, pairs)):
+    for i, lam in enumerate(slice_.eigenvalues):
+        if lam - ritz[i] > k * sys.float_info.epsilon * bounds[-1]:
+            raise SolverError(f"Lambda_{i} = {lam!r} exceeds its Ritz upper bound {ritz[i]!r}: "
+                              "the scan skipped a root; use a smaller --step")
+        pair = simple_eigenpair(spec, lam, i)
         row = {
             "index": i,
             "Lambda": lam,
-            "lambda": lam ** (1.0 / (2 * spec.p)),
+            "lambda": root_system(spec.p, lam).rho,
             "ritz": ritz[i],
             "ritz_rel_gap": abs(ritz[i] - lam) / lam,
         }
@@ -356,7 +360,7 @@ def _cmd_ritz(args):
 
 def _cmd_plotdata(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
-    lam_max = args.lambda_to ** (1.0 / (2 * spec.p))
+    lam_max = root_system(spec.p, args.lambda_to).rho
     steps = int(lam_max / args.step)
     grid = (i * args.step for i in range(1, steps + 1))
     rows = [
@@ -420,8 +424,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, RQLabError
-from .invariants import bracket, kernel_annihilation_residual, moments, stone_polynomials
+from .invariants import bracket, kernel_annihilation_residual, lambda_sq, moments, stone_polynomials
 from .reporting import FAIL, PASS, IdentityReport
 from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
@@ -221,7 +221,7 @@ def evaluate_necessary_conditions(
 
     Lambda_mid = 0.5 * (zn.Lambda + zm.Lambda)
     eps_mid = Lambda_mid ** (-1.0 / p)
-    eps_ends = (zn.Lambda ** (-1.0 / p), zm.Lambda ** (-1.0 / p))
+    eps_ends = (1.0 / lambda_sq(zn), 1.0 / lambda_sq(zm))
 
     depth = n - p - 1 + delta_order
     # manufactured candidates carry a Lambda deliberately inconsistent with z;

@@ -43,7 +43,7 @@ DEFAULT_IDENTITY_TOL = 1e-8
 
 def lambda_sq(pair: EigenPair) -> float:
     """Square of the positive real characteristic root, Lambda^(1/p)."""
-    return pair.Lambda ** (1.0 / pair.spec.p)
+    return root_system(pair.spec.p, pair.Lambda).rho ** 2
 
 
 def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:

@@ -157,9 +157,7 @@ def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, n
     return arrays
 
 
-def kernel_terms(
-    spec: ProblemSpec, Lambda: float | Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_terms(spec: ProblemSpec, rho: float | Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies ``mu`` and coefficients ``c`` of the terms of each real kernel function.
 
     For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
@@ -170,21 +168,20 @@ def kernel_terms(
     imaginary root (``a = 0``) cosh or sinh alone, and every other root a
     pair of four-term functions.  Roots with ``a < 0`` repeat these.
 
-    ``Lambda`` is a number or a 1-D array; the complex arrays have shape
-    ``(p, KERNEL_SLOTS)`` or ``(len(Lambda), p, KERNEL_SLOTS)``, with the
-    zero padding of two-term functions.
+    ``rho = Lambda^(1/2p)`` is a number or a 1-D array; the complex arrays
+    have shape ``(p, KERNEL_SLOTS)`` or ``(len(rho), p, KERNEL_SLOTS)``, with
+    the zero padding of two-term functions.
     """
-    values = np.asarray(Lambda, dtype=float)
-    if not (values > 0).all():
-        raise ConfigError("Lambda must be positive")
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    if not (rho > 0).all():
+        raise ConfigError("the root coordinate must be positive")
     freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
-    rho = values[..., None, None] ** (1.0 / (2 * spec.p))
     return rho * freq, kappa * (0.5 * np.exp(-rho * depth))
 
 
 def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:
     """The p kernel functions of :func:`kernel_terms`, then the n-p parity monomials."""
-    mu, c = kernel_terms(spec, Lambda)
+    mu, c = kernel_terms(spec, root_system(spec.p, Lambda).rho)
     kernel = tuple(
         ExpPoly.build((m, (k,)) for m, k in zip(ms, ks) if m or k)  # without the zero padding
         for ms, ks in zip(mu.tolist(), c.tolist())

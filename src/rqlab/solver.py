@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -38,38 +39,38 @@ def _monomial_rows(spec: ProblemSpec) -> np.ndarray:
     return table
 
 
-def boundary_matrix(spec: ProblemSpec, Lambda: float | Sequence[float]) -> np.ndarray:
+def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarray:
     """Row-scaled clamped-condition matrix whose null space holds eigenfunctions.
 
-    Row j holds the j-th derivatives at x=1 of the parity basis, in closed
-    form: ``sum c mu^j e^mu`` over the terms ``c e^(mu x)`` of a kernel
-    function, ``m!/(m-j)!`` for the monomial ``x^m``.  Each row is divided by
-    the largest a-priori magnitude bound among its entries, ``sum
-    e^|Re mu| |c mu^j|`` (the monomial's own value).  Unlike scaling by the
-    max actual entry, the bound cannot vanish and does not re-inflate a row
-    that legitimately passes through zero at an eigenvalue, so determinant
-    zeros stay put and the smallest singular value is a faithful null-space
-    quality measure.  Scaling is positive, so the null space is untouched.
+    Row j holds the j-th derivatives at x=1 of the parity basis, in closed form:
+    ``sum c mu^j e^mu`` over the terms ``c e^(mu x)`` of a kernel function,
+    ``m!/(m-j)!`` for the monomial ``x^m``.  Each row is divided by the largest
+    a-priori magnitude bound among its entries, ``max(rho^j, m!/(m-j)!)``: a
+    kernel function's ``sum e^|Re mu| |c mu^j|`` is ``rho^j``, as its ``|mu|``
+    all equal ``rho`` and its ``|c| e^|Re mu|`` sum to 1.  Unlike scaling by the
+    max actual entry, the bound cannot vanish and does not re-inflate a row that
+    legitimately passes through zero at an eigenvalue, so determinant zeros stay
+    put and the smallest singular value is a faithful null-space quality
+    measure.  Scaling is positive, so the null space is untouched.
 
-    ``Lambda`` is a number, giving one ``(n, n)`` matrix, or a 1-D array,
-    giving an ``(L, n, n)`` stack in one numpy pass.  Each point's matrix is
-    bit-identical either way, so a scan does not depend on how it batches
-    its grid.
+    The root coordinate ``rho = Lambda^(1/2p)`` is a number, giving one
+    ``(n, n)`` matrix, or a 1-D array, giving an ``(L, n, n)`` stack in one
+    numpy pass.  Each point's matrix is bit-identical either way, so a scan
+    does not depend on how it batches its grid.
     """
     n, p = spec.n, spec.p
-    points = np.asarray(Lambda, dtype=float)
-    mu, c = kernel_terms(spec, points.reshape(-1))  # (L, p, slots)
-    coeffs = c[:, None] * mu[:, None] ** np.arange(n)[:, None, None]  # c mu^j: (L, n, p, slots)
-    values, bounds = entries = np.empty((2, len(mu), n, n))
-    values[..., :p] = (coeffs * np.exp(mu)[:, None]).real.sum(axis=-1)
-    bounds[..., :p] = (np.abs(coeffs) * np.exp(np.abs(mu.real))[:, None]).sum(axis=-1)
-    entries[..., p:] = _monomial_rows(spec)
-    scale = bounds.max(axis=-1)
+    points = np.asarray(rho, dtype=float)
+    rhos = points.reshape(-1)
+    mu, c = (terms[:, None] for terms in kernel_terms(spec, rhos))  # (L, 1, p, slots)
+    j = np.arange(n)
+    values = np.empty((len(rhos), n, n))
+    values[..., :p] = (c * mu ** j[:, None, None] * np.exp(mu)).real.sum(axis=-1)
+    values[..., p:] = _monomial_rows(spec)  # each its own bound
+    scale = np.maximum(rhos[:, None] ** j, values[..., p:].max(axis=-1, initial=0.0))
     if not (scale.all() and values.any(axis=-1).all()):
         point, row = np.argwhere((scale == 0.0) | ~values.any(axis=-1))[0]
         raise DegenerateSystemError(
-            f"boundary row {row} vanishes identically for {spec.label()}, "
-            f"Lambda={points.reshape(-1)[point]}"
+            f"boundary row {row} vanishes identically for {spec.label()}, rho={rhos[point]}"
         )
     values /= scale[..., None]
     return values if points.ndim else values[0]
@@ -97,7 +98,7 @@ def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
     Returns sign(det) * |det|^(1/n) of the row-scaled boundary matrix, which
     keeps values comparable across nearby Lambda.
     """
-    return float(_indicators(boundary_matrix(spec, [Lambda]))[0][0])
+    return float(_indicators(boundary_matrix(spec, [root_system(spec.p, Lambda).rho]))[0][0])
 
 
 def indicator_series(
@@ -107,13 +108,11 @@ def indicator_series(
 
     ``lams`` is read lazily, ``SCAN_CHUNK`` points per batched boundary
     matrix, so a caller that stops early has evaluated at most the rest of
-    the chunk it stopped in.  Each value equals ``det_indicator`` at that
-    point, bit for bit.
+    the chunk it stopped in.
     """
     points = iter(lams)
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
-        matrices = boundary_matrix(spec, [lam ** (2 * spec.p) for lam in chunk])
-        values, trusted = _indicators(matrices)
+        values, trusted = _indicators(boundary_matrix(spec, chunk))
         yield from zip(chunk, values.tolist(), trusted.tolist())
 
 
@@ -216,7 +215,7 @@ def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> 
     eigenvalue looks multiple; flagged rather than split heuristically).
     z is scaled to ``<z^(n-p) z^(n-p)> = 1``.
     """
-    matrix = boundary_matrix(spec, Lambda)
+    matrix = boundary_matrix(spec, root_system(spec.p, Lambda).rho)
     _, svals, vt = np.linalg.svd(matrix)
     smax = max(float(svals[0]), 1.0)
     quality = float(svals[-1]) / smax
@@ -255,7 +254,8 @@ def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
-    return _eigenpair(spec, Lambda, z, index, boundary_matrix(spec, Lambda), 0.0, False)
+    matrix = boundary_matrix(spec, root_system(spec.p, Lambda).rho)
+    return _eigenpair(spec, Lambda, z, index, matrix, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,14 @@ class SpectrumSlice:
                 raise SolverError(f"spectrum not strictly increasing: {a} !< {b}")
 
 
-def _refine(indicator, n: int, a: float, fa: float, b: float, fb: float) -> tuple[float, int]:
-    """Root of ``indicator`` in the sign-change bracket a < b, and the evaluations it took.
+def _refine(determinant, n: int, a: float, fa: float, b: float, fb: float) -> tuple[float, int]:
+    """Root of ``determinant`` in the sign-change bracket a < b, and the evaluations it took.
 
-    Illinois regula falsi (Dowell & Jarratt 1971) on ``f |f|^(n-1)``, the
-    row-scaled determinant, which is smooth where the n-th-root indicator has
-    a cusp.  ``fa`` and ``fb`` are the indicator values the caller already
-    holds.  Every trial point stays half the tolerance inside the bracket, so
-    each step narrows it; an end kept twice running has its weight halved.
+    Illinois regula falsi (Dowell & Jarratt 1971) on the row-scaled
+    determinant, smooth where the n-th-root indicator has a cusp; the
+    indicator values ``fa`` and ``fb`` the caller holds become ``f |f|^(n-1)``.
+    Every trial point stays half the tolerance inside the bracket, so each
+    step narrows it; an end kept twice running has its weight halved.
     """
     ga, gb = fa * abs(fa) ** (n - 1), fb * abs(fb) ** (n - 1)
     wa, wb, side, evaluations = ga, gb, 0, 0  # interpolation weights, end replaced last
@@ -295,9 +295,8 @@ def _refine(indicator, n: int, a: float, fa: float, b: float, fb: float) -> tupl
         if evaluations == 100:
             raise SolverError(f"refinement did not converge in [{a!r}, {b!r}]")
         x = min(max(b - wb * (b - a) / (wb - wa), a + tol / 2), b - tol / 2)
-        fx = indicator(x)
+        gx = determinant(x)
         evaluations += 1
-        gx = fx * abs(fx) ** (n - 1)
         if gx == 0.0:
             return x, evaluations
         if (gx > 0.0) == (gb > 0.0):
@@ -340,9 +339,8 @@ def scan_spectrum(
     found: list[float] = []
     iterations: list[int] = []
     suspects: list[float] = []
-    bracket_count = 0
     untrusted_points = 0
-    window: list[tuple[float, float]] = []  # trailing trusted (lambda, f) samples
+    window: deque[tuple[float, float]] = deque(maxlen=3)  # trailing trusted (lambda, f) samples
     last: tuple[float, float] | None = None  # latest trusted (lambda, f) sample
 
     for lam, f, trusted in indicator_series(spec, grid()):
@@ -353,16 +351,13 @@ def scan_spectrum(
             window.clear()
             continue
         if last is not None and last[1] * f < 0.0:
-            bracket_count += 1
             root, evaluations = _refine(
-                lambda x: det_indicator(spec, x ** (2 * spec.p)), spec.n, *last, lam, f
+                lambda x: float(np.linalg.det(boundary_matrix(spec, x))), spec.n, *last, lam, f
             )
             iterations.append(evaluations)
             found.append(root)
         last = (lam, f)
         window.append(last)
-        if len(window) > 3:
-            window.pop(0)
         if len(window) == 3:
             (l0, f0), (l1, f1), (l2, f2) = window
             if (
@@ -380,7 +375,7 @@ def scan_spectrum(
         raise ScanExhaustedError(spec.label(), eigenvalues, count, lambda_ceiling)
     metadata = ScanMetadata(
         grid_step=step,
-        bracket_count=bracket_count,
+        bracket_count=len(found),
         refinement_iterations=tuple(iterations),
         suspects=tuple(suspects),
         lambda_ceiling=lambda_ceiling,

@@ -46,6 +46,22 @@ class TestExitCodes:
         )
         assert code == 2 and "found only 1 of 2" in err
 
+    @pytest.mark.parametrize("n, count, step", [("1", "2", "2"), ("2", "3", "5")])
+    def test_a_root_skipped_by_a_coarse_grid_is_two(self, capsys, n, count, step):
+        # the first grid point lies past the first root, or two roots share a grid
+        # cell: the reported eigenvalue 0 exceeds its Ritz upper bound
+        code, out, err = run_cli(capsys, "spectrum", "--n", n, "--p", "1", "--count", count,
+                                 "--step", step, "--format", "csv")
+        assert code == 2 and out == ""
+        assert "solver failure: Lambda_0 =" in err and "Ritz upper bound" in err
+        # the default step finds every root
+        code, out, _ = run_cli(capsys, "spectrum", "--n", n, "--p", "1", "--count", count,
+                               "--format", "json")
+        first = 0.5 if n == "1" else 1.0
+        expect = [((k + first) * PI) ** 2 for k in range(int(count))]
+        values = json.loads(out)["results"]["eigenvalues"]
+        assert code == 0 and all(abs(a - b) / b < 1e-12 for a, b in zip(values, expect))
+
     def test_identity_violation_is_three(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--inject-fault"
@@ -221,6 +237,15 @@ class TestConfigAndOutput:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["command"] == "spectrum"
+
+    def test_unwritable_out_path_is_a_configuration_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1", "--out", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"rqlab: configuration error: cannot write {target}: ")
+        assert "Traceback" not in err and not target.parent.exists()
 
     def test_config_file_defaults_and_flag_priority(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

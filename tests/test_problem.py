@@ -35,7 +35,7 @@ class TestProblemSpec:
 
 def kernel_table(spec: ProblemSpec, Lambda: float) -> tuple:
     """The (frequency, coefficient) terms of each kernel function at one Lambda, unpadded."""
-    mu, c = kernel_terms(spec, Lambda)
+    mu, c = kernel_terms(spec, root_system(spec.p, Lambda).rho)
     assert mu.shape == c.shape == (spec.p, KERNEL_SLOTS)
     return tuple(
         tuple((m, k) for m, k in zip(ms, ks) if m or k) for ms, ks in zip(mu.tolist(), c.tolist())

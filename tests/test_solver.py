@@ -16,7 +16,7 @@ from rqlab import solver
 from rqlab.cli import main
 from rqlab.errors import ConfigError, ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
-from rqlab.problem import ProblemSpec, solution_basis
+from rqlab.problem import ProblemSpec, root_system, solution_basis
 from rqlab.solver import (
     antisym_equals_next_sym,
     boundary_matrix,
@@ -76,12 +76,13 @@ class TestBoundaryMatrix:
             for parity in (S, A):
                 spec = ProblemSpec(n, p, parity)
                 Lambdas = [float(lam) ** (2 * p) for lam in np.arange(0.02, 60.0, 0.91)]
-                batched = boundary_matrix(spec, Lambdas)
+                rhos = [root_system(p, Lambda).rho for Lambda in Lambdas]
+                batched = boundary_matrix(spec, rhos)
                 assert batched.shape == (len(Lambdas), n, n)
-                for matrix, Lambda in zip(batched, Lambdas):
+                for matrix, Lambda, rho in zip(batched, Lambdas, rhos):
                     oracle = exppoly_boundary_matrix(spec, Lambda)
                     assert np.abs(matrix - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
-                    one_point = boundary_matrix(spec, Lambda)
+                    one_point = boundary_matrix(spec, rho)
                     assert np.array_equal(one_point, matrix), (spec.label(), Lambda)
 
     def test_batched_rows_equal_one_point_calls_and_the_oracle(self):
@@ -98,10 +99,11 @@ class TestBoundaryMatrix:
         def rows_match(order, parity, lams):
             spec = ProblemSpec(*order, parity)
             Lambdas = [lam ** (2 * spec.p) for lam in lams]
-            batched = boundary_matrix(spec, Lambdas)
-            indicators = [f for _, f, _ in solver.indicator_series(spec, lams)]
-            for matrix, Lambda, f in zip(batched, Lambdas, indicators):
-                assert np.array_equal(matrix, boundary_matrix(spec, Lambda))
+            rhos = [root_system(spec.p, Lambda).rho for Lambda in Lambdas]
+            batched = boundary_matrix(spec, rhos)
+            indicators = [f for _, f, _ in solver.indicator_series(spec, rhos)]
+            for matrix, Lambda, rho, f in zip(batched, Lambdas, rhos, indicators):
+                assert np.array_equal(matrix, boundary_matrix(spec, rho))
                 assert np.abs(matrix - exppoly_boundary_matrix(spec, Lambda)).max() <= ORACLE_BOUND
                 assert f == det_indicator(spec, Lambda)
 
@@ -148,7 +150,7 @@ class TestScanSpectrum:
                   (0.30, 0.5), (0.35, -0.5)]
         monkeypatch.setattr(solver, "indicator_series",
                             lambda spec, lams: ((lam, f, True) for lam, f in series))
-        monkeypatch.setattr(solver, "det_indicator", lambda spec, Lambda: 0.325 - Lambda**0.5)
+        monkeypatch.setattr(solver, "boundary_matrix", lambda spec, rho: np.array([[0.325 - rho]]))
         out = scan_spectrum(ProblemSpec(1, 1, S), 1)
         assert out.metadata.suspects == (0.10,)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
@@ -169,9 +171,9 @@ class TestScanSpectrum:
         points = []
         original = solver.boundary_matrix
 
-        def counted(spec, Lambda):
-            points.append(np.size(Lambda))
-            return original(spec, Lambda)
+        def counted(spec, rho):
+            points.append(np.size(rho))
+            return original(spec, rho)
 
         monkeypatch.setattr(solver, "boundary_matrix", counted)
         evaluations = []
