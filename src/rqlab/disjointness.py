@@ -392,10 +392,6 @@ class SweepSummary:
     global_min_gap: float
     partial: bool  # at least one pair failed to compute
 
-    @property
-    def candidate_free(self) -> bool:
-        return not self.candidates
-
 
 def sweep_conjecture(
     p: int,

@@ -146,16 +146,8 @@ class ExpPoly:
         return ExpPoly.build([(0j, (0j,) * degree + (complex(coeff),))])
 
     @staticmethod
-    def exponential(mu, coeffs=(1.0,)) -> "ExpPoly":
-        return ExpPoly.build([(complex(mu), tuple(complex(c) for c in coeffs))])
-
-    @staticmethod
     def cosine(w: float) -> "ExpPoly":
         return ExpPoly.build([(complex(0, w), (0.5 + 0j,)), (complex(0, -w), (0.5 + 0j,))])
-
-    @staticmethod
-    def sine(w: float) -> "ExpPoly":
-        return ExpPoly.build([(complex(0, w), (-0.5j,)), (complex(0, -w), (0.5j,))])
 
     # ----- basic algebra -------------------------------------------------
 
@@ -257,14 +249,6 @@ class ExpPoly:
     def zero_frequency_part(self) -> "ExpPoly":
         return ExpPoly(tuple((mu, coeffs) for mu, coeffs in self.terms if mu == 0))
 
-    def coefficient_at(self, mu) -> tuple[complex, ...]:
-        """Coefficients of the term whose frequency matches mu to 1e-9 relative, () if absent."""
-        target = complex(mu)
-        for freq, coeffs in self.terms:
-            if abs(freq - target) <= 1e-9 * (1.0 + abs(target)):
-                return coeffs
-        return ()
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -310,12 +294,6 @@ class SigmaPolynomial:
             for j, b in enumerate(other.coeffs):
                 prod[i + j] += a * b
         return SigmaPolynomial(tuple(prod))
-
-    def at(self, value) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * complex(value) + c
-        return acc
 
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Apply the operator exactly: sigma g = i * g'."""

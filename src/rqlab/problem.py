@@ -74,15 +74,17 @@ class RootSystem:
 
 
 def _root(p: int, j: int, rho: float) -> complex:
-    # exact axis values keep the real/imaginary classification sharp
-    if j % (2 * p) == 0:
+    # first-quadrant roots from cos/sin, with exact axis values that keep the
+    # real/imaginary classification sharp; every other root is an exact
+    # negation or conjugate of one, so mirror roots agree to the last bit
+    if j >= p:
+        return 0.0 - _root(p, j - p, rho)  # unlike unary minus, keeps a zero part +0.0
+    if 2 * j > p:
+        return -_root(p, p - j, rho).conjugate()
+    if j == 0:
         return complex(rho, 0.0)
-    if j == p:
-        return complex(-rho, 0.0)
     if 2 * j == p:
         return complex(0.0, rho)
-    if 2 * j == 3 * p:
-        return complex(0.0, -rho)
     theta = math.pi * j / p
     return complex(rho * math.cos(theta), rho * math.sin(theta))
 
@@ -132,11 +134,9 @@ def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, n
     # ... and (sign of b in mu, kappa) per term of e^(-b) cosh(bx), e^(-b) sinh(bx)
     hyp = {True: ((-1, 1), (1, 1)), False: ((-1, -1), (1, 1))}
     columns, depth = [], []
-    for j in range(p):
+    for j in range(p // 2 + 1):  # the first-quadrant roots
         root = _root(p, j, 1.0)
         a, b = root.real, root.imag
-        if a < 0.0:
-            continue
         if b == 0.0:
             columns.append([(1j * s * a, k) for s, k in trig[symmetric]])
         elif a == 0.0:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RitzConditioningError
-from .exppoly import ExpPoly
 from .problem import ProblemSpec
 
 MAX_BASIS_SIZE = 64  # far beyond the useful double-precision envelope (K ~ 25)
@@ -56,11 +55,6 @@ class RitzSystem:
     stiffness: tuple[tuple[int, ...], ...]  # <phi_k^(n) phi_l^(n)> * denominator
     mass: tuple[tuple[int, ...], ...]  # <phi_k^(n-p) phi_l^(n-p)> * denominator
     denominator: int
-
-    def trial_function(self, k: int) -> ExpPoly:
-        # monomials of one frequency merge into a single polynomial term
-        terms = _trial_terms(self.spec, k, 0)
-        return ExpPoly.build([(0j, (0j,) * e + (complex(c),)) for e, c in terms])
 
 
 def assemble(spec: ProblemSpec, K: int) -> RitzSystem:

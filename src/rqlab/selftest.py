@@ -1,9 +1,10 @@
 """Built-in smoke battery: closed forms, identity anchors, property sweeps.
 
-These checks mirror the heart of the acceptance suite so a deployed copy
-can vouch for itself in about a minute: closed-form spectra, the two
-hand-computable identity anchors, and seeded randomized property sweeps of
-the exponential-polynomial core.
+These are the one implementation of the checks at the heart of the
+acceptance suite, which runs them too, so a deployed copy can vouch for
+itself in about a minute: closed-form spectra, the two hand-computable
+identity anchors, and seeded randomized property sweeps of the
+exponential-polynomial core.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
     for _ in range(cases):
         f = random_exppoly(rng, freq_scale=30.0, max_degree=5, terms=2)
         g = random_exppoly(rng, freq_scale=30.0, max_degree=5, terms=2)
-        al, be = complex(rng.uniform(-2, 2)), complex(rng.uniform(-2, 2))
+        al = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        be = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         lhs = (f.scaled(al) + g.scaled(be)).integrate_unit()
         rhs = al * f.integrate_unit() + be * g.integrate_unit()
         scale = max(abs(lhs), abs(rhs), abs(f.integrate_unit()), abs(g.integrate_unit()), 1e-30)
@@ -174,7 +176,7 @@ def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
     reports.append(bound_report("prop-quadrature-agreement", (cases,), worst, 1e-10))
 
     worst_b = worst_o = 0.0
-    for (n, p) in ((2, 1), (3, 2), (4, 2)):
+    for (n, p) in ((2, 1), (3, 2), (4, 2), (5, 2)):
         cached_spectrum(n, p, "symmetric", 2)  # one scan for both pairs
         for pair in (cached_eigenpair(n, p, "symmetric", i) for i in range(2)):
             r = pair.residuals

@@ -29,6 +29,7 @@ DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
 NULLSPACE_QUALITY_LIMIT = 1e-6
 SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff noise
 SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
+MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
 
 
 @functools.cache
@@ -148,8 +149,9 @@ class EigenPair:
 
     @property
     def kernel_coeffs(self) -> tuple[complex, ...]:
+        terms = dict(self.z.terms)  # z's frequencies are exactly i * root
         roots = root_system(self.spec.p, self.Lambda).roots
-        return tuple((self.z.coefficient_at(1j * lam) or (0j,))[0] for lam in roots)
+        return tuple(terms.get(1j * root, (0j,))[0] for root in roots)
 
     @property
     def poly_coeffs(self) -> tuple[float, ...]:
@@ -320,7 +322,9 @@ def scan_spectrum(
     Brackets come from sign changes of the determinant indicator on a uniform
     grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
     between consecutive grid points whose sign is trusted; each bracket is
-    refined to ~1e-15 relative in lambda.
+    refined to ~1e-15 relative in lambda.  Consecutive roots lie about pi
+    apart, so a gap over ``MAX_ROOT_GAP`` raises ``SolverError`` rather than
+    report a spectrum with a skipped root.
     Sign-preserving near-zero dips are recorded as suspected double roots
     instead of being split heuristically.
     """
@@ -354,6 +358,11 @@ def scan_spectrum(
             root, evaluations = _refine(
                 lambda x: float(np.linalg.det(boundary_matrix(spec, x))), spec.n, *last, lam, f
             )
+            if found and root - found[-1] > MAX_ROOT_GAP:
+                raise SolverError(
+                    f"root coordinate gap {(root - found[-1]) / math.pi:.2f} pi from "
+                    f"{found[-1]!r} to {root!r} for {spec.label()}: a root was skipped"
+                )
             iterations.append(evaluations)
             found.append(root)
         last = (lam, f)

@@ -3,30 +3,28 @@
 Expected values never come from the code paths they check: spectra are
 compared against closed forms and plain-bisection roots, integrals against
 adaptive quadrature, and the identity anchors against hand-computed
-constants.
+constants.  Criteria 01, 09 and the anchors of 05 run the checks of
+``rqlab.selftest``, their one implementation, and hold each report to the
+criterion's own bound.
 """
 
 import json
-import math
 import time
-
-import numpy as np
 
 from rqlab import invariants as inv
 from rqlab.cli import main
 from rqlab.disjointness import sweep_conjecture
-from rqlab.exppoly import ExpPoly, inner_product, l2_norm_sq
 from rqlab.problem import ProblemSpec
 from rqlab.ritz import assemble, ritz_values
-from rqlab.selftest import run_selftest
-from rqlab.solver import (
-    antisym_equals_next_sym,
-    cached_eigenpair,
-    cached_spectrum,
-    eigenpair_from_function,
+from rqlab.selftest import (
+    closed_form_spectrum_checks,
+    identity_anchor_checks,
+    property_checks,
+    run_selftest,
 )
+from rqlab.solver import antisym_equals_next_sym, cached_spectrum
 
-from conftest import PI, bisect_root, quad_integral, random_exppoly, random_real_exppoly, rel_err
+from conftest import rel_err
 
 S = "symmetric"
 GRID = [(n, p) for n in range(1, 7) for p in range(1, min(n, 3) + 1)]
@@ -42,27 +40,12 @@ def _verdict(capsys, num: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_closed_form_eigenvalues(capsys):
-    checks = []
-
-    def spectrum(n, p, parity, count):
-        return cached_spectrum(n, p, parity, count)
-
-    got = spectrum(1, 1, S, 3)
-    want = [((k + 0.5) * PI) ** 2 for k in range(3)]
-    checks += [rel_err(a, b) <= 1e-9 for a, b in zip(got, want)]
-
-    for parity_spec in ((1, 1, "antisymmetric"), (2, 1, S)):
-        got = spectrum(*parity_spec, 2)
-        want = [(k * PI) ** 2 for k in (1, 2)]
-        checks += [rel_err(a, b) <= 1e-9 for a, b in zip(got, want)]
-
-    root = bisect_root(lambda t: math.tan(t) - t, PI + 1e-9, 1.5 * PI - 1e-9)
-    checks.append(rel_err(spectrum(3, 1, S, 1)[0], root * root) <= 1e-7)
-
-    root = bisect_root(lambda t: math.tan(t) + math.tanh(t), PI / 2 + 1e-9, PI)
-    checks.append(rel_err(spectrum(2, 2, S, 1)[0], root**4) <= 1e-7)
-
-    _verdict(capsys, 1, "closed-form eigenvalues", all(checks))
+    # (1,1) both parities and (2,1) in closed form; (3,1) and (2,2) against bisection roots
+    reports = closed_form_spectrum_checks()
+    ok = len(reports) == 9
+    ok &= all(rel_err(r.lhs, r.rhs) <= (1e-7 if r.index[:2] in {(3, 1), (2, 2)} else 1e-9)
+              for r in reports)
+    _verdict(capsys, 1, "closed-form eigenvalues", ok)
 
 
 def test_criterion_02_parity_shift(capsys):
@@ -134,16 +117,9 @@ def test_criterion_05_identity_suite(capsys):
     ok &= all(r.passed for r in by_id["positivity"])
     ok &= max(r.rel_residual for r in by_id["positivity"]) <= 1e-8
 
-    # hand-computed anchors on the closed-form pair (p = 1, orders 1 and 2)
-    z1 = eigenpair_from_function(ProblemSpec(1, 1, S), PI * PI / 4, ExpPoly.cosine(PI / 2), 0)
-    z2 = eigenpair_from_function(
-        ProblemSpec(2, 1, S), PI * PI, ExpPoly.constant(1) + ExpPoly.cosine(PI), 0
-    )
-    cross = inv.check_cross_identity(z1, z2)
-    ok &= rel_err(cross.lhs, -4 * PI) <= 1e-10 and rel_err(cross.rhs, -4 * PI) <= 1e-10
-    pos = inv.check_positivity_family(z2, 0)
-    ok &= all(rel_err(pos.details[r], 2 * PI**4) <= 1e-10
-              for r in ("norm_route", "h_route", "bracket_route"))
+    # hand-computed anchors on the closed-form pairs (p = 1, orders 1 and 2)
+    anchors = identity_anchor_checks()
+    ok &= len(anchors) == 6 and all(rel_err(r.lhs, r.rhs) <= 1e-10 for r in anchors)
     _verdict(capsys, 5, "identity suite residuals and anchors", ok)
 
 
@@ -176,7 +152,7 @@ def test_criterion_08_disjointness_sweep(capsys):
     ok = True
     for p in (1, 2):
         summary = sweep_conjecture(p, 5, 5, collision_tol=1e-4)
-        ok &= summary.candidate_free and not summary.partial
+        ok &= not summary.candidates and not summary.partial
         for pair in summary.pairs:
             lines.append(
                 f"    p={p} n={pair.n} m={pair.m} min_gap={pair.min_gap:.6f} @ {pair.min_pair}"
@@ -191,66 +167,17 @@ def test_criterion_08_disjointness_sweep(capsys):
 
 
 def test_criterion_09_property_suites(capsys):
-    rng = np.random.RandomState(424242)
-    ok = True
-
-    worst = 0.0
-    for _ in range(200):
-        f = random_exppoly(rng, freq_scale=30, max_degree=5, terms=2)
-        g = random_exppoly(rng, freq_scale=30, max_degree=5, terms=2)
-        al = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        be = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = (f.scaled(al) + g.scaled(be)).integrate_unit()
-        rhs = al * f.integrate_unit() + be * g.integrate_unit()
-        scale = max(abs(lhs), abs(rhs), abs(f.integrate_unit()), abs(g.integrate_unit()), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    ok &= worst <= 1e-10
-
-    window = ExpPoly.build([(0j, (1.0, 0.0, -1.0))])
-    worst = 0.0
-    for _ in range(200):
-        f = random_real_exppoly(rng, freq_scale=20, max_degree=3, terms=2) * window
-        g = random_real_exppoly(rng, freq_scale=20, max_degree=3, terms=2) * window
-        lhs = inner_product(f.differentiate(), g)
-        rhs = -inner_product(f, g.differentiate())
-        scale = max(abs(lhs), abs(rhs),
-                    math.sqrt(l2_norm_sq(f.differentiate()) * l2_norm_sq(g)), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    ok &= worst <= 1e-10
-
-    worst = 0.0
-    for trial in range(200):
-        k = 1 + trial % 3
-        clamp = window
-        for _ in range(k - 1):
-            clamp = clamp * window
-        f = random_real_exppoly(rng, freq_scale=8, max_degree=2, terms=2) * clamp
-        g = random_real_exppoly(rng, freq_scale=8, max_degree=2, terms=2) * clamp
-        sf, sg = f, g
-        for _ in range(k):
-            sf = sf.differentiate().scaled(1j)
-            sg = sg.differentiate().scaled(1j)
-        lhs = inner_product(sf, g.conjugate())
-        rhs = inner_product(f, sg.conjugate())
-        scale = max(abs(lhs), abs(rhs), math.sqrt(l2_norm_sq(sf) * l2_norm_sq(g)), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    ok &= worst <= 1e-10
-
-    worst = 0.0
-    for _ in range(200):
-        f = random_exppoly(rng, freq_scale=50, max_degree=8, terms=2)
-        closed = f.integrate_unit()
-        reference = quad_integral(f)
-        scale = max(abs(closed), abs(reference), 1e-10 * f.magnitude_bound(), 1e-30)
-        worst = max(worst, abs(closed - reference) / scale)
-    ok &= worst <= 1e-10
-
-    for (n, p) in ((2, 1), (3, 2), (5, 2)):
-        cached_spectrum(n, p, S, 2)  # one scan for both pairs
-        for pair in (cached_eigenpair(n, p, S, i) for i in range(2)):
-            r = pair.residuals
-            ok &= r.boundary_residual <= 1e-9 * r.boundary_scale
-            ok &= r.operator_residual <= 1e-8 * r.operator_scale
+    bounds = {
+        "prop-linearity": 1e-10,
+        "prop-integration-by-parts": 1e-10,
+        "prop-hermiticity": 1e-10,
+        "prop-quadrature-agreement": 1e-10,
+        "prop-boundary-residual": 1e-9,
+        "prop-operator-residual": 1e-8,
+    }
+    reports = property_checks(seed=424242, cases=200)
+    ok = [r.identity_id for r in reports] == list(bounds)
+    ok &= all(r.lhs <= bounds[r.identity_id] for r in reports)
     _verdict(capsys, 9, "randomized property suites", ok)
 
 

@@ -48,12 +48,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n, count, step", [("1", "2", "2"), ("2", "3", "5")])
     def test_a_root_skipped_by_a_coarse_grid_is_two(self, capsys, n, count, step):
-        # the first grid point lies past the first root, or two roots share a grid
-        # cell: the reported eigenvalue 0 exceeds its Ritz upper bound
+        # the first grid point lies past the first root, so the reported eigenvalue
+        # 0 exceeds its Ritz upper bound; or two roots share a grid cell, which
+        # opens a root-coordinate gap of about 3 pi
         code, out, err = run_cli(capsys, "spectrum", "--n", n, "--p", "1", "--count", count,
                                  "--step", step, "--format", "csv")
         assert code == 2 and out == ""
-        assert "solver failure: Lambda_0 =" in err and "Ritz upper bound" in err
+        if step == "2":
+            assert "solver failure: Lambda_0 =" in err and "Ritz upper bound" in err
+        else:
+            assert "solver failure: root coordinate gap 3.00 pi" in err
+            assert "a root was skipped" in err
         # the default step finds every root
         code, out, _ = run_cli(capsys, "spectrum", "--n", n, "--p", "1", "--count", count,
                                "--format", "json")
@@ -61,6 +66,14 @@ class TestExitCodes:
         expect = [((k + first) * PI) ** 2 for k in range(int(count))]
         values = json.loads(out)["results"]["eigenvalues"]
         assert code == 0 and all(abs(a - b) / b < 1e-12 for a, b in zip(values, expect))
+
+    def test_roots_skipped_among_untrusted_grid_points_are_two(self, capsys):
+        # four roots lie where no grid point's sign is trusted; the Ritz bound at
+        # K = 20 is too loose to notice, the gap of 5 pi is not
+        code, out, err = run_cli(capsys, "spectrum", "--n", "7", "--p", "1", "--count", "20")
+        assert code == 2 and out == ""
+        assert "solver failure: root coordinate gap 5.01 pi" in err
+        assert "a root was skipped" in err
 
     def test_identity_violation_is_three(self, capsys):
         code, _, _ = run_cli(

@@ -135,14 +135,14 @@ class TestNecessaryConditions:
 class TestSweep:
     def test_p1_grid_is_candidate_free(self):
         summary = sweep_conjecture(1, 4, 5)
-        assert summary.candidate_free
+        assert not summary.candidates
         assert not summary.partial
         assert summary.global_min_gap > 1e-3
         assert len(summary.pairs) == 6  # (n, m) pairs with 1 <= n < m <= 4
 
     def test_p2_grid_is_candidate_free(self):
         summary = sweep_conjecture(2, 4, 4)
-        assert summary.candidate_free
+        assert not summary.candidates
         assert summary.global_min_gap > 1e-3
 
     def test_deterministic(self):

@@ -1,4 +1,8 @@
-"""Exponential-polynomial core: examples, invariants, randomized properties."""
+"""Exponential-polynomial core: examples and invariants.
+
+The randomized property sweeps are ``rqlab.selftest.property_checks``, which
+acceptance criterion 09 runs.
+"""
 
 import math
 
@@ -97,14 +101,15 @@ class TestIntegrateUnit:
         assert ExpPoly.cosine(PI / 2).integrate_unit().real == pytest.approx(4 / PI, rel=1e-14)
 
     def test_odd_function_integrates_to_zero(self):
-        assert abs(ExpPoly.sine(PI).integrate_unit()) < 1e-14
+        sine = ExpPoly.build([(complex(0, PI), (-0.5j,)), (complex(0, -PI), (0.5j,))])
+        assert abs(sine.integrate_unit()) < 1e-14
 
     def test_pure_polynomial_branch(self):
         f = ExpPoly.monomial(4, 3.0) + ExpPoly.monomial(1, 7.0)
         assert f.integrate_unit().real == pytest.approx(3.0 * 2 / 5, rel=1e-15)
 
     def test_small_frequency_series_branch(self):
-        f = ExpPoly.exponential(1e-4 + 1e-5j, (1.0, 2.0, 0.5))
+        f = ExpPoly.build([(1e-4 + 1e-5j, (1.0, 2.0, 0.5))])
         assert rel_err(abs(f.integrate_unit()), abs(quad_integral(f))) < 1e-12
 
 
@@ -141,10 +146,9 @@ class TestSigmaPolynomial:
         # sigma = i d has eigenvalue -lam on e^{i lam x}
         lam = 2.7
         op = SigmaPolynomial.from_roots([1.0, -3.0])
-        f = ExpPoly.exponential(1j * lam)
-        image = op.apply(f)
+        image = op.apply(ExpPoly.build([(1j * lam, (1.0,))]))
         assert len(image.terms) == 1
-        assert image.terms[0][1][0] == pytest.approx(op.at(-lam), rel=1e-14)
+        assert image.terms[0][1][0] == pytest.approx((-lam - 1) * (-lam + 3), rel=1e-14)
 
     def test_from_roots_and_product(self):
         a = SigmaPolynomial.from_roots([2.0])
@@ -157,64 +161,6 @@ class TestSigmaPolynomial:
 
 
 class TestProperties:
-    def test_linearity_of_integration(self, rng):
-        worst = 0.0
-        for _ in range(200):
-            f = random_exppoly(rng, freq_scale=30, max_degree=5, terms=2)
-            g = random_exppoly(rng, freq_scale=30, max_degree=5, terms=2)
-            al = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            be = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            lhs = (f.scaled(al) + g.scaled(be)).integrate_unit()
-            rhs = al * f.integrate_unit() + be * g.integrate_unit()
-            scale = max(abs(lhs), abs(rhs), abs(f.integrate_unit()), abs(g.integrate_unit()), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        assert worst < 1e-12
-
-    def test_integration_by_parts(self, rng):
-        window = ExpPoly.build([(0j, (1.0, 0.0, -1.0))])  # vanishes at +-1
-        worst = 0.0
-        for _ in range(200):
-            f = random_real_exppoly(rng, freq_scale=20, max_degree=3, terms=2) * window
-            g = random_real_exppoly(rng, freq_scale=20, max_degree=3, terms=2) * window
-            lhs = inner_product(f.differentiate(), g)
-            rhs = -inner_product(f, g.differentiate())
-            scale = max(
-                abs(lhs), abs(rhs),
-                math.sqrt(l2_norm_sq(f.differentiate()) * l2_norm_sq(g)), 1e-30,
-            )
-            worst = max(worst, abs(lhs - rhs) / scale)
-        assert worst < 1e-10
-
-    def test_hermiticity_of_sigma_powers(self, rng):
-        window = ExpPoly.build([(0j, (1.0, 0.0, -1.0))])
-        worst = 0.0
-        for trial in range(200):
-            k = 1 + trial % 3
-            clamp = window
-            for _ in range(k - 1):
-                clamp = clamp * window
-            f = random_real_exppoly(rng, freq_scale=8, max_degree=2, terms=2) * clamp
-            g = random_real_exppoly(rng, freq_scale=8, max_degree=2, terms=2) * clamp
-            sf, sg = f, g
-            for _ in range(k):
-                sf = sf.differentiate().scaled(1j)
-                sg = sg.differentiate().scaled(1j)
-            lhs = inner_product(sf, g.conjugate())
-            rhs = inner_product(f, sg.conjugate())
-            scale = max(abs(lhs), abs(rhs), math.sqrt(l2_norm_sq(sf) * l2_norm_sq(g)), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        assert worst < 1e-10
-
-    def test_integration_agrees_with_quadrature(self, rng):
-        worst = 0.0
-        for _ in range(200):
-            f = random_exppoly(rng, freq_scale=50, max_degree=8, terms=2)
-            closed = f.integrate_unit()
-            reference = quad_integral(f)
-            scale = max(abs(closed), abs(reference), 1e-10 * f.magnitude_bound(), 1e-30)
-            worst = max(worst, abs(closed - reference) / scale)
-        assert worst < 1e-10
-
     def test_norm_is_nonnegative(self, rng):
         for _ in range(20):
             f = random_exppoly(rng, freq_scale=20, max_degree=4, terms=2)

@@ -9,27 +9,34 @@ from rqlab import solver
 from rqlab.errors import IdentityViolationError
 from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec, reduced_operator
+from rqlab.selftest import closed_form_anchor_pairs, identity_anchor_checks
 from rqlab.solver import cached_eigenpair, eigenpair_from_function
 
-from conftest import PI, quad_integral
+from conftest import PI, quad_integral, rel_err
 
 S = "symmetric"
 
 
 @pytest.fixture(scope="module")
 def z1():
-    return eigenpair_from_function(ProblemSpec(1, 1, S), PI * PI / 4, ExpPoly.cosine(PI / 2), 0)
+    return closed_form_anchor_pairs()[0]
 
 
 @pytest.fixture(scope="module")
 def z2():
-    fn = ExpPoly.constant(1) + ExpPoly.cosine(PI)
-    return eigenpair_from_function(ProblemSpec(2, 1, S), PI * PI, fn, 0)
+    return closed_form_anchor_pairs()[1]
+
+
+@pytest.fixture(scope="module")
+def anchors():
+    """The hand-value anchor reports of the self-test, by identity id."""
+    return {r.identity_id: r for r in identity_anchor_checks()}
 
 
 class TestStone:
-    def test_closed_form_value(self, z2):
-        assert inv.stone(z2) == pytest.approx(-PI * PI, rel=1e-13)
+    def test_closed_form_value(self, anchors):
+        report = anchors["anchor-stone"]
+        assert rel_err(report.lhs, report.rhs) <= 1e-13
 
     def test_undefined_for_order_equal_offset(self, z1):
         with pytest.raises(ValueError):
@@ -156,11 +163,11 @@ class TestStoneIdentity:
 
 
 class TestCrossIdentity:
-    def test_closed_form_anchor(self, z1, z2):
-        report = inv.check_cross_identity(z1, z2)
-        assert report.passed
-        assert report.lhs == pytest.approx(-4 * PI, rel=1e-12)
-        assert report.rhs == pytest.approx(-4 * PI, rel=1e-12)
+    def test_closed_form_anchor(self, z1, z2, anchors):
+        assert inv.check_cross_identity(z1, z2).passed
+        for side in ("lhs", "rhs"):
+            report = anchors[f"anchor-cross-{side}"]
+            assert rel_err(report.lhs, report.rhs) <= 1e-12
 
     def test_numeric_adjacent_orders(self):
         report = inv.check_cross_identity(cached_eigenpair(2, 1, S, 0), cached_eigenpair(3, 1, S, 0))
@@ -195,11 +202,11 @@ class TestBilinearFamily:
 
 
 class TestPositivityFamily:
-    def test_closed_form_anchor(self, z2):
-        report = inv.check_positivity_family(z2, 0)
-        assert report.passed
+    def test_closed_form_anchor(self, z2, anchors):
+        assert inv.check_positivity_family(z2, 0).passed
         for route in ("norm_route", "h_route", "bracket_route"):
-            assert report.details[route] == pytest.approx(2 * PI**4, rel=1e-12)
+            report = anchors[f"anchor-positivity-{route}"]
+            assert rel_err(report.lhs, report.rhs) <= 1e-12
 
     def test_numeric_3_1_both_shifts(self):
         pair = cached_eigenpair(3, 1, S, 0)

@@ -53,7 +53,7 @@ def column_counts(spec: ProblemSpec, Lambda: float) -> tuple[int, int, int]:
 def hyperbolic(b: float, odd: bool) -> ExpPoly:
     """cosh(b x) or sinh(b x), scaled by exp(-b)."""
     h = 0.5 * math.exp(-b)
-    return ExpPoly.exponential(b, (h,)) + ExpPoly.exponential(-b, (-h if odd else h,))
+    return ExpPoly.build([(b, (h,)), (-b, (-h if odd else h,))])
 
 
 class TestRootSystem:
@@ -172,7 +172,8 @@ class TestSolutionBasis:
             basis = solution_basis(spec, 42.0)
             for j in range(1, (p + 1) // 2):
                 a, b = rs.roots[j].real, rs.roots[j].imag
-                first, second = (ExpPoly.cosine(a), ExpPoly.sine(a))
+                sine = ExpPoly.build([(complex(0, a), (-0.5j,)), (complex(0, -a), (0.5j,))])
+                first, second = (ExpPoly.cosine(a), sine)
                 if parity == "antisymmetric":
                     first, second = second, first
                 assert basis[2 * j - 1] == first * hyperbolic(b, odd=False)

@@ -17,6 +17,7 @@ from rqlab.cli import main
 from rqlab.errors import ConfigError, ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
 from rqlab.problem import ProblemSpec, root_system, solution_basis
+from rqlab.selftest import closed_form_spectrum_checks
 from rqlab.solver import (
     antisym_equals_next_sym,
     boundary_matrix,
@@ -111,20 +112,25 @@ class TestBoundaryMatrix:
 
 
 class TestScanSpectrum:
-    def test_1_1_symmetric_closed_form(self):
-        got = scan_spectrum(ProblemSpec(1, 1, S), 3).eigenvalues
-        for value, expect in zip(got, [((k + 0.5) * PI) ** 2 for k in range(3)]):
-            assert rel_err(value, expect) < 1e-12
+    # the closed forms are the self-test's; the store holds the direct scan bit for bit
+    @pytest.fixture(scope="class")
+    def closed_forms(self):
+        reports = {}
+        for r in closed_form_spectrum_checks():
+            reports.setdefault(r.index[:2], []).append(r)
+        return reports
 
-    def test_2_1_symmetric_closed_form(self):
-        got = scan_spectrum(ProblemSpec(2, 1, S), 2).eigenvalues
-        for value, expect in zip(got, [(k * PI) ** 2 for k in (1, 2)]):
-            assert rel_err(value, expect) < 1e-12
+    def test_1_1_symmetric_closed_form(self, closed_forms):
+        assert len(closed_forms[(1, 1)]) == 5  # three symmetric, two antisymmetric
+        assert all(rel_err(r.lhs, r.rhs) < 1e-12 for r in closed_forms[(1, 1)])
 
-    def test_3_1_first_matches_tangent_oracle(self):
-        root = bisect_root(lambda t: math.tan(t) - t, PI + 1e-9, 1.5 * PI - 1e-9)
-        got = scan_spectrum(ProblemSpec(3, 1, S), 1).eigenvalues[0]
-        assert rel_err(got, root * root) < 1e-9
+    def test_2_1_symmetric_closed_form(self, closed_forms):
+        assert len(closed_forms[(2, 1)]) == 2
+        assert all(rel_err(r.lhs, r.rhs) < 1e-12 for r in closed_forms[(2, 1)])
+
+    def test_3_1_first_matches_tangent_oracle(self, closed_forms):
+        (report,) = closed_forms[(3, 1)]
+        assert rel_err(report.lhs, report.rhs) < 1e-9
 
     def test_metadata_and_ordering(self):
         out = scan_spectrum(ProblemSpec(4, 2, S), 3)
@@ -276,6 +282,19 @@ class TestExtraction:
         assert pair.kernel_coeffs[0] == pytest.approx(pair.kernel_coeffs[1])  # cos split
         assert len(pair.poly_coeffs) == 1
         assert pair.poly_coeffs[0] == pytest.approx(1 / PI, rel=1e-12)
+
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_kernel_frequencies_are_exactly_the_roots(self, parity):
+        # the kernel template and root_system build mirror roots alike, so
+        # kernel_coeffs can look each root's term up by exact frequency
+        for n in range(1, 7):
+            for p in range(1, n + 1):
+                cached_spectrum(n, p, parity, 4)
+                for index in range(4):
+                    pair = cached_eigenpair(n, p, parity, index)
+                    roots = root_system(p, pair.Lambda).roots
+                    assert {mu for mu, _ in pair.kernel_part.terms} == {1j * r for r in roots}
+                    assert all(pair.kernel_coeffs), (n, p, index)
 
     def test_rescaled_view(self):
         pair = cached_eigenpair(3, 1, S, 0)
