@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rqlab.errors import ConfigError
+from rqlab.errors import ConfigError, RitzConditioningError
 from rqlab.exppoly import ExpPoly, inner_product
 from rqlab.problem import ProblemSpec
-from rqlab.ritz import MAX_BASIS_SIZE, assemble, ritz_values
+from rqlab.ritz import MAX_BASIS_SIZE, RitzSystem, assemble, ritz_values
 from rqlab.solver import cached_spectrum
 
 from conftest import PI, bisect_root, rel_err
@@ -97,9 +97,13 @@ class TestValues:
     def test_first_value_k1(self):
         assert ritz_values(assemble(ProblemSpec(1, 1, S), 1), 1)[0] == pytest.approx(2.5)
 
-    @pytest.mark.parametrize("n, p, parity", [(2, 1, S), (4, 2, A), (6, 3, S)])
-    @pytest.mark.parametrize("K", [12, 20])
-    def test_bit_identical_to_fraction_reduction(self, n, p, parity, K):
+    # every spectrum column that cli-mix draws (n <= 4, K = 20), plus larger systems
+    @pytest.mark.parametrize("K, n, p, parity", sorted(
+        {(20, n, p, parity) for n in range(1, 5) for p in range(1, n + 1) for parity in (S, A)}
+        | {(K, *spec) for K in (12, 20) for spec in ((2, 1, S), (4, 2, A), (6, 3, S))}
+        | {(32, 6, 3, S)}
+    ))
+    def test_bit_identical_to_fraction_reduction(self, K, n, p, parity):
         system = assemble(ProblemSpec(n, p, parity), K)
         reference = np.linalg.eigvalsh(_fraction_reduced_matrix(system))
         assert ritz_values(system, K) == [float(v) for v in reference]
@@ -155,6 +159,17 @@ class TestValues:
             values = ritz_values(assemble(spec, 20), count)
             for got, want in zip(values, det):
                 assert rel_err(got, want) < 1e-6
+
+    @pytest.mark.parametrize("mass, pivot", [
+        pytest.param(((2, 2, 1), (2, 2, 1), (1, 1, 3)), 1, id="row-1-repeats-row-0"),
+        pytest.param(((-2, 1, 0), (1, 3, 1), (0, 1, 4)), 0, id="negative-first-diagonal"),
+    ])
+    def test_exact_pivot_guard(self, mass, pivot):
+        identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+        system = RitzSystem(ProblemSpec(1, 1, S), 3, identity, mass, 1)
+        message = f"^exact mass pivot {pivot} is not positive$"
+        with pytest.raises(RitzConditioningError, match=message):
+            ritz_values(system, 1)
 
     def test_count_validation(self):
         system = assemble(ProblemSpec(1, 1, S), 3)
