@@ -8,6 +8,11 @@ object with the same keys as the envelope's config echo, each value checked
 as its flag is (explicit flags win).  Output is a schema-versioned JSON
 envelope, a CSV table, or a plain text table.
 
+Flags are long: ``--flag value`` or ``--flag=value`` (a negative number is a
+value), a unique prefix names its flag, a switch takes no value, and the last
+repeat of a flag wins.  ``-h``/``--help`` prints help, at the top level or
+after a command, and ``--version`` the version.  A flag error names its flag.
+
 Every command but spectrum reads eigenvalues and eigenpairs from the
 solver's per-order store, so within one process an order is rescanned only
 for a longer prefix and each eigenfunction is extracted once; spectrum
@@ -16,10 +21,13 @@ scans directly with its own step and ceiling.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
+import re
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__, invariants
 from .disjointness import compare_spectra, follow_up_candidates, sweep_conjecture
@@ -54,121 +62,29 @@ EXIT_SOLVER = 2
 EXIT_IDENTITY = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags through the exit-code contract."""
+def _checked(kind, ok, expected: str):
+    """A flag converter: ``kind(value)`` when it passes ``ok``, else a ConfigError."""
 
-    def error(self, message):
-        raise ConfigError(message)
+    def convert(value: str):
+        try:
+            x = kind(value)
+        except (KeyError, ValueError):
+            x = None
+        if x is None or not ok(x):
+            raise ConfigError(f"expected {expected}, got {value!r}")
+        return x
 
-
-def _parity(value: str) -> str:
-    table = {
-        "sym": SYMMETRIC,
-        "symmetric": SYMMETRIC,
-        "antisym": ANTISYMMETRIC,
-        "antisymmetric": ANTISYMMETRIC,
-        "a": ANTISYMMETRIC,
-        "s": SYMMETRIC,
-    }
-    try:
-        return table[value.lower()]
-    except KeyError:
-        raise ConfigError(f"unknown parity {value!r}") from None
+    return convert
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise ConfigError(f"expected a positive integer, got {value}")
-    return n
-
-
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if not x > 0:
-        raise ConfigError(f"expected a positive number, got {value}")
-    return x
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rqlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"rqlab {__version__}")
-    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="JSON file with flag defaults")
-
-    p = sub.add_parser("spectrum", help="scan eigenvalues with a Ritz cross-check column")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--parity", type=_parity, default=SYMMETRIC)
-    p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--lambda-max", type=_positive_float, default=None,
-                   help="eigenvalue ceiling (default: internal scan ceiling)")
-    p.add_argument("--step", type=_positive_float, default=0.05,
-                   help="scan step in the root coordinate")
-    p.add_argument("--ritz-k", type=_positive_int, default=20)
-    common(p)
-
-    p = sub.add_parser("eigenfunction", help="extract one eigenfunction in detail")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--parity", type=_parity, default=SYMMETRIC)
-    p.add_argument("--index", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("verify", help="run the identity suite on computed eigenpairs")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, default=None,
-                   help="partner order for the bilinear family (default: adjacent)")
-    p.add_argument("--count", type=_positive_int, default=2)
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    common(p)
-
-    p = sub.add_parser("disjoint", help="gap table between two symmetric spectra")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--collision-tol", type=_positive_float, default=1e-4)
-    common(p)
-
-    p = sub.add_parser("sweep", help="all-order gap sweep with candidate follow-up")
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--count", type=_positive_int, default=5)
-    p.add_argument("--collision-tol", type=_positive_float, default=1e-4)
-    common(p)
-
-    p = sub.add_parser("ritz", help="variational upper bounds from the trial basis")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--parity", type=_parity, default=SYMMETRIC)
-    p.add_argument("--K", type=_positive_int, default=20)
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--cross-check", action="store_true",
-                   help="also scan the determinant spectrum for comparison")
-    common(p)
-
-    p = sub.add_parser("plotdata", help="emit (lambda, Lambda, indicator) series")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--parity", type=_parity, default=SYMMETRIC)
-    p.add_argument("--lambda-to", type=_positive_float, required=True,
-                   help="eigenvalue ceiling for the series")
-    p.add_argument("--step", type=_positive_float, default=0.02)
-    common(p)
-
-    p = sub.add_parser("selftest", help="closed forms, identity anchors, property sweeps")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--cases", type=_positive_int, default=200)
-    common(p)
-
-    return parser
+_PARITIES = {"s": SYMMETRIC, "sym": SYMMETRIC, "symmetric": SYMMETRIC,
+             "a": ANTISYMMETRIC, "antisym": ANTISYMMETRIC, "antisymmetric": ANTISYMMETRIC}
+_parity = _checked(lambda value: _PARITIES[value.lower()], bool, "sym or antisym")
+_int = _checked(int, lambda n: True, "an integer")
+_positive_int = _checked(int, lambda n: n > 0, "a positive integer")
+_seed = _checked(int, lambda n: 0 <= n < 2**32, "an integer in [0, 2**32)")
+_positive_float = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite number")
+_format = _checked(str, ("json", "csv", "table").__contains__, "json, csv or table")
 
 
 # --------------------------------------------------------------------------
@@ -177,19 +93,9 @@ def build_parser() -> _Parser:
 
 
 def _report_rows(reports):
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "identity": r.identity_id,
-                "index": "/".join(str(i) for i in r.index),
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "rel_residual": r.rel_residual,
-                "verdict": r.verdict,
-                "notes": r.notes,
-            }
-        )
+    rows = [{"identity": r.identity_id, "index": "/".join(str(i) for i in r.index), "lhs": r.lhs,
+             "rhs": r.rhs, "rel_residual": r.rel_residual, "verdict": r.verdict, "notes": r.notes}
+            for r in reports]
     return rows, ["identity", "index", "lhs", "rhs", "rel_residual", "verdict", "notes"]
 
 
@@ -234,10 +140,8 @@ def _cmd_spectrum(args):
         "rows": rows,
         "scan_metadata": to_jsonable(metadata),
     }
-    columns = [
-        "index", "Lambda", "lambda", "ritz", "ritz_rel_gap",
-        "nullspace_quality", "operator_residual_rel", "boundary_residual_rel",
-    ]
+    columns = ["index", "Lambda", "lambda", "ritz", "ritz_rel_gap",
+               "nullspace_quality", "operator_residual_rel", "boundary_residual_rel"]
     return results, rows, columns, {"pass": True}, EXIT_OK
 
 
@@ -273,9 +177,8 @@ def _corrupted_pair(pair):
 
 
 def _cmd_verify(args):
-    reports = invariants.run_identity_suite(
-        args.n, args.p, count=args.count, m=args.m, tol=args.tol
-    )
+    reports = invariants.run_identity_suite(args.n, args.p, count=args.count, m=args.m,
+                                            tol=args.tol)
     try:
         reports.extend(antisym_equals_next_sym(args.n, args.p, args.count, tol=args.tol))
     except SolverError as exc:
@@ -292,22 +195,12 @@ def _cmd_verify(args):
 
 def _cmd_disjoint(args):
     table = compare_spectra(args.n, args.m, args.p, args.count, args.collision_tol)
-    rows = []
-    for i, li in enumerate(table.eigenvalues_n):
-        for j, lj in enumerate(table.eigenvalues_m):
-            rows.append(
-                {"i": i, "Lambda_n": li, "j": j, "Lambda_m": lj, "rel_gap": table.gaps[i][j]}
-            )
+    rows = [{"i": i, "Lambda_n": li, "j": j, "Lambda_m": lj, "rel_gap": table.gaps[i][j]}
+            for i, li in enumerate(table.eigenvalues_n)
+            for j, lj in enumerate(table.eigenvalues_m)]
     condition_reports, _ = follow_up_candidates(table, args.collision_tol)
-    results = {
-        "table": to_jsonable(table),
-        "condition_reports": to_jsonable(condition_reports),
-    }
-    rollup = {
-        "pass": True,
-        "min_gap": table.min_gap,
-        "candidates": len(table.candidates),
-    }
+    results = {"table": to_jsonable(table), "condition_reports": to_jsonable(condition_reports)}
+    rollup = {"pass": True, "min_gap": table.min_gap, "candidates": len(table.candidates)}
     return results, rows, ["i", "Lambda_n", "j", "Lambda_m", "rel_gap"], rollup, EXIT_OK
 
 
@@ -333,13 +226,8 @@ def _cmd_sweep(args):
     exit_code = EXIT_OK
     if summary.partial and all(sp.error for sp in summary.pairs):
         exit_code = EXIT_SOLVER
-    return (
-        {"summary": to_jsonable(summary)},
-        rows,
-        ["n", "m", "min_gap", "min_pair", "candidates", "error"],
-        rollup,
-        exit_code,
-    )
+    columns = ["n", "m", "min_gap", "min_pair", "candidates", "error"]
+    return {"summary": to_jsonable(summary)}, rows, columns, rollup, exit_code
 
 
 def _cmd_ritz(args):
@@ -379,47 +267,174 @@ def _cmd_selftest(args):
     return results, rows, columns, rollup, EXIT_OK if rollup["pass"] else EXIT_IDENTITY
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "eigenfunction": _cmd_eigenfunction,
-    "verify": _cmd_verify,
-    "disjoint": _cmd_disjoint,
-    "sweep": _cmd_sweep,
-    "ritz": _cmd_ritz,
-    "plotdata": _cmd_plotdata,
-    "selftest": _cmd_selftest,
+# --------------------------------------------------------------------------
+# the flag table, and argv and the config file read against it
+# --------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a flag that argv or the config file must give
+
+
+class _Flag(NamedTuple):
+    """One long flag, ``--`` plus ``dest`` with ``_`` as ``-``; a switch has no converter."""
+
+    dest: str
+    convert: Callable[[str], object] | None
+    default: object
+    help: str
+    hidden: bool = False
+
+    @property
+    def name(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+def _count(default):
+    return _Flag("count", _positive_int, default, "number of eigenvalues")
+
+
+_N = _Flag("n", _positive_int, _REQUIRED, "order n: u vanishes with n-1 derivatives at +-1")
+_P = _Flag("p", _positive_int, _REQUIRED, "quotient offset p, 1 <= p <= n")
+_PARITY = _Flag("parity", _parity, SYMMETRIC, "sym or antisym eigenfunctions")
+_COLLISION = _Flag("collision_tol", _positive_float, 1e-4, "relative gap of a collision candidate")
+_COMMON = (
+    _Flag("format", _format, "table", "json envelope, csv or text table"),
+    _Flag("out", str, None, "output path (default stdout)"),
+    _Flag("config", str, None, "JSON file with flag defaults"),
+)
+
+# command -> (handler, one-line help, flags)
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "scan eigenvalues with a Ritz cross-check column", (
+        _N, _P, _PARITY, _count(_REQUIRED),
+        _Flag("lambda_max", _positive_float, None, "eigenvalue ceiling (default: scan ceiling)"),
+        _Flag("step", _positive_float, 0.05, "scan step in the root coordinate"),
+        _Flag("ritz_k", _positive_int, 20, "trial basis size of the Ritz column"), *_COMMON)),
+    "eigenfunction": (_cmd_eigenfunction, "extract one eigenfunction in detail", (
+        _N, _P, _PARITY, _Flag("index", _int, 0, "eigenvalue index, from 0"), *_COMMON)),
+    "verify": (_cmd_verify, "run the identity suite on computed eigenpairs", (
+        _N, _P, _Flag("m", _positive_int, None, "partner order (default: adjacent)"), _count(2),
+        _Flag("tol", _positive_float, 1e-8, "relative residual tolerance"),
+        _Flag("inject_fault", None, False, "add a corrupted eigenpair's check", hidden=True),
+        *_COMMON)),
+    "disjoint": (_cmd_disjoint, "gap table between two symmetric spectra", (
+        _N, _Flag("m", _positive_int, _REQUIRED, "second order m"), _P, _count(_REQUIRED),
+        _COLLISION, *_COMMON)),
+    "sweep": (_cmd_sweep, "all-order gap sweep with candidate follow-up", (
+        _P, _Flag("n_max", _positive_int, _REQUIRED, "largest order of the sweep"), _count(5),
+        _COLLISION, *_COMMON)),
+    "ritz": (_cmd_ritz, "variational upper bounds from the trial basis", (
+        _N, _P, _PARITY, _Flag("K", _positive_int, 20, "trial basis size"), _count(1),
+        _Flag("cross_check", None, False, "also scan the determinant spectrum"), *_COMMON)),
+    "plotdata": (_cmd_plotdata, "emit (lambda, Lambda, indicator) series", (
+        _N, _P, _PARITY, _Flag("lambda_to", _positive_float, _REQUIRED, "eigenvalue ceiling"),
+        _Flag("step", _positive_float, 0.02, "grid step in the root coordinate"), *_COMMON)),
+    "selftest": (_cmd_selftest, "closed forms, identity anchors, property sweeps", (
+        _Flag("seed", _seed, 2024, "seed of the property sweeps"),
+        _Flag("cases", _positive_int, 200, "random cases per property sweep"), *_COMMON)),
 }
 
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a value, though it starts with "-"
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(overrides) - set(vars(args))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        command = overrides.pop("command", args.command)
-        if command != args.command:
-            raise ConfigError(f"config file is for command {command!r}, not {args.command!r}")
-        # each value goes through its flag's converter and choices: as flag
-        # tokens right after the command, so explicit flags still win
-        flags = {a.dest: a.option_strings[0]
-                 for a in parser.commands.choices[args.command]._actions if a.option_strings}
-        tokens = []
-        for key, value in overrides.items():
-            if value is True:
-                tokens.append(flags[key])  # a switch, or a missing value the parser reports
-            elif value is not False and value is not None:
-                tokens.append(f"{flags[key]}={value}")
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + tokens + argv[at:])
-    return args
+
+def _match(token: str, names) -> str | None:
+    """The name a ``--`` token gives: its exact match, or the one name it is a prefix of."""
+    if token in names:
+        return token
+    hits = [name for name in names if name.startswith(token)] if len(token) > 2 else []
+    if len(hits) > 1:
+        raise ConfigError(f"ambiguous flag {token}: could be {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _convert(flag: _Flag, value: str):
+    try:
+        return flag.convert(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag.name}: {exc}") from None
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        head = ["usage: rqlab [-h] [--version] <command> [flags]", "", __doc__.strip()]
+        rows = [(name, summary) for name, (_, summary, _) in _COMMANDS.items()]
+    else:
+        _, summary, flags = _COMMANDS[command]
+        head = [f"usage: rqlab {command} [flags]", "", summary]
+        rows = [("-h, --help", "print this help")] + [
+            (f.name if f.convert is None else f"{f.name} {f.dest.upper()}",
+             f.help + (" (required)" if f.default is _REQUIRED else "" if f.convert is None
+                       or f.default is None else f" (default {f.default})"))
+            for f in flags if not f.hidden]
+    width = max(len(left) for left, _ in rows) + 2
+    lines = head + ["", "commands:" if command is None else "flags:"]
+    return "\n".join(lines + [f"  {left:<{width}}{right}" for left, right in rows]) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Read argv against the flag table; print the help or version and return None if asked."""
+    command, flags, given, i = None, {}, {}, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if command is None and token in _COMMANDS:
+            command, flags = token, {f.name: f for f in _COMMANDS[token][2]}
+            continue
+        name, eq, value = token.partition("=")
+        if token.startswith("--"):
+            name = _match(name, [*flags, "--help"] if command else ["--help", "--version"])
+        elif token != "-h":
+            name = None
+        if name is None:
+            where = f"for {command}" if command else f"(commands: {', '.join(_COMMANDS)})"
+            raise ConfigError(f"unrecognized argument {token!r} {where}")
+        if name in ("-h", "--help", "--version"):
+            _emit(f"rqlab {__version__}\n" if name == "--version" else _help(command), None)
+            return None
+        flag = flags[name]
+        if flag.convert is None:  # a switch
+            if eq:
+                raise ConfigError(f"{name} is a switch and takes no value, got {token!r}")
+            given[flag.dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or (argv[i].startswith("-") and argv[i] != "-"
+                                  and not _NEGATIVE_NUMBER.fullmatch(argv[i])):
+                raise ConfigError(f"{name} needs a value")
+            value, i = argv[i], i + 1
+        given[flag.dest] = _convert(flag, value)
+    if command is None:
+        raise ConfigError(f"missing command (commands: {', '.join(_COMMANDS)})")
+    table = _COMMANDS[command][2]
+    if given.get("config"):
+        _merge_config(given["config"], command, table, given)
+    missing = [f.name for f in table if f.default is _REQUIRED and f.dest not in given]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{f.dest: given.get(f.dest, f.default) for f in table})
+
+
+def _merge_config(path: str, command: str, table, given: dict) -> None:
+    """Add the config file's values to ``given``, each through its flag's converter; argv wins."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flags = {f.dest: f for f in table}
+    unknown = set(overrides) - set(flags) - {"command"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if overrides.get("command", command) != command:
+        raise ConfigError(f"config file is for command {overrides['command']!r}, not {command!r}")
+    for key, value in overrides.items():
+        flag = flags.get(key)
+        if flag is None or value is False or value is None:
+            continue
+        if (value is True) != (flag.convert is None):
+            need = "is a switch" if flag.convert is None else "needs a value"
+            raise ConfigError(f"config key {key!r}: {flag.name} {need}, got {json.dumps(value)}")
+        given.setdefault(key, True if value is True else _convert(flag, str(value)))
 
 
 def _emit(text: str, out_path: str | None):
@@ -435,11 +450,11 @@ def _emit(text: str, out_path: str | None):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _apply_config_file(parser, argv)
-        handler = _HANDLERS[args.command]
-        results, rows, columns, rollup, exit_code = handler(args)
+        args = _parse(argv)
+        if args is None:  # the help or the version was printed
+            return EXIT_OK
+        results, rows, columns, rollup, exit_code = _COMMANDS[args.command][0](args)
         config_echo = {k: v for k, v in vars(args).items() if k != "config"}
         if args.format == "json":
             text = dumps_envelope(make_envelope(args.command, config_echo, results, rollup))

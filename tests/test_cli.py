@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import rqlab
 import rqlab.cli
 from rqlab.cli import main
 from rqlab.errors import SolverError
@@ -312,6 +313,107 @@ class TestConfigAndOutput:
         assert header[:4] == ["index", "Lambda", "lambda", "ritz"]
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(PI * PI / 4, rel=1e-9)
+
+
+class TestFlagParsing:
+    FLAGS = {
+        "spectrum": "--n --p --parity --count --lambda-max --step --ritz-k",
+        "eigenfunction": "--n --p --parity --index",
+        "verify": "--n --p --m --count --tol",
+        "disjoint": "--n --m --p --count --collision-tol",
+        "sweep": "--p --n-max --count --collision-tol",
+        "ritz": "--n --p --parity --K --count --cross-check",
+        "plotdata": "--n --p --parity --lambda-to --step",
+        "selftest": "--seed --cases",
+    }
+
+    def config(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        return code, (json.loads(out)["config"] if code == 0 else None), err
+
+    def test_equals_form_prefixes_switches_and_last_wins(self, capsys):
+        code, config, _ = self.config(capsys, "spectrum", "--n=1", "--p=1", "--cou", "2",
+                                      "--count=1", "--par", "a", "--ritz=8")
+        assert code == 0
+        assert (config["count"], config["parity"], config["ritz_k"]) == (1, "antisymmetric", 8)
+        # --n is a unique prefix of --n-max in sweep, where no --n exists
+        code, config, _ = self.config(capsys, "sweep", "--p", "1", "--n", "3", "--count", "2")
+        assert code == 0 and config["n_max"] == 3
+        code, config, _ = self.config(capsys, "ritz", "--n", "2", "--p", "1", "--K", "8", "--cross")
+        assert code == 0 and config["cross_check"] is True
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("spectrum --n 1 --p 1 --c 1", ["ambiguous flag --c", "--count", "--config"]),
+            ("ritz --n 2 --p 1 --cross-check=yes", ["--cross-check is a switch"]),
+            ("eigenfunction --n 2 --p 1 --index -1", ["--index must be >= 0"]),
+            ("eigenfunction --n 2 --p 1 --index=-1", ["--index must be >= 0"]),
+            ("spectrum --n 1 --p 1 --count 0", ["--count: expected a positive integer"]),
+            ("spectrum --n x --p 1 --count 1", ["--n: expected a positive integer, got 'x'"]),
+            ("spectrum --n 1 --p 1 --count 1 --step -0.5", ["--step: expected a positive"]),
+            ("spectrum --n 1 --p 1 --count 1 --lambda-max inf", ["--lambda-max:", "'inf'"]),
+            ("spectrum --n 1 --p 1 --count 1 --parity sideways", ["--parity:", "'sideways'"]),
+            ("spectrum --n 1 --p 1 --count 1 --format xml", ["--format:", "'xml'"]),
+            ("spectrum --n 1 --p 1 --count 1 --format", ["--format needs a value"]),
+            ("spectrum --n --p 1 --count 1", ["--n needs a value"]),
+            ("spectrum --n 1 --p 1 --count 1 -n 1", ["unrecognized argument '-n'"]),
+            ("selftest --seed -3", ["--seed: expected an integer in [0, 2**32)"]),
+            ("spectrum", ["spectrum needs --n, --p, --count"]),
+            ("disjoint --n 1 --count 2", ["disjoint needs --m, --p"]),
+            ("spectrum --version", ["unrecognized argument '--version'"]),
+            ("transform --n 1", ["unrecognized argument 'transform'", "spectrum, eigenfunction"]),
+            ("", ["missing command"]),
+        ],
+    )
+    def test_each_flag_error_names_its_flag(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith("rqlab: configuration error: ")
+        assert all(text in err for text in named), err
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_command_help_lists_every_flag(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag, "--count", "0")  # help comes first
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: rqlab {command} ")
+        listed = {word for word in out.split() if word.startswith("--")}
+        assert listed == {*self.FLAGS[command].split(), "--help", "--format", "--out", "--config"}
+        assert "--inject" not in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--h"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        code, out, _ = run_cli(capsys, flag, "spectrum")
+        assert code == 0 and out.startswith("usage: rqlab ")
+        commands = out.split("\ncommands:\n")[1].split()
+        assert all(command in commands for command in self.FLAGS)
+
+    @pytest.mark.parametrize("flag", ["--version", "--vers"])
+    def test_version(self, capsys, flag):
+        assert run_cli(capsys, flag) == (0, f"rqlab {rqlab.__version__}\n", "")
+
+    def test_config_file_supplies_a_required_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1, "p": 1, "count": 2, "parity": "sym"}))
+        code, config, _ = self.config(capsys, "spectrum", "--count", "1", "--config", str(cfg))
+        assert code == 0 and (config["n"], config["count"]) == (1, 1)
+
+    @pytest.mark.parametrize("key", ["count", "step"])
+    def test_config_true_for_a_flag_that_needs_a_value(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        code, out, err = run_cli(capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1",
+                                 "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"config key '{key}': --{key} needs a value, got true" in err
+
+    def test_spectrum_config_echo_holds_every_default(self, capsys):
+        _, config, _ = self.config(capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1")
+        assert config == {
+            "command": "spectrum", "n": 1, "p": 1, "parity": "symmetric", "count": 1,
+            "lambda_max": None, "step": 0.05, "ritz_k": 20, "format": "json", "out": None,
+        }
 
 
 class TestSelftest:

@@ -225,12 +225,21 @@ class TestScanSpectrum:
             assert abs(root - jump) <= 1e-15 + 4e-15 * 0.15
 
     def test_import_leaves_scipy_out(self):
-        # scipy serves only the self-test's quadrature oracle, imported on use
-        code = "import rqlab.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+        # scipy serves only the self-test's quadrature oracle, imported on use; and a
+        # command reads its flags without argparse, which would load gettext and locale
+        code = (
+            "import contextlib, io, sys, rqlab.cli\n"
+            "def loaded(): return [m for m in sys.modules if m.split('.')[0] in "
+            "('argparse', 'gettext', 'locale', 'scipy')]\n"
+            "after_import = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = rqlab.cli.main(['spectrum', '--n', '1', '--p', '1', '--count', '1'])\n"
+            "print(code, after_import, loaded())\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(rqlab.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip() == "0 [] []"
 
 
 class TestExtraction:
