@@ -47,6 +47,7 @@ from .ritz import assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
     DEFAULT_LAMBDA_CEILING,
+    MAX_GRID_POINTS,
     antisym_equals_next_sym,
     cached_eigenpair,
     cached_spectrum,
@@ -250,6 +251,9 @@ def _cmd_plotdata(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     lam_max = root_system(spec.p, args.lambda_to).rho
     steps = int(lam_max / args.step)
+    if steps > MAX_GRID_POINTS:
+        raise ConfigError(f"a plot grid of {steps} points exceeds {MAX_GRID_POINTS}: "
+                          "lower --lambda-to or raise --step")
     grid = (i * args.step for i in range(1, steps + 1))
     rows = [
         {"lambda": lam, "Lambda": lam ** (2 * spec.p), "indicator": f}

@@ -3,7 +3,8 @@
 Eigenvalues are located as zeros of a scaled boundary-condition determinant
 swept in the root coordinate ``lambda = Lambda^(1/2p)`` (the determinant
 oscillates roughly periodically in lambda, not Lambda), bracketed by sign
-changes and refined by regula falsi on the determinant itself.
+changes and refined by regula falsi on the determinant itself, all of a
+scan's brackets in lockstep.
 Eigenfunctions come from the null direction of the boundary matrix via SVD.
 """
 
@@ -12,8 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +30,7 @@ NULLSPACE_QUALITY_LIMIT = 1e-6
 SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff noise
 SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
+MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
 
 
 @functools.cache
@@ -282,11 +283,17 @@ class SpectrumSlice:
                 raise SolverError(f"spectrum not strictly increasing: {a} !< {b}")
 
 
-def _refine(determinant, n: int, a: float, fa: float, b: float, fb: float) -> tuple[float, int]:
-    """Root of ``determinant`` in the sign-change bracket a < b, and the evaluations it took.
+_Bracket = tuple[float, float, float, float]  # (a, f(a), b, f(b)): indicator signs differ
+_Refined = Generator[float, float, tuple[float, int]]  # yields trial points, returns (root, steps)
 
-    Illinois regula falsi (Dowell & Jarratt 1971) on the row-scaled
-    determinant, smooth where the n-th-root indicator has a cusp; the
+
+def _refine(n: int, a: float, fa: float, b: float, fb: float) -> _Refined:
+    """Root in the sign-change bracket a < b, and the evaluations it took.
+
+    A generator: it yields each trial point and is sent the row-scaled
+    determinant there, so a caller can evaluate the trial points of many
+    brackets in one batch.  Illinois regula falsi (Dowell & Jarratt 1971) on
+    the determinant, smooth where the n-th-root indicator has a cusp; the
     indicator values ``fa`` and ``fb`` the caller holds become ``f |f|^(n-1)``.
     Every trial point stays half the tolerance inside the bracket, so each
     step narrows it; an end kept twice running has its weight halved.
@@ -297,7 +304,7 @@ def _refine(determinant, n: int, a: float, fa: float, b: float, fb: float) -> tu
         if evaluations == 100:
             raise SolverError(f"refinement did not converge in [{a!r}, {b!r}]")
         x = min(max(b - wb * (b - a) / (wb - wa), a + tol / 2), b - tol / 2)
-        gx = determinant(x)
+        gx = yield x
         evaluations += 1
         if gx == 0.0:
             return x, evaluations
@@ -308,6 +315,38 @@ def _refine(determinant, n: int, a: float, fa: float, b: float, fb: float) -> tu
             a, ga, wa, wb = x, gx, gx, wb * (0.5 if side == -1 else 1.0)
             side = -1
     return (a if abs(ga) < abs(gb) else b), evaluations
+
+
+def _refine_all(
+    spec: ProblemSpec, brackets: list[_Bracket]
+) -> list[tuple[float, int] | SolverError]:
+    """Each bracket's ``_refine`` outcome: its (root, evaluations), or the error it raised.
+
+    The brackets advance in lockstep, one step each per round, and a round
+    evaluates the trial points of every live bracket through one stacked
+    boundary matrix and one stacked ``np.linalg.det``: a scan pays one
+    batched call per round rather than one per step.
+    """
+    steps = [_refine(spec.n, *bracket) for bracket in brackets]
+    outcomes: dict[int, tuple[float, int] | SolverError] = {}
+    trials: dict[int, float] = {}  # live bracket -> its pending trial point
+
+    def advance(i: int, value: float | None) -> None:
+        try:
+            trials[i] = steps[i].send(value)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except SolverError as exc:
+            outcomes[i] = exc
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while trials:
+        live, points = zip(*trials.items())
+        trials.clear()
+        for i, value in zip(live, np.linalg.det(boundary_matrix(spec, points)).tolist()):
+            advance(i, value)
+    return [outcomes[i] for i in range(len(steps))]
 
 
 def scan_spectrum(
@@ -321,17 +360,24 @@ def scan_spectrum(
 
     Brackets come from sign changes of the determinant indicator on a uniform
     grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
-    between consecutive grid points whose sign is trusted; each bracket is
-    refined to ~1e-15 relative in lambda.  Consecutive roots lie about pi
-    apart, so a gap over ``MAX_ROOT_GAP`` raises ``SolverError`` rather than
-    report a spectrum with a skipped root.
+    between consecutive grid points whose sign is trusted.  The grid pass
+    stops at the ``count``-th bracket, and then every bracket is refined to
+    ~1e-15 relative in lambda, all in lockstep (``_refine_all``).  Consecutive
+    roots lie about pi apart, so a gap over ``MAX_ROOT_GAP`` raises
+    ``SolverError`` rather than report a spectrum with a skipped root.
     Sign-preserving near-zero dips are recorded as suspected double roots
-    instead of being split heuristically.
+    instead of being split heuristically.  A grid of more than
+    ``MAX_GRID_POINTS`` points is a ``ConfigError``.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     if step <= 0:
         raise ConfigError("scan step must be positive")
+    if lambda_ceiling / step > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a scan grid of {lambda_ceiling / step:.0f} points exceeds {MAX_GRID_POINTS}: "
+            "lower --lambda-max or raise --step"
+        )
 
     def grid() -> Iterator[float]:
         lam = step
@@ -340,44 +386,50 @@ def scan_spectrum(
             lam += step
         yield lambda_ceiling
 
-    found: list[float] = []
-    iterations: list[int] = []
+    brackets: list[_Bracket] = []
     suspects: list[float] = []
     untrusted_points = 0
-    window: deque[tuple[float, float]] = deque(maxlen=3)  # trailing trusted (lambda, f) samples
-    last: tuple[float, float] | None = None  # latest trusted (lambda, f) sample
+    run = 0  # trusted samples in a row, up to the latest one
+    # the latest trusted sample (lambda1, f1, |f1|), kept across untrusted points
+    # (f1 = 0.0 before the first, which brackets nothing), and (f0, |f0|) before it
+    lam1 = f1 = size1 = f0 = size0 = 0.0
 
     for lam, f, trusted in indicator_series(spec, grid()):
         if not trusted:
             # the sign is roundoff noise (rank-deficient basis as Lambda -> 0,
             # or a root close by at high n): never bracket against this point
             untrusted_points += 1
-            window.clear()
+            run = 0
             continue
-        if last is not None and last[1] * f < 0.0:
-            root, evaluations = _refine(
-                lambda x: float(np.linalg.det(boundary_matrix(spec, x))), spec.n, *last, lam, f
-            )
-            if found and root - found[-1] > MAX_ROOT_GAP:
-                raise SolverError(
-                    f"root coordinate gap {(root - found[-1]) / math.pi:.2f} pi from "
-                    f"{found[-1]!r} to {root!r} for {spec.label()}: a root was skipped"
-                )
-            iterations.append(evaluations)
-            found.append(root)
-        last = (lam, f)
-        window.append(last)
-        if len(window) == 3:
-            (l0, f0), (l1, f1), (l2, f2) = window
-            if (
-                f0 * f2 > 0.0
-                and abs(f1) < abs(f0)
-                and abs(f1) < abs(f2)
-                and abs(f1) <= 1e-8 * max(abs(f0), abs(f2))
-            ):
-                suspects.append(l1)
-        if len(found) == count:
+        size = abs(f)
+        if f1 * f < 0.0:
+            brackets.append((lam1, f1, lam, f))
+        if (
+            run >= 2
+            and f0 * f > 0.0
+            and size1 < size0
+            and size1 < size
+            and size1 <= 1e-8 * max(size0, size)
+        ):
+            suspects.append(lam1)
+        f0, size0, lam1, f1, size1 = f1, size1, lam, f, size
+        run += 1
+        if len(brackets) == count:
             break
+
+    found: list[float] = []
+    iterations: list[int] = []
+    for outcome in _refine_all(spec, brackets):
+        if isinstance(outcome, SolverError):
+            raise outcome
+        root, evaluations = outcome
+        if found and root - found[-1] > MAX_ROOT_GAP:
+            raise SolverError(
+                f"root coordinate gap {(root - found[-1]) / math.pi:.2f} pi from "
+                f"{found[-1]!r} to {root!r} for {spec.label()}: a root was skipped"
+            )
+        iterations.append(evaluations)
+        found.append(root)
 
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
     if len(found) < count:

@@ -76,6 +76,18 @@ class TestExitCodes:
         assert "solver failure: root coordinate gap 5.01 pi" in err
         assert "a root was skipped" in err
 
+    @pytest.mark.parametrize("argv, flags", [
+        # grids of 2e7, 2e5 and 5e7 points, each refused before its first point
+        ("spectrum --n 8 --p 1 --parity antisym --count 8 --lambda-max 1e12",
+         ("--lambda-max", "--step")),
+        ("spectrum --n 1 --p 1 --count 1 --step 0.001", ("--lambda-max", "--step")),
+        ("plotdata --n 2 --p 1 --lambda-to 1e12", ("--lambda-to", "--step")),
+    ])
+    def test_a_grid_over_the_point_cap_is_one(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == "" and f"exceeds {rqlab.cli.MAX_GRID_POINTS}" in err
+        assert all(flag in err for flag in flags)
+
     def test_identity_violation_is_three(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--inject-fault"

@@ -111,6 +111,17 @@ class TestBoundaryMatrix:
         rows_match()
 
 
+def drive(refine, determinant):
+    """Run one ``_refine`` generator to its (root, evaluations), one determinant per trial."""
+    value = None
+    while True:
+        try:
+            x = refine.send(value)
+        except StopIteration as done:
+            return done.value
+        value = determinant(x)
+
+
 class TestScanSpectrum:
     # the closed forms are the self-test's; the store holds the direct scan bit for bit
     @pytest.fixture(scope="class")
@@ -156,14 +167,98 @@ class TestScanSpectrum:
                   (0.30, 0.5), (0.35, -0.5)]
         monkeypatch.setattr(solver, "indicator_series",
                             lambda spec, lams: ((lam, f, True) for lam, f in series))
-        monkeypatch.setattr(solver, "boundary_matrix", lambda spec, rho: np.array([[0.325 - rho]]))
+        monkeypatch.setattr(solver, "boundary_matrix",
+                            lambda spec, rho: (0.325 - np.asarray(rho))[..., None, None])
         out = scan_spectrum(ProblemSpec(1, 1, S), 1)
         assert out.metadata.suspects == (0.10,)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
 
+    @staticmethod
+    def scan_with_samples(monkeypatch, samples):
+        """A (1,1) scan of the 1x1 determinant ``0.325 - rho``, except at the grid
+        points ``rho = 0.05 k`` whose k ``samples`` maps to a value of their own
+        (0.0 makes the point untrusted)."""
+
+        def matrix(spec, rho):
+            rhos = np.asarray(rho, dtype=float)
+            values = 0.325 - rhos
+            for k, value in samples.items():
+                values = np.where(np.rint(rhos / 0.05) == k, value, values)
+            return values[..., None, None]
+
+        monkeypatch.setattr(solver, "boundary_matrix", matrix)
+        with np.errstate(invalid="ignore"):  # a zero 1x1 matrix: its Hadamard ratio is nan
+            out = scan_spectrum(ProblemSpec(1, 1, S), 1)
+        assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
+        return out.metadata
+
+    @pytest.mark.parametrize("dip, untrusted", [(2, 3), (3, 2)])
+    def test_a_dip_with_an_untrusted_point_between_its_samples_is_no_suspect(
+        self, monkeypatch, dip, untrusted
+    ):
+        # deep against its trusted neighbours, but they are not its adjacent samples
+        alone = self.scan_with_samples(monkeypatch, {dip: 1e-9})
+        assert alone.suspects == pytest.approx((0.05 * dip,), rel=1e-12)
+        metadata = self.scan_with_samples(monkeypatch, {dip: 1e-9, untrusted: 0.0})
+        assert metadata.untrusted_points == 1 and metadata.suspects == ()
+
+    @pytest.mark.parametrize("dip", [2, 3])
+    def test_a_dip_straddling_a_chunk_boundary_is_a_suspect(self, monkeypatch, dip):
+        # two points per chunk: the dip at k = 2 closes its chunk, the one at k = 3 opens one
+        monkeypatch.setattr(solver, "SCAN_CHUNK", 2)
+        metadata = self.scan_with_samples(monkeypatch, {dip: 1e-9})
+        assert metadata.untrusted_points == 0
+        assert metadata.suspects == pytest.approx((0.05 * dip,), rel=1e-12)
+
     def test_count_validation(self):
         with pytest.raises(ConfigError):
             scan_spectrum(ProblemSpec(1, 1, S), 0)
+
+    # float.hex of the eigenvalues, the evaluations per refined root and the
+    # untrusted grid points, as refining one bracket at a time gave them
+    PINNED_SCANS = {
+        ((1, 1, S), 5): (
+            ("0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
+             "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7"), (4, 4, 4, 4, 4), 0),
+        ((9, 4, S), 6): (
+            ("0x1.1edd87a8dc595p+27", "0x1.6b232b52591cbp+30", "0x1.f32494f5df56ep+32",
+             "0x1.edbe1c436349cp+34", "0x1.89f97e6e3a828p+36", "0x1.0d8cfcaa8ec07p+38"),
+            (10, 8, 8, 6, 7, 8), 69),
+        ((8, 1, S), 8): (
+            ("0x1.ba142e6acf7f5p+6", "0x1.93b333434aacbp+7", "0x1.377375d9ee472p+8",
+             "0x1.b84e43d22aa43p+8", "0x1.265748ed82dbbp+9", "0x1.7a5766b5ede64p+9",
+             "0x1.d82d9b3c4ab73p+9", "0x1.1fee8c68f34eep+10"), (6, 8, 9, 10, 9, 19, 12, 21), 287),
+    }
+
+    @pytest.mark.parametrize("case, count", list(PINNED_SCANS))
+    def test_scan_is_bit_identical_to_its_pinned_values(self, case, count):
+        out = scan_spectrum(ProblemSpec(*case), count)
+        assert (tuple(v.hex() for v in out.eigenvalues), out.metadata.refinement_iterations,
+                out.metadata.untrusted_points) == self.PINNED_SCANS[case, count]
+        assert out.metadata.suspects == ()
+
+    @pytest.mark.parametrize("case, count, ceiling, prefix", [
+        ((8, 1, A), 8, 200.0, (
+            "0x1.0fc5d6290050fp+7", "0x1.dc3fd6ef17b49p+7", "0x1.6614743d36d0dp+8",
+            "0x1.f115218eace93p+8", "0x1.47c0cc3e1f940p+9", "0x1.a0bfcd72093d1p+9",
+            "0x1.01c8404a36276p+10")),
+        ((1, 1, S), 2, 4.7, ("0x1.3bd3cc9be45dep+1",)),
+    ])
+    def test_exhausted_scan_keeps_its_pinned_prefix(self, case, count, ceiling, prefix):
+        with pytest.raises(ScanExhaustedError) as exhausted:
+            scan_spectrum(ProblemSpec(*case), count, lambda_ceiling=ceiling)
+        assert tuple(v.hex() for v in exhausted.value.eigenvalues) == prefix
+        assert str(exhausted.value) == (
+            f"found only {len(prefix)} of {count} eigenvalues for {ProblemSpec(*case).label()} "
+            f"below lambda={ceiling} (raise the ceiling)")
+
+    def test_gap_witness_message_is_pinned(self):
+        with pytest.raises(SolverError) as gap:
+            scan_spectrum(ProblemSpec(7, 1, S), 20)
+        assert type(gap.value) is SolverError
+        assert str(gap.value) == (
+            "root coordinate gap 5.01 pi from 67.32133170374875 to 83.07158582128183 "
+            "for (n=7, p=1, sym): a root was skipped")
 
     def test_determinism(self):
         a = scan_spectrum(ProblemSpec(3, 2, S), 2)
@@ -173,7 +268,8 @@ class TestScanSpectrum:
     def test_refinement_reuses_the_grid_and_converges_fast(self, monkeypatch):
         # the refiner starts from the two grid samples of its bracket, so the
         # scan evaluates the grid up to the end of the chunk holding its last
-        # root, and one more point per refinement step
+        # root, and one more point per refinement step; the brackets advance in
+        # lockstep, so a round of steps is one call
         points = []
         original = solver.boundary_matrix
 
@@ -192,7 +288,7 @@ class TestScanSpectrum:
                 grid_points = math.floor(root / out.metadata.grid_step) + 1
                 chunks = -(-grid_points // solver.SCAN_CHUNK)
                 assert sum(points) == chunks * solver.SCAN_CHUNK + sum(refinement)
-                assert len(points) == chunks + sum(refinement)
+                assert len(points) == chunks + max(refinement)
                 evaluations.extend(refinement)
         assert sum(evaluations) / len(evaluations) <= 8
 
@@ -220,7 +316,7 @@ class TestScanSpectrum:
                 trials.append(x)
                 return -1.0 if x < jump else 1.0
 
-            root, evaluations = solver._refine(step_function, 3, 0.1, -1.0, 0.15, 1.0)
+            root, evaluations = drive(solver._refine(3, 0.1, -1.0, 0.15, 1.0), step_function)
             assert evaluations == len(trials) < 100
             assert abs(root - jump) <= 1e-15 + 4e-15 * 0.15
 
