@@ -15,7 +15,6 @@ from .solver import (
     EigenPair,
     SpectrumSlice,
     antisym_equals_next_sym,
-    det_indicator,
     extract_eigenfunction,
     scan_spectrum,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "EigenPair",
     "SpectrumSlice",
     "antisym_equals_next_sym",
-    "det_indicator",
     "extract_eigenfunction",
     "scan_spectrum",
     "__version__",

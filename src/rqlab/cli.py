@@ -30,7 +30,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__, invariants
-from .disjointness import compare_spectra, follow_up_candidates, sweep_conjecture
+from .disjointness import DEFAULT_COLLISION_TOL, compare_spectra, follow_up_candidates
+from .disjointness import sweep_conjecture
 from .errors import ConfigError, IdentityViolationError, RQLabError, SolverError
 from .exppoly import ExpPoly
 from .problem import ANTISYMMETRIC, SYMMETRIC, ProblemSpec, root_system
@@ -41,12 +42,12 @@ from .reporting import (
     make_envelope,
     not_applicable,
     rollup_from_reports,
-    to_jsonable,
 )
 from .ritz import assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
     DEFAULT_LAMBDA_CEILING,
+    DEFAULT_SCAN_STEP,
     MAX_GRID_POINTS,
     antisym_equals_next_sym,
     cached_eigenpair,
@@ -139,7 +140,7 @@ def _cmd_spectrum(args):
         "eigenvalues": slice_.eigenvalues,
         "ritz": ritz,
         "rows": rows,
-        "scan_metadata": to_jsonable(metadata),
+        "scan_metadata": metadata,
     }
     columns = ["index", "Lambda", "lambda", "ritz", "ritz_rel_gap",
                "nullspace_quality", "operator_residual_rel", "boundary_residual_rel"]
@@ -164,7 +165,7 @@ def _cmd_eigenfunction(args):
         "Lambda": pair.Lambda,
         "kernel": rows,
         "poly_coeffs": pair.poly_coeffs,
-        "residuals": to_jsonable(pair.residuals),
+        "residuals": pair.residuals,
         "normalized": pair.normalized,
         "expression": str(pair.z),
     }
@@ -190,7 +191,7 @@ def _cmd_verify(args):
             reports.append(invariants.check_stone_identity(_corrupted_pair(first), args.tol))
     rollup = rollup_from_reports(reports)
     rows, columns = _report_rows(reports)
-    results = {"reports": to_jsonable(reports)}
+    results = {"reports": reports}
     return results, rows, columns, rollup, EXIT_OK if rollup["pass"] else EXIT_IDENTITY
 
 
@@ -200,7 +201,7 @@ def _cmd_disjoint(args):
             for i, li in enumerate(table.eigenvalues_n)
             for j, lj in enumerate(table.eigenvalues_m)]
     condition_reports, _ = follow_up_candidates(table, args.collision_tol)
-    results = {"table": to_jsonable(table), "condition_reports": to_jsonable(condition_reports)}
+    results = {"table": table, "condition_reports": condition_reports}
     rollup = {"pass": True, "min_gap": table.min_gap, "candidates": len(table.candidates)}
     return results, rows, ["i", "Lambda_n", "j", "Lambda_m", "rel_gap"], rollup, EXIT_OK
 
@@ -228,7 +229,7 @@ def _cmd_sweep(args):
     if summary.partial and all(sp.error for sp in summary.pairs):
         exit_code = EXIT_SOLVER
     columns = ["n", "m", "min_gap", "min_pair", "candidates", "error"]
-    return {"summary": to_jsonable(summary)}, rows, columns, rollup, exit_code
+    return {"summary": summary}, rows, columns, rollup, exit_code
 
 
 def _cmd_ritz(args):
@@ -251,6 +252,9 @@ def _cmd_plotdata(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     lam_max = root_system(spec.p, args.lambda_to).rho
     steps = int(lam_max / args.step)
+    if steps == 0:
+        raise ConfigError(f"the plot grid is empty: the root coordinate {lam_max!r} of --lambda-to "
+                          "lies below one --step")
     if steps > MAX_GRID_POINTS:
         raise ConfigError(f"a plot grid of {steps} points exceeds {MAX_GRID_POINTS}: "
                           "lower --lambda-to or raise --step")
@@ -267,7 +271,7 @@ def _cmd_selftest(args):
     reports = run_selftest(seed=args.seed, cases=args.cases)
     rollup = rollup_from_reports(reports)
     rows, columns = _report_rows(reports)
-    results = {"reports": to_jsonable(reports), "seed": args.seed, "cases": args.cases}
+    results = {"reports": reports, "seed": args.seed, "cases": args.cases}
     return results, rows, columns, rollup, EXIT_OK if rollup["pass"] else EXIT_IDENTITY
 
 
@@ -299,7 +303,8 @@ def _count(default):
 _N = _Flag("n", _positive_int, _REQUIRED, "order n: u vanishes with n-1 derivatives at +-1")
 _P = _Flag("p", _positive_int, _REQUIRED, "quotient offset p, 1 <= p <= n")
 _PARITY = _Flag("parity", _parity, SYMMETRIC, "sym or antisym eigenfunctions")
-_COLLISION = _Flag("collision_tol", _positive_float, 1e-4, "relative gap of a collision candidate")
+_COLLISION = _Flag("collision_tol", _positive_float, DEFAULT_COLLISION_TOL,
+                   "relative gap of a collision candidate")
 _COMMON = (
     _Flag("format", _format, "table", "json envelope, csv or text table"),
     _Flag("out", str, None, "output path (default stdout)"),
@@ -311,13 +316,14 @@ _COMMANDS = {
     "spectrum": (_cmd_spectrum, "scan eigenvalues with a Ritz cross-check column", (
         _N, _P, _PARITY, _count(_REQUIRED),
         _Flag("lambda_max", _positive_float, None, "eigenvalue ceiling (default: scan ceiling)"),
-        _Flag("step", _positive_float, 0.05, "scan step in the root coordinate"),
+        _Flag("step", _positive_float, DEFAULT_SCAN_STEP, "scan step in the root coordinate"),
         _Flag("ritz_k", _positive_int, 20, "trial basis size of the Ritz column"), *_COMMON)),
     "eigenfunction": (_cmd_eigenfunction, "extract one eigenfunction in detail", (
         _N, _P, _PARITY, _Flag("index", _int, 0, "eigenvalue index, from 0"), *_COMMON)),
     "verify": (_cmd_verify, "run the identity suite on computed eigenpairs", (
         _N, _P, _Flag("m", _positive_int, None, "partner order (default: adjacent)"), _count(2),
-        _Flag("tol", _positive_float, 1e-8, "relative residual tolerance"),
+        _Flag("tol", _positive_float, invariants.DEFAULT_IDENTITY_TOL,
+              "relative residual tolerance"),
         _Flag("inject_fault", None, False, "add a corrupted eigenpair's check", hidden=True),
         *_COMMON)),
     "disjoint": (_cmd_disjoint, "gap table between two symmetric spectra", (

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 FREQ_MERGE_TOL = 1e-12   # |mu1 - mu2| <= tol * (1 + |mu1|) -> same frequency
 SERIES_FREQ_CUTOFF = 1e-3  # below this, x^k exp(mu x) integrals use the power series
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^k by k mod 4, exact
 
 Term = tuple[complex, tuple[complex, ...]]
 
@@ -187,13 +189,17 @@ class ExpPoly:
     # ----- calculus ------------------------------------------------------
 
     def differentiate(self, order: int = 1) -> "ExpPoly":
-        """Exact derivative: (P e^{mu x})' = (P' + mu P) e^{mu x}, term by term."""
+        """Exact derivative of the given order, the last entry of ``derivatives``."""
+        return self.derivatives(order)[-1]
+
+    def derivatives(self, order: int) -> tuple["ExpPoly", ...]:
+        """The table (f, f', ..., f^(order)): (P e^{mu x})' = (P' + mu P) e^{mu x}, term by term."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        f = self
+        table = [self]
         for _ in range(order):
             new_terms: list[Term] = []
-            for mu, coeffs in f.terms:
+            for mu, coeffs in table[-1].terms:
                 d = len(coeffs) - 1
                 out = [0j] * (d + 1)
                 for k in range(d + 1):
@@ -202,8 +208,8 @@ class ExpPoly:
                         v += (k + 1) * coeffs[k + 1]
                     out[k] = v
                 new_terms.append((mu, _trim(out)))
-            f = ExpPoly(tuple((mu, c) for mu, c in new_terms if c))
-        return f
+            table.append(ExpPoly(tuple((mu, c) for mu, c in new_terms if c)))
+        return tuple(table)
 
     def evaluate(self, x) -> complex:
         total = 0j
@@ -295,14 +301,15 @@ class SigmaPolynomial:
                 prod[i + j] += a * b
         return SigmaPolynomial(tuple(prod))
 
-    def apply(self, f: ExpPoly) -> ExpPoly:
-        """Apply the operator exactly: sigma g = i * g'."""
-        acc = f.scaled(self.coeffs[0]) if self.coeffs[0] != 0 else ExpPoly.zero()
-        power = f
-        for c in self.coeffs[1:]:
-            power = power.differentiate().scaled(1j)
+    def apply(self, derivatives: Sequence[ExpPoly]) -> ExpPoly:
+        """The image of f, read from f's table (f, f', ..., f^(d)), d >= degree.
+
+        sigma^k f = i^k f^(k) with the exact factors 1, i, -1, -i: nothing is differentiated.
+        """
+        acc = ExpPoly.zero()
+        for k, c in enumerate(self.coeffs):
             if c != 0:
-                acc = acc + power.scaled(c)
+                acc = acc + derivatives[k].scaled(c * _I_POWERS[k % 4])
         return acc
 
 

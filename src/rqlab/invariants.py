@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,7 +71,7 @@ def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
 @functools.cache
 def _half_image(pair: EigenPair, order: int) -> ExpPoly:
     """A_order(z), computed once per (pair, order)."""
-    return annihilation_factor(pair, order).apply(pair.z)
+    return annihilation_factor(pair, order).apply(pair.derivatives)
 
 
 @functools.cache
@@ -81,8 +82,8 @@ def _reduced_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
     kernel part would have there without cancellation.  Computed once per
     (pair, order); the guards that read it stay with the callers.
     """
-    image = reduced_operator(pair.spec, pair.Lambda, order).apply(pair.z)
-    scale = pair.kernel_part.differentiate(2 * order).magnitude_bound()
+    image = reduced_operator(pair.spec, pair.Lambda, order).apply(pair.derivatives)
+    scale = pair.derivatives[2 * order].nonzero_frequency_part().magnitude_bound()
     return image, image.nonzero_frequency_part().magnitude_bound() / max(scale, 1e-300)
 
 
@@ -240,9 +241,7 @@ def check_cross_identity(
     if not spec.has_stones:
         return not_applicable("cross-order", (spec.n, spec.p), notes="n = p")
     order = spec.n - spec.p - 1
-    coupling = inner_product(
-        pair.z.differentiate(order), z_prev.z.differentiate(order)
-    ).real
+    coupling = inner_product(pair.derivatives[order], z_prev.derivatives[order]).real
     lhs = (z_prev.Lambda - pair.Lambda) * coupling
     mean_prev = z_prev.mean()
     rhs = stone(pair) * mean_prev
@@ -262,6 +261,12 @@ def check_cross_identity(
             "normalized": (z_prev.normalized, pair.normalized),
         },
     )
+
+
+def _derivative(pair: EigenPair, order: int) -> ExpPoly:
+    """z^(order) off the table, or past z^(2n) (partner orders m >= 3n + 2p + 2) walked on."""
+    table = pair.derivatives
+    return table[order] if order < len(table) else table[-1].differentiate(order - len(table) + 1)
 
 
 def check_bilinear_family(
@@ -306,7 +311,7 @@ def check_bilinear_family(
         - (-1) ** delta_order * inner_product(zn.z, h_m).real
     )
     d_ord = sn.n - p - k - 1
-    coupling = inner_product(zn.z.differentiate(d_ord), zm.z.differentiate(d_ord)).real
+    coupling = inner_product(_derivative(zn, d_ord), _derivative(zm, d_ord)).real
     gap = zm.Lambda - zn.Lambda
     rhs_direct = gap * (-1) ** k * coupling
 
@@ -489,15 +494,13 @@ def square_variable_derivative(order: int) -> tuple[Fraction, ...]:
     return tuple(t)
 
 
-def _xi_derivative_at_one(fn: ExpPoly, order: int) -> tuple[float, float]:
-    """(value, magnitude scale) of (d/d(x^2))^order fn at x = 1."""
+def _xi_derivative_at_one(table: Sequence[ExpPoly], order: int) -> tuple[float, float]:
+    """(value, magnitude scale) of (d/d(x^2))^order f at x = 1, from f's table (f, f', ...)."""
     if order == 0:
-        return fn.evaluate(1.0).real, fn.magnitude_bound()
+        return table[0].evaluate(1.0).real, table[0].magnitude_bound()
     value = 0.0
     scale = 0.0
-    deriv = fn
-    for j0, t in enumerate(square_variable_derivative(order)):
-        deriv = deriv.differentiate()  # j = j0 + 1
+    for deriv, t in zip(table[1:], square_variable_derivative(order)):  # j = 1..order
         value += float(t) * deriv.evaluate(1.0).real
         scale += abs(float(t)) * deriv.magnitude_bound()
     return value, scale
@@ -517,19 +520,15 @@ def check_xi_derivatives(pair: EigenPair) -> IdentityReport:
         return not_applicable(
             "xi-flatness", (spec.n, spec.p, pair.index), notes="defined for symmetric pairs"
         )
-    kernel = pair.kernel_part
+    kernel = tuple(d.nonzero_frequency_part() for d in pair.derivatives[:spec.n])
     worst_rel = 0.0
     values = {}
-    for k in range(spec.n - spec.p, spec.n):
-        value, scale = _xi_derivative_at_one(kernel, k)
-        rel = abs(value) / max(scale, 1e-300)
-        values[f"kernel_k{k}"] = value
-        worst_rel = max(worst_rel, rel)
-    for k in range(spec.n):
-        value, scale = _xi_derivative_at_one(pair.z, k)
-        rel = abs(value) / max(scale, 1e-300)
-        values[f"full_k{k}"] = value
-        worst_rel = max(worst_rel, rel)
+    checks = [("kernel", kernel, k) for k in range(spec.n - spec.p, spec.n)]
+    checks += [("full", pair.derivatives, k) for k in range(spec.n)]
+    for name, table, k in checks:
+        value, scale = _xi_derivative_at_one(table, k)
+        values[f"{name}_k{k}"] = value
+        worst_rel = max(worst_rel, abs(value) / max(scale, 1e-300))
     return IdentityReport(
         identity_id="xi-flatness",
         index=(spec.n, spec.p, pair.index),
@@ -573,7 +572,7 @@ def check_stone_lemma(pair: EigenPair) -> IdentityReport:
     mean = pair.mean()
     # the stone is a difference of pieces the size of z^(2n-2), so that norm
     # is the honest "could it have cancelled to zero" yardstick
-    scale = max(math.sqrt(l2_norm_sq(pair.z.differentiate(2 * spec.n - 2))), 1e-300)
+    scale = max(math.sqrt(l2_norm_sq(pair.derivatives[2 * spec.n - 2])), 1e-300)
     nonzero = abs(c) > STONE_FLOOR * scale
     mean_negligible = abs(mean) <= 1e-12 * max(pair.z.magnitude_bound(), 1e-300)
     sign_ok = mean_negligible or c * mean < 0

@@ -65,14 +65,6 @@ class IdentityReport:
     notes: str = ""
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
-    @property
-    def applicable(self) -> bool:
-        return self.verdict != NOT_APPLICABLE
-
 
 def equality_report(identity_id, index, lhs, rhs, tol, notes="", details=None) -> IdentityReport:
     rel = relative_residual(lhs, rhs)

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .exppoly import ExpPoly, inner_product, l2_norm_sq
+from .exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
 from .problem import ProblemSpec
 from .reporting import IdentityReport, bound_report, equality_report
 from .solver import cached_eigenpair, cached_spectrum, eigenpair_from_function
@@ -114,6 +114,20 @@ def quadrature_integral(f: ExpPoly) -> complex:
     return complex(re, im)
 
 
+def hermiticity_error(f: ExpPoly, g: ExpPoly, k: int) -> float:
+    """|<sigma^k f, g> - <f, sigma^k g>| (Hermitian) over the integrands' magnitude bounds.
+
+    Roundoff is relative to the integrands' terms, up to ~1e8 times the
+    Cauchy-Schwarz scale here; it is all that is left when f and g are
+    clamped to order k at +-1, which kills every boundary term.
+    """
+    sigma = SigmaPolynomial.sigma_power(k)
+    lhs = sigma.apply(f.derivatives(k)) * g.conjugate()
+    rhs = f * sigma.apply(g.derivatives(k)).conjugate()
+    scale = max(lhs.magnitude_bound() + rhs.magnitude_bound(), 1e-30)
+    return abs(lhs.integrate_unit() - rhs.integrate_unit()) / scale
+
+
 def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
     """Seeded randomized property sweeps; each report aggregates one family."""
     rng = np.random.RandomState(seed)
@@ -149,21 +163,9 @@ def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
         clamp = window
         for _ in range(k - 1):
             clamp = clamp * window
-        # moderate frequencies: with |Re mu| ~ 15 the e^{2|mu|} dynamic range of
-        # the product integrand already eats the 1e-10 headroom in an honest
-        # norm-relative comparison
         f = random_real_exppoly(rng, freq_scale=8.0, max_degree=2, terms=2) * clamp
         g = random_real_exppoly(rng, freq_scale=8.0, max_degree=2, terms=2) * clamp
-        sig_f = f
-        sig_g = g
-        for _ in range(k):
-            sig_f = sig_f.differentiate().scaled(1j)
-            sig_g = sig_g.differentiate().scaled(1j)
-        lhs = inner_product(sig_f, g.conjugate())
-        rhs = inner_product(f, sig_g.conjugate())
-        norms = math.sqrt(l2_norm_sq(sig_f) * l2_norm_sq(g))
-        scale = max(abs(lhs), abs(rhs), norms, 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, hermiticity_error(f, g, k))
     reports.append(bound_report("prop-hermiticity", (cases,), worst, 1e-10))
 
     worst = 0.0

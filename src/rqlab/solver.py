@@ -94,15 +94,6 @@ def _indicators(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, full & (logabs - log_hadamard > math.log(SIGN_TRUST_RATIO))
 
 
-def det_indicator(spec: ProblemSpec, Lambda: float) -> float:
-    """Sign-stable scaled determinant; changes sign at simple eigenvalues.
-
-    Returns sign(det) * |det|^(1/n) of the row-scaled boundary matrix, which
-    keeps values comparable across nearby Lambda.
-    """
-    return float(_indicators(boundary_matrix(spec, [root_system(spec.p, Lambda).rho]))[0][0])
-
-
 def indicator_series(
     spec: ProblemSpec, lams: Iterable[float]
 ) -> Iterator[tuple[float, float, bool]]:
@@ -135,6 +126,9 @@ class EigenPair:
     ``kernel_coeffs[j]`` is the coefficient of exp(i * root_j * x) in z,
     aligned with ``root_system(p, Lambda).roots``; ``poly_coeffs`` are
     the real coefficients of the polynomial part.  Both are read off z.
+    ``derivatives`` is z's table (z, z', ..., z^(2n)), which every operator
+    image and derivative of z is read from; it is rebuilt whenever its first
+    entry is not z (``dataclasses.replace(pair, z=...)``) and is not compared.
     """
 
     spec: ProblemSpec
@@ -143,10 +137,11 @@ class EigenPair:
     z: ExpPoly
     residuals: EigenResiduals
     normalized: bool = True
+    derivatives: tuple[ExpPoly, ...] = field(default=(), compare=False, repr=False)
 
-    @property
-    def kernel_part(self) -> ExpPoly:
-        return self.z.nonzero_frequency_part()
+    def __post_init__(self):
+        if not self.derivatives or self.derivatives[0] is not self.z:
+            object.__setattr__(self, "derivatives", self.z.derivatives(2 * self.spec.n))
 
     @property
     def kernel_coeffs(self) -> tuple[complex, ...]:
@@ -172,17 +167,12 @@ def _eigenpair(
     normalized: bool,
 ) -> EigenPair:
     """EigenPair of z with its residuals; ``matrix`` is the boundary matrix at Lambda."""
+    table = z.derivatives(2 * spec.n)
     indicator = float(_indicators(matrix[None])[0][0])
-    operator = build_operator(spec, Lambda)
-    op_res = math.sqrt(max(l2_norm_sq(operator.apply(z)), 0.0))
-    op_scale = math.sqrt(max(l2_norm_sq(z.differentiate(2 * spec.n)), 0.0))
-    boundary = 0.0
-    bscale = 0.0
-    deriv = z
-    for j in range(spec.n):
-        boundary = max(boundary, abs(deriv.evaluate(1.0)), abs(deriv.evaluate(-1.0)))
-        bscale = max(bscale, deriv.magnitude_bound())
-        deriv = deriv.differentiate()
+    op_res = math.sqrt(max(l2_norm_sq(build_operator(spec, Lambda).apply(table)), 0.0))
+    op_scale = math.sqrt(max(l2_norm_sq(table[-1]), 0.0))
+    boundary = max(abs(d.evaluate(x)) for d in table[:spec.n] for x in (1.0, -1.0))
+    bscale = max(d.magnitude_bound() for d in table[:spec.n])
     residuals = EigenResiduals(
         det_indicator=indicator,
         nullspace_quality=quality,
@@ -191,7 +181,7 @@ def _eigenpair(
         boundary_residual=boundary,
         boundary_scale=bscale,
     )
-    return EigenPair(spec, Lambda, index, z, residuals, normalized)
+    return EigenPair(spec, Lambda, index, z, residuals, normalized, table)
 
 
 def _fix_sign(z: ExpPoly) -> ExpPoly:

@@ -88,6 +88,12 @@ class TestExitCodes:
         assert code == 1 and out == "" and f"exceeds {rqlab.cli.MAX_GRID_POINTS}" in err
         assert all(flag in err for flag in flags)
 
+    def test_an_empty_plot_grid_is_one(self, capsys):
+        # Lambda = 1e-4 has root coordinate 0.01, below one step of 0.02
+        code, out, err = run_cli(capsys, *"plotdata --n 2 --p 1 --lambda-to 0.0001".split())
+        assert code == 1 and out == "" and "empty" in err
+        assert "--lambda-to" in err and "--step" in err
+
     def test_identity_violation_is_three(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--inject-fault"
@@ -437,6 +443,13 @@ class TestSelftest:
         assert elapsed < 60.0
         payload = json.loads(out)
         assert payload["rollup"]["pass"] is True
+
+    @pytest.mark.parametrize("seed", ["11", "42", "68"])
+    def test_selftest_passes_on_seeds_that_failed_a_norm_scaled_hermiticity_sweep(
+        self, capsys, seed
+    ):
+        code, _, _ = run_cli(capsys, "selftest", "--seed", seed)
+        assert code == 0
 
     def test_selftest_is_seed_stable(self, capsys):
         _, a, _ = run_cli(capsys, "selftest", "--seed", "11", "--cases", "50", "--format", "json")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rqlab.exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
+from rqlab.selftest import hermiticity_error
 
 from conftest import PI, quad_integral, random_exppoly, random_real_exppoly, rel_err
 
@@ -59,6 +60,15 @@ class TestDifferentiate:
     def test_zero_order_is_identity(self, rng):
         f = random_exppoly(rng)
         assert f.differentiate(0) == f
+
+    def test_derivative_table_is_the_chain_of_single_steps(self, rng):
+        f = random_exppoly(rng)
+        table = f.derivatives(4)
+        assert len(table) == 5 and table[0] is f
+        for k in range(1, 5):
+            assert table[k] == table[k - 1].differentiate() == f.differentiate(k)
+        with pytest.raises(ValueError):
+            f.derivatives(-1)
 
     def test_half_cosine_slope_at_one_matches_finite_differences(self):
         f = ExpPoly.cosine(PI / 2)
@@ -131,7 +141,7 @@ class TestEvaluate:
 class TestSigmaPolynomial:
     def test_annihilates_cos_and_maps_constant(self):
         op = SigmaPolynomial((-PI * PI, 0, 1))  # sigma^2 - pi^2
-        image = op.apply(z2_closed_form())
+        image = op.apply(z2_closed_form().derivatives(2))
         assert len(image.terms) == 1 and image.terms[0][0] == 0
         assert image.terms[0][1][0].real == pytest.approx(-PI * PI, rel=1e-13)
         # cross-check against plain differentiation: sigma^2 = -d^2
@@ -140,13 +150,28 @@ class TestSigmaPolynomial:
 
     def test_identity_operator(self, rng):
         f = random_exppoly(rng)
-        assert SigmaPolynomial((1.0,)).apply(f) == f
+        assert SigmaPolynomial((1.0,)).apply(f.derivatives(0)) == f
+
+    def test_reads_the_table_with_exact_powers_of_i(self, rng, monkeypatch):
+        f = random_exppoly(rng)
+        table = f.derivatives(5)
+
+        def walk(*args):
+            raise AssertionError("apply walked a derivative")
+
+        monkeypatch.setattr(ExpPoly, "derivatives", walk)
+        monkeypatch.setattr(ExpPoly, "differentiate", walk)
+        for k, factor in enumerate((1, 1j, -1, -1j, 1, 1j)):
+            assert SigmaPolynomial.sigma_power(k).apply(table) == table[k].scaled(factor)
+        op = SigmaPolynomial((2.0, 0, 0.5j, 0, 0, 3.0))
+        expect = table[0].scaled(2.0) + table[2].scaled(-0.5j) + table[5].scaled(3j)
+        assert (op.apply(table) - expect).magnitude_bound() <= 1e-12 * expect.magnitude_bound()
 
     def test_pure_exponential_is_eigenvector(self):
         # sigma = i d has eigenvalue -lam on e^{i lam x}
         lam = 2.7
         op = SigmaPolynomial.from_roots([1.0, -3.0])
-        image = op.apply(ExpPoly.build([(1j * lam, (1.0,))]))
+        image = op.apply(ExpPoly.build([(1j * lam, (1.0,))]).derivatives(2))
         assert len(image.terms) == 1
         assert image.terms[0][1][0] == pytest.approx((-lam - 1) * (-lam + 3), rel=1e-14)
 
@@ -161,6 +186,14 @@ class TestSigmaPolynomial:
 
 
 class TestProperties:
+    def test_hermiticity_error_sees_a_surviving_boundary_term(self, rng):
+        # negative control of the self-test's prop-hermiticity sweep: unclamped
+        # f and g keep the boundary term of the integration by parts at k = 1
+        for _ in range(300):
+            f = random_real_exppoly(rng, freq_scale=8.0, max_degree=2, terms=2)
+            g = random_real_exppoly(rng, freq_scale=8.0, max_degree=2, terms=2)
+            assert hermiticity_error(f, g, 1) > 1e-7
+
     def test_norm_is_nonnegative(self, rng):
         for _ in range(20):
             f = random_exppoly(rng, freq_scale=20, max_degree=4, terms=2)

@@ -75,9 +75,11 @@ def test_sigma_polynomial_product_applies_as_composition():
     @hypothesis.given(sigma_polynomials, sigma_polynomials,
                       exppolys(st.floats(0.0, 5.0), max_degree=3))
     def composition(P, Q, f):
-        lhs = (P * Q).apply(f)
-        rhs = P.apply(Q.apply(f))
-        scale = sum(abs(a) * abs(b) * f.differentiate(i + j).magnitude_bound()
+        degree_p, degree_q = len(P.coeffs) - 1, len(Q.coeffs) - 1
+        table = f.derivatives(degree_p + degree_q)
+        lhs = (P * Q).apply(table)
+        rhs = P.apply(Q.apply(table).derivatives(degree_p))
+        scale = sum(abs(a) * abs(b) * table[i + j].magnitude_bound()
                     for i, a in enumerate(P.coeffs) for j, b in enumerate(Q.coeffs))
         assert (lhs - rhs).magnitude_bound() <= BOUND * scale
 

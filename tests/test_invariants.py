@@ -9,6 +9,7 @@ from rqlab import solver
 from rqlab.errors import IdentityViolationError
 from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec, reduced_operator
+from rqlab.reporting import NOT_APPLICABLE, PASS
 from rqlab.selftest import closed_form_anchor_pairs, identity_anchor_checks
 from rqlab.solver import cached_eigenpair, eigenpair_from_function
 
@@ -43,7 +44,7 @@ class TestStone:
             inv.stone(z1)
 
     def test_kernel_alone_gives_zero(self, z2):
-        kernel_only = eigenpair_from_function(z2.spec, z2.Lambda, z2.kernel_part, 0)
+        kernel_only = eigenpair_from_function(z2.spec, z2.Lambda, z2.z.nonzero_frequency_part(), 0)
         assert abs(inv.stone(kernel_only)) < 1e-10
 
     def test_antisymmetric_residue_is_linear(self):
@@ -60,7 +61,7 @@ class TestStone:
         doubled = inv.check_stone_identity(
             dataclasses.replace(z2, z=z2.z.scaled(2.0), normalized=False)
         )
-        assert doubled.passed and base.passed
+        assert doubled.verdict == PASS and base.verdict == PASS
         assert doubled.lhs == pytest.approx(4 * base.lhs, rel=1e-12)
         assert doubled.rhs == pytest.approx(4 * base.rhs, rel=1e-12)
 
@@ -114,6 +115,27 @@ class TestResidues:
         # orders 3, 2, 1 for each of three (4,1) pairs; 2, 1 for three (3,1) pairs
         assert len(calls) == len(set(calls)) == 15
 
+    def test_each_eigenfunction_is_differentiated_once(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STORE", {})
+        inv._reduced_image.cache_clear()
+        inv._half_image.cache_clear()
+        pairs = [cached_eigenpair(n, 1, S, i) for n in (3, 4) for i in range(3)]
+        tables = {id(entry) for pair in pairs for entry in pair.derivatives}
+        starts = []
+
+        def recording(walk):
+            def recorded(self, *args):
+                starts.append(id(self))
+                return walk(self, *args)
+            return recorded
+
+        for name in ("differentiate", "derivatives"):
+            monkeypatch.setattr(ExpPoly, name, recording(getattr(ExpPoly, name)))
+        inv.run_identity_suite(4, 1, count=3)
+        # the suite reads every derivative of z off the pair's table; only the
+        # stone polynomials' own ladder check differentiates
+        assert starts and not tables.intersection(starts)
+
     def test_strict_guard_on_a_perturbed_eigenvalue(self):
         genuine = cached_eigenpair(4, 1, S, 0)
         bad = dataclasses.replace(genuine, Lambda=genuine.Lambda * (1 + 1e-6))
@@ -150,7 +172,7 @@ class TestMomentsAndBrackets:
 class TestStoneIdentity:
     def test_closed_form_anchor(self, z2):
         report = inv.check_stone_identity(z2)
-        assert report.passed
+        assert report.verdict == PASS
         assert report.lhs == pytest.approx(2 * PI**4, rel=1e-12)
         assert report.rhs == pytest.approx(2 * PI**4, rel=1e-12)
 
@@ -159,19 +181,19 @@ class TestStoneIdentity:
 
     def test_strictly_positive_on_numeric_pair(self):
         report = inv.check_stone_identity(cached_eigenpair(3, 1, S, 0))
-        assert report.passed and report.lhs > 0
+        assert report.verdict == PASS and report.lhs > 0
 
 
 class TestCrossIdentity:
     def test_closed_form_anchor(self, z1, z2, anchors):
-        assert inv.check_cross_identity(z1, z2).passed
+        assert inv.check_cross_identity(z1, z2).verdict == PASS
         for side in ("lhs", "rhs"):
             report = anchors[f"anchor-cross-{side}"]
             assert rel_err(report.lhs, report.rhs) <= 1e-12
 
     def test_numeric_adjacent_orders(self):
         report = inv.check_cross_identity(cached_eigenpair(2, 1, S, 0), cached_eigenpair(3, 1, S, 0))
-        assert report.passed and report.rel_residual < 1e-8
+        assert report.verdict == PASS and report.rel_residual < 1e-8
 
     def test_order_validation(self, z1, z2):
         with pytest.raises(ValueError):
@@ -181,7 +203,7 @@ class TestCrossIdentity:
 class TestBilinearFamily:
     def test_closed_form_anchor_both_routes(self, z1, z2):
         report = inv.check_bilinear_family(z1, z2, -1)
-        assert report.passed
+        assert report.verdict == PASS
         assert report.lhs == pytest.approx(-4 * PI, rel=1e-12)
         assert report.details["bracket_lhs"] == pytest.approx(4 * PI, rel=1e-12)
         assert report.details["matched_variant"] == "plain"
@@ -197,13 +219,13 @@ class TestBilinearFamily:
         q = (5 - 3) // 2
         for k in range(-1 - q, 3 - 1):
             report = inv.check_bilinear_family(zn, zm, k)
-            assert report.passed, (k, report)
+            assert report.verdict == PASS, (k, report)
             assert report.details["route_consistency"] < 1e-9
 
 
 class TestPositivityFamily:
     def test_closed_form_anchor(self, z2, anchors):
-        assert inv.check_positivity_family(z2, 0).passed
+        assert inv.check_positivity_family(z2, 0).verdict == PASS
         for route in ("norm_route", "h_route", "bracket_route"):
             report = anchors[f"anchor-positivity-{route}"]
             assert rel_err(report.lhs, report.rhs) <= 1e-12
@@ -212,7 +234,7 @@ class TestPositivityFamily:
         pair = cached_eigenpair(3, 1, S, 0)
         for k in (0, 1):
             report = inv.check_positivity_family(pair, k)
-            assert report.passed
+            assert report.verdict == PASS
             assert report.rel_residual < 1e-8
             assert min(report.details["norm_route"], report.details["bracket_route"]) > 0
 
@@ -224,14 +246,14 @@ class TestCauchySchwarz:
     def test_equality_case_flagged_proportional(self):
         pair = cached_eigenpair(3, 1, S, 0)
         report = inv.check_cauchy_schwarz(pair, pair, l=0, k=0)
-        assert report.passed
+        assert report.verdict == PASS
         assert report.details["proportional"]
 
     def test_strict_case(self):
         report = inv.check_cauchy_schwarz(
             cached_eigenpair(2, 1, S, 0), cached_eigenpair(3, 1, S, 0), l=0, k=0
         )
-        assert report.passed
+        assert report.verdict == PASS
         assert not report.details["proportional"]
         assert report.lhs >= 0 and report.rhs >= 0
 
@@ -245,18 +267,18 @@ class TestCauchySchwarz:
 class TestRootCompleteness:
     def test_closed_form(self, z2):
         report = inv.check_root_completeness(z2)
-        assert report.passed
+        assert report.verdict == PASS
         assert report.details["weight_ratios"] == pytest.approx((1.0, 1.0))
 
     def test_2_2_all_four_roots_present(self):
         report = inv.check_root_completeness(cached_eigenpair(2, 2, S, 0))
-        assert report.passed
+        assert report.verdict == PASS
 
     def test_synthetic_missing_root_fails(self):
         Lam = 31.285243858777125
         rho = Lam**0.25
         missing = eigenpair_from_function(ProblemSpec(2, 2, S), Lam, ExpPoly.cosine(rho), 0)
-        assert not inv.check_root_completeness(missing).passed
+        assert inv.check_root_completeness(missing).verdict != PASS
 
 
 class TestXiDerivatives:
@@ -264,22 +286,22 @@ class TestXiDerivatives:
         assert inv.square_variable_derivative(2) == (inv.Fraction(-1, 4), inv.Fraction(1, 4))
 
     def test_closed_form_2_1(self, z2):
-        assert inv.check_xi_derivatives(z2).passed
+        assert inv.check_xi_derivatives(z2).verdict == PASS
 
     def test_numeric_3_2(self):
         report = inv.check_xi_derivatives(cached_eigenpair(3, 2, S, 0))
-        assert report.passed
+        assert report.verdict == PASS
         assert "kernel_k1" in report.details and "kernel_k2" in report.details
 
     def test_full_grid_row(self):
         for (n, p) in [(4, 1), (5, 2), (6, 3)]:
-            assert inv.check_xi_derivatives(cached_eigenpair(n, p, S, 0)).passed
+            assert inv.check_xi_derivatives(cached_eigenpair(n, p, S, 0)).verdict == PASS
 
     def test_non_eigenfunction_fails(self):
         # negative control: a clamped-looking but wrong function is caught
         fake = ExpPoly.cosine(PI) + ExpPoly.cosine(2 * PI)
         pair = eigenpair_from_function(ProblemSpec(3, 1, S), PI * PI, fake, 0)
-        assert not inv.check_xi_derivatives(pair).passed
+        assert inv.check_xi_derivatives(pair).verdict != PASS
 
 
 class TestGammaExpansion:
@@ -310,6 +332,15 @@ class TestSuiteRunner:
 
     def test_explicit_partner_order(self):
         reports = inv.run_identity_suite(3, 1, count=1, m=5)
-        bilinear = [r for r in reports if r.identity_id == "bilinear" and r.applicable]
-        assert bilinear and all(r.passed for r in bilinear)
+        bilinear = [r for r in reports
+                    if r.identity_id == "bilinear" and r.verdict != NOT_APPLICABLE]
+        assert bilinear and all(r.verdict == PASS for r in bilinear)
         assert all(r.index[0] == 3 and r.index[1] == 5 for r in bilinear)
+
+    def test_partner_order_past_the_derivative_table(self):
+        # at m = 7, k = -4 the bilinear coupling reads the third derivative of
+        # an order-1 eigenfunction, past its table (z, z', z'')
+        reports = inv.run_identity_suite(1, 1, count=1, m=7)
+        bilinear = [r for r in reports if r.identity_id == "bilinear"]
+        assert [r.index[3] for r in bilinear] == [-4, -3, -2, -1]
+        assert all(r.verdict == PASS for r in bilinear)

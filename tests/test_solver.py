@@ -17,13 +17,13 @@ from rqlab.cli import main
 from rqlab.errors import ConfigError, ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
 from rqlab.problem import ProblemSpec, root_system, solution_basis
+from rqlab.reporting import PASS
 from rqlab.selftest import closed_form_spectrum_checks
 from rqlab.solver import (
     antisym_equals_next_sym,
     boundary_matrix,
     cached_eigenpair,
     cached_spectrum,
-    det_indicator,
     extract_eigenfunction,
     scan_spectrum,
 )
@@ -31,6 +31,12 @@ from rqlab.solver import (
 from conftest import PI, bisect_root, rel_err
 
 S, A = "symmetric", "antisymmetric"
+
+
+def det_indicator(spec, Lambda):
+    """The scan's determinant indicator at the one eigenvalue Lambda."""
+    ((_, value, _),) = solver.indicator_series(spec, [root_system(spec.p, Lambda).rho])
+    return value
 
 
 class TestDetIndicator:
@@ -398,7 +404,8 @@ class TestExtraction:
                 for index in range(4):
                     pair = cached_eigenpair(n, p, parity, index)
                     roots = root_system(p, pair.Lambda).roots
-                    assert {mu for mu, _ in pair.kernel_part.terms} == {1j * r for r in roots}
+                    kernel = pair.z.nonzero_frequency_part()
+                    assert {mu for mu, _ in kernel.terms} == {1j * r for r in roots}
                     assert all(pair.kernel_coeffs), (n, p, index)
 
     def test_rescaled_view(self):
@@ -409,6 +416,12 @@ class TestExtraction:
         assert doubled.poly_coeffs == tuple(2 * c for c in pair.poly_coeffs)
         assert doubled.kernel_coeffs == tuple(2 * c for c in pair.kernel_coeffs)
         assert len(doubled.kernel_coeffs) == 2 and len(doubled.poly_coeffs) == 3
+        # the derivative table follows z and stays out of equality
+        assert doubled.derivatives[0] is doubled.z
+        assert doubled.derivatives == doubled.z.derivatives(6)
+        same = dataclasses.replace(pair)
+        assert same == pair and hash(same) == hash(pair)
+        assert same.derivatives is pair.derivatives
 
     def test_extraction_builds_one_boundary_matrix(self, monkeypatch):
         calls = []
@@ -429,21 +442,21 @@ class TestExtraction:
 class TestSpectrumStructure:
     def test_parity_shift_closed_form(self):
         reports = antisym_equals_next_sym(1, 1, 2, tol=1e-10)
-        assert all(r.passed for r in reports)
+        assert all(r.verdict == PASS for r in reports)
         anti = cached_spectrum(1, 1, A, 2)
         for value, expect in zip(anti, [PI * PI, 4 * PI * PI]):
             assert rel_err(value, expect) < 1e-12
 
     def test_parity_shift_2_2(self):
         reports = antisym_equals_next_sym(2, 2, 1, tol=1e-9)
-        assert all(r.passed for r in reports)
+        assert all(r.verdict == PASS for r in reports)
 
     def test_exact_tolerance_is_honored(self):
         reports = antisym_equals_next_sym(1, 1, 1, tol=0.0)
         # identical only on exact float coincidence; either outcome must be
         # reported honestly rather than upgraded
         assert reports[0].verdict in ("pass", "fail")
-        assert (reports[0].rel_residual == 0.0) == reports[0].passed
+        assert (reports[0].rel_residual == 0.0) == (reports[0].verdict == PASS)
 
     def test_variational_ordering(self):
         for (n, p) in [(1, 1), (2, 1), (2, 2), (3, 2)]:
@@ -489,7 +502,8 @@ class TestSpectrumStructure:
     def test_parity_shift_to_machine_precision(self):
         for n in range(1, 5):
             for p in range(1, n + 1):
-                assert all(r.passed for r in antisym_equals_next_sym(n, p, 5, tol=1e-14)), (n, p)
+                reports = antisym_equals_next_sym(n, p, 5, tol=1e-14)
+                assert all(r.verdict == PASS for r in reports), (n, p)
 
     def test_indicator_self_consistency_at_refined_eigenvalues(self):
         # the indicator is sign * |det|^(1/n), so the residual-vs-scale bound
