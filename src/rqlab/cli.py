@@ -43,7 +43,7 @@ from .reporting import (
     not_applicable,
     rollup_from_reports,
 )
-from .ritz import assemble, ritz_values
+from .ritz import MAX_BASIS_SIZE, assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
     DEFAULT_LAMBDA_CEILING,
@@ -103,11 +103,15 @@ def _report_rows(reports):
 
 def _cmd_spectrum(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
+    k = max(args.ritz_k, args.count)
+    if k > MAX_BASIS_SIZE:  # refused before the scan, not after it
+        flag = "--ritz-k" if args.ritz_k >= args.count else "--count"
+        raise ConfigError(f"{flag} {k} exceeds the Ritz column's supported basis size "
+                          f"{MAX_BASIS_SIZE}")
     ceiling = DEFAULT_LAMBDA_CEILING
     if args.lambda_max is not None:
         ceiling = root_system(spec.p, args.lambda_max).rho
     slice_ = scan_spectrum(spec, args.count, step=args.step, lambda_ceiling=ceiling)
-    k = max(args.ritz_k, args.count)
     bounds = ritz_values(assemble(spec, k), k)  # upper bounds, up to the eigensolve's rounding
     ritz = bounds[:args.count]
     rows = []

@@ -1,16 +1,21 @@
 """Variational cross-check: Ritz values from exact Gram matrices.
 
-Trial functions ``(1-x^2)^n x^(2k)`` (symmetric) or ``(1-x^2)^n x^(2k+1)``
-(antisymmetric) satisfy the clamped conditions by construction.  They and
-their derivatives have integer coefficients, and ``int x^s = 2/(s+1)`` for
-even s, so each Gram entry is one integer ``sum f_a g_b w[a+b]`` over the
-common denominator ``Q = lcm(1, 3, ..., 2*deg+1)``, with ``w[s] = 2Q/(s+1)``.
-Quadrature is never a shared failure mode with the determinant solver.
+Trial functions ``phi_k = (1-x^2)^n x^(2k+s)``, s = 0 (symmetric) or 1
+(antisymmetric), satisfy the clamped conditions by construction: their first
+n-1 derivatives vanish at +-1.  So for r <= n, r integrations by parts give
+``<phi_k^(r) phi_l^(r)> = (-1)^r <phi_k phi_l^(2r)>``, and each monomial of
+``phi_l^(2r)`` integrates against ``phi_k`` to one Beta moment
+``beta_m = int (1-x^2)^n x^(2m) = n! 2^(n+1) / ((2m+1)(2m+3)...(2m+2n+1))``.
+Over the common denominator ``Q = lcm(1, 3, ..., 2*deg+1)`` every
+``Q beta_m`` the basis needs is an integer, so each Gram entry is an exact
+integer sum of n+1 products.  Quadrature is never a shared failure mode with
+the determinant solver.
 
 The trial basis is Hilbert-matrix-like (float Cholesky of the mass matrix
 fails around K ~ 16), so the reduction ``B = L D L^T``, ``L^(-1) A L^(-T)`` is
 exact too: an exact Gram-Schmidt in the mass inner product keeps each row of
-``L^(-1)`` as a primitive integer row, and each reduced entry is rounded once.
+``L^(-1)`` as a primitive integer row, whose mass norm is one dot product
+with a row of B, and each reduced entry is rounded once.
 The rows and their mass norms stay within a few hundred bits at K = 20, where
 the leading minors of B that a fraction-free elimination carries reach
 1400-2000 bits.  The float eigensolve then adds an absolute error of about eps
@@ -23,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,21 +36,40 @@ from .problem import ProblemSpec
 
 MAX_BASIS_SIZE = 64  # far beyond the useful double-precision envelope (K ~ 25)
 
-def _trial_terms(spec: ProblemSpec, k: int, order: int) -> list[tuple[int, int]]:
-    """(power, integer coefficient) terms of the order-th derivative of trial function k."""
-    shift = 2 * k + (0 if spec.symmetric else 1)
-    powers = [(shift + 2 * j, (-1) ** j * math.comb(spec.n, j)) for j in range(spec.n + 1)]
-    return [(e - order, c * math.perm(e, order)) for e, c in powers if e >= order]
+
+def _beta_moments(n: int, count: int, denominator: int) -> list[int]:
+    """``Q * beta_m`` for m < count, with ``beta_m = int (1-x^2)^n x^(2m)``.
+
+    ``beta_m = n! 2^(n+1) / ((2m+1)(2m+3)...(2m+2n+1))``, so
+    ``beta_(m+1) = beta_m (2m+1) / (2m+2n+3)``; every ``Q beta_m`` needed is the
+    integer ``sum_i (-1)^i C(n,i) 2Q/(2m+2i+1)``, so each division is exact.
+    """
+    moment = denominator * math.factorial(n) * 2 ** (n + 1) // math.prod(range(1, 2 * n + 2, 2))
+    moments = [moment]
+    for m in range(count - 1):
+        moment = moment * (2 * m + 1) // (2 * m + 2 * n + 3)
+        moments.append(moment)
+    return moments
 
 
-def _gram(terms: list[list[tuple[int, int]]], weights: list[int]) -> tuple[tuple[int, ...], ...]:
-    """``<f_i f_j>`` times the common denominator: the integers ``sum f_a g_b w[a+b]``."""
-    size = len(terms)
-    g = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            total = sum(fa * fb * weights[a + b] for a, fa in terms[i] for b, fb in terms[j])
-            g[i][j] = g[j][i] = total
+def _gram(n: int, s: int, K: int, order: int, moments: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``<phi_k^(r) phi_l^(r)>`` times the common denominator, for r = order.
+
+    By parts ``<phi_k^(r) phi_l^(r)> = (-1)^r <phi_k phi_l^(2r)>``, and
+    ``phi_l^(2r) = sum_j (-1)^j C(n,j) perm(e_l+2j, 2r) x^(e_l+2j-2r)`` with
+    ``e_l = 2l+s`` (s = 0 symmetric, 1 antisymmetric), so the entry is
+    ``sum_j`` of that coefficient times ``Q beta_(k+l+s+j-r)``; the terms with
+    ``e_l+2j < 2r`` vanish.
+    """
+    sign = -1 if order % 2 else 1
+    g = [[0] * K for _ in range(K)]
+    for l in range(K):
+        first = max(0, order - l)
+        coeffs = [sign * (-1) ** j * math.comb(n, j) * math.perm(2 * l + s + 2 * j, 2 * order)
+                  for j in range(first, n + 1)]
+        for k in range(l + 1):
+            start = k + l + s + first - order
+            g[k][l] = g[l][k] = sum(map(operator.mul, coeffs, moments[start:start + len(coeffs)]))
     return tuple(tuple(row) for row in g)
 
 
@@ -67,16 +90,15 @@ def assemble(spec: ProblemSpec, K: int) -> RitzSystem:
         raise ConfigError("K must be >= 1")
     if K > MAX_BASIS_SIZE:
         raise ConfigError(f"K={K} exceeds the supported basis size {MAX_BASIS_SIZE}")
-    hi = [_trial_terms(spec, k, spec.n) for k in range(K)]
-    lo = [_trial_terms(spec, k, spec.n - spec.p) for k in range(K)]
-    degree = max(e for terms in lo for e, _ in terms)  # hi has the lower powers
+    s = 0 if spec.symmetric else 1
+    degree = 2 * (K - 1) + s + spec.n + spec.p  # of phi_(K-1)^(n-p), the highest power
     denominator = math.lcm(*range(1, 2 * degree + 2, 2))
-    weights = [2 * denominator // (s + 1) if s % 2 == 0 else 0 for s in range(2 * degree + 1)]
+    moments = _beta_moments(spec.n, 2 * K - 1 + s + spec.p, denominator)
     return RitzSystem(
         spec=spec,
         K=K,
-        stiffness=_gram(hi, weights),
-        mass=_gram(lo, weights),
+        stiffness=_gram(spec.n, s, K, spec.n, moments),
+        mass=_gram(spec.n, s, K, spec.n - spec.p, moments),
         denominator=denominator,
     )
 
@@ -96,18 +118,27 @@ def _reduced_matrix(system: RitzSystem) -> np.ndarray:
     rows: list[list[int]] = []  # u_i, up to its diagonal
     norms: list[int] = []  # n_i
     inv_sqrt: list[float] = []  # (D_i / Q)^(-1/2)
+    reduced = np.empty((K, K))
     for i in range(K):
+        # the projection coefficient of e_i on u_k is num/den in lowest terms;
         # map() stops at the end of u_k, its diagonal
-        coeffs = [Fraction(sum(map(operator.mul, b[i], u)), n) for u, n in zip(rows, norms)]
-        lcm = math.lcm(*(c.denominator for c in coeffs))
+        nums, dens = [], []
+        for u, n in zip(rows, norms):
+            c = sum(map(operator.mul, b[i], u))
+            d = math.gcd(c, n)
+            nums.append(c // d)
+            dens.append(n // d)
+        lcm = math.lcm(*dens)
         row = [0] * i + [lcm]
-        for c, u in zip(coeffs, rows):
-            factor = lcm // c.denominator * c.numerator
+        for num, den, u in zip(nums, dens, rows):
+            factor = lcm // den * num
             for m, x in enumerate(u):
                 row[m] -= factor * x
         g = math.gcd(*row)
         row = [x // g for x in row]
-        norm = sum(x * sum(map(operator.mul, b_m, row)) for x, b_m in zip(row, b))
+        # row * g = lcm e_i - sum c_k lcm u_k is B-orthogonal to every u_k, so
+        # its mass norm is lcm e_i B (row * g), and row's is (lcm/g) B[i] row
+        norm = lcm // g * sum(map(operator.mul, b[i], row))
         if norm <= 0:
             # mathematically impossible for a Gram matrix of independent
             # functions; would signal a broken assembly
@@ -116,12 +147,11 @@ def _reduced_matrix(system: RitzSystem) -> np.ndarray:
         norms.append(norm)
         # the common denominator cancels from L^(-1) but stays in D and A
         inv_sqrt.append(1.0 / math.sqrt(norm / (scale * row[i] ** 2)))
-    # each u_i stops at its diagonal, and map() stops with it; A is symmetric
-    rows_a = [[sum(map(operator.mul, row, a_m)) for a_m in a] for row in rows]
-    reduced = np.empty((K, K))
-    for i in range(K):
+        # (A u_i)_m for the columns m <= i that the lower triangle reads;
+        # u_i stops at its diagonal, and map() stops with it
+        row_a = [sum(map(operator.mul, row, a[m])) for m in range(i + 1)]
         for j in range(i + 1):
-            w = sum(map(operator.mul, rows_a[i], rows[j])) / (scale * rows[i][i] * rows[j][j])
+            w = sum(map(operator.mul, row_a, rows[j])) / (scale * row[i] * rows[j][j])
             reduced[i, j] = w * inv_sqrt[i] * inv_sqrt[j]
             reduced[j, i] = w * inv_sqrt[j] * inv_sqrt[i]
     return reduced

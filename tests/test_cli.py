@@ -88,6 +88,21 @@ class TestExitCodes:
         assert code == 1 and out == "" and f"exceeds {rqlab.cli.MAX_GRID_POINTS}" in err
         assert all(flag in err for flag in flags)
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("spectrum --n 1 --p 1 --count 2 --ritz-k 70", "--ritz-k 70"),
+        ("spectrum --n 1 --p 1 --count 65", "--count 65"),
+    ])
+    def test_a_ritz_basis_over_the_size_cap_is_one(self, capsys, argv, flag, monkeypatch):
+        # the Ritz basis holds max(--ritz-k, --count) functions; an oversized one
+        # is refused before the scan runs
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the basis size was checked")
+        monkeypatch.setattr(rqlab.cli, "scan_spectrum", no_scan)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        cap = rqlab.cli.MAX_BASIS_SIZE
+        assert f"{flag} exceeds the Ritz column's supported basis size {cap}" in err
+
     def test_an_empty_plot_grid_is_one(self, capsys):
         # Lambda = 1e-4 has root coordinate 0.01, below one step of 0.02
         code, out, err = run_cli(capsys, *"plotdata --n 2 --p 1 --lambda-to 0.0001".split())

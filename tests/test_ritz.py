@@ -31,6 +31,34 @@ def _absolute(f: ExpPoly) -> ExpPoly:
     return ExpPoly.build([(0j, tuple(abs(c) for c in f.zero_frequency_coefficients()))])
 
 
+def _trial_terms(spec: ProblemSpec, k: int, order: int) -> list[tuple[int, int]]:
+    """(power, integer coefficient) terms of the order-th derivative of trial function k."""
+    shift = 2 * k + (0 if spec.symmetric else 1)
+    powers = [(shift + 2 * j, (-1) ** j * math.comb(spec.n, j)) for j in range(spec.n + 1)]
+    return [(e - order, c * math.perm(e, order)) for e, c in powers if e >= order]
+
+
+def _double_sum_system(spec: ProblemSpec, K: int) -> RitzSystem:
+    """Reference assembly with no integration by parts: each Gram entry is the
+    double sum ``sum f_a g_b w[a+b]`` over the monomials of both derivatives,
+    with ``w[s] = 2Q/(s+1)`` for even s, ``Q = lcm(1, 3, ..., 2*deg+1)``."""
+    hi = [_trial_terms(spec, k, spec.n) for k in range(K)]
+    lo = [_trial_terms(spec, k, spec.n - spec.p) for k in range(K)]
+    degree = max(e for terms in lo for e, _ in terms)  # hi has the lower powers
+    denominator = math.lcm(*range(1, 2 * degree + 2, 2))
+    weights = [2 * denominator // (s + 1) if s % 2 == 0 else 0 for s in range(2 * degree + 1)]
+
+    def gram(terms):
+        g = [[0] * K for _ in range(K)]
+        for i in range(K):
+            for j in range(i, K):
+                total = sum(fa * fb * weights[a + b] for a, fa in terms[i] for b, fb in terms[j])
+                g[i][j] = g[j][i] = total
+        return tuple(tuple(row) for row in g)
+
+    return RitzSystem(spec, K, gram(hi), gram(lo), denominator)
+
+
 def _forward(lower, m):
     """L^(-1) m for a unit lower triangular L, in exact rationals."""
     out = []
@@ -63,6 +91,15 @@ class TestAssembly:
         system = assemble(ProblemSpec(1, 1, S), 1)
         assert Fraction(system.stiffness[0][0], system.denominator) == Fraction(8, 3)
         assert Fraction(system.mass[0][0], system.denominator) == Fraction(16, 15)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_double_sum_oracle(self, n):
+        # every Gram integer and the denominator, for every p and parity
+        for p in range(1, n + 1):
+            for parity in (S, A):
+                for K in (1, 2, 20, 64) if n <= 4 else (1, 2, 20):
+                    spec = ProblemSpec(n, p, parity)
+                    assert assemble(spec, K) == _double_sum_system(spec, K), (p, parity, K)
 
     def test_exact_symmetry(self):
         for spec in (ProblemSpec(2, 1, S), ProblemSpec(3, 2, "antisymmetric")):
