@@ -240,6 +240,8 @@ def _cmd_ritz(args):
     spec = ProblemSpec(args.n, args.p, args.parity)
     if args.count > args.K:
         raise ConfigError("--count cannot exceed --K")
+    if args.K > MAX_BASIS_SIZE:  # named here, where assemble would not name the flag
+        raise ConfigError(f"--K {args.K} exceeds the supported Ritz basis size {MAX_BASIS_SIZE}")
     values = ritz_values(assemble(spec, args.K), args.count)
     rows = [{"index": i, "ritz": v} for i, v in enumerate(values)]
     columns = ["index", "ritz"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,26 +156,63 @@ def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, n
     return arrays
 
 
-def kernel_terms(spec: ProblemSpec, rho: float | Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def kernel_terms(spec: ProblemSpec, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies ``mu`` and coefficients ``c`` of the terms of each real kernel function.
 
     For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
     of a trig factor in ``a x`` and a hyperbolic factor in ``b x`` that have
-    the spec's parity, scaled by ``exp(-b)`` so every function stays O(1) on
-    [-1, 1] (cosh alone overflows near 700 and ruins determinant scaling
-    much earlier).  The real root (``b = 0``) gives cos or sin alone, the
+    the spec's parity, scaled by ``exp(-b)`` so every function stays O(1) in
+    value on [-1, 1].  The real root (``b = 0``) gives cos or sin alone, the
     imaginary root (``a = 0``) cosh or sinh alone, and every other root a
     pair of four-term functions.  Roots with ``a < 0`` repeat these.
 
-    ``rho = Lambda^(1/2p)`` is a number or a 1-D array; the complex arrays
-    have shape ``(p, KERNEL_SLOTS)`` or ``(len(rho), p, KERNEL_SLOTS)``, with
-    the zero padding of two-term functions.
+    The scaling keeps the values O(1), not the factors: a term is stored as
+    ``c e^(mu x)`` with ``e^(-rho b)`` inside ``c``, so evaluating it at
+    ``|x| = 1`` forms ``e^(rho b)`` on its own, which overflows to inf past
+    ``rho b ~ 709.78``; once ``c`` underflows to 0 the product is nan.  The
+    boundary matrix therefore reads :func:`boundary_tables`, which folds
+    ``e^(-b)`` into the exponent.
+
+    ``rho = Lambda^(1/2p)`` is the root coordinate; the complex arrays have
+    shape ``(p, KERNEL_SLOTS)``, with the zero padding of two-term functions.
     """
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    if not (rho > 0).all():
+    if not rho > 0:
         raise ConfigError("the root coordinate must be positive")
     freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
     return rho * freq, kappa * (0.5 * np.exp(-rho * depth))
+
+
+@functools.cache
+def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-spec constants of the row-scaled boundary matrix, built once, as read-only arrays.
+
+    Kernel entry ``(j, k)`` at ``rho`` is
+    ``rho^j / max(rho^j, bounds[j]) * Re sum_s W[j, k, s] e^(rho exponents[k, s])``
+    with the power table ``W = kappa freq^j / 2`` of the template.
+    ``weights``, shape ``(n, p, 2 slots)``, holds W as the real pairs
+    ``(Re W, -Im W)``, interleaved like the real view of a complex array, so
+    the real part is one real contraction.  ``exponents = freq - depth``,
+    shape ``(p, slots)``, has real part 0 or ``-2b``, so no term overflows.
+    Slots that pad every kernel function are dropped.  ``monomials``, shape
+    ``(n, n-p)``, holds ``m!/(m-j)!`` for the parity monomials ``x^m``, and
+    ``bounds`` the largest entry of each of its rows (0 for a row without
+    one); monomial entry ``(j, m)`` is ``monomials[j, m] / max(rho^j, bounds[j])``.
+    """
+    freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
+    slots = int(kappa.any(axis=0).sum())  # the trailing slots past it pad every column
+    freq, kappa = freq[:, :slots], kappa[:, :slots]
+    weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
+    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
+                         dtype=float)
+    tables = (
+        np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
+        np.ascontiguousarray(freq - depth),  # so a stack of its exponentials has a real view
+        monomials,
+        monomials.max(axis=-1, initial=0.0),
+    )
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:

@@ -10,7 +10,6 @@ Eigenfunctions come from the null direction of the boundary matrix via SVD.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Generator, Iterable, Iterator, Sequence
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
-from .problem import ProblemSpec, build_operator, kernel_terms, root_system, solution_basis
+from .problem import ProblemSpec, boundary_tables, build_operator, root_system, solution_basis
 from .reporting import IdentityReport, equality_report
 
 DEFAULT_SCAN_STEP = 0.05
@@ -31,14 +30,6 @@ SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff 
 SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
 MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
-
-
-@functools.cache
-def _monomial_rows(spec: ProblemSpec) -> np.ndarray:
-    """``m!/(m-j)!`` for the parity monomials ``x^m``: value and bound of row j alike."""
-    table = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)])
-    table.setflags(write=False)
-    return table
 
 
 def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarray:
@@ -55,43 +46,59 @@ def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarr
     put and the smallest singular value is a faithful null-space quality
     measure.  Scaling is positive, so the null space is untouched.
 
+    With ``mu = rho freq`` and ``c = kappa e^(-rho b) / 2`` for a column whose
+    root is ``a + ib``, a kernel entry is evaluated as
+    ``rho^j / max(rho^j, m!/(m-j)!) * Re sum W e^(rho (freq - b))`` from the
+    spec's power table ``W = kappa freq^j / 2`` (:func:`boundary_tables`), built
+    once.  A point costs one complex ``exp`` per term and one real
+    contraction, and raises no complex power.  Each exponent has real part 0
+    or ``-2 rho b``, so nothing overflows where ``e^(rho b)`` would, and every
+    entry lies in [-1, 1] while ``rho^(n-1)`` is finite.  A row without
+    monomials that vanishes identically (its kernel entries, or an underflowed
+    ``rho^j``) raises ``DegenerateSystemError``, so every returned row is
+    nonzero.
+
     The root coordinate ``rho = Lambda^(1/2p)`` is a number, giving one
     ``(n, n)`` matrix, or a 1-D array, giving an ``(L, n, n)`` stack in one
-    numpy pass.  Each point's matrix is bit-identical either way, so a scan
-    does not depend on how it batches its grid.
+    numpy pass.  Each point's matrix is bit-identical either way (so the
+    contraction is an ``einsum``: a batched ``matmul`` sums in an order that
+    depends on the batch), so a scan does not depend on how it batches its
+    grid.
     """
-    n, p = spec.n, spec.p
+    weights, exponents, monomials, bounds = boundary_tables(spec)
     points = np.asarray(rho, dtype=float)
     rhos = points.reshape(-1)
-    mu, c = (terms[:, None] for terms in kernel_terms(spec, rhos))  # (L, 1, p, slots)
-    j = np.arange(n)
-    values = np.empty((len(rhos), n, n))
-    values[..., :p] = (c * mu ** j[:, None, None] * np.exp(mu)).real.sum(axis=-1)
-    values[..., p:] = _monomial_rows(spec)  # each its own bound
-    scale = np.maximum(rhos[:, None] ** j, values[..., p:].max(axis=-1, initial=0.0))
-    if not (scale.all() and values.any(axis=-1).all()):
-        point, row = np.argwhere((scale == 0.0) | ~values.any(axis=-1))[0]
-        raise DegenerateSystemError(
-            f"boundary row {row} vanishes identically for {spec.label()}, rho={rhos[point]}"
-        )
-    values /= scale[..., None]
+    if not (rhos > 0).all():
+        raise ConfigError("the root coordinate must be positive")
+    powers = rhos[:, None] ** np.arange(spec.n)  # (L, n)
+    scale = np.maximum(powers, bounds)
+    terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
+    kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
+    free = np.count_nonzero(bounds)  # the rows from here on have no monomials
+    if free < spec.n:
+        vanishing = (powers[:, free:] == 0.0) | ~kernel[:, free:].any(axis=-1)
+        if vanishing.any():
+            point, row = np.argwhere(vanishing)[0]
+            raise DegenerateSystemError(f"boundary row {free + row} vanishes identically for "
+                                        f"{spec.label()}, rho={rhos[point]}")
+    values = np.empty((len(rhos), spec.n, spec.n))
+    values[..., :spec.p] = kernel * (powers / scale)[..., None]
+    values[..., spec.p:] = monomials / scale[..., None]
     return values if points.ndim else values[0]
 
 
 def _indicators(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sign * |det|^(1/n) of each matrix in a stack, and its sign-trust flag.
+    """sign * |det|^(1/n) of each boundary matrix in a stack, and its sign-trust flag.
 
     The sign is trusted when |det| exceeds ``SIGN_TRUST_RATIO`` times the
-    Hadamard bound, the product of the row norms.
+    Hadamard bound, the product of the row norms, compared as logarithms:
+    ``boundary_matrix`` leaves no zero row, so the bound's logarithm is
+    finite, and a singular matrix gets the indicator 0 and no trust.
     """
     n = matrices.shape[-1]
     sign, logabs = np.linalg.slogdet(matrices)
-    row_norms = np.sqrt((matrices * matrices).sum(axis=-1))
-    with np.errstate(divide="ignore"):  # a zero row makes the point singular
-        log_hadamard = np.log(row_norms).sum(axis=-1)
-    full = (sign != 0.0) & row_norms.all(axis=-1)
-    values = np.where(full, sign * np.exp(logabs / n), 0.0)
-    return values, full & (logabs - log_hadamard > math.log(SIGN_TRUST_RATIO))
+    log_hadamard = np.log(np.sqrt((matrices * matrices).sum(axis=-1))).sum(axis=-1)
+    return sign * np.exp(logabs / n), logabs - log_hadamard > math.log(SIGN_TRUST_RATIO)
 
 
 def indicator_series(

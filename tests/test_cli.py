@@ -1,7 +1,9 @@
 """CLI contract: exit codes, envelope stability, file formats."""
 
 import json
+import math
 import time
+import warnings
 
 import pytest
 
@@ -102,6 +104,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         cap = rqlab.cli.MAX_BASIS_SIZE
         assert f"{flag} exceeds the Ritz column's supported basis size {cap}" in err
+
+    def test_a_ritz_command_basis_over_the_size_cap_names_its_flag(self, capsys, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the basis size was checked")
+        monkeypatch.setattr(rqlab.cli, "assemble", no_assembly)
+        code, out, err = run_cli(capsys, *"ritz --n 2 --p 1 --K 70".split())
+        assert code == 1 and out == ""
+        assert f"--K 70 exceeds the supported Ritz basis size {rqlab.cli.MAX_BASIS_SIZE}" in err
 
     def test_an_empty_plot_grid_is_one(self, capsys):
         # Lambda = 1e-4 has root coordinate 0.01, below one step of 0.02
@@ -273,6 +283,18 @@ class TestCommands:
         assert len(crossings) == len(expected)
         for got, want in zip(crossings, expected):
             assert abs(got - want) <= 0.02
+
+    def test_plotdata_past_the_overflow_of_e_to_the_rho_b_is_finite(self, capsys):
+        # p = 2 has the root i rho, and e^rho overflows past rho ~ 709.78, so the
+        # last 146 of these 500 rows need a kernel that never forms it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(capsys, *"plotdata --n 2 --p 2 --lambda-to 1e12 --step 2 "
+                                   "--format csv".split())
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 500 and float(rows[-1][0]) == 1000.0
+        assert all(math.isfinite(float(f)) and abs(float(f)) <= 1.0 for _, _, f in rows)
 
 
 class TestConfigAndOutput:
