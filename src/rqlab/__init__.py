@@ -9,12 +9,12 @@ spectral-disjointness facts on the computed eigenpairs at machine precision.
 __version__ = "0.1.0"
 
 from .exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
+from .invariants import antisym_equals_next_sym
 from .problem import ProblemSpec, RootSystem, build_operator, root_system, solution_basis
 from .ritz import RitzSystem, assemble, ritz_values
 from .solver import (
     EigenPair,
     SpectrumSlice,
-    antisym_equals_next_sym,
     extract_eigenfunction,
     scan_spectrum,
 )

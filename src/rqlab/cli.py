@@ -32,8 +32,10 @@ from typing import NamedTuple
 from . import __version__, invariants
 from .disjointness import DEFAULT_COLLISION_TOL, compare_spectra, follow_up_candidates
 from .disjointness import sweep_conjecture
-from .errors import ConfigError, IdentityViolationError, RQLabError, SolverError
+from .errors import ConfigError, IdentityViolationError, RQLabError, ScanExhaustedError
+from .errors import SolverError
 from .exppoly import ExpPoly
+from .invariants import antisym_equals_next_sym
 from .problem import ANTISYMMETRIC, SYMMETRIC, ProblemSpec, root_system
 from .reporting import (
     dumps_envelope,
@@ -49,7 +51,6 @@ from .solver import (
     DEFAULT_LAMBDA_CEILING,
     DEFAULT_SCAN_STEP,
     MAX_GRID_POINTS,
-    antisym_equals_next_sym,
     cached_eigenpair,
     cached_spectrum,
     eigenpair_from_function,
@@ -111,7 +112,10 @@ def _cmd_spectrum(args):
     ceiling = DEFAULT_LAMBDA_CEILING
     if args.lambda_max is not None:
         ceiling = root_system(spec.p, args.lambda_max).rho
-    slice_ = scan_spectrum(spec, args.count, step=args.step, lambda_ceiling=ceiling)
+    try:
+        slice_ = scan_spectrum(spec, args.count, step=args.step, lambda_ceiling=ceiling)
+    except ScanExhaustedError as exc:
+        raise SolverError(f"{exc}; raise --lambda-max") from None
     bounds = ritz_values(assemble(spec, k), k)  # upper bounds, up to the eigensolve's rounding
     ritz = bounds[:args.count]
     rows = []
@@ -262,7 +266,7 @@ def _cmd_plotdata(args):
         raise ConfigError(f"the plot grid is empty: the root coordinate {lam_max!r} of --lambda-to "
                           "lies below one --step")
     if steps > MAX_GRID_POINTS:
-        raise ConfigError(f"a plot grid of {steps} points exceeds {MAX_GRID_POINTS}: "
+        raise ConfigError(f"a plot grid of {steps:.3g} points exceeds {MAX_GRID_POINTS}: "
                           "lower --lambda-to or raise --step")
     grid = (i * args.step for i in range(1, steps + 1))
     rows = [

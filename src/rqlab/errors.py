@@ -16,9 +16,13 @@ class SolverError(RQLabError):
 class ScanExhaustedError(SolverError):
     """The scan ran out of grid before ``count`` eigenvalues; keeps those it found."""
 
-    def __init__(self, label: str, eigenvalues: tuple[float, ...], count: int, ceiling: float):
-        super().__init__(f"found only {len(eigenvalues)} of {count} eigenvalues for {label} "
-                         f"below lambda={ceiling} (raise the ceiling)")
+    def __init__(self, spec, eigenvalues: tuple[float, ...], count: int, ceiling: float):
+        try:
+            Lambda = ceiling ** (2 * spec.p)
+        except OverflowError:
+            Lambda = float("inf")
+        super().__init__(f"found only {len(eigenvalues)} of {count} eigenvalues for "
+                         f"{spec.label()} below lambda={ceiling} (Lambda={Lambda:.6g})")
         self.eigenvalues, self.ceiling = eigenvalues, ceiling
 
 

@@ -75,6 +75,12 @@ def _half_image(pair: EigenPair, order: int) -> ExpPoly:
 
 
 @functools.cache
+def _half_norm_sq(pair: EigenPair, order: int) -> float:
+    """||A_order(z)||^2, computed once per (pair, order)."""
+    return l2_norm_sq(_half_image(pair, order))
+
+
+@functools.cache
 def _reduced_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
     """The reduced operator's image of z, and how well it kills the kernel part.
 
@@ -136,6 +142,7 @@ class StonePolynomials:
         return self.polynomials[k]
 
 
+@functools.cache
 def stone_polynomials(
     pair: EigenPair,
     annihilation_tol: float = 1e-9,
@@ -147,6 +154,7 @@ def stone_polynomials(
     every admissible k re-derives each c_j, and the extractions must agree
     to ~1e-9 relative or the eigenpair is rejected.  The two tolerances are
     only loosened for diagnostic evaluation of deliberately perturbed pairs.
+    Computed once per (pair, tolerances); a rejection is raised on every call.
     """
     spec = pair.spec
     if not spec.symmetric:
@@ -180,15 +188,23 @@ def stone_polynomials(
     return StonePolynomials(pair=pair, polynomials=tuple(hs), coefficients=tuple(canonical))
 
 
+@functools.cache
+def _z_dot_h(pair: EigenPair, k: int) -> float:
+    """<z h^k>, computed once per (pair, k); h^k is zero for k < 0."""
+    return inner_product(pair.z, stone_polynomials(pair).h(k)).real
+
+
+@functools.cache
+def _moment(pair: EigenPair, k: int) -> float:
+    """<z x^{2k}/(2k)!>, computed once per (pair, k)."""
+    return inner_product(pair.z, ExpPoly.monomial(2 * k)).real / math.factorial(2 * k)
+
+
 def moments(pair: EigenPair, k_max: int) -> list[float]:
     """Weighted moments <z x^{2k}/(2k)!> for k = 0..k_max."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    out = []
-    for k in range(k_max + 1):
-        raw = inner_product(pair.z, ExpPoly.monomial(2 * k)).real
-        out.append(raw / math.factorial(2 * k))
-    return out
+    return [_moment(pair, k) for k in range(k_max + 1)]
 
 
 def bracket(f, g, k: int) -> float:
@@ -213,7 +229,7 @@ def check_stone_identity(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> 
     spec = pair.spec
     if not spec.has_stones:
         return not_applicable("stone-identity", (spec.n, spec.p), notes="n = p")
-    lhs = l2_norm_sq(_half_image(pair, spec.n))
+    lhs = _half_norm_sq(pair, spec.n)
     c = stone(pair)
     mean = pair.mean()
     rhs = -lambda_sq(pair) * c * mean
@@ -304,11 +320,9 @@ def check_bilinear_family(
 
     sp_n = stone_polynomials(zn) if sn.has_stones else None
     sp_m = stone_polynomials(zm)
-    h_n = sp_n.h(k) if k >= 0 else ExpPoly.zero()
-    h_m = sp_m.h(k + delta_order)
     lhs_direct = (
-        inner_product(zm.z, h_n).real
-        - (-1) ** delta_order * inner_product(zn.z, h_m).real
+        (inner_product(zm.z, sp_n.h(k)).real if k >= 0 else 0.0)  # h_n^k = 0 for k < 0
+        - (-1) ** delta_order * inner_product(zn.z, sp_m.h(k + delta_order)).real
     )
     d_ord = sn.n - p - k - 1
     coupling = inner_product(_derivative(zn, d_ord), _derivative(zm, d_ord)).real
@@ -371,10 +385,10 @@ def check_positivity_family(
             "positivity", (spec.n, spec.p, k), notes=f"k outside [0, {spec.n - spec.p - 1}]"
         )
     lam2 = lambda_sq(pair)
-    v_norm = l2_norm_sq(_half_image(pair, spec.n - k))
+    v_norm = _half_norm_sq(pair, spec.n - k)
     sp = stone_polynomials(pair)
-    ip_prev = inner_product(pair.z, sp.h(k - 1)).real
-    ip_cur = inner_product(pair.z, sp.h(k)).real
+    ip_prev = _z_dot_h(pair, k - 1)
+    ip_cur = _z_dot_h(pair, k)
     v_h = (-1) ** (k - 1) * ip_prev - (-1) ** k * lam2 * ip_cur
     a = moments(pair, max(k, 0))
     v_bracket = (bracket(a, sp.coefficients, k - 1) if k > 0 else 0.0) - lam2 * bracket(
@@ -433,11 +447,9 @@ def check_cauchy_schwarz(zn: EigenPair, zm: EigenPair, l: int, k: int) -> Identi
     other = mu_order - 2 * k + l
     if other < p + 1 or sn.n - l < p + 1:
         return not_applicable("cauchy-schwarz", idx, notes="operator order below p+1")
-    v = _half_image(zn, sn.n - l)
-    u = _half_image(zm, other)
-    cross = hermitian_inner_product(u, v)
+    cross = hermitian_inner_product(_half_image(zm, other), _half_image(zn, sn.n - l))
     lhs = abs(cross) ** 2
-    rhs = l2_norm_sq(u) * l2_norm_sq(v)
+    rhs = _half_norm_sq(zm, other) * _half_norm_sq(zn, sn.n - l)
     slack = rhs - lhs
     proportional = slack <= 1e-10 * max(rhs, 1e-300)
     ok = lhs <= rhs * (1.0 + 1e-10)
@@ -630,6 +642,17 @@ def check_gamma_roundtrip(pair: EigenPair) -> IdentityReport:
         verdict=PASS,
         details={"gamma": tuple(gamma)},
     )
+
+
+def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[IdentityReport]:
+    """Compare the antisymmetric spectrum of order n with the symmetric one of n+1."""
+    if count < 1:
+        raise ConfigError("count must be >= 1")
+    anti = cached_spectrum(n, p, "antisymmetric", count)
+    sym = cached_spectrum(n + 1, p, "symmetric", count)
+    return [equality_report("parity-shift", (n, p, i), la, ls, tol,
+                            notes=f"antisym order {n} vs sym order {n + 1}, index {i}")
+            for i, (la, ls) in enumerate(zip(anti, sym))]
 
 
 # --------------------------------------------------------------------------

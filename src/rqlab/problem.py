@@ -115,111 +115,57 @@ def reduced_operator(spec: ProblemSpec, Lambda: float, order: int) -> SigmaPolyn
     return build_operator(ProblemSpec(order, spec.p, spec.parity), Lambda)
 
 
-KERNEL_SLOTS = 4  # terms per kernel function; two-term functions are zero-padded
+Column = tuple[tuple[tuple[complex, complex], ...], float]  # ((freq, kappa) terms, depth b)
 
 
 @functools.cache
-def _kernel_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(p, parity) constants of the kernel table at ``rho = 1``, as read-only arrays.
+def kernel_columns(p: int, symmetric: bool) -> tuple[Column, ...]:
+    """The p real kernel functions of a parity at ``rho = 1``: each one's terms and depth.
 
-    ``freq`` and ``kappa`` have shape ``(p, KERNEL_SLOTS)``: at ``rho`` the
-    term has frequency ``rho freq`` and coefficient ``kappa h``, where
-    ``h = e^(-b) / 2`` for the column's root ``a + ib`` (so ``h = 1/2`` for
-    the real root).  ``depth`` holds each column's ``b`` at ``rho = 1``,
-    shape ``(p, 1)``.  A two-term function is padded with zero terms.
+    For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
+    of a trig factor in ``a x`` and a hyperbolic factor in ``b x`` that have
+    the parity, scaled by ``exp(-b)`` so every function stays O(1) in value
+    on [-1, 1].  The real root (``b = 0``) gives cos or sin alone, the
+    imaginary root (``a = 0``) cosh or sinh alone, and every other root a
+    pair of four-term functions.  Roots with ``a < 0`` repeat these.
+
+    At ``rho`` a column's term ``(freq, kappa)`` is ``c e^(mu x)`` with
+    ``mu = rho freq`` and ``c = kappa e^(-rho b) / 2``, where ``b`` is the
+    column's depth (0 for the real root).  Both are stored as ``complex``, so
+    every reader does complex arithmetic on them, whatever their value.
     """
     # (sign of a in mu, kappa) per term of cos(ax), sin(ax) at h = 1/2 ...
     trig = {True: ((-1, 1), (1, 1)), False: ((-1, 1j), (1, -1j))}
     # ... and (sign of b in mu, kappa) per term of e^(-b) cosh(bx), e^(-b) sinh(bx)
     hyp = {True: ((-1, 1), (1, 1)), False: ((-1, -1), (1, 1))}
-    columns, depth = [], []
+    columns = []
     for j in range(p // 2 + 1):  # the first-quadrant roots
         root = _root(p, j, 1.0)
         a, b = root.real, root.imag
         if b == 0.0:
-            columns.append([(1j * s * a, k) for s, k in trig[symmetric]])
+            functions = [[(1j * s * a, k) for s, k in trig[symmetric]]]
         elif a == 0.0:
-            columns.append([(s * b, k) for s, k in hyp[symmetric]])
+            functions = [[(s * b, k) for s, k in hyp[symmetric]]]
         else:  # sym: cos cosh, sin sinh; antisym: sin cosh, cos sinh
-            for even in (True, False):
-                columns.append([(t * b + 1j * s * a, 0.5 * k * w)
-                                for s, k in trig[even == symmetric] for t, w in hyp[even]])
-        depth += [[b]] * (len(columns) - len(depth))
-    padded = [col + [(0, 0)] * (KERNEL_SLOTS - len(col)) for col in columns]
-    arrays = (
-        np.array([[mu for mu, _ in col] for col in padded], dtype=complex),
-        np.array([[k for _, k in col] for col in padded], dtype=complex),
-        np.array(depth),
-    )
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
-def kernel_terms(spec: ProblemSpec, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies ``mu`` and coefficients ``c`` of the terms of each real kernel function.
-
-    For each root ``a + ib`` with ``a, b >= 0`` the kernel holds the products
-    of a trig factor in ``a x`` and a hyperbolic factor in ``b x`` that have
-    the spec's parity, scaled by ``exp(-b)`` so every function stays O(1) in
-    value on [-1, 1].  The real root (``b = 0``) gives cos or sin alone, the
-    imaginary root (``a = 0``) cosh or sinh alone, and every other root a
-    pair of four-term functions.  Roots with ``a < 0`` repeat these.
-
-    The scaling keeps the values O(1), not the factors: a term is stored as
-    ``c e^(mu x)`` with ``e^(-rho b)`` inside ``c``, so evaluating it at
-    ``|x| = 1`` forms ``e^(rho b)`` on its own, which overflows to inf past
-    ``rho b ~ 709.78``; once ``c`` underflows to 0 the product is nan.  The
-    boundary matrix therefore reads :func:`boundary_tables`, which folds
-    ``e^(-b)`` into the exponent.
-
-    ``rho = Lambda^(1/2p)`` is the root coordinate; the complex arrays have
-    shape ``(p, KERNEL_SLOTS)``, with the zero padding of two-term functions.
-    """
-    if not rho > 0:
-        raise ConfigError("the root coordinate must be positive")
-    freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
-    return rho * freq, kappa * (0.5 * np.exp(-rho * depth))
-
-
-@functools.cache
-def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-spec constants of the row-scaled boundary matrix, built once, as read-only arrays.
-
-    Kernel entry ``(j, k)`` at ``rho`` is
-    ``rho^j / max(rho^j, bounds[j]) * Re sum_s W[j, k, s] e^(rho exponents[k, s])``
-    with the power table ``W = kappa freq^j / 2`` of the template.
-    ``weights``, shape ``(n, p, 2 slots)``, holds W as the real pairs
-    ``(Re W, -Im W)``, interleaved like the real view of a complex array, so
-    the real part is one real contraction.  ``exponents = freq - depth``,
-    shape ``(p, slots)``, has real part 0 or ``-2b``, so no term overflows.
-    Slots that pad every kernel function are dropped.  ``monomials``, shape
-    ``(n, n-p)``, holds ``m!/(m-j)!`` for the parity monomials ``x^m``, and
-    ``bounds`` the largest entry of each of its rows (0 for a row without
-    one); monomial entry ``(j, m)`` is ``monomials[j, m] / max(rho^j, bounds[j])``.
-    """
-    freq, kappa, depth = _kernel_template(spec.p, spec.symmetric)
-    slots = int(kappa.any(axis=0).sum())  # the trailing slots past it pad every column
-    freq, kappa = freq[:, :slots], kappa[:, :slots]
-    weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
-    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
-                         dtype=float)
-    tables = (
-        np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
-        np.ascontiguousarray(freq - depth),  # so a stack of its exponentials has a real view
-        monomials,
-        monomials.max(axis=-1, initial=0.0),
-    )
-    for array in tables:
-        array.setflags(write=False)
-    return tables
+            functions = [[(t * b + 1j * s * a, 0.5 * k * w)
+                          for s, k in trig[even == symmetric] for t, w in hyp[even]]
+                         for even in (True, False)]
+        columns += [(tuple((complex(f), complex(k)) for f, k in terms), b) for terms in functions]
+    return tuple(columns)
 
 
 def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:
-    """The p kernel functions of :func:`kernel_terms`, then the n-p parity monomials."""
-    mu, c = kernel_terms(spec, root_system(spec.p, Lambda).rho)
-    kernel = tuple(
-        ExpPoly.build((m, (k,)) for m, k in zip(ms, ks) if m or k)  # without the zero padding
-        for ms, ks in zip(mu.tolist(), c.tolist())
-    )
-    return kernel + tuple(ExpPoly.monomial(m) for m in spec.monomial_degrees)
+    """The p kernel functions of :func:`kernel_columns` at Lambda, then the n-p parity monomials.
+
+    A term is stored as ``c e^(mu x)`` with ``e^(-rho b)`` inside ``c``, so
+    evaluating it at ``|x| = 1`` forms ``e^(rho b)`` on its own, which
+    overflows to inf past ``rho b ~ 709.78``; once ``c`` underflows to 0 the
+    product is nan.  The boundary matrix therefore reads its own tables
+    (``solver.boundary_tables``), which fold ``e^(-b)`` into the exponent.
+    """
+    rho = root_system(spec.p, Lambda).rho
+    kernel = []
+    for terms, b in kernel_columns(spec.p, spec.symmetric):
+        h = 0.5 * np.exp(-rho * b)  # math.exp differs from np.exp in the last bit on some inputs
+        kernel.append(ExpPoly.build((rho * freq, (kappa * h,)) for freq, kappa in terms))
+    return tuple(kernel) + tuple(ExpPoly.monomial(m) for m in spec.monomial_degrees)

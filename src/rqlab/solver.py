@@ -10,6 +10,7 @@ Eigenfunctions come from the null direction of the boundary matrix via SVD.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Generator, Iterable, Iterator, Sequence
@@ -20,8 +21,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
-from .problem import ProblemSpec, boundary_tables, build_operator, root_system, solution_basis
-from .reporting import IdentityReport, equality_report
+from .problem import ProblemSpec, build_operator, kernel_columns, root_system, solution_basis
 
 DEFAULT_SCAN_STEP = 0.05
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
@@ -30,6 +30,41 @@ SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff 
 SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
 MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
+
+
+@functools.cache
+def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-spec constants of the row-scaled boundary matrix, built once, as read-only arrays.
+
+    Kernel entry ``(j, k)`` at ``rho`` is
+    ``rho^j / max(rho^j, bounds[j]) * Re sum_s W[j, k, s] e^(rho exponents[k, s])``
+    with the power table ``W = kappa freq^j / 2`` of :func:`kernel_columns`.
+    ``weights``, shape ``(n, p, 2 slots)``, holds W as the real pairs
+    ``(Re W, -Im W)``, interleaved like the real view of a complex array, so
+    the real part is one real contraction.  ``exponents = freq - b``, shape
+    ``(p, slots)``, has real part 0 or ``-2b``, so no term overflows.  A
+    two-term column is padded with zero terms only where four-term columns
+    share the table (p >= 3).  ``monomials``, shape ``(n, n-p)``, holds
+    ``m!/(m-j)!`` for the parity monomials ``x^m``, and ``bounds`` the
+    largest entry of each of its rows (0 for a row without one); monomial
+    entry ``(j, m)`` is ``monomials[j, m] / max(rho^j, bounds[j])``.
+    """
+    columns = kernel_columns(spec.p, spec.symmetric)
+    slots = max(len(terms) for terms, _ in columns)
+    padded = np.array([terms + ((0j, 0j),) * (slots - len(terms)) for terms, _ in columns])
+    freq, kappa = padded[..., 0], padded[..., 1]
+    weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
+    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
+                         dtype=float)
+    tables = (
+        np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
+        freq - np.array([[b] for _, b in columns]),
+        monomials,
+        monomials.max(axis=-1, initial=0.0),
+    )
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarray:
@@ -372,7 +407,7 @@ def scan_spectrum(
         raise ConfigError("scan step must be positive")
     if lambda_ceiling / step > MAX_GRID_POINTS:
         raise ConfigError(
-            f"a scan grid of {lambda_ceiling / step:.0f} points exceeds {MAX_GRID_POINTS}: "
+            f"a scan grid of {lambda_ceiling / step:.3g} points exceeds {MAX_GRID_POINTS}: "
             "lower --lambda-max or raise --step"
         )
 
@@ -430,7 +465,7 @@ def scan_spectrum(
 
     eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
     if len(found) < count:
-        raise ScanExhaustedError(spec.label(), eigenvalues, count, lambda_ceiling)
+        raise ScanExhaustedError(spec, eigenvalues, count, lambda_ceiling)
     metadata = ScanMetadata(
         grid_step=step,
         bracket_count=len(found),
@@ -467,7 +502,7 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
     if not 0 < count <= len(order.eigenvalues):
         spec = ProblemSpec(n, p, parity)
         if order.exhausted_at is not None and count > 0:
-            raise ScanExhaustedError(spec.label(), order.eigenvalues, count, order.exhausted_at)
+            raise ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
         try:
             order.eigenvalues = scan_spectrum(spec, count).eigenvalues
         except ScanExhaustedError as exc:
@@ -483,24 +518,3 @@ def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair | Non
     if index not in pairs:
         pairs[index] = simple_eigenpair(ProblemSpec(n, p, parity), Lambda, index)
     return pairs[index]
-
-
-def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[IdentityReport]:
-    """Compare the antisymmetric spectrum of order n with the symmetric one of n+1."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    anti = cached_spectrum(n, p, "antisymmetric", count)
-    sym = cached_spectrum(n + 1, p, "symmetric", count)
-    reports = []
-    for i, (la, ls) in enumerate(zip(anti, sym)):
-        reports.append(
-            equality_report(
-                "parity-shift",
-                (n, p, i),
-                la,
-                ls,
-                tol,
-                notes=f"antisym order {n} vs sym order {n + 1}, index {i}",
-            )
-        )
-    return reports

@@ -14,6 +14,7 @@ import time
 from rqlab import invariants as inv
 from rqlab.cli import main
 from rqlab.disjointness import sweep_conjecture
+from rqlab.invariants import antisym_equals_next_sym
 from rqlab.problem import ProblemSpec
 from rqlab.reporting import NOT_APPLICABLE, PASS
 from rqlab.ritz import assemble, ritz_values
@@ -23,7 +24,7 @@ from rqlab.selftest import (
     property_checks,
     run_selftest,
 )
-from rqlab.solver import antisym_equals_next_sym, cached_spectrum
+from rqlab.solver import cached_spectrum
 
 from conftest import rel_err
 

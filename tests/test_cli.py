@@ -48,6 +48,11 @@ class TestExitCodes:
             capsys, "spectrum", "--n", "1", "--p", "1", "--count", "2", "--lambda-max", "22.1"
         )
         assert code == 2 and "found only 1 of 2" in err
+        assert err.endswith("below lambda=4.701063709417263 (Lambda=22.1); raise --lambda-max\n")
+        # a ceiling near the largest float: lambda^4 overflows, the message still forms
+        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--p", "2", "--count", "5",
+                               "--lambda-max", "1.7976931348623157e308", "--step", "6e76")
+        assert code == 2 and "found only 0 of 5" in err and "(Lambda=inf)" in err
 
     @pytest.mark.parametrize("n, count, step", [("1", "2", "2"), ("2", "3", "5")])
     def test_a_root_skipped_by_a_coarse_grid_is_two(self, capsys, n, count, step):
@@ -89,6 +94,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 1 and out == "" and f"exceeds {rqlab.cli.MAX_GRID_POINTS}" in err
         assert all(flag in err for flag in flags)
+
+    @pytest.mark.parametrize("argv, size", [
+        ("plotdata --n 2 --p 1 --lambda-to 1e308", "a plot grid of 5e+155 points"),
+        ("spectrum --n 1 --p 1 --count 1 --lambda-max 1e300 --step 2",
+         "a scan grid of 5e+149 points"),
+    ])
+    def test_an_oversized_grid_is_named_in_three_digits(self, capsys, argv, size):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 1 and size in err
 
     @pytest.mark.parametrize("argv, flag", [
         ("spectrum --n 1 --p 1 --count 2 --ritz-k 70", "--ritz-k 70"),

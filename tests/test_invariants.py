@@ -18,6 +18,14 @@ from conftest import PI, quad_integral, rel_err
 S = "symmetric"
 
 
+def cold_start(monkeypatch):
+    """An empty spectrum store and empty per-pair caches, as in a new process."""
+    monkeypatch.setattr(solver, "_STORE", {})
+    for cached in (inv._half_image, inv._half_norm_sq, inv._reduced_image,
+                   inv.stone_polynomials, inv._z_dot_h, inv._moment):
+        cached.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def z1():
     return closed_form_anchor_pairs()[0]
@@ -101,9 +109,7 @@ class TestStonePolynomials:
 
 class TestResidues:
     def test_one_reduced_operator_per_residue(self, monkeypatch):
-        monkeypatch.setattr(solver, "_STORE", {})
-        inv._reduced_image.cache_clear()
-        inv._half_image.cache_clear()
+        cold_start(monkeypatch)
         calls = []
 
         def counted(spec, Lambda, order):
@@ -116,9 +122,7 @@ class TestResidues:
         assert len(calls) == len(set(calls)) == 15
 
     def test_each_eigenfunction_is_differentiated_once(self, monkeypatch):
-        monkeypatch.setattr(solver, "_STORE", {})
-        inv._reduced_image.cache_clear()
-        inv._half_image.cache_clear()
+        cold_start(monkeypatch)
         pairs = [cached_eigenpair(n, 1, S, i) for n in (3, 4) for i in range(3)]
         tables = {id(entry) for pair in pairs for entry in pair.derivatives}
         starts = []
@@ -135,6 +139,24 @@ class TestResidues:
         # the suite reads every derivative of z off the pair's table; only the
         # stone polynomials' own ladder check differentiates
         assert starts and not tables.intersection(starts)
+
+    def test_each_integral_is_evaluated_once(self, monkeypatch):
+        cold_start(monkeypatch)
+        calls = []
+
+        def recording(name, integral):
+            def recorded(*args):
+                calls.append((name, *args))
+                return integral(*args)
+            return recorded
+
+        for name in ("inner_product", "hermitian_inner_product", "l2_norm_sq"):
+            monkeypatch.setattr(inv, name, recording(name, getattr(inv, name)))
+        inv.run_identity_suite(4, 1, count=3)
+        # moments, norms of the half-factor images and <z h^k> are each read
+        # by several checks, yet each of the 156 distinct integrals is taken
+        # once (recomputing them per check takes 312)
+        assert len(calls) == len(set(calls)) == 156
 
     def test_strict_guard_on_a_perturbed_eigenvalue(self):
         genuine = cached_eigenpair(4, 1, S, 0)

@@ -7,14 +7,8 @@ import pytest
 
 from rqlab.errors import ConfigError
 from rqlab.exppoly import ExpPoly
-from rqlab.problem import (
-    KERNEL_SLOTS,
-    ProblemSpec,
-    build_operator,
-    kernel_terms,
-    root_system,
-    solution_basis,
-)
+from rqlab.problem import ProblemSpec, build_operator, root_system, solution_basis
+from rqlab.solver import boundary_tables
 
 from conftest import PI
 
@@ -34,12 +28,9 @@ class TestProblemSpec:
 
 
 def kernel_table(spec: ProblemSpec, Lambda: float) -> tuple:
-    """The (frequency, coefficient) terms of each kernel function at one Lambda, unpadded."""
-    mu, c = kernel_terms(spec, root_system(spec.p, Lambda).rho)
-    assert mu.shape == c.shape == (spec.p, KERNEL_SLOTS)
-    return tuple(
-        tuple((m, k) for m, k in zip(ms, ks) if m or k) for ms, ks in zip(mu.tolist(), c.tolist())
-    )
+    """The (frequency, coefficient) terms of each kernel function of the basis at one Lambda."""
+    return tuple(tuple((mu, c) for mu, (c,) in fn.terms)
+                 for fn in solution_basis(spec, Lambda)[:spec.p])
 
 
 def column_counts(spec: ProblemSpec, Lambda: float) -> tuple[int, int, int]:
@@ -219,3 +210,71 @@ class TestSolutionBasis:
                         best = max(best, abs(deriv.evaluate(1.0)) / max(rho, 1.0) ** j)
                         deriv = deriv.differentiate()
                     assert 0.1 <= best <= 10.0
+
+
+def oracle_template(p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel functions at rho = 1 as padded numpy arrays, built straight from the roots.
+
+    ``freq`` and ``kappa`` have shape ``(p, 4)``, two-term functions padded
+    with zero terms; ``depth`` holds each function's ``b``, shape ``(p, 1)``.
+    """
+    trig = {True: ((-1, 1), (1, 1)), False: ((-1, 1j), (1, -1j))}
+    hyp = {True: ((-1, 1), (1, 1)), False: ((-1, -1), (1, 1))}
+    columns, depth = [], []
+    for root in root_system(p, 1.0).roots[:p // 2 + 1]:
+        a, b = root.real, root.imag
+        if b == 0.0:
+            columns.append([(1j * s * a, k) for s, k in trig[symmetric]])
+        elif a == 0.0:
+            columns.append([(s * b, k) for s, k in hyp[symmetric]])
+        else:
+            for even in (True, False):
+                columns.append([(t * b + 1j * s * a, 0.5 * k * w)
+                                for s, k in trig[even == symmetric] for t, w in hyp[even]])
+        depth += [[b]] * (len(columns) - len(depth))
+    padded = [col + [(0, 0)] * (4 - len(col)) for col in columns]
+    return (np.array([[mu for mu, _ in col] for col in padded], dtype=complex),
+            np.array([[k for _, k in col] for col in padded], dtype=complex),
+            np.array(depth))
+
+
+def oracle_tables(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
+    """The boundary tables from the padded template: ``kappa freq^j / 2`` over whole arrays."""
+    freq, kappa, depth = oracle_template(spec.p, spec.symmetric)
+    slots = int(kappa.any(axis=0).sum())  # the trailing slots past it pad every column
+    freq, kappa = freq[:, :slots], kappa[:, :slots]
+    weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
+    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
+                         dtype=float)
+    return (np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
+            freq - depth, monomials, monomials.max(axis=-1, initial=0.0))
+
+
+def signs(array: np.ndarray) -> np.ndarray:
+    return np.signbit(array.view(float) if array.dtype == complex else array)
+
+
+class TestKernelTemplateOracle:
+    """The one kernel template against the padded numpy construction, to the last bit."""
+
+    @pytest.mark.parametrize("parity", ["symmetric", "antisymmetric"])
+    def test_boundary_tables(self, parity):
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                for got, want in zip(boundary_tables(spec), oracle_tables(spec), strict=True):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want), spec.label()
+                    assert np.array_equal(signs(got), signs(want)), spec.label()
+
+    @pytest.mark.parametrize("parity", ["symmetric", "antisymmetric"])
+    def test_solution_basis_terms(self, parity):
+        for p in range(1, 13):
+            freq, kappa, depth = oracle_template(p, parity == "symmetric")
+            for Lambda in (0.37, 5.0, 42.0, 257.0, 1e4, 3.3e7):
+                rho = root_system(p, Lambda).rho
+                mu, c = rho * freq, kappa * (0.5 * np.exp(-rho * depth))
+                want = tuple(ExpPoly.build((m, (k,)) for m, k in zip(ms, ks) if m or k)
+                             for ms, ks in zip(mu.tolist(), c.tolist()))
+                got = solution_basis(ProblemSpec(p, p, parity), Lambda)
+                assert repr(got) == repr(want), (p, Lambda)

@@ -17,11 +17,11 @@ from rqlab import solver
 from rqlab.cli import main
 from rqlab.errors import ConfigError, DegenerateSystemError, ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
+from rqlab.invariants import antisym_equals_next_sym
 from rqlab.problem import ProblemSpec, root_system, solution_basis
 from rqlab.reporting import PASS
 from rqlab.selftest import closed_form_spectrum_checks
 from rqlab.solver import (
-    antisym_equals_next_sym,
     boundary_matrix,
     cached_eigenpair,
     cached_spectrum,
@@ -319,7 +319,7 @@ class TestScanSpectrum:
         assert tuple(v.hex() for v in exhausted.value.eigenvalues) == prefix
         assert str(exhausted.value) == (
             f"found only {len(prefix)} of {count} eigenvalues for {ProblemSpec(*case).label()} "
-            f"below lambda={ceiling} (raise the ceiling)")
+            f"below lambda={ceiling} (Lambda={ceiling ** 2:.6g})")  # p = 1
 
     def test_gap_witness_message_is_pinned(self):
         # the earlier kernel put the gap's ends at 67.32133170374875 and 83.07158582128183
