@@ -4,9 +4,11 @@ Comparing symmetric spectra of two orders n < m, any pair of eigenvalues
 close enough to be a collision candidate is pushed through the system of
 necessary conditions a true coincidence would have to satisfy: bracket
 inequalities and equalities between the moment/stone sequences of the two
-eigenfunctions, plus their generating-function reformulation.  A clear
-failure is numerical evidence against a collision near that pair; the
-module never asserts a collision.
+eigenfunctions, plus their generating-function reformulation.  With
+f(t) = sum f_k (-t)^k, the coefficient [t^k] f(t) g(t) is the bracket
+(f, g)_k, so the reformulation is evaluated from the same brackets.  A
+clear failure is numerical evidence against a collision near that pair;
+the module never asserts a collision.
 """
 
 from __future__ import annotations
@@ -23,30 +25,6 @@ CONSISTENT = "consistent"
 VIOLATED = "violated"
 
 DEFAULT_COLLISION_TOL = 1e-4
-
-
-# --- generating-function helpers -------------------------------------------
-
-
-def gf_coefficients(seq) -> list[float]:
-    """Coefficients of f(t) = sum f_k (-t)^k."""
-    return [(-1) ** k * v for k, v in enumerate(seq)]
-
-
-def series_product(*series_list, truncate: int) -> list[float]:
-    """Truncated product of power series (coefficient lists in t)."""
-    acc = [1.0] + [0.0] * truncate
-    for series in series_list:
-        out = [0.0] * (truncate + 1)
-        for i, a in enumerate(acc):
-            if a == 0.0 or i > truncate:
-                continue
-            for j, b in enumerate(series):
-                if i + j > truncate:
-                    break
-                out[i + j] += a * b
-        acc = out
-    return acc
 
 
 def alpha_sequence(seq, eps: float) -> list[float]:
@@ -246,13 +224,17 @@ def evaluate_necessary_conditions(
         max(abs(v) for v in c), max(abs(v) for v in d)
     )
     scale = max(mag, 1e-300)
+    # (alpha, c)_k and (beta, d)_k, read by the pair inequalities, the moment
+    # signs and the four-fold generating-function product
+    ac = [bracket(alpha, c, k) for k in range(n - p)]
+    bd = [bracket(beta, d, k) for k in range(m - p)]
 
     pair_ineq = []
     for k in range(0, n - p + q):
         for l in range(0, n - p):
             if not -delta <= 2 * k - l <= n - p - 1 + 2 * q:
                 continue
-            lhs = bracket(alpha, c, l) * bracket(beta, d, 2 * k - l + delta)
+            lhs = ac[l] * bd[2 * k - l + delta]
             rhs = bracket(alpha, d, k + q + delta) * bracket(beta, c, k - q)
             pair_ineq.append(
                 _inequality_report(
@@ -282,36 +264,26 @@ def evaluate_necessary_conditions(
     )
 
     signs = []
-    for k in range(0, n - p):
-        v = bracket(alpha, c, k)
+    for k, v in enumerate(ac):
         signs.append(_inequality_report("collision-moment-sign", ("alpha-c", k), 0.0, v, scale, theta))
-    for k in range(0, m - p):
-        v = bracket(beta, d, k)
+    for k, v in enumerate(bd):
         signs.append(_inequality_report("collision-moment-sign", ("beta-d", k), 0.0, v, scale, theta))
 
+    # generating-function coefficients are brackets (module docstring)
     gf_ineq = []
-    trunc = n - p - 1
-    if trunc >= 0:
-        four_fold = series_product(
-            gf_coefficients(alpha), gf_coefficients(beta), gf_coefficients(c), gf_coefficients(d),
-            truncate=trunc,
+    for k in range((n - p - 1 - delta) // 2 + 1):
+        order = 2 * k + delta
+        lhs = sum(ac[s] * bd[order - s] for s in range(order + 1))
+        rhs = order * bracket(beta, c, k - q) ** 2
+        gf_ineq.append(
+            _inequality_report("collision-gf-inequality", (k,), lhs, rhs, scale * scale, theta)
         )
-        for k in range(0, (n - p - 1 - delta) // 2 + 1 if n - p - 1 >= delta else 0):
-            order = 2 * k + delta
-            lhs = four_fold[order]
-            rhs = order * bracket(beta, c, k - q) ** 2
-            gf_ineq.append(
-                _inequality_report("collision-gf-inequality", (k,), lhs, rhs, scale * scale, theta)
-            )
 
     gf_fact = []
-    trunc_ad = delta_order + n - p - 1
-    prod_ad = series_product(gf_coefficients(a), gf_coefficients(d), truncate=trunc_ad)
-    prod_bc = series_product(gf_coefficients(b), gf_coefficients(c), truncate=n - p - 1)
-    for j in range(q + delta - 1, trunc_ad + 1):
-        shifted = prod_bc[j - delta_order] if 0 <= j - delta_order < len(prod_bc) else 0.0
+    for j in range(q + delta - 1, delta_order + n - p):
+        lhs, rhs = bracket(a, d, j), bracket(b, c, j - delta_order)
         gf_fact.append(
-            _equality_band_report("collision-gf-factorization", (j,), prod_ad[j], shifted, scale, theta)
+            _equality_band_report("collision-gf-factorization", (j,), lhs, rhs, scale, theta)
         )
 
     reports = pair_ineq + pair_eq + signs + gf_ineq + gf_fact

@@ -69,15 +69,10 @@ def annihilation_factor(pair: EigenPair, order: int) -> SigmaPolynomial:
 
 
 @functools.cache
-def _half_image(pair: EigenPair, order: int) -> ExpPoly:
-    """A_order(z), computed once per (pair, order)."""
-    return annihilation_factor(pair, order).apply(pair.derivatives)
-
-
-@functools.cache
-def _half_norm_sq(pair: EigenPair, order: int) -> float:
-    """||A_order(z)||^2, computed once per (pair, order)."""
-    return l2_norm_sq(_half_image(pair, order))
+def _half_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
+    """A_order(z) and its squared norm ||A_order(z)||^2, computed once per (pair, order)."""
+    image = annihilation_factor(pair, order).apply(pair.derivatives)
+    return image, l2_norm_sq(image)
 
 
 @functools.cache
@@ -102,6 +97,11 @@ def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-
             f"{pair.spec.label()}, Lambda={pair.Lambda!r}: bad eigenpair"
         )
     return image.zero_frequency_part()
+
+
+def _mean_negligible(pair: EigenPair, mean: float) -> bool:
+    """Whether <z> = ``mean`` is ~0 against the size of z."""
+    return abs(mean) <= 1e-12 * max(pair.z.magnitude_bound(), 1e-300)
 
 
 def kernel_annihilation_residual(pair: EigenPair) -> float:
@@ -131,7 +131,6 @@ def stone(pair: EigenPair) -> float:
 class StonePolynomials:
     """h^0..h^kmax plus the coefficient ladder c_0..c_kmax."""
 
-    pair: EigenPair
     polynomials: tuple[ExpPoly, ...]
     coefficients: tuple[float, ...]
 
@@ -185,7 +184,7 @@ def stone_polynomials(
                     f"{ref!r} vs {v!r}"
                 )
         canonical.append(ref)
-    return StonePolynomials(pair=pair, polynomials=tuple(hs), coefficients=tuple(canonical))
+    return StonePolynomials(polynomials=tuple(hs), coefficients=tuple(canonical))
 
 
 @functools.cache
@@ -229,12 +228,12 @@ def check_stone_identity(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> 
     spec = pair.spec
     if not spec.has_stones:
         return not_applicable("stone-identity", (spec.n, spec.p), notes="n = p")
-    lhs = _half_norm_sq(pair, spec.n)
+    lhs = _half_image(pair, spec.n)[1]
     c = stone(pair)
     mean = pair.mean()
     rhs = -lambda_sq(pair) * c * mean
     notes = ""
-    if abs(mean) <= 1e-12 * max(pair.z.magnitude_bound(), 1e-300):
+    if _mean_negligible(pair, mean):
         notes = "mean of z is ~0: identity forces a vanishing norm (lemma-relevant anomaly)"
     return equality_report(
         "stone-identity",
@@ -262,7 +261,7 @@ def check_cross_identity(
     mean_prev = z_prev.mean()
     rhs = stone(pair) * mean_prev
     notes = ""
-    if abs(mean_prev) <= 1e-12 * max(z_prev.z.magnitude_bound(), 1e-300):
+    if _mean_negligible(z_prev, mean_prev):
         notes = "lower-order mean ~0: both sides must vanish (degenerate instance)"
     return equality_report(
         "cross-order",
@@ -296,9 +295,9 @@ def check_bilinear_family(
     Direct route: <z_m h_n^k> - (-1)^Delta <z_n h_m^{k+Delta}> against
     (Lambda_m - Lambda_n) (-1)^k <z_n^(n-p-k-1) z_m^(n-p-k-1)>.  Bracket
     route: (b,c)_k - (a,d)_{k+Delta} against the same right side without the
-    (-1)^k factor.  The relative placement of (-1)^k between the two printed
-    forms is ambiguous, so both sign variants of the bracket route are
-    evaluated and the matching one is recorded.
+    (-1)^k factor.  The direct left side is (-1)^k times the bracket left
+    side, checked as the route consistency, so the bracket route has one
+    sign convention.
     """
     sn, sm = zn.spec, zm.spec
     if sn.p != sm.p:
@@ -333,16 +332,10 @@ def check_bilinear_family(
     a = moments(zn, k + delta_order)
     c = sp_n.coefficients if sn.has_stones else ()
     d = sp_m.coefficients
-    term_bc = bracket(b, c, k) if k >= 0 else 0.0
-    lhs_bracket = term_bc - bracket(a, d, k + delta_order)
-    rhs_plain = gap * coupling
-    rhs_alternating = gap * (-1) ** k * coupling
+    lhs_bracket = bracket(b, c, k) - bracket(a, d, k + delta_order)
 
     rel_direct = relative_residual(lhs_direct, rhs_direct)
-    rel_plain = relative_residual(lhs_bracket, rhs_plain)
-    rel_alternating = relative_residual(lhs_bracket, rhs_alternating)
-    matched = "plain" if rel_plain <= rel_alternating else "alternating"
-    rel_bracket = min(rel_plain, rel_alternating)
+    rel_bracket = relative_residual(lhs_bracket, gap * coupling)
     translation = relative_residual(lhs_direct, (-1) ** k * lhs_bracket)
 
     ok = rel_direct <= tol and rel_bracket <= tol and translation <= COEFF_CONSISTENCY_TOL
@@ -354,13 +347,9 @@ def check_bilinear_family(
         abs_residual=abs(lhs_direct - rhs_direct),
         rel_residual=rel_direct,
         verdict=PASS if ok else FAIL,
-        notes=f"bracket route matches the {matched} sign variant",
         details={
             "bracket_lhs": lhs_bracket,
             "bracket_rel_residual": rel_bracket,
-            "matched_variant": matched,
-            "rel_plain": rel_plain,
-            "rel_alternating": rel_alternating,
             "route_consistency": translation,
             "normalized": (zn.normalized, zm.normalized),
         },
@@ -385,15 +374,13 @@ def check_positivity_family(
             "positivity", (spec.n, spec.p, k), notes=f"k outside [0, {spec.n - spec.p - 1}]"
         )
     lam2 = lambda_sq(pair)
-    v_norm = _half_norm_sq(pair, spec.n - k)
+    v_norm = _half_image(pair, spec.n - k)[1]
     sp = stone_polynomials(pair)
     ip_prev = _z_dot_h(pair, k - 1)
     ip_cur = _z_dot_h(pair, k)
     v_h = (-1) ** (k - 1) * ip_prev - (-1) ** k * lam2 * ip_cur
-    a = moments(pair, max(k, 0))
-    v_bracket = (bracket(a, sp.coefficients, k - 1) if k > 0 else 0.0) - lam2 * bracket(
-        a, sp.coefficients, k
-    )
+    a = moments(pair, k)
+    v_bracket = bracket(a, sp.coefficients, k - 1) - lam2 * bracket(a, sp.coefficients, k)
     scale = max(abs(v_norm), abs(ip_prev) + lam2 * abs(ip_cur), 1e-300)
     rel_nh = relative_residual(v_norm, v_h)
     rel_nb = relative_residual(v_norm, v_bracket)
@@ -447,9 +434,10 @@ def check_cauchy_schwarz(zn: EigenPair, zm: EigenPair, l: int, k: int) -> Identi
     other = mu_order - 2 * k + l
     if other < p + 1 or sn.n - l < p + 1:
         return not_applicable("cauchy-schwarz", idx, notes="operator order below p+1")
-    cross = hermitian_inner_product(_half_image(zm, other), _half_image(zn, sn.n - l))
-    lhs = abs(cross) ** 2
-    rhs = _half_norm_sq(zm, other) * _half_norm_sq(zn, sn.n - l)
+    u, u_norm_sq = _half_image(zm, other)
+    v, v_norm_sq = _half_image(zn, sn.n - l)
+    lhs = abs(hermitian_inner_product(u, v)) ** 2
+    rhs = u_norm_sq * v_norm_sq
     slack = rhs - lhs
     proportional = slack <= 1e-10 * max(rhs, 1e-300)
     ok = lhs <= rhs * (1.0 + 1e-10)
@@ -586,7 +574,7 @@ def check_stone_lemma(pair: EigenPair) -> IdentityReport:
     # is the honest "could it have cancelled to zero" yardstick
     scale = max(math.sqrt(l2_norm_sq(pair.derivatives[2 * spec.n - 2])), 1e-300)
     nonzero = abs(c) > STONE_FLOOR * scale
-    mean_negligible = abs(mean) <= 1e-12 * max(pair.z.magnitude_bound(), 1e-300)
+    mean_negligible = _mean_negligible(pair, mean)
     sign_ok = mean_negligible or c * mean < 0
     return IdentityReport(
         identity_id="stone-lemma",

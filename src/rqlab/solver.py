@@ -457,7 +457,7 @@ def scan_spectrum(
         root, evaluations = outcome
         if found and root - found[-1] > MAX_ROOT_GAP:
             raise SolverError(
-                f"root coordinate gap {(root - found[-1]) / math.pi:.2f} pi from "
+                f"root coordinate gap {(root - found[-1]) / math.pi:#.3g} pi from "
                 f"{found[-1]!r} to {root!r} for {spec.label()}: a root was skipped"
             )
         iterations.append(evaluations)
@@ -498,9 +498,9 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
     that runs out of grid keeps the roots it found, and a later request for
     more raises the error a fresh scan would, without scanning again.
     """
+    spec = ProblemSpec(n, p, parity)  # an invalid order raises before the store gains an entry
     order = _STORE.setdefault((n, p, parity), _Order())
     if not 0 < count <= len(order.eigenvalues):
-        spec = ProblemSpec(n, p, parity)
         if order.exhausted_at is not None and count > 0:
             raise ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
         try:

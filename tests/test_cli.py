@@ -83,6 +83,15 @@ class TestExitCodes:
         assert "solver failure: root coordinate gap 5.01 pi" in err
         assert "a root was skipped" in err
 
+    def test_a_huge_root_gap_is_reported_in_three_digits(self, capsys):
+        # a step of 1e74 skips roots by gaps of ~1e75 pi, which a fixed-point
+        # format would print with 75 digits
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--p", "2", "--count", "60",
+                                 "--lambda-max", "1.7976931348623157e308", "--step", "1e74")
+        assert code == 2 and out == ""
+        assert "solver failure: root coordinate gap 8.17e+74 pi from" in err
+        assert "a root was skipped" in err
+
     @pytest.mark.parametrize("argv, flags", [
         # grids of 2e7, 2e5 and 5e7 points, each refused before its first point
         ("spectrum --n 8 --p 1 --parity antisym --count 8 --lambda-max 1e12",

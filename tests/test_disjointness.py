@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from rqlab import disjointness
@@ -11,15 +12,18 @@ from rqlab.disjointness import (
     compare_spectra,
     evaluate_necessary_conditions,
     follow_up_candidates,
-    gf_coefficients,
-    series_product,
     sweep_conjecture,
 )
 from rqlab.errors import ConfigError, SolverError
-from rqlab.invariants import bracket
+from rqlab.invariants import bracket, stone_polynomials
 from rqlab.solver import cached_eigenpair
 
 from conftest import PI
+
+
+def gf(seq) -> np.ndarray:
+    """Coefficients in t of the generating function sum f_k (-t)^k."""
+    return np.array([(-1) ** k * v for k, v in enumerate(seq)])
 
 
 class TestGeneratingFunctions:
@@ -27,16 +31,17 @@ class TestGeneratingFunctions:
         for _ in range(50):
             f = [float(v) for v in rng.uniform(-3, 3, size=6)]
             g = [float(v) for v in rng.uniform(-3, 3, size=6)]
-            product = series_product(gf_coefficients(f), gf_coefficients(g), truncate=5)
+            product = np.convolve(gf(f), gf(g))
             for k in range(6):
-                assert product[k] == pytest.approx(bracket(f, g, k), rel=1e-12, abs=1e-12)
+                assert bracket(f, g, k) == pytest.approx(product[k], rel=1e-12, abs=1e-12)
+            assert bracket(f, g, -1) == 0.0
 
     def test_alpha_is_one_minus_eps_t_times_a(self, rng):
         a = [float(v) for v in rng.uniform(-3, 3, size=5)]
         eps = 0.37
         alpha = alpha_sequence(a, eps)
-        lhs = series_product([1.0, -eps], gf_coefficients(a), truncate=4)
-        assert lhs == pytest.approx(gf_coefficients(alpha), rel=1e-13)
+        product = np.convolve([1.0, -eps], gf(a))[:5]
+        assert list(gf(alpha)) == pytest.approx(list(product), rel=1e-13)
 
 
 class TestCompareSpectra:
@@ -110,6 +115,25 @@ class TestNecessaryConditions:
             assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
         assert report.data_consistency[0] < 1e-12  # genuine side
         assert report.data_consistency[1] > 1e-3  # manufactured side, recorded
+
+    @pytest.mark.parametrize("n, m", [(3, 6), (4, 6), (5, 6)])
+    def test_gf_inequality_lhs_is_the_four_fold_product(self, n, m):
+        zn = cached_eigenpair(n, 1, "symmetric", 0)
+        zm = dataclasses.replace(
+            cached_eigenpair(m, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
+        )
+        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-5)
+        loose = float("inf")
+        c, d = (stone_polynomials(z, annihilation_tol=loose, consistency_tol=loose).coefficients
+                for z in (zn, zm))
+        four_fold = gf(report.alpha)
+        for factor in (report.beta, c, d):
+            four_fold = np.convolve(four_fold, gf(factor))
+        assert report.gf_inequalities
+        for k, r in enumerate(report.gf_inequalities):
+            order = 2 * k + (m - n) % 2
+            assert r.index == (k,)
+            assert r.lhs == pytest.approx(four_fold[order], rel=1e-12)
 
     def test_translation_identity_is_internal(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)

@@ -657,3 +657,9 @@ class TestSpectrumStore:
     def test_count_validation(self):
         with pytest.raises(ConfigError):
             cached_spectrum(1, 1, S, 0)
+
+    @pytest.mark.parametrize("n, p, parity", [(1, 2, S), (2, 1, "sideways")])
+    def test_invalid_order_leaves_the_store_unchanged(self, calls, n, p, parity):
+        with pytest.raises(ConfigError):
+            cached_spectrum(n, p, parity, 1)
+        assert solver._STORE == {} and calls["scan_spectrum"] == 0
