@@ -1,11 +1,13 @@
 """Spectrum scanning and eigenfunction extraction.
 
-Eigenvalues are located as zeros of a scaled boundary-condition determinant
-swept in the root coordinate ``lambda = Lambda^(1/2p)`` (the determinant
-oscillates roughly periodically in lambda, not Lambda), bracketed by sign
+Eigenvalues are located as zeros of the reduced boundary determinant
+``det(N K(rho))`` swept in the root coordinate ``rho = Lambda^(1/2p)`` (it
+oscillates roughly periodically in rho, not Lambda), bracketed by sign
 changes and refined by regula falsi on the determinant itself, all of a
-scan's brackets in lockstep.
-Eigenfunctions come from the null direction of the boundary matrix via SVD.
+scan's brackets in lockstep.  ``N`` is an exact integer left null basis of
+the boundary matrix's monomial block, which does not depend on rho, so the
+reduced p x p determinant vanishes exactly where the n x n one does.
+Eigenfunctions come from the null direction of the n x n boundary matrix via SVD.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -26,49 +29,174 @@ from .problem import ProblemSpec, build_operator, kernel_columns, root_system, s
 DEFAULT_SCAN_STEP = 0.05
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
 NULLSPACE_QUALITY_LIMIT = 1e-6
-SIGN_TRUST_RATIO = 1e-14  # |det| / Hadamard bound below this: sign is roundoff noise
-SCAN_CHUNK = 64  # grid points per batched boundary-matrix evaluation
+SIGN_TRUST_FACTOR = 10.0  # |det R| below this many first-order rounding bounds: sign is noise
+SCAN_CHUNK = 64  # grid points per batched reduced-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
 MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
 
 
 @functools.cache
-def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-spec constants of the row-scaled boundary matrix, built once, as read-only arrays.
+def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-spec constants of the kernel block, built once, as read-only arrays.
 
     Kernel entry ``(j, k)`` at ``rho`` is
-    ``rho^j / max(rho^j, bounds[j]) * Re sum_s W[j, k, s] e^(rho exponents[k, s])``
-    with the power table ``W = kappa freq^j / 2`` of :func:`kernel_columns`.
-    ``weights``, shape ``(n, p, 2 slots)``, holds W as the real pairs
-    ``(Re W, -Im W)``, interleaved like the real view of a complex array, so
-    the real part is one real contraction.  ``exponents = freq - b``, shape
-    ``(p, slots)``, has real part 0 or ``-2b``, so no term overflows.  A
-    two-term column is padded with zero terms only where four-term columns
-    share the table (p >= 3).  ``monomials``, shape ``(n, n-p)``, holds
-    ``m!/(m-j)!`` for the parity monomials ``x^m``, and ``bounds`` the
-    largest entry of each of its rows (0 for a row without one); monomial
-    entry ``(j, m)`` is ``monomials[j, m] / max(rho^j, bounds[j])``.
+    ``rho^j Re sum_s W[j, k, s] e^(rho exponents[k, s])`` with the power table
+    ``W = kappa freq^j / 2`` of :func:`kernel_columns`.  ``weights``, shape
+    ``(n, p, 2 slots)``, holds W as the real pairs ``(Re W, -Im W)``, the
+    real view of its conjugate, so the real part is one real contraction.
+    ``exponents = freq - b``, shape ``(p, slots)``, has real part 0 or
+    ``-2b``, so no term overflows.  A two-term column is padded with zero
+    terms only where four-term columns share the table (p >= 3).  Its few
+    hundred entries are formed in Python's complex arithmetic, whose integer
+    powers and products give numpy's bits: in a fresh process a numpy
+    routine costs 0.1-0.5 ms on its first call, more than the whole table.
     """
     columns = kernel_columns(spec.p, spec.symmetric)
     slots = max(len(terms) for terms, _ in columns)
-    padded = np.array([terms + ((0j, 0j),) * (slots - len(terms)) for terms, _ in columns])
-    freq, kappa = padded[..., 0], padded[..., 1]
-    weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
-    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
-                         dtype=float)
+    padded = [(terms + ((0j, 0j),) * (slots - len(terms)), b) for terms, b in columns]
+    weights = np.array([[[kappa * freq ** j / 2 for freq, kappa in terms] for terms, _ in padded]
+                        for j in range(spec.n)])
+    tables = (weights.conj().view(float),
+              np.array([[freq - b for freq, _ in terms] for terms, b in padded]))
+    for array in tables:
+        array.setflags(write=False)
+    return tables
+
+
+def _monomial_block(spec: ProblemSpec) -> list[list[int]]:
+    """M[j][m] = m!/(m-j)!, the j-th derivative at x = 1 of each parity monomial x^m."""
+    return [[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)]
+
+
+@functools.cache
+def monomial_annihilator(spec: ProblemSpec) -> tuple[tuple[int, ...], ...]:
+    """Exact integer left null basis N, p rows of length n, of the monomial block M.
+
+    ``M[j, m] = m!/(m-j)!`` is the j-th derivative of ``x^m`` at x = 1, so
+    ``sum_j N[i][j] f^(j)(1)`` vanishes on every parity monomial.  The first
+    n-p rows of M are nonsingular (falling factorials of distinct degrees are
+    a Vandermonde matrix in disguise, and so is every leading block), so
+    fraction-free elimination down M's columns, pivoting on the diagonal,
+    turns its last p rows into zero rows.  The identity columns carried
+    along record each as a primitive integer row of N, whose entry
+    ``N[i][n-p+i]`` is made positive and whose entries past the first n-p
+    are otherwise 0.  At p = n there are no monomials and N is the
+    identity.  Every entry of N for n <= 12 fits in 35 bits, so N is exact
+    in floats too.
+    """
+    q = spec.n - spec.p
+    rows = [row + [int(i == j) for i in range(spec.n)]
+            for j, row in enumerate(_monomial_block(spec))]
+    for c in range(q):
+        pivot = rows[c]
+        for j in range(c + 1, spec.n):
+            if rows[j][c]:
+                row = [pivot[c] * a - rows[j][c] * b for a, b in zip(rows[j], pivot)]
+                divisor = math.gcd(*row)
+                rows[j] = [v // divisor for v in row]
+    basis = [row[q:] for row in rows[q:]]  # the M part of these rows is 0
+    return tuple(tuple(v if row[q + i] > 0 else -v for v in row) for i, row in enumerate(basis))
+
+
+@functools.cache
+def reduced_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """N, |N|, the per-row sign-trust tolerances and the cofactor mask, as read-only arrays.
+
+    A normalised entry of row i sums ``nnz(N_i)`` products of N with kernel
+    rows, each a sum over the term slots, and every summand is at most 1 in
+    size, so its rounding error is about ``(nnz(N_i) + slots) eps`` and
+    that of the row's norm ``sqrt(p)`` times as much.  ``tolerances`` holds
+    ``SIGN_TRUST_FACTOR`` times that row error.  Row i of ``others``, the
+    p x p mask with 0 on the diagonal and 1 elsewhere, picks the rows whose
+    norms bound the cofactors of row i.
+    """
+    basis = monomial_annihilator(spec)
+    slots = boundary_tables(spec)[1].shape[-1]
+    error = sys.float_info.epsilon * math.sqrt(spec.p)
     tables = (
-        np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
-        freq - np.array([[b] for _, b in columns]),
-        monomials,
-        monomials.max(axis=-1, initial=0.0),
+        np.array(basis, dtype=float),
+        np.array([[abs(v) for v in row] for row in basis], dtype=float),
+        np.array([SIGN_TRUST_FACTOR * (sum(map(bool, row)) + slots) * error for row in basis]),
+        np.array([[float(k != i) for k in range(spec.p)] for i in range(spec.p)]),
     )
     for array in tables:
         array.setflags(write=False)
     return tables
 
 
-def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarray:
-    """Row-scaled clamped-condition matrix whose null space holds eigenfunctions.
+def _determinants(matrices: np.ndarray) -> np.ndarray:
+    """det of each matrix of an ``(L, p, p)`` stack; at p = 1 the entry, which LAPACK rounds."""
+    return matrices[:, 0, 0] if matrices.shape[-1] == 1 else np.linalg.det(matrices)
+
+
+def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
+    """The row-normalised reduced matrices ``R = N K(rho)``, an ``(L, p, p)`` stack.
+
+    ``K`` is the kernel block of the unscaled boundary matrix, row j holding
+    the closed form ``sum c mu^j e^mu`` of each kernel function, and ``N``
+    is :func:`monomial_annihilator`: as ``N M = 0`` for the monomial block
+    M, which does not depend on rho,
+    ``det[K | M] = const * det(N K)`` with a nonzero constant, so det R has
+    the boundary determinant's zeros, signs changing alike.  Row i is
+    divided by ``sum_j |N_ij| rho^j``, the bound of its entries (a kernel
+    function's ``sum |c mu^j| e^|Re mu|`` is ``rho^j``), so every entry lies
+    in [-1, 1] while ``rho^(n-1)`` is finite.  A row whose divisor
+    underflows to 0 (only where N's row is a single high power, as at
+    p = n) raises ``DegenerateSystemError``.
+
+    Kernel rows come from the per-spec power table (:func:`boundary_tables`):
+    a point costs one complex ``exp`` per term and two real contractions
+    (the second applies ``N`` and the powers ``rho^j`` at once), and raises
+    no complex power.  The contractions are ``einsum`` calls, so
+    each point's matrix is bit-identical whatever the batch it is evaluated
+    in (a batched ``matmul`` may sum in an order that depends on the batch),
+    and a scan does not depend on how it batches its grid.
+    """
+    weights, exponents = boundary_tables(spec)
+    basis, magnitudes, _, _ = reduced_tables(spec)
+    smallest = min(rho)
+    if not smallest > 0:
+        raise ConfigError("the root coordinate must be positive")
+    rhos = np.asarray(rho, dtype=float)
+    powers = rhos[:, None] ** np.arange(spec.n)  # (L, n)
+    scale = np.einsum("ij,lj->li", magnitudes, powers)
+    if smallest < 1.0 and smallest ** (spec.n - 1) == 0.0 and not scale.all():  # underflow only
+        point, row = np.argwhere(scale == 0.0)[0]
+        raise DegenerateSystemError(f"reduced boundary row {row} vanishes identically for "
+                                    f"{spec.label()}, rho={rhos[point]}")
+    terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
+    kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
+    return np.einsum("ij,lj,ljk->lik", basis, powers, kernel) / scale[..., None]
+
+
+def indicator_series(
+    spec: ProblemSpec, lams: Iterable[float]
+) -> Iterator[tuple[float, float, bool]]:
+    """``(lam, det R, sign-trust flag)`` at each root coordinate ``lam = Lambda^(1/2p)``.
+
+    ``lams`` is read lazily, ``SCAN_CHUNK`` points per batch of reduced
+    matrices, so a caller that stops early has evaluated at most the rest of
+    the chunk it stopped in.  A sign is trusted when ``|det R|`` exceeds the
+    bound ``sum_i tolerances_i prod_(k != i) |R_k|`` (:func:`reduced_tables`),
+    ``SIGN_TRUST_FACTOR`` times the first-order change that the rounding
+    errors of the rows can make in it, as each cofactor is at most the
+    product of the other row norms (each norm raised to its 0 or 1 in
+    ``others``).  No division is taken, so a vanishing row gives det 0,
+    which is never trusted.
+    """
+    _, _, tolerances, others = reduced_tables(spec)
+    points = iter(lams)
+    while chunk := list(itertools.islice(points, SCAN_CHUNK)):
+        matrices = reduced_matrices(spec, chunk)
+        values = _determinants(matrices)
+        norms = np.sqrt(np.einsum("lik,lik->li", matrices, matrices))
+        cofactors = np.multiply.reduce(norms[:, None, :] ** others, axis=-1)
+        trusted = np.abs(values) > np.einsum("li,i->l", cofactors, tolerances)
+        yield from zip(chunk, values.tolist(), trusted.tolist())
+
+
+def boundary_matrix(spec: ProblemSpec, rho: float) -> np.ndarray:
+    """Row-scaled clamped-condition matrix at one root coordinate; its null space holds z.
 
     Row j holds the j-th derivatives at x=1 of the parity basis, in closed form:
     ``sum c mu^j e^mu`` over the terms ``c e^(mu x)`` of a kernel function,
@@ -77,83 +205,34 @@ def boundary_matrix(spec: ProblemSpec, rho: float | Sequence[float]) -> np.ndarr
     kernel function's ``sum e^|Re mu| |c mu^j|`` is ``rho^j``, as its ``|mu|``
     all equal ``rho`` and its ``|c| e^|Re mu|`` sum to 1.  Unlike scaling by the
     max actual entry, the bound cannot vanish and does not re-inflate a row that
-    legitimately passes through zero at an eigenvalue, so determinant zeros stay
-    put and the smallest singular value is a faithful null-space quality
-    measure.  Scaling is positive, so the null space is untouched.
+    legitimately passes through zero at an eigenvalue, so the smallest singular
+    value is a faithful null-space quality measure.  Scaling is positive, so
+    the null space is untouched.
 
-    With ``mu = rho freq`` and ``c = kappa e^(-rho b) / 2`` for a column whose
-    root is ``a + ib``, a kernel entry is evaluated as
-    ``rho^j / max(rho^j, m!/(m-j)!) * Re sum W e^(rho (freq - b))`` from the
-    spec's power table ``W = kappa freq^j / 2`` (:func:`boundary_tables`), built
-    once.  A point costs one complex ``exp`` per term and one real
-    contraction, and raises no complex power.  Each exponent has real part 0
-    or ``-2 rho b``, so nothing overflows where ``e^(rho b)`` would, and every
-    entry lies in [-1, 1] while ``rho^(n-1)`` is finite.  A row without
-    monomials that vanishes identically (its kernel entries, or an underflowed
-    ``rho^j``) raises ``DegenerateSystemError``, so every returned row is
-    nonzero.
-
-    The root coordinate ``rho = Lambda^(1/2p)`` is a number, giving one
-    ``(n, n)`` matrix, or a 1-D array, giving an ``(L, n, n)`` stack in one
-    numpy pass.  Each point's matrix is bit-identical either way (so the
-    contraction is an ``einsum``: a batched ``matmul`` sums in an order that
-    depends on the batch), so a scan does not depend on how it batches its
-    grid.
+    Kernel entries are read from the power table of :func:`boundary_tables`,
+    as :func:`reduced_matrices` reads them.  A row without monomials that
+    vanishes identically (its kernel entries, or an underflowed ``rho^j``)
+    raises ``DegenerateSystemError``, so every returned row is nonzero.
     """
-    weights, exponents, monomials, bounds = boundary_tables(spec)
-    points = np.asarray(rho, dtype=float)
-    rhos = points.reshape(-1)
-    if not (rhos > 0).all():
+    weights, exponents = boundary_tables(spec)
+    if not rho > 0:
         raise ConfigError("the root coordinate must be positive")
-    powers = rhos[:, None] ** np.arange(spec.n)  # (L, n)
+    monomials = np.array(_monomial_block(spec), dtype=float).reshape(spec.n, -1)
+    bounds = monomials.max(axis=-1, initial=0.0)
+    powers = rho ** np.arange(spec.n)
     scale = np.maximum(powers, bounds)
-    terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
-    kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
+    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float))
     free = np.count_nonzero(bounds)  # the rows from here on have no monomials
-    if free < spec.n:
-        vanishing = (powers[:, free:] == 0.0) | ~kernel[:, free:].any(axis=-1)
-        if vanishing.any():
-            point, row = np.argwhere(vanishing)[0]
-            raise DegenerateSystemError(f"boundary row {free + row} vanishes identically for "
-                                        f"{spec.label()}, rho={rhos[point]}")
-    values = np.empty((len(rhos), spec.n, spec.n))
-    values[..., :spec.p] = kernel * (powers / scale)[..., None]
-    values[..., spec.p:] = monomials / scale[..., None]
-    return values if points.ndim else values[0]
-
-
-def _indicators(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sign * |det|^(1/n) of each boundary matrix in a stack, and its sign-trust flag.
-
-    The sign is trusted when |det| exceeds ``SIGN_TRUST_RATIO`` times the
-    Hadamard bound, the product of the row norms, compared as logarithms:
-    ``boundary_matrix`` leaves no zero row, so the bound's logarithm is
-    finite, and a singular matrix gets the indicator 0 and no trust.
-    """
-    n = matrices.shape[-1]
-    sign, logabs = np.linalg.slogdet(matrices)
-    log_hadamard = np.log(np.sqrt((matrices * matrices).sum(axis=-1))).sum(axis=-1)
-    return sign * np.exp(logabs / n), logabs - log_hadamard > math.log(SIGN_TRUST_RATIO)
-
-
-def indicator_series(
-    spec: ProblemSpec, lams: Iterable[float]
-) -> Iterator[tuple[float, float, bool]]:
-    """``(lam, indicator, sign-trust flag)`` at each root coordinate ``lam = Lambda^(1/2p)``.
-
-    ``lams`` is read lazily, ``SCAN_CHUNK`` points per batched boundary
-    matrix, so a caller that stops early has evaluated at most the rest of
-    the chunk it stopped in.
-    """
-    points = iter(lams)
-    while chunk := list(itertools.islice(points, SCAN_CHUNK)):
-        values, trusted = _indicators(boundary_matrix(spec, chunk))
-        yield from zip(chunk, values.tolist(), trusted.tolist())
+    vanishing = (powers[free:] == 0.0) | ~kernel[free:].any(axis=-1)
+    if vanishing.any():
+        raise DegenerateSystemError(f"boundary row {free + np.argmax(vanishing)} vanishes "
+                                    f"identically for {spec.label()}, rho={rho}")
+    return np.hstack((kernel * (powers / scale)[:, None], monomials / scale[:, None]))
 
 
 @dataclass(frozen=True)
 class EigenResiduals:
-    det_indicator: float
+    det_indicator: float  # det R, the scan's reduced determinant, at Lambda
     nullspace_quality: float
     operator_residual: float  # L2 norm of the operator applied to z
     operator_scale: float  # L2 norm of z^(2n)
@@ -204,13 +283,12 @@ def _eigenpair(
     Lambda: float,
     z: ExpPoly,
     index: int,
-    matrix: np.ndarray,
     quality: float,
     normalized: bool,
 ) -> EigenPair:
-    """EigenPair of z with its residuals; ``matrix`` is the boundary matrix at Lambda."""
+    """EigenPair of z with its residuals."""
     table = z.derivatives(2 * spec.n)
-    indicator = float(_indicators(matrix[None])[0][0])
+    indicator = float(_determinants(reduced_matrices(spec, [root_system(spec.p, Lambda).rho]))[0])
     op_res = math.sqrt(max(l2_norm_sq(build_operator(spec, Lambda).apply(table)), 0.0))
     op_scale = math.sqrt(max(l2_norm_sq(table[-1]), 0.0))
     boundary = max(abs(d.evaluate(x)) for d in table[:spec.n] for x in (1.0, -1.0))
@@ -274,7 +352,7 @@ def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> 
     if not norm_sq > 0:
         raise SolverError("degenerate normalization integral")
     z = z.scaled(1.0 / math.sqrt(norm_sq))
-    return _eigenpair(spec, Lambda, _fix_sign(z), index, matrix, quality, True)
+    return _eigenpair(spec, Lambda, _fix_sign(z), index, quality, True)
 
 
 def simple_eigenpair(spec: ProblemSpec, Lambda: float, index: int) -> EigenPair | None:
@@ -289,8 +367,7 @@ def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
-    matrix = boundary_matrix(spec, root_system(spec.p, Lambda).rho)
-    return _eigenpair(spec, Lambda, z, index, matrix, 0.0, False)
+    return _eigenpair(spec, Lambda, z, index, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -300,7 +377,7 @@ class ScanMetadata:
     refinement_iterations: tuple[int, ...]  # determinant evaluations per refined root
     suspects: tuple[float, ...]  # lambda locations of sign-preserving near-zero dips
     lambda_ceiling: float
-    untrusted_points: int = 0  # grid points with determinant below the sign-trust floor
+    untrusted_points: int = 0  # grid points whose det R is within its rounding bound
 
 
 @dataclass(frozen=True)
@@ -315,22 +392,20 @@ class SpectrumSlice:
                 raise SolverError(f"spectrum not strictly increasing: {a} !< {b}")
 
 
-_Bracket = tuple[float, float, float, float]  # (a, f(a), b, f(b)): indicator signs differ
+_Bracket = tuple[float, float, float, float]  # (a, f(a), b, f(b)): det R signs differ
 _Refined = Generator[float, float, tuple[float, int]]  # yields trial points, returns (root, steps)
 
 
-def _refine(n: int, a: float, fa: float, b: float, fb: float) -> _Refined:
+def _refine(a: float, ga: float, b: float, gb: float) -> _Refined:
     """Root in the sign-change bracket a < b, and the evaluations it took.
 
-    A generator: it yields each trial point and is sent the row-scaled
-    determinant there, so a caller can evaluate the trial points of many
-    brackets in one batch.  Illinois regula falsi (Dowell & Jarratt 1971) on
-    the determinant, smooth where the n-th-root indicator has a cusp; the
-    indicator values ``fa`` and ``fb`` the caller holds become ``f |f|^(n-1)``.
-    Every trial point stays half the tolerance inside the bracket, so each
-    step narrows it; an end kept twice running has its weight halved.
+    A generator: it yields each trial point and is sent the function there,
+    so a caller can evaluate the trial points of many brackets in one batch.
+    Illinois regula falsi (Dowell & Jarratt 1971), started from the values
+    ``ga`` and ``gb`` the caller holds at the ends.  Every trial point stays
+    half the tolerance inside the bracket, so each step narrows it; an end
+    kept twice running has its weight halved.
     """
-    ga, gb = fa * abs(fa) ** (n - 1), fb * abs(fb) ** (n - 1)
     wa, wb, side, evaluations = ga, gb, 0, 0  # interpolation weights, end replaced last
     while b - a > (tol := 1e-15 + 4e-15 * abs(b)):
         if evaluations == 100:
@@ -355,11 +430,11 @@ def _refine_all(
     """Each bracket's ``_refine`` outcome: its (root, evaluations), or the error it raised.
 
     The brackets advance in lockstep, one step each per round, and a round
-    evaluates the trial points of every live bracket through one stacked
-    boundary matrix and one stacked ``np.linalg.det``: a scan pays one
-    batched call per round rather than one per step.
+    evaluates det R at the trial points of every live bracket through one
+    stack of reduced matrices and one stacked determinant: a scan
+    pays one batched call per round rather than one per step.
     """
-    steps = [_refine(spec.n, *bracket) for bracket in brackets]
+    steps = [_refine(*bracket) for bracket in brackets]
     outcomes: dict[int, tuple[float, int] | SolverError] = {}
     trials: dict[int, float] = {}  # live bracket -> its pending trial point
 
@@ -376,7 +451,7 @@ def _refine_all(
     while trials:
         live, points = zip(*trials.items())
         trials.clear()
-        for i, value in zip(live, np.linalg.det(boundary_matrix(spec, points)).tolist()):
+        for i, value in zip(live, _determinants(reduced_matrices(spec, points)).tolist()):
             advance(i, value)
     return [outcomes[i] for i in range(len(steps))]
 
@@ -390,8 +465,8 @@ def scan_spectrum(
 ) -> SpectrumSlice:
     """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
 
-    Brackets come from sign changes of the determinant indicator on a uniform
-    grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
+    Brackets come from sign changes of the reduced determinant det R on a
+    uniform grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
     between consecutive grid points whose sign is trusted.  The grid pass
     stops at the ``count``-th bracket, and then every bracket is refined to
     ~1e-15 relative in lambda, all in lockstep (``_refine_all``).  Consecutive
@@ -428,8 +503,9 @@ def scan_spectrum(
 
     for lam, f, trusted in indicator_series(spec, grid()):
         if not trusted:
-            # the sign is roundoff noise (rank-deficient basis as Lambda -> 0,
-            # or a root close by at high n): never bracket against this point
+            # the sign is roundoff noise (N cancels the nearly polynomial kernel
+            # columns as Lambda -> 0, or a root is close by): never bracket
+            # against this point
             untrusted_points += 1
             run = 0
             continue

@@ -75,13 +75,24 @@ class TestExitCodes:
         values = json.loads(out)["results"]["eigenvalues"]
         assert code == 0 and all(abs(a - b) / b < 1e-12 for a, b in zip(values, expect))
 
-    def test_roots_skipped_among_untrusted_grid_points_are_two(self, capsys):
-        # four roots lie where no grid point's sign is trusted; the Ritz bound at
-        # K = 20 is too loose to notice, the gap of 5 pi is not
-        code, out, err = run_cli(capsys, "spectrum", "--n", "7", "--p", "1", "--count", "20")
-        assert code == 2 and out == ""
-        assert "solver failure: root coordinate gap 5.01 pi" in err
-        assert "a root was skipped" in err
+    def test_twenty_roots_of_a_seventh_order_are_found(self, capsys):
+        # the n x n boundary determinant's sign-trust floor once hid four of these
+        # roots, a gap of 5 pi; det R trusts every grid point past rho = 0.2
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "7", "--p", "1", "--count", "20",
+                               "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        values = results["eigenvalues"]
+        assert len(values) == 20 and all(lam < ritz for lam, ritz in zip(values, results["ritz"]))
+        roots = [row["lambda"] for row in results["rows"]]
+        assert max(hi - lo for lo, hi in zip(roots, roots[1:])) < 1.5 * PI
+        # the first eight, as a count-8 scan pins them; they lie within 4.4e-14 of
+        # the n x n determinant's roots
+        assert [v.hex() for v in values[:8]] == [
+            "0x1.5e1ff833fd73dp+6", "0x1.504305f193307p+7", "0x1.0b79fdb2e8cd4p+8",
+            "0x1.823f1340eeeccp+8", "0x1.064f290df0704p+9", "0x1.555464d5b42a7p+9",
+            "0x1.ae3319e26271ep+9", "0x1.0876a14013261p+10"]
+        assert results["scan_metadata"]["untrusted_points"] == 4
 
     def test_a_huge_root_gap_is_reported_in_three_digits(self, capsys):
         # a step of 1e74 skips roots by gaps of ~1e75 pi, which a fixed-point

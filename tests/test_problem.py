@@ -244,10 +244,8 @@ def oracle_tables(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
     slots = int(kappa.any(axis=0).sum())  # the trailing slots past it pad every column
     freq, kappa = freq[:, :slots], kappa[:, :slots]
     weights = kappa * freq ** np.arange(spec.n)[:, None, None] / 2
-    monomials = np.array([[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)],
-                         dtype=float)
     return (np.stack((weights.real, -weights.imag), axis=-1).reshape(spec.n, spec.p, -1),
-            freq - depth, monomials, monomials.max(axis=-1, initial=0.0))
+            freq - depth)
 
 
 def signs(array: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from rqlab.solver import (
     cached_eigenpair,
     cached_spectrum,
     extract_eigenfunction,
+    monomial_annihilator,
+    reduced_matrices,
     scan_spectrum,
 )
 
@@ -35,7 +37,7 @@ S, A = "symmetric", "antisymmetric"
 
 
 def det_indicator(spec, Lambda):
-    """The scan's determinant indicator at the one eigenvalue Lambda."""
+    """The scan's reduced determinant det R at the one eigenvalue Lambda."""
     ((_, value, _),) = solver.indicator_series(spec, [root_system(spec.p, Lambda).rho])
     return value
 
@@ -66,34 +68,50 @@ class TestDetIndicator:
 ORACLE_BOUND = 8 * np.finfo(float).eps
 
 
-def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
-    """The boundary matrix through ExpPoly differentiation, the closed form's oracle."""
+@functools.cache  # each is read by both oracles below
+def exppoly_kernel_rows(spec: ProblemSpec, Lambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled boundary rows of the basis through ExpPoly differentiation, and their bounds."""
     values, bounds = [], []
     derivatives = solution_basis(spec, Lambda)
     for _ in range(spec.n):
         values.append([fn.evaluate(1.0).real for fn in derivatives])
         bounds.append([fn.magnitude_bound() for fn in derivatives])
         derivatives = [fn.differentiate() for fn in derivatives]
-    return np.array(values) / np.max(bounds, axis=1, keepdims=True)
+    return np.array(values), np.array(bounds)
+
+
+def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
+    """The boundary matrix through ExpPoly differentiation, the closed form's oracle."""
+    values, bounds = exppoly_kernel_rows(spec, Lambda)
+    return values / np.max(bounds, axis=1, keepdims=True)
+
+
+def exppoly_reduced_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
+    """``N K`` from the ExpPoly kernel rows, row i over ``sum_j |N_ij| rho^j``."""
+    kernel = exppoly_kernel_rows(spec, Lambda)[0][:, :spec.p]
+    basis = np.array(monomial_annihilator(spec), dtype=float)
+    scale = np.abs(basis) @ root_system(spec.p, Lambda).rho ** np.arange(spec.n)
+    return basis @ kernel / scale[:, None]
 
 
 class TestBoundaryMatrix:
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_closed_form_agrees_with_exppoly_chain(self, n):
+    def test_closed_forms_agree_with_exppoly_chain(self, n):
         for p in range(1, n + 1):
             for parity in (S, A):
                 spec = ProblemSpec(n, p, parity)
                 Lambdas = [float(lam) ** (2 * p) for lam in np.arange(0.02, 60.0, 0.91)]
                 rhos = [root_system(p, Lambda).rho for Lambda in Lambdas]
-                batched = boundary_matrix(spec, rhos)
-                assert batched.shape == (len(Lambdas), n, n)
-                for matrix, Lambda, rho in zip(batched, Lambdas, rhos):
-                    oracle = exppoly_boundary_matrix(spec, Lambda)
+                reduced = reduced_matrices(spec, rhos)
+                assert reduced.shape == (len(Lambdas), p, p)
+                for matrix, Lambda, rho in zip(reduced, Lambdas, rhos):
+                    oracle = exppoly_reduced_matrix(spec, Lambda)
                     assert np.abs(matrix - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
-                    one_point = boundary_matrix(spec, rho)
-                    assert np.array_equal(one_point, matrix), (spec.label(), Lambda)
+                    full = boundary_matrix(spec, rho)
+                    oracle = exppoly_boundary_matrix(spec, Lambda)
+                    assert np.abs(full - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
 
-    def test_batched_rows_equal_one_point_calls_and_the_oracle(self):
+    def test_batched_reduced_matrices_equal_one_point_calls_and_the_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -110,13 +128,13 @@ class TestBoundaryMatrix:
             depth = max(root.imag for root in root_system(spec.p, 1.0).roots)
             Lambdas = [lam ** (2 * spec.p) for lam in lams]
             rhos = [root_system(spec.p, Lambda).rho for Lambda in Lambdas]
-            batched = boundary_matrix(spec, rhos)
+            batched = reduced_matrices(spec, rhos)
             assert np.abs(batched).max() <= 1.0
-            indicators = [f for _, f, _ in solver.indicator_series(spec, rhos)]
-            for matrix, Lambda, rho, f in zip(batched, Lambdas, rhos, indicators):
-                assert np.array_equal(matrix, boundary_matrix(spec, rho))
+            determinants = [f for _, f, _ in solver.indicator_series(spec, rhos)]
+            for matrix, Lambda, rho, f in zip(batched, Lambdas, rhos, determinants):
+                assert np.array_equal(matrix, reduced_matrices(spec, [rho])[0])
                 if rho * depth < 700.0:  # the oracle's e^(rho b) is still finite
-                    oracle = exppoly_boundary_matrix(spec, Lambda)
+                    oracle = exppoly_reduced_matrix(spec, Lambda)
                     assert np.abs(matrix - oracle).max() <= ORACLE_BOUND
                 assert f == det_indicator(spec, Lambda) and math.isfinite(f)
 
@@ -125,23 +143,79 @@ class TestBoundaryMatrix:
             rows_match()
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_entries_and_indicators_stay_finite_for_large_root_coordinates(self, n):
+    def test_entries_and_determinants_stay_finite_for_large_root_coordinates(self, n):
         # e^(rho b) overflows past rho b ~ 709.78; the kernel never forms it
         rhos = [700.0, 709.9, 720.0, 1000.0, 4999.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for p in range(1, n + 1):
                 for parity in (S, A):
-                    matrices = boundary_matrix(ProblemSpec(n, p, parity), rhos)
-                    values, _ = solver._indicators(matrices)
+                    spec = ProblemSpec(n, p, parity)
+                    matrices = reduced_matrices(spec, rhos)
+                    values = [f for _, f, _ in solver.indicator_series(spec, rhos)]
                     assert np.isfinite(matrices).all() and np.abs(matrices).max() <= 1.0
                     assert np.isfinite(values).all() and np.abs(values).max() <= 1.0
+                    for rho in rhos:
+                        full = boundary_matrix(spec, rho)
+                        assert np.isfinite(full).all() and np.abs(full).max() <= 1.0
 
     def test_a_row_without_monomials_that_vanishes_is_degenerate(self):
         # rho^2 underflows, so the last row of the (3,3) matrix has no scale
         with pytest.raises(DegenerateSystemError, match="boundary row 2 vanishes identically"):
-            boundary_matrix(ProblemSpec(3, 3, S), [1.0, 1e-200])
+            boundary_matrix(ProblemSpec(3, 3, S), 1e-200)
+        with pytest.raises(DegenerateSystemError,
+                           match="reduced boundary row 2 vanishes identically"):
+            reduced_matrices(ProblemSpec(3, 3, S), [1.0, 1e-200])
         assert np.isfinite(boundary_matrix(ProblemSpec(3, 1, S), 1e-200)).all()
+        assert np.isfinite(reduced_matrices(ProblemSpec(3, 1, S), [1e-200])).all()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_a_vanishing_or_underflowed_reduced_row_is_untrusted(self, monkeypatch, p):
+        # the trust test divides by nothing, so a zero or subnormal row gives no
+        # RuntimeWarning, and its determinant, 0 or near it, is never trusted
+        rows = np.eye(p)
+        stack = np.array([rows, rows, rows])
+        stack[0, 0] = 0.0
+        stack[1, -1] = 5e-324
+        stack[2, 0, 0] = 1e-300
+        monkeypatch.setattr(solver, "reduced_matrices", lambda spec, rho: stack[:len(rho)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = list(solver.indicator_series(ProblemSpec(3, p, S), [1.0, 2.0, 3.0]))
+        assert [trusted for _, _, trusted in series] == [False, False, False]
+        assert all(math.isfinite(f) for _, f, _ in series)
+
+
+class TestReduction:
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_annihilator_is_an_exact_left_null_basis_of_rank_p(self, parity):
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                basis = monomial_annihilator(spec)
+                assert len(basis) == p and all(len(row) == n for row in basis)
+                assert all(type(v) is int for row in basis for v in row)
+                for m in spec.monomial_degrees:
+                    assert all(sum(v * math.perm(m, j) for j, v in enumerate(row)) == 0
+                               for row in basis), (spec.label(), m)
+                # exact in floats, and of full rank
+                assert max(abs(v) for row in basis for v in row) < 2**53
+                assert np.linalg.matrix_rank(np.array(basis, dtype=float)) == p, spec.label()
+
+    def test_p_equal_to_n_reduces_nothing(self):
+        for n in range(1, 6):
+            assert np.array_equal(monomial_annihilator(ProblemSpec(n, n, A)), np.eye(n, dtype=int))
+
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_every_order_completes_at_count_8(self, parity):
+        # (12, 12) is the trust rule's hard case: there no monomial is reduced away,
+        # and the grid points within about 0.2 of each root are untrusted
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                out = scan_spectrum(ProblemSpec(n, p, parity), 8)
+                roots = [v ** (1 / (2 * p)) for v in out.eigenvalues]
+                assert len(roots) == 8
+                assert max(hi - lo for lo, hi in zip(roots, roots[1:])) < solver.MAX_ROOT_GAP
 
 
 def drive(refine, determinant):
@@ -200,7 +274,7 @@ class TestScanSpectrum:
                   (0.30, 0.5), (0.35, -0.5)]
         monkeypatch.setattr(solver, "indicator_series",
                             lambda spec, lams: ((lam, f, True) for lam, f in series))
-        monkeypatch.setattr(solver, "boundary_matrix",
+        monkeypatch.setattr(solver, "reduced_matrices",
                             lambda spec, rho: (0.325 - np.asarray(rho))[..., None, None])
         out = scan_spectrum(ProblemSpec(1, 1, S), 1)
         assert out.metadata.suspects == (0.10,)
@@ -210,7 +284,7 @@ class TestScanSpectrum:
     def scan_with_samples(monkeypatch, samples):
         """A (1,1) scan of the 1x1 determinant ``0.325 - rho``, except at the grid
         points ``rho = 0.05 k`` whose k ``samples`` maps to a value of their own
-        (0.0 makes the point untrusted)."""
+        (0.0 is below every trust bound, so it makes the point untrusted)."""
 
         def matrix(spec, rho):
             rhos = np.asarray(rho, dtype=float)
@@ -219,10 +293,8 @@ class TestScanSpectrum:
                 values = np.where(np.rint(rhos / 0.05) == k, value, values)
             return values[..., None, None]
 
-        monkeypatch.setattr(solver, "boundary_matrix", matrix)
-        # a zero 1x1 matrix, which boundary_matrix never gives: its Hadamard ratio is nan
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = scan_spectrum(ProblemSpec(1, 1, S), 1)
+        monkeypatch.setattr(solver, "reduced_matrices", matrix)
+        out = scan_spectrum(ProblemSpec(1, 1, S), 1)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
         return out.metadata
 
@@ -249,19 +321,23 @@ class TestScanSpectrum:
             scan_spectrum(ProblemSpec(1, 1, S), 0)
 
     # float.hex of the eigenvalues, the evaluations per refined root and the
-    # untrusted grid points, as refining one bracket at a time gave them
+    # untrusted grid points of the reduced-determinant scan
     PINNED_SCANS = {
         ((1, 1, S), 5): (
             ("0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
              "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7"), (4, 4, 4, 4, 4), 0),
         ((9, 4, S), 6): (
-            ("0x1.1edd87a8dc5b7p+27", "0x1.6b232b52591fep+30", "0x1.f32494f5df6e4p+32",
-             "0x1.edbe1c4363246p+34", "0x1.89f97e6e3a594p+36", "0x1.0d8cfcaa8ec97p+38"),
-            (7, 7, 11, 6, 7, 10), 69),
+            ("0x1.1edd87a8dc565p+27", "0x1.6b232b5259197p+30", "0x1.f32494f5df811p+32",
+             "0x1.edbe1c4363371p+34", "0x1.89f97e6e3a3adp+36", "0x1.0d8cfcaa8ec43p+38"),
+            (6, 6, 5, 5, 5, 5), 37),
         ((8, 1, S), 8): (
-            ("0x1.ba142e6acf7e6p+6", "0x1.93b333434ab7bp+7", "0x1.377375d9ee460p+8",
-             "0x1.b84e43d22aafdp+8", "0x1.265748ed82df3p+9", "0x1.7a5766b5ed7c7p+9",
-             "0x1.d82d9b3c4b40cp+9", "0x1.1fee8c68f470fp+10"), (7, 6, 11, 15, 15, 16, 17, 12), 287),
+            ("0x1.ba142e6acf7dep+6", "0x1.93b333434ab4bp+7", "0x1.377375d9ee479p+8",
+             "0x1.b84e43d22aa23p+8", "0x1.265748ed82db4p+9", "0x1.7a5766b5ee7a5p+9",
+             "0x1.d82d9b3c4ab7bp+9", "0x1.1fee8c68f4989p+10"), (5, 5, 5, 5, 5, 5, 5, 5), 9),
+        ((8, 1, A), 8): (
+            ("0x1.0fc5d6290053ep+7", "0x1.dc3fd6ef17b66p+7", "0x1.6614743d36d1bp+8",
+             "0x1.f115218eace9ep+8", "0x1.47c0cc3e1f7d8p+9", "0x1.a0bfcd7209240p+9",
+             "0x1.01c8404a36266p+10", "0x1.381bd0ab4cbdep+10"), (5, 5, 5, 5, 5, 5, 5, 5), 14),
     }
 
     @pytest.mark.parametrize("case, count", list(PINNED_SCANS))
@@ -271,46 +347,39 @@ class TestScanSpectrum:
                 out.metadata.untrusted_points) == self.PINNED_SCANS[case, count]
         assert out.metadata.suspects == ()
 
-    # the same scans and the (8,1,anti) prefix below, as the closed form gave them
-    # when it raised (rho freq)^j to a complex power at every point and multiplied
-    # e^(-rho b) in after e^(rho freq): a kernel that moves only the last bits
+    # the same scans, and the first seven (8,1,anti) roots, the only ones it found
+    # then, as the n x n boundary determinant gave them when its closed form raised
+    # (rho freq)^j to a complex power at every point and multiplied e^(-rho b) in
+    # after e^(rho freq)
     EARLIER_PINS = {
         ((1, 1, S), 5): (
-            ("0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
-             "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7"), 0),
+            "0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
+            "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7"),
         ((9, 4, S), 6): (
-            ("0x1.1edd87a8dc595p+27", "0x1.6b232b52591cbp+30", "0x1.f32494f5df56ep+32",
-             "0x1.edbe1c436349cp+34", "0x1.89f97e6e3a828p+36", "0x1.0d8cfcaa8ec07p+38"), 69),
+            "0x1.1edd87a8dc595p+27", "0x1.6b232b52591cbp+30", "0x1.f32494f5df56ep+32",
+            "0x1.edbe1c436349cp+34", "0x1.89f97e6e3a828p+36", "0x1.0d8cfcaa8ec07p+38"),
         ((8, 1, S), 8): (
-            ("0x1.ba142e6acf7f5p+6", "0x1.93b333434aacbp+7", "0x1.377375d9ee472p+8",
-             "0x1.b84e43d22aa43p+8", "0x1.265748ed82dbbp+9", "0x1.7a5766b5ede64p+9",
-             "0x1.d82d9b3c4ab73p+9", "0x1.1fee8c68f34eep+10"), 287),
-        ((8, 1, A), 8): (
-            ("0x1.0fc5d6290050fp+7", "0x1.dc3fd6ef17b49p+7", "0x1.6614743d36d0dp+8",
-             "0x1.f115218eace93p+8", "0x1.47c0cc3e1f940p+9", "0x1.a0bfcd72093d1p+9",
-             "0x1.01c8404a36276p+10"), None),
+            "0x1.ba142e6acf7f5p+6", "0x1.93b333434aacbp+7", "0x1.377375d9ee472p+8",
+            "0x1.b84e43d22aa43p+8", "0x1.265748ed82dbbp+9", "0x1.7a5766b5ede64p+9",
+            "0x1.d82d9b3c4ab73p+9", "0x1.1fee8c68f34eep+10"),
+        ((8, 1, A), 7): (
+            "0x1.0fc5d6290050fp+7", "0x1.dc3fd6ef17b49p+7", "0x1.6614743d36d0dp+8",
+            "0x1.f115218eace93p+8", "0x1.47c0cc3e1f940p+9", "0x1.a0bfcd72093d1p+9",
+            "0x1.01c8404a36276p+10"),
     }
 
     @pytest.mark.parametrize("case, count", list(EARLIER_PINS))
     def test_scan_stays_within_2e_12_of_its_earlier_pins(self, case, count):
-        earlier, untrusted = self.EARLIER_PINS[case, count]
-        if untrusted is None:  # ran out of grid, then as now
-            with pytest.raises(ScanExhaustedError) as exhausted:
-                scan_spectrum(ProblemSpec(*case), count)
-            eigenvalues = exhausted.value.eigenvalues
-        else:
-            out = scan_spectrum(ProblemSpec(*case), count)
-            eigenvalues = out.eigenvalues
-            assert out.metadata.untrusted_points == untrusted
+        earlier = self.EARLIER_PINS[case, count]
+        eigenvalues = scan_spectrum(ProblemSpec(*case), count).eigenvalues
         assert len(eigenvalues) == len(earlier)
         for value, pinned in zip(eigenvalues, map(float.fromhex, earlier)):
             assert rel_err(value, pinned) <= 2e-12, (case, value, pinned)
 
     @pytest.mark.parametrize("case, count, ceiling, prefix", [
-        ((8, 1, A), 8, 200.0, (
-            "0x1.0fc5d62900633p+7", "0x1.dc3fd6ef17babp+7", "0x1.6614743d36b99p+8",
-            "0x1.f115218ead03bp+8", "0x1.47c0cc3e1f8b8p+9", "0x1.a0bfcd7209bfap+9",
-            "0x1.01c8404a36b34p+10")),
+        ((8, 1, A), 8, 30.0, (
+            "0x1.0fc5d6290053ep+7", "0x1.dc3fd6ef17b66p+7", "0x1.6614743d36d1bp+8",
+            "0x1.f115218eace9ep+8", "0x1.47c0cc3e1f7d8p+9", "0x1.a0bfcd7209240p+9")),
         ((1, 1, S), 2, 4.7, ("0x1.3bd3cc9be45dep+1",)),
     ])
     def test_exhausted_scan_keeps_its_pinned_prefix(self, case, count, ceiling, prefix):
@@ -322,13 +391,14 @@ class TestScanSpectrum:
             f"below lambda={ceiling} (Lambda={ceiling ** 2:.6g})")  # p = 1
 
     def test_gap_witness_message_is_pinned(self):
-        # the earlier kernel put the gap's ends at 67.32133170374875 and 83.07158582128183
+        # (2,1,sym) has its roots at (k + 1) pi; a step of 5 puts 5 pi and 6 pi in
+        # one grid cell, [15, 20], so the scan goes from 4 pi to 7 pi
         with pytest.raises(SolverError) as gap:
-            scan_spectrum(ProblemSpec(7, 1, S), 20)
+            scan_spectrum(ProblemSpec(2, 1, S), 3, step=5.0)
         assert type(gap.value) is SolverError
         assert str(gap.value) == (
-            "root coordinate gap 5.01 pi from 67.32133170374796 to 83.07158582128251 "
-            "for (n=7, p=1, sym): a root was skipped")
+            "root coordinate gap 3.00 pi from 12.566370614359167 to 21.991148575128552 "
+            "for (n=2, p=1, sym): a root was skipped")
 
     def test_determinism(self):
         a = scan_spectrum(ProblemSpec(3, 2, S), 2)
@@ -341,13 +411,13 @@ class TestScanSpectrum:
         # root, and one more point per refinement step; the brackets advance in
         # lockstep, so a round of steps is one call
         points = []
-        original = solver.boundary_matrix
+        original = solver.reduced_matrices
 
         def counted(spec, rho):
-            points.append(np.size(rho))
+            points.append(len(rho))
             return original(spec, rho)
 
-        monkeypatch.setattr(solver, "boundary_matrix", counted)
+        monkeypatch.setattr(solver, "reduced_matrices", counted)
         evaluations = []
         for (n, p) in [(2, 1), (4, 2), (6, 3)]:
             for parity in (S, A):
@@ -386,7 +456,7 @@ class TestScanSpectrum:
                 trials.append(x)
                 return -1.0 if x < jump else 1.0
 
-            root, evaluations = drive(solver._refine(3, 0.1, -1.0, 0.15, 1.0), step_function)
+            root, evaluations = drive(solver._refine(0.1, -1.0, 0.15, 1.0), step_function)
             assert evaluations == len(trials) < 100
             assert abs(root - jump) <= 1e-15 + 4e-15 * 0.15
 
@@ -555,9 +625,14 @@ class TestSpectrumStructure:
                     assert 0.75 * PI < hi - lo < 1.25 * PI, (n, p, lo, hi)
 
     def test_root_next_to_an_untrusted_grid_point_is_kept(self):
-        # at n = 9 a grid point beside a root can fall below the sign-trust
-        # floor; the bracket then spans it instead of losing the root
-        roots = [v ** (1 / 8) for v in cached_spectrum(9, 4, S, 8)]
+        # at (12, 12) the grid points within about 0.2 of a root fall inside the
+        # sign's rounding bound; the bracket then spans them instead of losing the root
+        spec = ProblemSpec(12, 12, S)
+        roots = [v ** (1 / 24) for v in cached_spectrum(12, 12, S, 8)]
+        untrusted = [lam for lam, _, trusted in solver.indicator_series(
+            spec, (0.05 * k for k in range(1, 700))) if not trusted]
+        for root in roots:
+            assert any(abs(lam - root) < 0.05 for lam in untrusted), root
         for lo, hi in zip(roots, roots[1:]):
             assert 0.75 * PI < hi - lo < 1.25 * PI, (lo, hi)
         assert rel_err(cached_spectrum(9, 4, S, 8)[7], cached_spectrum(8, 4, A, 8)[7]) < 1e-10
@@ -570,8 +645,6 @@ class TestSpectrumStructure:
                 assert all(r.verdict == PASS for r in reports), (n, p)
 
     def test_indicator_self_consistency_at_refined_eigenvalues(self):
-        # the indicator is sign * |det|^(1/n), so the residual-vs-scale bound
-        # lives in the determinant domain: undo the root before comparing
         for (n, p, parity) in [(2, 1, S), (3, 2, S), (4, 2, A)]:
             spec = ProblemSpec(n, p, parity)
             for lam_value in cached_spectrum(n, p, parity, 2):
@@ -580,7 +653,7 @@ class TestSpectrumStructure:
                     abs(det_indicator(spec, lam_value * 0.98)),
                 )
                 residual = abs(det_indicator(spec, lam_value))
-                assert residual**n < 1e-9 * local**n
+                assert residual < 1e-9 * local
 
 
 class TestSpectrumStore:
