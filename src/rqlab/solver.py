@@ -8,6 +8,21 @@ scan's brackets in lockstep.  ``N`` is an exact integer left null basis of
 the boundary matrix's monomial block, which does not depend on rho, so the
 reduced p x p determinant vanishes exactly where the n x n one does.
 Eigenfunctions come from the null direction of the n x n boundary matrix via SVD.
+
+A stored spectrum of order n-2 (same p and parity) brackets the roots of
+order n.  For p <= n-2, u -> u'' maps the clamped order-n functions of a
+parity one to one onto the clamped order-(n-2) functions of that parity
+with one vanishing moment (``int v = 0`` when symmetric, ``int x v = 0``
+when antisymmetric: exactly what a clamped second antiderivative of the
+parity needs), and it keeps the quotient ``|u^(n)|^2 / |u^(n-p)|^2``.  So
+order n is order n-2 under one linear constraint, and min-max gives
+``Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2)``.  ``cached_spectrum``
+hands the stored roots to the scan, which then samples each interval
+between consecutive ones instead of walking the grid from its start: an
+interval whose trusted samples change sign exactly once holds root k and
+witnesses its index.  Any other interval (a common eigenvalue of orders
+n-2 and n, which the paper rules out and ``disjoint`` looks for, would give
+one) sends the scan back to the full grid.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ SIGN_TRUST_FACTOR = 10.0  # |det R| below this many first-order rounding bounds:
 SCAN_CHUNK = 64  # grid points per batched reduced-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
 MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
+INTERVAL_SAMPLES = 8  # subdivisions of each interval between roots of order n-2
 
 
 @functools.cache
@@ -125,8 +141,40 @@ def reduced_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _determinants(matrices: np.ndarray) -> np.ndarray:
-    """det of each matrix of an ``(L, p, p)`` stack; at p = 1 the entry, which LAPACK rounds."""
-    return matrices[:, 0, 0] if matrices.shape[-1] == 1 else np.linalg.det(matrices)
+    """det of each matrix of an ``(L, p, p)`` stack.
+
+    For p <= 3 in closed form (at p = 1 the entry itself, which LAPACK's LU
+    would take through a logarithm and round), by LAPACK above.
+    """
+    p = matrices.shape[-1]
+    if p == 1:
+        return matrices[:, 0, 0]
+    if p == 2:
+        return matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
+    if p == 3:
+        (a, b, c), (d, e, f), (g, h, i) = ([matrices[:, r, k] for k in range(3)] for r in range(3))
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(matrices)
+
+
+def _cofactor_bounds(matrices: np.ndarray, tolerances: np.ndarray, others: np.ndarray):
+    """``sum_i tolerances_i prod_(k != i) |R_k|`` for each matrix of an ``(L, p, p)`` stack.
+
+    Written out for p <= 3; above, each row norm is raised to its 0 or 1 in
+    the mask ``others`` and the powers multiplied.
+    """
+    p = matrices.shape[-1]
+    if p == 1:
+        return tolerances[0]
+    norms = np.sqrt(np.einsum("lik,lik->li", matrices, matrices))
+    if p == 2:
+        return tolerances[0] * norms[:, 1] + tolerances[1] * norms[:, 0]
+    if p == 3:
+        first, second, third = norms[:, 0], norms[:, 1], norms[:, 2]
+        return (tolerances[0] * second * third + tolerances[1] * first * third
+                + tolerances[2] * first * second)
+    cofactors = np.multiply.reduce(norms[:, None, :] ** others, axis=-1)
+    return np.einsum("li,i->l", cofactors, tolerances)
 
 
 def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
@@ -180,18 +228,15 @@ def indicator_series(
     bound ``sum_i tolerances_i prod_(k != i) |R_k|`` (:func:`reduced_tables`),
     ``SIGN_TRUST_FACTOR`` times the first-order change that the rounding
     errors of the rows can make in it, as each cofactor is at most the
-    product of the other row norms (each norm raised to its 0 or 1 in
-    ``others``).  No division is taken, so a vanishing row gives det 0,
-    which is never trusted.
+    product of the other row norms (:func:`_cofactor_bounds`).  No division
+    is taken, so a vanishing row gives det 0, which is never trusted.
     """
     _, _, tolerances, others = reduced_tables(spec)
     points = iter(lams)
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
         matrices = reduced_matrices(spec, chunk)
         values = _determinants(matrices)
-        norms = np.sqrt(np.einsum("lik,lik->li", matrices, matrices))
-        cofactors = np.multiply.reduce(norms[:, None, :] ** others, axis=-1)
-        trusted = np.abs(values) > np.einsum("li,i->l", cofactors, tolerances)
+        trusted = np.abs(values) > _cofactor_bounds(matrices, tolerances, others)
         yield from zip(chunk, values.tolist(), trusted.tolist())
 
 
@@ -456,57 +501,33 @@ def _refine_all(
     return [outcomes[i] for i in range(len(steps))]
 
 
-def scan_spectrum(
-    spec: ProblemSpec,
-    count: int,
-    *,
-    step: float = DEFAULT_SCAN_STEP,
-    lambda_ceiling: float = DEFAULT_LAMBDA_CEILING,
-) -> SpectrumSlice:
-    """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
+def _walk(
+    samples: Iterable[tuple[float, float, bool]],
+    wanted: int,
+    start: tuple[float, float] | None = None,
+) -> tuple[list[_Bracket], list[float], int]:
+    """The first ``wanted`` sign-change brackets among ``(lam, det R, trusted)`` samples.
 
-    Brackets come from sign changes of the reduced determinant det R on a
-    uniform grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
-    between consecutive grid points whose sign is trusted.  The grid pass
-    stops at the ``count``-th bracket, and then every bracket is refined to
-    ~1e-15 relative in lambda, all in lockstep (``_refine_all``).  Consecutive
-    roots lie about pi apart, so a gap over ``MAX_ROOT_GAP`` raises
-    ``SolverError`` rather than report a spectrum with a skipped root.
-    Sign-preserving near-zero dips are recorded as suspected double roots
-    instead of being split heuristically.  A grid of more than
-    ``MAX_GRID_POINTS`` points is a ``ConfigError``.
+    A bracket joins consecutive trusted samples of opposite sign; an
+    untrusted sample's sign is roundoff noise (N cancels the nearly
+    polynomial kernel columns as Lambda -> 0, or a root is close by), so
+    nothing is bracketed against it.  ``start`` is a trusted ``(lam, det R)``
+    sample taken before the first.  Also returns the sign-preserving
+    near-zero dips (suspected double roots) and the untrusted sample count.
     """
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    if step <= 0:
-        raise ConfigError("scan step must be positive")
-    if lambda_ceiling / step > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"a scan grid of {lambda_ceiling / step:.3g} points exceeds {MAX_GRID_POINTS}: "
-            "lower --lambda-max or raise --step"
-        )
-
-    def grid() -> Iterator[float]:
-        lam = step
-        while lam < lambda_ceiling:
-            yield lam
-            lam += step
-        yield lambda_ceiling
-
     brackets: list[_Bracket] = []
     suspects: list[float] = []
-    untrusted_points = 0
+    untrusted = 0
     run = 0  # trusted samples in a row, up to the latest one
     # the latest trusted sample (lambda1, f1, |f1|), kept across untrusted points
     # (f1 = 0.0 before the first, which brackets nothing), and (f0, |f0|) before it
     lam1 = f1 = size1 = f0 = size0 = 0.0
+    if start is not None:
+        (lam1, f1), size1, run = start, abs(start[1]), 1
 
-    for lam, f, trusted in indicator_series(spec, grid()):
+    for lam, f, trusted in samples:
         if not trusted:
-            # the sign is roundoff noise (N cancels the nearly polynomial kernel
-            # columns as Lambda -> 0, or a root is close by): never bracket
-            # against this point
-            untrusted_points += 1
+            untrusted += 1
             run = 0
             continue
         size = abs(f)
@@ -522,8 +543,98 @@ def scan_spectrum(
             suspects.append(lam1)
         f0, size0, lam1, f1, size1 = f1, size1, lam, f, size
         run += 1
-        if len(brackets) == count:
+        if len(brackets) == wanted:
             break
+    return brackets, suspects, untrusted
+
+
+def _interlaced_brackets(
+    spec: ProblemSpec, count: int, interlacing: Sequence[float]
+) -> tuple[list[_Bracket], tuple[float, float], int] | None:
+    """Brackets of the first roots from the intervals between the roots of order n-2.
+
+    Root k lies in ``[interlacing[k], interlacing[k + 1]]`` (module
+    docstring).  Each of the first ``min(count, len(interlacing) - 1)``
+    intervals is sampled at ``INTERVAL_SAMPLES`` equal subdivisions, ends
+    shared, in one series, and its one sign change between consecutive
+    trusted samples is its bracket.  Also returns the sample ``(lam, det R)``
+    at the last end, where a walk for the roots still missing starts, and
+    the untrusted sample count.  None when an interval does not change sign
+    exactly once, or a walk is needed and that sample is untrusted.
+    """
+    ends = interlacing[:count + 1]
+    points = [a + (b - a) * j / INTERVAL_SAMPLES
+              for a, b in zip(ends, ends[1:]) for j in range(INTERVAL_SAMPLES)]
+    samples = list(indicator_series(spec, [*points, ends[-1]]))
+    brackets: list[_Bracket] = []
+    for first in range(0, len(points), INTERVAL_SAMPLES):
+        found, _, _ = _walk(samples[first:first + INTERVAL_SAMPLES + 1], 2)
+        if len(found) != 1:
+            return None
+        brackets += found
+    last, value, trusted = samples[-1]
+    if len(brackets) < count and not trusted:
+        return None
+    return brackets, (last, value), sum(not sample[2] for sample in samples)
+
+
+def scan_spectrum(
+    spec: ProblemSpec,
+    count: int,
+    *,
+    step: float = DEFAULT_SCAN_STEP,
+    lambda_ceiling: float = DEFAULT_LAMBDA_CEILING,
+    interlacing: Sequence[float] = (),
+) -> SpectrumSlice:
+    """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
+
+    Brackets come from sign changes of the reduced determinant det R on a
+    uniform grid in lambda = Lambda^(1/2p) whose last sample is the ceiling itself,
+    between consecutive grid points whose sign is trusted.  The grid pass
+    stops at the ``count``-th bracket, and then every bracket is refined to
+    ~1e-15 relative in lambda, all in lockstep (``_refine_all``).  Consecutive
+    roots lie about pi apart, so a gap over ``MAX_ROOT_GAP`` raises
+    ``SolverError`` rather than report a spectrum with a skipped root.
+    Sign-preserving near-zero dips are recorded as suspected double roots
+    instead of being split heuristically.  A grid of more than
+    ``MAX_GRID_POINTS`` points is a ``ConfigError``.
+
+    ``interlacing``, the ascending root coordinates of order n-2 of the same
+    p and parity (the store's, with n-2 >= p), lets the first roots be
+    bracketed between them (:func:`_interlaced_brackets`), and the grid walk
+    start at the last one below the ceiling; with fewer than two, or when
+    their intervals do not bracket one root each, the whole grid is walked.
+    """
+    if count < 1:
+        raise ConfigError("count must be >= 1")
+    if step <= 0:
+        raise ConfigError("scan step must be positive")
+    if lambda_ceiling / step > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a scan grid of {lambda_ceiling / step:.3g} points exceeds {MAX_GRID_POINTS}: "
+            "lower --lambda-max or raise --step"
+        )
+
+    def grid(lam: float) -> Iterator[float]:
+        lam += step
+        while lam < lambda_ceiling:
+            yield lam
+            lam += step
+        yield lambda_ceiling
+
+    interlacing = [rho for rho in interlacing if rho < lambda_ceiling]
+    interlaced = _interlaced_brackets(spec, count, interlacing) if len(interlacing) > 1 else None
+    brackets: list[_Bracket] = []
+    suspects: list[float] = []
+    untrusted_points = 0
+    start = None  # a trusted sample the grid walk starts from, else it starts at 0
+    if interlaced is not None:
+        brackets, start, untrusted_points = interlaced
+    if len(brackets) < count:
+        samples = indicator_series(spec, grid(start[0] if start else 0.0))
+        walked, suspects, untrusted = _walk(samples, count - len(brackets), start)
+        brackets += walked
+        untrusted_points += untrusted
 
     found: list[float] = []
     iterations: list[int] = []
@@ -568,22 +679,31 @@ _STORE: dict[tuple[int, int, str], _Order] = {}
 def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...]:
     """First ``count`` eigenvalues of (n, p, parity), scanned once per order.
 
-    The scan walks the same grid whatever its count and only stops earlier
-    for a smaller one, so a stored prefix is bit-identical to a shorter
-    scan; the order is rescanned only when a caller asks for more.  A scan
-    that runs out of grid keeps the roots it found, and a later request for
-    more raises the error a fresh scan would, without scanning again.
+    The order is rescanned only when a caller asks for a longer prefix than
+    it holds, and then inside the stored roots of order n-2, when there are
+    at least two (``scan_spectrum``'s ``interlacing``).  The store is
+    append-only: a rescan adds only the indices past the stored prefix, so
+    every value it has returned, and each eigenpair extracted at one, stays
+    as it was, though a rescan interlaced differently may differ from it in
+    the last bits.  A scan that runs out of grid keeps the roots it found,
+    and a later request for more raises the error a fresh scan would,
+    without scanning again.
     """
     spec = ProblemSpec(n, p, parity)  # an invalid order raises before the store gains an entry
     order = _STORE.setdefault((n, p, parity), _Order())
-    if not 0 < count <= len(order.eigenvalues):
+    held = len(order.eigenvalues)
+    if not 0 < count <= held:
         if order.exhausted_at is not None and count > 0:
             raise ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
+        below = _STORE.get((n - 2, p, parity)) if n - 2 >= p else None
+        interlacing = [root_system(p, v).rho for v in below.eigenvalues] if below else []
         try:
-            order.eigenvalues = scan_spectrum(spec, count).eigenvalues
+            scanned = scan_spectrum(spec, count, interlacing=interlacing).eigenvalues
         except ScanExhaustedError as exc:
-            order.eigenvalues, order.exhausted_at = exc.eigenvalues, exc.ceiling
+            order.eigenvalues += exc.eigenvalues[held:]
+            order.exhausted_at = exc.ceiling
             raise
+        order.eigenvalues += scanned[held:]
     return order.eigenvalues[:count]
 
 

@@ -736,3 +736,98 @@ class TestSpectrumStore:
         with pytest.raises(ConfigError):
             cached_spectrum(n, p, parity, 1)
         assert solver._STORE == {} and calls["scan_spectrum"] == 0
+
+
+def rhos_of(n, p, parity, count):
+    """Root coordinates of a full scan of (n, p, parity)."""
+    return [root_system(p, v).rho for v in scan_spectrum(ProblemSpec(n, p, parity), count).eigenvalues]
+
+
+# every order that a stored order n-2 interlaces (p <= n-2), n <= 8
+INTERLACED_ORDERS = [(n, p, parity) for n in range(3, 9) for p in range(1, n - 1)
+                     for parity in (S, A)]
+
+
+class TestInterlacedScan:
+    @pytest.fixture
+    def shortcuts(self, monkeypatch):
+        """An empty store, and each interlaced scan's outcome: True, or False when it fell back."""
+        monkeypatch.setattr(solver, "_STORE", {})
+        outcomes = []
+        original = solver._interlaced_brackets
+
+        def recorded(*args):
+            result = original(*args)
+            outcomes.append(result is not None)
+            return result
+
+        monkeypatch.setattr(solver, "_interlaced_brackets", recorded)
+        return outcomes
+
+    def test_full_scans_interlace_with_order_n_minus_2(self):
+        # Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2), strictly on every scan
+        for n, p, parity in INTERLACED_ORDERS:
+            lower, upper = rhos_of(n - 2, p, parity, 8), rhos_of(n, p, parity, 8)
+            for k in range(7):
+                assert lower[k] < upper[k] < lower[k + 1], (n, p, parity, k)
+
+    def test_interlaced_store_scan_matches_the_full_scan(self, shortcuts):
+        for n, p, parity in INTERLACED_ORDERS:
+            full = scan_spectrum(ProblemSpec(n, p, parity), 8).eigenvalues
+            cached_spectrum(n - 2, p, parity, 8)
+            interlaced = cached_spectrum(n, p, parity, 8)
+            bound = 1e-13 if p <= 4 else 2e-12
+            assert len(interlaced) == 8
+            assert all(rel_err(a, b) <= bound for a, b in zip(interlaced, full)), (n, p, parity)
+        # every scan took the shortcut
+        assert len(shortcuts) == len(INTERLACED_ORDERS) and all(shortcuts)
+
+    def test_a_hidden_sign_change_falls_back_to_the_full_scan(self, shortcuts, monkeypatch):
+        # the nine samples of the third interval are made untrusted
+        spec = ProblemSpec(5, 2, S)
+        full = scan_spectrum(spec, 8).eigenvalues
+        cached_spectrum(3, 2, S, 8)
+        original = solver.indicator_series
+        calls = []
+
+        def hiding(spec, lams):
+            calls.append(spec)
+            for i, (lam, f, trusted) in enumerate(original(spec, lams)):
+                yield lam, f, trusted and not (len(calls) == 1 and 16 <= i <= 24)
+
+        monkeypatch.setattr(solver, "indicator_series", hiding)
+        assert cached_spectrum(5, 2, S, 8) == full
+        assert shortcuts == [False]
+
+    def test_an_untrusted_walk_start_falls_back_to_the_full_scan(self, monkeypatch):
+        # det R = cos(rho) at p = 1, with roots at (k + 1/2) pi: the interval [1, 4]
+        # brackets pi/2, and the walk for 3 pi/2 would start at 4, whose sample is
+        # an untrusted 1e-300 of the wrong sign
+        def matrix(spec, rho):
+            rhos = np.asarray(rho, dtype=float)
+            return np.where(rhos == 4.0, 1e-300, np.cos(rhos))[..., None, None]
+
+        monkeypatch.setattr(solver, "reduced_matrices", matrix)
+        spec = ProblemSpec(1, 1, S)
+        full = scan_spectrum(spec, 2)
+        assert rel_err(full.eigenvalues[1], (1.5 * PI) ** 2) < 1e-12
+        assert scan_spectrum(spec, 2, interlacing=[1.0, 4.0]) == full
+        # with a trusted sample there the walk starts at 4 and finds the same roots
+        interlaced = scan_spectrum(spec, 2, interlacing=[1.0, 4.2])
+        assert interlaced.eigenvalues == pytest.approx(full.eigenvalues, rel=1e-14)
+        assert interlaced.metadata.untrusted_points == 0
+
+    def test_returned_values_stay_after_order_n_minus_2_grows(self, shortcuts):
+        # the interlaced rescan of (6,2,sym) differs from the full scan in the
+        # last bits of its first three roots; the store keeps what it returned
+        spec = ProblemSpec(6, 2, S)
+        first = cached_spectrum(6, 2, S, 3)
+        assert first == scan_spectrum(spec, 3).eigenvalues
+        pair = cached_eigenpair(6, 2, S, 1)
+        cached_spectrum(4, 2, S, 8)
+        interlaced = scan_spectrum(spec, 6, interlacing=rhos_of(4, 2, S, 8)).eigenvalues
+        assert interlaced[:3] != first
+        longer = cached_spectrum(6, 2, S, 6)
+        assert longer == first + interlaced[3:]
+        assert cached_eigenpair(6, 2, S, 1) is pair
+        assert shortcuts == [True, True]
