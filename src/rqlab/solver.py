@@ -9,7 +9,7 @@ the boundary matrix's monomial block, which does not depend on rho, so the
 reduced p x p determinant vanishes exactly where the n x n one does.
 Eigenfunctions come from the null direction of the n x n boundary matrix via SVD.
 
-A stored spectrum of order n-2 (same p and parity) brackets the roots of
+A stored spectrum of order n-2 (same p and parity) interlaces the roots of
 order n.  For p <= n-2, u -> u'' maps the clamped order-n functions of a
 parity one to one onto the clamped order-(n-2) functions of that parity
 with one vanishing moment (``int v = 0`` when symmetric, ``int x v = 0``
@@ -17,12 +17,9 @@ when antisymmetric: exactly what a clamped second antiderivative of the
 parity needs), and it keeps the quotient ``|u^(n)|^2 / |u^(n-p)|^2``.  So
 order n is order n-2 under one linear constraint, and min-max gives
 ``Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2)``.  ``cached_spectrum``
-hands the stored roots to the scan, which then samples each interval
-between consecutive ones instead of walking the grid from its start: an
-interval whose trusted samples change sign exactly once holds root k and
-witnesses its index.  Any other interval (a common eigenvalue of orders
-n-2 and n, which the paper rules out and ``disjoint`` looks for, would give
-one) sends the scan back to the full grid.
+checks every store scan against the stored orders n-2 and n+2, which
+witnesses each root's index; equality (a common eigenvalue of orders n
+and n+2, which the paper rules out and ``disjoint`` looks for) passes.
 """
 
 from __future__ import annotations
@@ -41,14 +38,14 @@ from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
 from .problem import ProblemSpec, build_operator, kernel_columns, root_system, solution_basis
 
-DEFAULT_SCAN_STEP = 0.05
+DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
 NULLSPACE_QUALITY_LIMIT = 1e-6
 SIGN_TRUST_FACTOR = 10.0  # |det R| below this many first-order rounding bounds: sign is noise
 SCAN_CHUNK = 64  # grid points per batched reduced-matrix evaluation
 MAX_ROOT_GAP = 1.5 * math.pi  # consecutive roots lie about pi apart; 2 pi means one was skipped
-MAX_GRID_POINTS = 100_000  # 25x the default scan grid of 200 / 0.05 points
-INTERVAL_SAMPLES = 8  # subdivisions of each interval between roots of order n-2
+MAX_GRID_POINTS = 100_000  # 125x the default scan grid of 200 / 0.25 points
+INTERLACING_SLACK = 1e-9  # relative, in the root coordinate, of the store's interlacing check
 
 
 @functools.cache
@@ -82,6 +79,13 @@ def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 def _monomial_block(spec: ProblemSpec) -> list[list[int]]:
     """M[j][m] = m!/(m-j)!, the j-th derivative at x = 1 of each parity monomial x^m."""
     return [[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)]
+
+
+@functools.cache
+def _monomial_rows(spec: ProblemSpec) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """The monomial block as float rows, and each row's largest entry (0.0 past the monomials)."""
+    rows = tuple(tuple(map(float, row)) for row in _monomial_block(spec))
+    return rows, tuple(max(row, default=0.0) for row in rows)
 
 
 @functools.cache
@@ -257,22 +261,24 @@ def boundary_matrix(spec: ProblemSpec, rho: float) -> np.ndarray:
     Kernel entries are read from the power table of :func:`boundary_tables`,
     as :func:`reduced_matrices` reads them.  A row without monomials that
     vanishes identically (its kernel entries, or an underflowed ``rho^j``)
-    raises ``DegenerateSystemError``, so every returned row is nonzero.
+    raises ``DegenerateSystemError``, so every returned row is nonzero.  The
+    rows are scaled in Python floats and stacked by one ``np.array``: each
+    numpy routine the scan has not run costs 0.1-0.5 ms on its first call.
     """
     weights, exponents = boundary_tables(spec)
     if not rho > 0:
         raise ConfigError("the root coordinate must be positive")
-    monomials = np.array(_monomial_block(spec), dtype=float).reshape(spec.n, -1)
-    bounds = monomials.max(axis=-1, initial=0.0)
-    powers = rho ** np.arange(spec.n)
-    scale = np.maximum(powers, bounds)
-    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float))
-    free = np.count_nonzero(bounds)  # the rows from here on have no monomials
-    vanishing = (powers[free:] == 0.0) | ~kernel[free:].any(axis=-1)
-    if vanishing.any():
-        raise DegenerateSystemError(f"boundary row {free + np.argmax(vanishing)} vanishes "
-                                    f"identically for {spec.label()}, rho={rho}")
-    return np.hstack((kernel * (powers / scale)[:, None], monomials / scale[:, None]))
+    monomials, bounds = _monomial_rows(spec)
+    powers = (rho ** np.arange(spec.n)).tolist()  # numpy's powers, which Python's ** is not
+    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float)).tolist()
+    rows = []
+    for j, (power, bound, entries, monomial) in enumerate(zip(powers, bounds, kernel, monomials)):
+        if not bound and (power == 0.0 or not any(entries)):
+            raise DegenerateSystemError(f"boundary row {j} vanishes identically for "
+                                        f"{spec.label()}, rho={rho}")
+        scale = max(power, bound)
+        rows.append([v * (power / scale) for v in entries] + [m / scale for m in monomial])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -446,10 +452,11 @@ def _refine(a: float, ga: float, b: float, gb: float) -> _Refined:
 
     A generator: it yields each trial point and is sent the function there,
     so a caller can evaluate the trial points of many brackets in one batch.
-    Illinois regula falsi (Dowell & Jarratt 1971), started from the values
-    ``ga`` and ``gb`` the caller holds at the ends.  Every trial point stays
-    half the tolerance inside the bracket, so each step narrows it; an end
-    kept twice running has its weight halved.
+    Regula falsi with Anderson-Bjorck weights (BIT 13, 1973), started from
+    the values ``ga`` and ``gb`` the caller holds at the ends.  Every trial
+    point stays half the tolerance inside the bracket, so each step narrows
+    it; an end kept twice running has its weight multiplied by
+    ``m = 1 - g(x) / g(replaced end)``, or by 0.5 when ``m <= 0``.
     """
     wa, wb, side, evaluations = ga, gb, 0, 0  # interpolation weights, end replaced last
     while b - a > (tol := 1e-15 + 4e-15 * abs(b)):
@@ -461,12 +468,20 @@ def _refine(a: float, ga: float, b: float, gb: float) -> _Refined:
         if gx == 0.0:
             return x, evaluations
         if (gx > 0.0) == (gb > 0.0):
-            b, gb, wb, wa = x, gx, gx, wa * (0.5 if side == 1 else 1.0)
-            side = 1
+            if side == 1:
+                wa *= _anderson_bjorck(gx, gb)
+            b, gb, wb, side = x, gx, gx, 1
         else:
-            a, ga, wa, wb = x, gx, gx, wb * (0.5 if side == -1 else 1.0)
-            side = -1
+            if side == -1:
+                wb *= _anderson_bjorck(gx, ga)
+            a, ga, wa, side = x, gx, gx, -1
     return (a if abs(ga) < abs(gb) else b), evaluations
+
+
+def _anderson_bjorck(gx: float, replaced: float) -> float:
+    """The kept end's weight factor when the trial ``gx`` replaces an end of value ``replaced``."""
+    m = 1.0 - gx / replaced
+    return m if m > 0.0 else 0.5
 
 
 def _refine_all(
@@ -502,17 +517,14 @@ def _refine_all(
 
 
 def _walk(
-    samples: Iterable[tuple[float, float, bool]],
-    wanted: int,
-    start: tuple[float, float] | None = None,
+    samples: Iterable[tuple[float, float, bool]], wanted: int
 ) -> tuple[list[_Bracket], list[float], int]:
     """The first ``wanted`` sign-change brackets among ``(lam, det R, trusted)`` samples.
 
     A bracket joins consecutive trusted samples of opposite sign; an
     untrusted sample's sign is roundoff noise (N cancels the nearly
     polynomial kernel columns as Lambda -> 0, or a root is close by), so
-    nothing is bracketed against it.  ``start`` is a trusted ``(lam, det R)``
-    sample taken before the first.  Also returns the sign-preserving
+    nothing is bracketed against it.  Also returns the sign-preserving
     near-zero dips (suspected double roots) and the untrusted sample count.
     """
     brackets: list[_Bracket] = []
@@ -522,8 +534,6 @@ def _walk(
     # the latest trusted sample (lambda1, f1, |f1|), kept across untrusted points
     # (f1 = 0.0 before the first, which brackets nothing), and (f0, |f0|) before it
     lam1 = f1 = size1 = f0 = size0 = 0.0
-    if start is not None:
-        (lam1, f1), size1, run = start, abs(start[1]), 1
 
     for lam, f, trusted in samples:
         if not trusted:
@@ -548,43 +558,12 @@ def _walk(
     return brackets, suspects, untrusted
 
 
-def _interlaced_brackets(
-    spec: ProblemSpec, count: int, interlacing: Sequence[float]
-) -> tuple[list[_Bracket], tuple[float, float], int] | None:
-    """Brackets of the first roots from the intervals between the roots of order n-2.
-
-    Root k lies in ``[interlacing[k], interlacing[k + 1]]`` (module
-    docstring).  Each of the first ``min(count, len(interlacing) - 1)``
-    intervals is sampled at ``INTERVAL_SAMPLES`` equal subdivisions, ends
-    shared, in one series, and its one sign change between consecutive
-    trusted samples is its bracket.  Also returns the sample ``(lam, det R)``
-    at the last end, where a walk for the roots still missing starts, and
-    the untrusted sample count.  None when an interval does not change sign
-    exactly once, or a walk is needed and that sample is untrusted.
-    """
-    ends = interlacing[:count + 1]
-    points = [a + (b - a) * j / INTERVAL_SAMPLES
-              for a, b in zip(ends, ends[1:]) for j in range(INTERVAL_SAMPLES)]
-    samples = list(indicator_series(spec, [*points, ends[-1]]))
-    brackets: list[_Bracket] = []
-    for first in range(0, len(points), INTERVAL_SAMPLES):
-        found, _, _ = _walk(samples[first:first + INTERVAL_SAMPLES + 1], 2)
-        if len(found) != 1:
-            return None
-        brackets += found
-    last, value, trusted = samples[-1]
-    if len(brackets) < count and not trusted:
-        return None
-    return brackets, (last, value), sum(not sample[2] for sample in samples)
-
-
 def scan_spectrum(
     spec: ProblemSpec,
     count: int,
     *,
     step: float = DEFAULT_SCAN_STEP,
     lambda_ceiling: float = DEFAULT_LAMBDA_CEILING,
-    interlacing: Sequence[float] = (),
 ) -> SpectrumSlice:
     """First ``count`` parity eigenvalues whose root coordinate lies below the ceiling.
 
@@ -598,12 +577,6 @@ def scan_spectrum(
     Sign-preserving near-zero dips are recorded as suspected double roots
     instead of being split heuristically.  A grid of more than
     ``MAX_GRID_POINTS`` points is a ``ConfigError``.
-
-    ``interlacing``, the ascending root coordinates of order n-2 of the same
-    p and parity (the store's, with n-2 >= p), lets the first roots be
-    bracketed between them (:func:`_interlaced_brackets`), and the grid walk
-    start at the last one below the ceiling; with fewer than two, or when
-    their intervals do not bracket one root each, the whole grid is walked.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -615,26 +588,14 @@ def scan_spectrum(
             "lower --lambda-max or raise --step"
         )
 
-    def grid(lam: float) -> Iterator[float]:
-        lam += step
+    def grid() -> Iterator[float]:
+        lam = step
         while lam < lambda_ceiling:
             yield lam
             lam += step
         yield lambda_ceiling
 
-    interlacing = [rho for rho in interlacing if rho < lambda_ceiling]
-    interlaced = _interlaced_brackets(spec, count, interlacing) if len(interlacing) > 1 else None
-    brackets: list[_Bracket] = []
-    suspects: list[float] = []
-    untrusted_points = 0
-    start = None  # a trusted sample the grid walk starts from, else it starts at 0
-    if interlaced is not None:
-        brackets, start, untrusted_points = interlaced
-    if len(brackets) < count:
-        samples = indicator_series(spec, grid(start[0] if start else 0.0))
-        walked, suspects, untrusted = _walk(samples, count - len(brackets), start)
-        brackets += walked
-        untrusted_points += untrusted
+    brackets, suspects, untrusted_points = _walk(indicator_series(spec, grid()), count)
 
     found: list[float] = []
     iterations: list[int] = []
@@ -680,14 +641,13 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
     """First ``count`` eigenvalues of (n, p, parity), scanned once per order.
 
     The order is rescanned only when a caller asks for a longer prefix than
-    it holds, and then inside the stored roots of order n-2, when there are
-    at least two (``scan_spectrum``'s ``interlacing``).  The store is
-    append-only: a rescan adds only the indices past the stored prefix, so
-    every value it has returned, and each eigenpair extracted at one, stays
-    as it was, though a rescan interlaced differently may differ from it in
-    the last bits.  A scan that runs out of grid keeps the roots it found,
-    and a later request for more raises the error a fresh scan would,
-    without scanning again.
+    it holds.  The store is append-only: a rescan adds only the indices
+    past the stored prefix, which it reproduces bit for bit, so every value
+    the store has returned, and each eigenpair extracted at one, stays as
+    it was.  Every scan is checked against the stored orders n-2 and n+2
+    (:func:`_check_interlacing`) before the store keeps it.  A scan that
+    runs out of grid keeps the roots it found, and a later request for more
+    raises the error a fresh scan would, without scanning again.
     """
     spec = ProblemSpec(n, p, parity)  # an invalid order raises before the store gains an entry
     order = _STORE.setdefault((n, p, parity), _Order())
@@ -695,16 +655,45 @@ def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...
     if not 0 < count <= held:
         if order.exhausted_at is not None and count > 0:
             raise ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
-        below = _STORE.get((n - 2, p, parity)) if n - 2 >= p else None
-        interlacing = [root_system(p, v).rho for v in below.eigenvalues] if below else []
+        exhausted = None
         try:
-            scanned = scan_spectrum(spec, count, interlacing=interlacing).eigenvalues
+            scanned = scan_spectrum(spec, count).eigenvalues
         except ScanExhaustedError as exc:
-            order.eigenvalues += exc.eigenvalues[held:]
-            order.exhausted_at = exc.ceiling
-            raise
+            scanned, exhausted = exc.eigenvalues, exc
+        _check_interlacing(spec, scanned)
         order.eigenvalues += scanned[held:]
+        if exhausted is not None:
+            order.exhausted_at = exhausted.ceiling
+            raise exhausted
     return order.eigenvalues[:count]
+
+
+def _check_interlacing(spec: ProblemSpec, eigenvalues: Sequence[float]) -> None:
+    """Raise ``SolverError`` unless ``eigenvalues`` interlace the stored orders n-2 and n+2.
+
+    For a lower order l and l+2 (same p and parity, l >= p) the chain
+    ``Lambda_0(l), Lambda_0(l+2), Lambda_1(l), Lambda_1(l+2), ...`` ascends
+    (module docstring), as far as both prefixes reach.  Each step may fall
+    back by ``INTERLACING_SLACK`` relative in the root coordinate, so a root
+    shared by the two orders passes; the comparison is made in Lambda.
+    """
+    slack = (1.0 + INTERLACING_SLACK) ** (2 * spec.p)
+    for n in (spec.n - 2, spec.n + 2):
+        stored = _STORE.get((n, spec.p, spec.parity))
+        if n < spec.p or stored is None:
+            continue
+        (low, lower), (high, upper) = sorted([(spec.n, eigenvalues), (n, stored.eigenvalues)])
+        # Lambda_k(low) <= Lambda_k(high), and Lambda_k(high) <= Lambda_(k+1)(low)
+        pairs = [((low, k, lower[k]), (high, k, upper[k]))
+                 for k in range(min(len(lower), len(upper)))]
+        pairs += [((high, k, upper[k]), (low, k + 1, lower[k + 1]))
+                  for k in range(min(len(lower) - 1, len(upper)))]
+        for (order_a, i, a), (order_b, j, b) in pairs:
+            if a > b * slack:
+                label_a, label_b = (ProblemSpec(m, spec.p, spec.parity).label()
+                                    for m in (order_a, order_b))
+                raise SolverError(f"Lambda_{i} = {a!r} of {label_a} exceeds Lambda_{j} = {b!r} "
+                                  f"of {label_b}: the two orders do not interlace")
 
 
 def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair | None:

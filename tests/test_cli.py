@@ -77,7 +77,7 @@ class TestExitCodes:
 
     def test_twenty_roots_of_a_seventh_order_are_found(self, capsys):
         # the n x n boundary determinant's sign-trust floor once hid four of these
-        # roots, a gap of 5 pi; det R trusts every grid point past rho = 0.2
+        # roots, a gap of 5 pi; det R trusts every point of the default grid
         code, out, _ = run_cli(capsys, "spectrum", "--n", "7", "--p", "1", "--count", "20",
                                "--format", "json")
         assert code == 0
@@ -86,13 +86,13 @@ class TestExitCodes:
         assert len(values) == 20 and all(lam < ritz for lam, ritz in zip(values, results["ritz"]))
         roots = [row["lambda"] for row in results["rows"]]
         assert max(hi - lo for lo, hi in zip(roots, roots[1:])) < 1.5 * PI
-        # the first eight, as a count-8 scan pins them; they lie within 4.4e-14 of
-        # the n x n determinant's roots
+        # the first eight, as a count-8 scan pins them; they lie within 3.9e-15 of
+        # the roots of a step-0.05 scan refined with Illinois weights
         assert [v.hex() for v in values[:8]] == [
-            "0x1.5e1ff833fd73dp+6", "0x1.504305f193307p+7", "0x1.0b79fdb2e8cd4p+8",
+            "0x1.5e1ff833fd755p+6", "0x1.504305f193309p+7", "0x1.0b79fdb2e8cd4p+8",
             "0x1.823f1340eeeccp+8", "0x1.064f290df0704p+9", "0x1.555464d5b42a7p+9",
-            "0x1.ae3319e26271ep+9", "0x1.0876a14013261p+10"]
-        assert results["scan_metadata"]["untrusted_points"] == 4
+            "0x1.ae3319e262724p+9", "0x1.0876a14013261p+10"]
+        assert results["scan_metadata"]["untrusted_points"] == 0
 
     def test_a_huge_root_gap_is_reported_in_three_digits(self, capsys):
         # a step of 1e74 skips roots by gaps of ~1e75 pi, which a fixed-point
@@ -501,7 +501,7 @@ class TestFlagParsing:
         _, config, _ = self.config(capsys, "spectrum", "--n", "1", "--p", "1", "--count", "1")
         assert config == {
             "command": "spectrum", "n": 1, "p": 1, "parity": "symmetric", "count": 1,
-            "lambda_max": None, "step": 0.05, "ritz_k": 20, "format": "json", "out": None,
+            "lambda_max": None, "step": 0.25, "ritz_k": 20, "format": "json", "out": None,
         }
 
 

@@ -94,6 +94,22 @@ def exppoly_reduced_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
     return basis @ kernel / scale[:, None]
 
 
+def numpy_boundary_matrix(spec: ProblemSpec, rho: float) -> np.ndarray:
+    """``boundary_matrix`` as numpy routines build it, the row-by-row build's oracle."""
+    weights, exponents = solver.boundary_tables(spec)
+    monomials = np.array(solver._monomial_block(spec), dtype=float).reshape(spec.n, -1)
+    bounds = monomials.max(axis=-1, initial=0.0)
+    powers = rho ** np.arange(spec.n)
+    scale = np.maximum(powers, bounds)
+    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float))
+    free = np.count_nonzero(bounds)  # the rows from here on have no monomials
+    vanishing = (powers[free:] == 0.0) | ~kernel[free:].any(axis=-1)
+    if vanishing.any():
+        raise DegenerateSystemError(f"boundary row {free + np.argmax(vanishing)} vanishes "
+                                    f"identically for {spec.label()}, rho={rho}")
+    return np.hstack((kernel * (powers / scale)[:, None], monomials / scale[:, None]))
+
+
 class TestBoundaryMatrix:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_closed_forms_agree_with_exppoly_chain(self, n):
@@ -158,6 +174,28 @@ class TestBoundaryMatrix:
                     for rho in rhos:
                         full = boundary_matrix(spec, rho)
                         assert np.isfinite(full).all() and np.abs(full).max() <= 1.0
+
+    def test_row_by_row_matrix_equals_the_numpy_construction(self):
+        # every spec with n <= 12 at 29 root coordinates, the degenerate rows of
+        # rho = 1e-200 included: the same bits, or the same error
+        rhos = [1e-200, 1e-30, 0.02, 0.25, 1.0, PI / 2, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0,
+                31.4, 47.0, 60.0, 88.8, 100.0, 150.0, 200.0, 300.0, 500.0, 700.0, 709.9,
+                720.0, 1000.0, 2000.0, 4999.0, 1e6]
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                for parity in (S, A):
+                    spec = ProblemSpec(n, p, parity)
+                    for rho in rhos:
+                        try:
+                            expected = numpy_boundary_matrix(spec, rho)
+                        except DegenerateSystemError as exc:
+                            with pytest.raises(DegenerateSystemError) as caught:
+                                boundary_matrix(spec, rho)
+                            assert str(caught.value) == str(exc)
+                        else:
+                            got = boundary_matrix(spec, rho)
+                            assert got.dtype == expected.dtype and got.shape == expected.shape
+                            assert np.array_equal(got, expected, equal_nan=True), (n, p, rho)
 
     def test_a_row_without_monomials_that_vanishes_is_degenerate(self):
         # rho^2 underflows, so the last row of the (3,3) matrix has no scale
@@ -253,7 +291,7 @@ class TestScanSpectrum:
     def test_metadata_and_ordering(self):
         out = scan_spectrum(ProblemSpec(4, 2, S), 3)
         assert out.metadata.bracket_count >= 3
-        assert out.metadata.grid_step == 0.05
+        assert out.metadata.grid_step == solver.DEFAULT_SCAN_STEP == 0.25
         assert list(out.eigenvalues) == sorted(out.eigenvalues)
         assert len(out.metadata.refinement_iterations) >= 3
 
@@ -276,7 +314,7 @@ class TestScanSpectrum:
                             lambda spec, lams: ((lam, f, True) for lam, f in series))
         monkeypatch.setattr(solver, "reduced_matrices",
                             lambda spec, rho: (0.325 - np.asarray(rho))[..., None, None])
-        out = scan_spectrum(ProblemSpec(1, 1, S), 1)
+        out = scan_spectrum(ProblemSpec(1, 1, S), 1, step=0.05)
         assert out.metadata.suspects == (0.10,)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
 
@@ -294,7 +332,7 @@ class TestScanSpectrum:
             return values[..., None, None]
 
         monkeypatch.setattr(solver, "reduced_matrices", matrix)
-        out = scan_spectrum(ProblemSpec(1, 1, S), 1)
+        out = scan_spectrum(ProblemSpec(1, 1, S), 1, step=0.05)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
         return out.metadata
 
@@ -321,23 +359,24 @@ class TestScanSpectrum:
             scan_spectrum(ProblemSpec(1, 1, S), 0)
 
     # float.hex of the eigenvalues, the evaluations per refined root and the
-    # untrusted grid points of the reduced-determinant scan
+    # untrusted grid points of the reduced-determinant scan at the default step,
+    # refined with Anderson-Bjorck weights
     PINNED_SCANS = {
         ((1, 1, S), 5): (
-            ("0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
+            ("0x1.3bd3cc9be45eap+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2dp+5",
              "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7"), (4, 4, 4, 4, 4), 0),
         ((9, 4, S), 6): (
-            ("0x1.1edd87a8dc565p+27", "0x1.6b232b5259197p+30", "0x1.f32494f5df811p+32",
-             "0x1.edbe1c4363371p+34", "0x1.89f97e6e3a3adp+36", "0x1.0d8cfcaa8ec43p+38"),
-            (6, 6, 5, 5, 5, 5), 37),
+            ("0x1.1edd87a8dc581p+27", "0x1.6b232b52591a4p+30", "0x1.f32494f5df7f4p+32",
+             "0x1.edbe1c436337dp+34", "0x1.89f97e6e3a3adp+36", "0x1.0d8cfcaa8ec43p+38"),
+            (6, 6, 5, 5, 5, 5), 7),
         ((8, 1, S), 8): (
-            ("0x1.ba142e6acf7dep+6", "0x1.93b333434ab4bp+7", "0x1.377375d9ee479p+8",
-             "0x1.b84e43d22aa23p+8", "0x1.265748ed82db4p+9", "0x1.7a5766b5ee7a5p+9",
-             "0x1.d82d9b3c4ab7bp+9", "0x1.1fee8c68f4989p+10"), (5, 5, 5, 5, 5, 5, 5, 5), 9),
+            ("0x1.ba142e6acf7dbp+6", "0x1.93b333434ab4bp+7", "0x1.377375d9ee479p+8",
+             "0x1.b84e43d22aa23p+8", "0x1.265748ed82db4p+9", "0x1.7a5766b5ee7a4p+9",
+             "0x1.d82d9b3c4ab7bp+9", "0x1.1fee8c68f4989p+10"), (5, 5, 5, 5, 4, 4, 5, 5), 1),
         ((8, 1, A), 8): (
-            ("0x1.0fc5d6290053ep+7", "0x1.dc3fd6ef17b66p+7", "0x1.6614743d36d1bp+8",
+            ("0x1.0fc5d62900537p+7", "0x1.dc3fd6ef17b68p+7", "0x1.6614743d36d1bp+8",
              "0x1.f115218eace9ep+8", "0x1.47c0cc3e1f7d8p+9", "0x1.a0bfcd7209240p+9",
-             "0x1.01c8404a36266p+10", "0x1.381bd0ab4cbdep+10"), (5, 5, 5, 5, 5, 5, 5, 5), 14),
+             "0x1.01c8404a36266p+10", "0x1.381bd0ab4cbdep+10"), (5, 5, 5, 5, 5, 5, 5, 5), 2),
     }
 
     @pytest.mark.parametrize("case, count", list(PINNED_SCANS))
@@ -376,11 +415,38 @@ class TestScanSpectrum:
         for value, pinned in zip(eigenvalues, map(float.fromhex, earlier)):
             assert rel_err(value, pinned) <= 2e-12, (case, value, pinned)
 
+    # the same scans as they were at step 0.05 with Illinois weights, and the
+    # tolerance each order's band stays within
+    STEP_005_PINS = {
+        ((1, 1, S), 5): (1e-14, (
+            "0x1.3bd3cc9be45dep+1", "0x1.634e462f60e9ap+4", "0x1.ed7aefb394d2bp+5",
+            "0x1.e39c514eb5afcp+6", "0x1.8fb80ef54d06dp+7")),
+        ((9, 4, S), 6): (2e-11, (
+            "0x1.1edd87a8dc565p+27", "0x1.6b232b5259197p+30", "0x1.f32494f5df811p+32",
+            "0x1.edbe1c4363371p+34", "0x1.89f97e6e3a3adp+36", "0x1.0d8cfcaa8ec43p+38")),
+        ((8, 1, S), 8): (1e-13, (
+            "0x1.ba142e6acf7dep+6", "0x1.93b333434ab4bp+7", "0x1.377375d9ee479p+8",
+            "0x1.b84e43d22aa23p+8", "0x1.265748ed82db4p+9", "0x1.7a5766b5ee7a5p+9",
+            "0x1.d82d9b3c4ab7bp+9", "0x1.1fee8c68f4989p+10")),
+        ((8, 1, A), 8): (1e-13, (
+            "0x1.0fc5d6290053ep+7", "0x1.dc3fd6ef17b66p+7", "0x1.6614743d36d1bp+8",
+            "0x1.f115218eace9ep+8", "0x1.47c0cc3e1f7d8p+9", "0x1.a0bfcd7209240p+9",
+            "0x1.01c8404a36266p+10", "0x1.381bd0ab4cbdep+10")),
+    }
+
+    @pytest.mark.parametrize("case, count", list(STEP_005_PINS))
+    def test_scan_stays_within_its_band_of_the_step_005_pins(self, case, count):
+        bound, pins = self.STEP_005_PINS[case, count]
+        eigenvalues = scan_spectrum(ProblemSpec(*case), count).eigenvalues
+        assert len(eigenvalues) == len(pins)
+        for value, pinned in zip(eigenvalues, map(float.fromhex, pins)):
+            assert rel_err(value, pinned) <= bound, (case, value, pinned)
+
     @pytest.mark.parametrize("case, count, ceiling, prefix", [
         ((8, 1, A), 8, 30.0, (
-            "0x1.0fc5d6290053ep+7", "0x1.dc3fd6ef17b66p+7", "0x1.6614743d36d1bp+8",
+            "0x1.0fc5d62900537p+7", "0x1.dc3fd6ef17b68p+7", "0x1.6614743d36d1bp+8",
             "0x1.f115218eace9ep+8", "0x1.47c0cc3e1f7d8p+9", "0x1.a0bfcd7209240p+9")),
-        ((1, 1, S), 2, 4.7, ("0x1.3bd3cc9be45dep+1",)),
+        ((1, 1, S), 2, 4.7, ("0x1.3bd3cc9be45eap+1",)),
     ])
     def test_exhausted_scan_keeps_its_pinned_prefix(self, case, count, ceiling, prefix):
         with pytest.raises(ScanExhaustedError) as exhausted:
@@ -397,7 +463,7 @@ class TestScanSpectrum:
             scan_spectrum(ProblemSpec(2, 1, S), 3, step=5.0)
         assert type(gap.value) is SolverError
         assert str(gap.value) == (
-            "root coordinate gap 3.00 pi from 12.566370614359167 to 21.991148575128552 "
+            "root coordinate gap 3.00 pi from 12.566370614359172 to 21.991148575128552 "
             "for (n=2, p=1, sym): a root was skipped")
 
     def test_determinism(self):
@@ -738,31 +804,43 @@ class TestSpectrumStore:
         assert solver._STORE == {} and calls["scan_spectrum"] == 0
 
 
+@functools.cache
+def direct_scan(n, p, parity, count, step=solver.DEFAULT_SCAN_STEP):
+    """Eigenvalues of a direct scan of (n, p, parity), shared by the tests below."""
+    return scan_spectrum(ProblemSpec(n, p, parity), count, step=step).eigenvalues
+
+
 def rhos_of(n, p, parity, count):
-    """Root coordinates of a full scan of (n, p, parity)."""
-    return [root_system(p, v).rho for v in scan_spectrum(ProblemSpec(n, p, parity), count).eigenvalues]
+    """Root coordinates of a direct scan of (n, p, parity)."""
+    return [root_system(p, v).rho for v in direct_scan(n, p, parity, count)]
 
 
-# every order that a stored order n-2 interlaces (p <= n-2), n <= 8
-INTERLACED_ORDERS = [(n, p, parity) for n in range(3, 9) for p in range(1, n - 1)
-                     for parity in (S, A)]
+# every order with n <= 8, and those that a stored order n-2 interlaces (p <= n-2)
+PAIRS = [(n, p) for n in range(1, 9) for p in range(1, n + 1)]
+ORDERS = [(n, p, parity) for n, p in PAIRS for parity in (S, A)]
+INTERLACED_ORDERS = [(n, p, parity) for n, p, parity in ORDERS if p <= n - 2]
+
+
+class TestScanStep:
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_the_default_step_lies_far_below_the_root_spacing(self, parity):
+        # roots lie at least 3.13 apart in rho, and Poincare's inequality, applied
+        # p times to u^(n-p), gives Lambda >= (pi/2)^(2p), so rho >= pi/2
+        for n, p in PAIRS:
+            roots = rhos_of(n, p, parity, 8)
+            assert roots[0] >= PI / 2, (n, p)
+            assert min(hi - lo for lo, hi in zip(roots, roots[1:])) >= 10 * solver.DEFAULT_SCAN_STEP
+            fine = direct_scan(n, p, parity, 8, step=0.05)
+            coarse = direct_scan(n, p, parity, 8)
+            assert all(rel_err(a, b) <= 1e-13 for a, b in zip(coarse, fine)), (n, p)
 
 
 class TestInterlacedScan:
     @pytest.fixture
-    def shortcuts(self, monkeypatch):
-        """An empty store, and each interlaced scan's outcome: True, or False when it fell back."""
+    def store(self, monkeypatch):
+        """An empty store."""
         monkeypatch.setattr(solver, "_STORE", {})
-        outcomes = []
-        original = solver._interlaced_brackets
-
-        def recorded(*args):
-            result = original(*args)
-            outcomes.append(result is not None)
-            return result
-
-        monkeypatch.setattr(solver, "_interlaced_brackets", recorded)
-        return outcomes
+        return solver._STORE
 
     def test_full_scans_interlace_with_order_n_minus_2(self):
         # Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2), strictly on every scan
@@ -771,63 +849,36 @@ class TestInterlacedScan:
             for k in range(7):
                 assert lower[k] < upper[k] < lower[k + 1], (n, p, parity, k)
 
-    def test_interlaced_store_scan_matches_the_full_scan(self, shortcuts):
-        for n, p, parity in INTERLACED_ORDERS:
-            full = scan_spectrum(ProblemSpec(n, p, parity), 8).eigenvalues
-            cached_spectrum(n - 2, p, parity, 8)
-            interlaced = cached_spectrum(n, p, parity, 8)
-            bound = 1e-13 if p <= 4 else 2e-12
-            assert len(interlaced) == 8
-            assert all(rel_err(a, b) <= bound for a, b in zip(interlaced, full)), (n, p, parity)
-        # every scan took the shortcut
-        assert len(shortcuts) == len(INTERLACED_ORDERS) and all(shortcuts)
+    def test_every_store_scan_equals_the_direct_scan(self, store):
+        # ascending n checks each order against the stored order n-2, and the longer
+        # rescans in descending n check it against order n+2 as well
+        for n, p, parity in ORDERS:
+            assert cached_spectrum(n, p, parity, 4) == direct_scan(n, p, parity, 4)
+        for n, p, parity in reversed(ORDERS):
+            assert cached_spectrum(n, p, parity, 8) == direct_scan(n, p, parity, 8)
+        assert all(len(order.eigenvalues) == 8 for order in store.values())
 
-    def test_a_hidden_sign_change_falls_back_to_the_full_scan(self, shortcuts, monkeypatch):
-        # the nine samples of the third interval are made untrusted
-        spec = ProblemSpec(5, 2, S)
-        full = scan_spectrum(spec, 8).eigenvalues
-        cached_spectrum(3, 2, S, 8)
-        original = solver.indicator_series
-        calls = []
+    @pytest.mark.parametrize("neighbour, message", [
+        (3, r"Lambda_2 = \S+ of \(n=3, p=2, sym\) exceeds Lambda_2 = \S+ of \(n=5, p=2, sym\)"),
+        (7, r"Lambda_2 = \S+ of \(n=7, p=2, sym\) exceeds Lambda_3 = \S+ of \(n=5, p=2, sym\)"),
+    ])
+    def test_a_store_scan_that_breaks_a_stored_orders_brackets_raises(
+        self, store, neighbour, message
+    ):
+        # root 2 of the stored order moves past root 2 (n = 3) or root 3 (n = 7) of order 5
+        values = list(direct_scan(neighbour, 2, S, 8))
+        values[2] = direct_scan(5, 2, S, 8)[2 if neighbour < 5 else 3] * 1.01
+        store[(neighbour, 2, S)] = solver._Order(tuple(values))
+        with pytest.raises(SolverError, match=message):
+            cached_spectrum(5, 2, S, 8)
+        assert store[(5, 2, S)].eigenvalues == ()
 
-        def hiding(spec, lams):
-            calls.append(spec)
-            for i, (lam, f, trusted) in enumerate(original(spec, lams)):
-                yield lam, f, trusted and not (len(calls) == 1 and 16 <= i <= 24)
-
-        monkeypatch.setattr(solver, "indicator_series", hiding)
-        assert cached_spectrum(5, 2, S, 8) == full
-        assert shortcuts == [False]
-
-    def test_an_untrusted_walk_start_falls_back_to_the_full_scan(self, monkeypatch):
-        # det R = cos(rho) at p = 1, with roots at (k + 1/2) pi: the interval [1, 4]
-        # brackets pi/2, and the walk for 3 pi/2 would start at 4, whose sample is
-        # an untrusted 1e-300 of the wrong sign
-        def matrix(spec, rho):
-            rhos = np.asarray(rho, dtype=float)
-            return np.where(rhos == 4.0, 1e-300, np.cos(rhos))[..., None, None]
-
-        monkeypatch.setattr(solver, "reduced_matrices", matrix)
-        spec = ProblemSpec(1, 1, S)
-        full = scan_spectrum(spec, 2)
-        assert rel_err(full.eigenvalues[1], (1.5 * PI) ** 2) < 1e-12
-        assert scan_spectrum(spec, 2, interlacing=[1.0, 4.0]) == full
-        # with a trusted sample there the walk starts at 4 and finds the same roots
-        interlaced = scan_spectrum(spec, 2, interlacing=[1.0, 4.2])
-        assert interlaced.eigenvalues == pytest.approx(full.eigenvalues, rel=1e-14)
-        assert interlaced.metadata.untrusted_points == 0
-
-    def test_returned_values_stay_after_order_n_minus_2_grows(self, shortcuts):
-        # the interlaced rescan of (6,2,sym) differs from the full scan in the
-        # last bits of its first three roots; the store keeps what it returned
-        spec = ProblemSpec(6, 2, S)
-        first = cached_spectrum(6, 2, S, 3)
-        assert first == scan_spectrum(spec, 3).eigenvalues
-        pair = cached_eigenpair(6, 2, S, 1)
-        cached_spectrum(4, 2, S, 8)
-        interlaced = scan_spectrum(spec, 6, interlacing=rhos_of(4, 2, S, 8)).eigenvalues
-        assert interlaced[:3] != first
-        longer = cached_spectrum(6, 2, S, 6)
-        assert longer == first + interlaced[3:]
-        assert cached_eigenpair(6, 2, S, 1) is pair
-        assert shortcuts == [True, True]
+    def test_roots_equal_to_a_neighbouring_orders_within_the_slack_pass(self, store):
+        # root 0 of the stored order 3 is root 0 of order 5, and root 2 lies below
+        # root 1 of order 5 by half the slack in the root coordinate
+        upper = direct_scan(5, 2, S, 8)
+        lower = list(direct_scan(3, 2, S, 8))
+        lower[0], lower[2] = upper[0], upper[1] * (1 - solver.INTERLACING_SLACK / 2) ** 4
+        assert lower[2] < upper[1]
+        store[(3, 2, S)] = solver._Order(tuple(lower))
+        assert cached_spectrum(5, 2, S, 8) == upper
