@@ -6,6 +6,15 @@ n-1 at both endpoints, and verifies the stone/moment identity apparatus and
 spectral-disjointness facts on the computed eigenpairs at machine precision.
 """
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy (or scipy) loads it, so this
+# must precede the first submodule import.  The largest matrix rqlab factors is
+# 64 x 64, far below where a second thread pays; OpenBLAS's worker busy-waits
+# through the import, on the importing CPU more often than not; and a threaded
+# process is unsafe to fork.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq

@@ -526,6 +526,17 @@ class TestScanSpectrum:
             assert evaluations == len(trials) < 100
             assert abs(root - jump) <= 1e-15 + 4e-15 * 0.15
 
+    @staticmethod
+    def _run_fresh(code, openblas_threads):
+        # this process imported rqlab, so its environment already carries
+        # OPENBLAS_NUM_THREADS=1: the child's value is set or removed explicitly
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(rqlab.__file__).parents[1])
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
     def test_import_leaves_scipy_out(self):
         # scipy serves only the self-test's quadrature oracle, imported on use; and a
         # command reads its flags without argparse, which would load gettext and locale
@@ -538,10 +549,24 @@ class TestScanSpectrum:
             "    code = rqlab.cli.main(['spectrum', '--n', '1', '--p', '1', '--count', '1'])\n"
             "print(code, after_import, loaded())\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(rqlab.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "0 [] []"
+        assert self._run_fresh(code, None) == "0 [] []"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_import_and_selftest_start_no_thread(self):
+        # OpenBLAS (numpy's, and scipy's loaded by the self-test) runs on the calling thread
+        code = (
+            "import contextlib, io, os, rqlab.cli\n"
+            "def threads(): return len(os.listdir('/proc/self/task'))\n"
+            "after_import = threads()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = rqlab.cli.main(['selftest', '--cases', '1'])\n"
+            "print(code, after_import, threads())\n"
+        )
+        assert self._run_fresh(code, None) == "0 1 1"
+
+    def test_import_keeps_a_preset_openblas_thread_count(self):
+        code = "import os, rqlab\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert self._run_fresh(code, "2") == "2"
 
 
 class TestExtraction:
