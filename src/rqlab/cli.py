@@ -54,9 +54,9 @@ from .solver import (
     cached_eigenpair,
     cached_spectrum,
     eigenpair_from_function,
+    extract_eigenfunction,
     indicator_series,
     scan_spectrum,
-    simple_eigenpair,
 )
 
 EXIT_OK = 0
@@ -119,36 +119,27 @@ def _cmd_spectrum(args):
     bounds = ritz_values(assemble(spec, k), k)  # upper bounds, up to the eigensolve's rounding
     ritz = bounds[:args.count]
     rows = []
-    suspects = list(slice_.metadata.suspects)
     for i, lam in enumerate(slice_.eigenvalues):
         if lam - ritz[i] > k * sys.float_info.epsilon * bounds[-1]:
             raise SolverError(f"Lambda_{i} = {lam!r} exceeds its Ritz upper bound {ritz[i]!r}: "
                               "the scan skipped a root; use a smaller --step")
-        pair = simple_eigenpair(spec, lam, i)
-        row = {
+        r = extract_eigenfunction(spec, lam, i).residuals
+        rows.append({
             "index": i,
             "Lambda": lam,
             "lambda": root_system(spec.p, lam).rho,
             "ritz": ritz[i],
             "ritz_rel_gap": abs(ritz[i] - lam) / lam,
-        }
-        if pair is None:
-            suspects.append(row["lambda"])
-        else:
-            r = pair.residuals
-            row.update(
-                nullspace_quality=r.nullspace_quality,
-                operator_residual_rel=r.operator_residual / max(r.operator_scale, 1e-300),
-                boundary_residual_rel=r.boundary_residual / max(r.boundary_scale, 1e-300),
-            )
-        rows.append(row)
-    metadata = dataclasses.replace(slice_.metadata, suspects=tuple(suspects))
+            "nullspace_quality": r.nullspace_quality,
+            "operator_residual_rel": r.operator_residual / max(r.operator_scale, 1e-300),
+            "boundary_residual_rel": r.boundary_residual / max(r.boundary_scale, 1e-300),
+        })
     results = {
         "spec": dataclasses.asdict(spec),
         "eigenvalues": slice_.eigenvalues,
         "ritz": ritz,
         "rows": rows,
-        "scan_metadata": metadata,
+        "scan_metadata": slice_.metadata,
     }
     columns = ["index", "Lambda", "lambda", "ritz", "ritz_rel_gap",
                "nullspace_quality", "operator_residual_rel", "boundary_residual_rel"]
@@ -160,8 +151,6 @@ def _cmd_eigenfunction(args):
     if args.index < 0:
         raise ConfigError("--index must be >= 0")
     pair = cached_eigenpair(args.n, args.p, args.parity, args.index)
-    if pair is None:
-        raise SolverError(f"eigenpair {args.index} flagged non-simple")
     roots = root_system(spec.p, pair.Lambda).roots
     rows = [
         {"root_re": r.real, "root_im": r.imag, "coeff_re": c.real, "coeff_im": c.imag}
@@ -195,8 +184,7 @@ def _cmd_verify(args):
         reports.append(not_applicable("parity-shift", (args.n, args.p), notes=str(exc)))
     if args.inject_fault:
         first = cached_eigenpair(args.n, args.p, SYMMETRIC, 0)
-        if first is not None:
-            reports.append(invariants.check_stone_identity(_corrupted_pair(first), args.tol))
+        reports.append(invariants.check_stone_identity(_corrupted_pair(first), args.tol))
     rollup = rollup_from_reports(reports)
     rows, columns = _report_rows(reports)
     results = {"reports": reports}
@@ -208,7 +196,7 @@ def _cmd_disjoint(args):
     rows = [{"i": i, "Lambda_n": li, "j": j, "Lambda_m": lj, "rel_gap": table.gaps[i][j]}
             for i, li in enumerate(table.eigenvalues_n)
             for j, lj in enumerate(table.eigenvalues_m)]
-    condition_reports, _ = follow_up_candidates(table, args.collision_tol)
+    condition_reports = follow_up_candidates(table, args.collision_tol)
     results = {"table": table, "condition_reports": condition_reports}
     rollup = {"pass": True, "min_gap": table.min_gap, "candidates": len(table.candidates)}
     return results, rows, ["i", "Lambda_n", "j", "Lambda_m", "rel_gap"], rollup, EXIT_OK

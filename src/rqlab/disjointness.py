@@ -321,25 +321,19 @@ def evaluate_necessary_conditions(
 
 def follow_up_candidates(
     table: GapTable, collision_tol: float = DEFAULT_COLLISION_TOL
-) -> tuple[list[NecessaryConditionReport], bool]:
+) -> list[NecessaryConditionReport]:
     """Necessary conditions on each candidate of a gap table.
 
-    Returns the reports and whether an eigenpair was non-simple, which
-    leaves its candidate without a report.  At n = p there are no stones to
-    compare, so only the gap table stands.
+    At n = p there are no stones to compare, so only the gap table stands.
     """
     reports: list[NecessaryConditionReport] = []
-    non_simple = False
     if table.n <= table.p:
-        return reports, non_simple
+        return reports
     for cand in table.candidates:
         zn = cached_eigenpair(table.n, table.p, "symmetric", cand.index_n)
         zm = cached_eigenpair(table.m, table.p, "symmetric", cand.index_m)
-        if zn is None or zm is None:
-            non_simple = True
-        else:
-            reports.append(evaluate_necessary_conditions(zn, zm, collision_tol))
-    return reports, non_simple
+        reports.append(evaluate_necessary_conditions(zn, zm, collision_tol))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -373,8 +367,9 @@ def sweep_conjecture(
 ) -> SweepSummary:
     """All order pairs p <= n < m <= n_max, gap tables plus candidate follow-up.
 
-    A pair whose spectra cannot be computed is recorded with its error and
-    the sweep continues, so the summary may be partial.
+    A pair whose spectra or candidate eigenpairs cannot be computed is
+    recorded with its error and the sweep continues, so the summary may be
+    partial.
     """
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
@@ -389,6 +384,7 @@ def sweep_conjecture(
         for m in range(n + 1, n_max + 1):
             try:
                 table = compare_spectra(n, m, p, count, collision_tol)
+                followed = follow_up_candidates(table, collision_tol)
             except RQLabError as exc:  # record and continue: partial results
                 pairs.append(
                     SweepPair(n=n, m=m, min_gap=float("nan"), min_pair=(-1, -1),
@@ -407,9 +403,7 @@ def sweep_conjecture(
             )
             global_min = min(global_min, table.min_gap)
             all_candidates.extend(table.candidates)
-            followed, non_simple = follow_up_candidates(table, collision_tol)
             reports.extend(followed)
-            partial = partial or non_simple
     return SweepSummary(
         p=p,
         n_max=n_max,

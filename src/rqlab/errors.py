@@ -31,7 +31,7 @@ class DegenerateSystemError(SolverError):
 
 
 class NonSimpleEigenvalueError(SolverError):
-    """Two near-zero pivots: eigenvalue looks multiple, refusing to guess."""
+    """Two near-zero singular values of the reduced matrix: eigenvalue looks multiple."""
 
 
 class RitzConditioningError(SolverError):

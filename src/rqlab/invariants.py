@@ -455,17 +455,25 @@ def check_cauchy_schwarz(zn: EigenPair, zm: EigenPair, l: int, k: int) -> Identi
 
 
 def check_root_completeness(pair: EigenPair) -> IdentityReport:
-    """Every characteristic root must appear in the kernel with a nonzero weight."""
-    magnitudes = [abs(c) for c in pair.kernel_coeffs]
-    top = max(magnitudes) if magnitudes else 0.0
-    if top == 0.0:
+    """Every characteristic root must appear in the kernel with a nonzero weight.
+
+    A root's weight is its term's size on [-1, 1], ``|c| e^|Im root|``, taken
+    in logarithms: the kernel template scales a root of depth b by
+    ``e^(-rho b)``, so raw ``|c|`` would fall like ``e^(-rho)``.
+    """
+    roots = root_system(pair.spec.p, pair.Lambda).roots
+    sizes = [math.log(abs(c)) + abs(root.imag) if c else -math.inf
+             for c, root in zip(pair.kernel_coeffs, roots)]
+    top = max(sizes)
+    if top == -math.inf:
         return IdentityReport(
             identity_id="root-completeness",
             index=(pair.spec.n, pair.spec.p, pair.index),
             verdict=FAIL,
             notes="kernel part is empty",
         )
-    worst = min(magnitudes) / top
+    ratios = tuple(math.exp(size - top) for size in sizes)
+    worst = min(ratios)
     return IdentityReport(
         identity_id="root-completeness",
         index=(pair.spec.n, pair.spec.p, pair.index),
@@ -475,7 +483,7 @@ def check_root_completeness(pair: EigenPair) -> IdentityReport:
         rel_residual=0.0,
         verdict=PASS if worst > 1e-8 else FAIL,
         notes=f"min/max kernel weight ratio {worst:.3e}",
-        details={"weight_ratios": tuple(m / top for m in magnitudes)},
+        details={"weight_ratios": ratios},
     )
 
 
@@ -648,11 +656,10 @@ def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[Iden
 # --------------------------------------------------------------------------
 
 
-def _simple_pairs(n: int, p: int, count: int) -> list[EigenPair]:
-    """The simple ones among the first ``count`` symmetric eigenpairs of order n."""
+def _pairs(n: int, p: int, count: int) -> list[EigenPair]:
+    """The first ``count`` symmetric eigenpairs of order n."""
     cached_spectrum(n, p, "symmetric", count)  # one scan for the whole prefix
-    pairs = (cached_eigenpair(n, p, "symmetric", i) for i in range(count))
-    return [pr for pr in pairs if pr is not None]
+    return [cached_eigenpair(n, p, "symmetric", i) for i in range(count)]
 
 
 def run_identity_suite(
@@ -671,7 +678,7 @@ def run_identity_suite(
     if m is not None and m <= n:
         raise ConfigError(f"partner order m={m} must exceed n={n}")
     reports: list[IdentityReport] = []
-    pairs = _simple_pairs(n, p, count)
+    pairs = _pairs(n, p, count)
 
     for pair in pairs:
         reports.append(check_stone_lemma(pair))
@@ -685,16 +692,16 @@ def run_identity_suite(
             reports.append(check_positivity_family(pair, k, tol))
 
     if n - 1 >= p:
-        for prev in _simple_pairs(n - 1, p, count):
+        for prev in _pairs(n - 1, p, count):
             for pair in pairs:
                 reports.append(check_cross_identity(prev, pair, tol))
 
     if m is not None:
         left = pairs
-        right = _simple_pairs(m, p, count)
+        right = _pairs(m, p, count)
         lo, hi = n, m
     elif n - 1 >= p:
-        left = _simple_pairs(n - 1, p, count)
+        left = _pairs(n - 1, p, count)
         right = pairs
         lo, hi = n - 1, n
     else:

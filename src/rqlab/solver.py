@@ -7,7 +7,10 @@ changes and refined by regula falsi on the determinant itself, all of a
 scan's brackets in lockstep.  ``N`` is an exact integer left null basis of
 the boundary matrix's monomial block, which does not depend on rho, so the
 reduced p x p determinant vanishes exactly where the n x n one does.
-Eigenfunctions come from the null direction of the n x n boundary matrix via SVD.
+Eigenfunctions come from the same system at the refined eigenvalue: the
+kernel coefficients are the null direction of the p x p matrix ``R`` via
+SVD, and the monomial coefficients follow from the first n-p boundary rows
+through the exact inverse of their monomial block.
 
 A stored spectrum of order n-2 (same p and parity) interlaces the roots of
 order n.  For p <= n-2, u -> u'' maps the clamped order-n functions of a
@@ -30,6 +33,7 @@ import math
 import sys
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,11 +85,23 @@ def _monomial_block(spec: ProblemSpec) -> list[list[int]]:
     return [[math.perm(m, j) for m in spec.monomial_degrees] for j in range(spec.n)]
 
 
-@functools.cache
-def _monomial_rows(spec: ProblemSpec) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
-    """The monomial block as float rows, and each row's largest entry (0.0 past the monomials)."""
-    rows = tuple(tuple(map(float, row)) for row in _monomial_block(spec))
-    return rows, tuple(max(row, default=0.0) for row in rows)
+def _eliminated(spec: ProblemSpec, upward: bool) -> list[list[int]]:
+    """``[M | I]`` after fraction-free elimination on M's first n-p columns.
+
+    Each column is cleared below its diagonal pivot, and above it too when
+    ``upward`` (Gauss-Jordan); the rows below the pivots come out the same
+    either way.
+    """
+    rows = [row + [int(i == j) for i in range(spec.n)]
+            for j, row in enumerate(_monomial_block(spec))]
+    for c in range(spec.n - spec.p):
+        pivot = rows[c]
+        for j in range(spec.n) if upward else range(c + 1, spec.n):
+            if j != c and rows[j][c]:
+                row = [pivot[c] * a - rows[j][c] * b for a, b in zip(rows[j], pivot)]
+                divisor = math.gcd(*row)
+                rows[j] = [v // divisor for v in row]
+    return rows
 
 
 @functools.cache
@@ -101,21 +117,26 @@ def monomial_annihilator(spec: ProblemSpec) -> tuple[tuple[int, ...], ...]:
     along record each as a primitive integer row of N, whose entry
     ``N[i][n-p+i]`` is made positive and whose entries past the first n-p
     are otherwise 0.  At p = n there are no monomials and N is the
-    identity.  Every entry of N for n <= 12 fits in 35 bits, so N is exact
-    in floats too.
+    identity.  Every entry of N fits in 35 bits for n <= 12 and in 50 bits
+    for n <= 15, so N is exact in floats for n <= 15; the antisymmetric
+    (16, 2..4) reach 54-55 bits.
     """
     q = spec.n - spec.p
-    rows = [row + [int(i == j) for i in range(spec.n)]
-            for j, row in enumerate(_monomial_block(spec))]
-    for c in range(q):
-        pivot = rows[c]
-        for j in range(c + 1, spec.n):
-            if rows[j][c]:
-                row = [pivot[c] * a - rows[j][c] * b for a, b in zip(rows[j], pivot)]
-                divisor = math.gcd(*row)
-                rows[j] = [v // divisor for v in row]
-    basis = [row[q:] for row in rows[q:]]  # the M part of these rows is 0
+    basis = [row[q:] for row in _eliminated(spec, upward=False)[q:]]  # their M part is 0
     return tuple(tuple(v if row[q + i] > 0 else -v for v in row) for i, row in enumerate(basis))
+
+
+@functools.cache
+def monomial_inverse(spec: ProblemSpec) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of ``M_q``, the first n-p rows of the monomial block M; empty at p = n.
+
+    Gauss-Jordan elimination leaves ``T M_q = diag(d)`` in the identity
+    columns T carried along, so row c of the inverse is ``T_c / d_c``.  Only
+    extraction reads it, so a scan runs no elimination above the pivots.
+    """
+    q = spec.n - spec.p
+    rows = _eliminated(spec, upward=True)[:q]
+    return tuple(tuple(Fraction(v, row[c]) for v in row[q:2 * q]) for c, row in enumerate(rows))
 
 
 @functools.cache
@@ -204,6 +225,13 @@ def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
     in (a batched ``matmul`` may sum in an order that depends on the batch),
     and a scan does not depend on how it batches its grid.
     """
+    return _reduced_system(spec, rho)[0]
+
+
+def _reduced_system(
+    spec: ProblemSpec, rho: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`reduced_matrices`, and the ``powers[l, j] * kernel[l, j, k]`` of K it is made of."""
     weights, exponents = boundary_tables(spec)
     basis, magnitudes, _, _ = reduced_tables(spec)
     smallest = min(rho)
@@ -218,7 +246,7 @@ def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
                                     f"{spec.label()}, rho={rhos[point]}")
     terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
     kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
-    return np.einsum("ij,lj,ljk->lik", basis, powers, kernel) / scale[..., None]
+    return np.einsum("ij,lj,ljk->lik", basis, powers, kernel) / scale[..., None], powers, kernel
 
 
 def indicator_series(
@@ -244,47 +272,10 @@ def indicator_series(
         yield from zip(chunk, values.tolist(), trusted.tolist())
 
 
-def boundary_matrix(spec: ProblemSpec, rho: float) -> np.ndarray:
-    """Row-scaled clamped-condition matrix at one root coordinate; its null space holds z.
-
-    Row j holds the j-th derivatives at x=1 of the parity basis, in closed form:
-    ``sum c mu^j e^mu`` over the terms ``c e^(mu x)`` of a kernel function,
-    ``m!/(m-j)!`` for the monomial ``x^m``.  Each row is divided by the largest
-    a-priori magnitude bound among its entries, ``max(rho^j, m!/(m-j)!)``: a
-    kernel function's ``sum e^|Re mu| |c mu^j|`` is ``rho^j``, as its ``|mu|``
-    all equal ``rho`` and its ``|c| e^|Re mu|`` sum to 1.  Unlike scaling by the
-    max actual entry, the bound cannot vanish and does not re-inflate a row that
-    legitimately passes through zero at an eigenvalue, so the smallest singular
-    value is a faithful null-space quality measure.  Scaling is positive, so
-    the null space is untouched.
-
-    Kernel entries are read from the power table of :func:`boundary_tables`,
-    as :func:`reduced_matrices` reads them.  A row without monomials that
-    vanishes identically (its kernel entries, or an underflowed ``rho^j``)
-    raises ``DegenerateSystemError``, so every returned row is nonzero.  The
-    rows are scaled in Python floats and stacked by one ``np.array``: each
-    numpy routine the scan has not run costs 0.1-0.5 ms on its first call.
-    """
-    weights, exponents = boundary_tables(spec)
-    if not rho > 0:
-        raise ConfigError("the root coordinate must be positive")
-    monomials, bounds = _monomial_rows(spec)
-    powers = (rho ** np.arange(spec.n)).tolist()  # numpy's powers, which Python's ** is not
-    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float)).tolist()
-    rows = []
-    for j, (power, bound, entries, monomial) in enumerate(zip(powers, bounds, kernel, monomials)):
-        if not bound and (power == 0.0 or not any(entries)):
-            raise DegenerateSystemError(f"boundary row {j} vanishes identically for "
-                                        f"{spec.label()}, rho={rho}")
-        scale = max(power, bound)
-        rows.append([v * (power / scale) for v in entries] + [m / scale for m in monomial])
-    return np.array(rows)
-
-
 @dataclass(frozen=True)
 class EigenResiduals:
     det_indicator: float  # det R, the scan's reduced determinant, at Lambda
-    nullspace_quality: float
+    nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
     operator_residual: float  # L2 norm of the operator applied to z
     operator_scale: float  # L2 norm of z^(2n)
     boundary_residual: float  # max |z^(j)(+-1)| over j < n
@@ -334,12 +325,12 @@ def _eigenpair(
     Lambda: float,
     z: ExpPoly,
     index: int,
+    indicator: float,
     quality: float,
     normalized: bool,
 ) -> EigenPair:
-    """EigenPair of z with its residuals."""
+    """EigenPair of z with its residuals; ``indicator`` is det R at Lambda."""
     table = z.derivatives(2 * spec.n)
-    indicator = float(_determinants(reduced_matrices(spec, [root_system(spec.p, Lambda).rho]))[0])
     op_res = math.sqrt(max(l2_norm_sq(build_operator(spec, Lambda).apply(table)), 0.0))
     op_scale = math.sqrt(max(l2_norm_sq(table[-1]), 0.0))
     boundary = max(abs(d.evaluate(x)) for d in table[:spec.n] for x in (1.0, -1.0))
@@ -356,31 +347,42 @@ def _eigenpair(
 
 
 def _fix_sign(z: ExpPoly) -> ExpPoly:
-    """First nonzero of (<z>, leading poly coefficient, z(0)) is made positive."""
+    """First non-negligible of (<z>, leading poly coefficient, z(0), z'(0)) is made positive.
+
+    An antisymmetric z without monomials (n = p) has the first three 0 by
+    parity; its z'(0) is not.
+    """
     scale = max(z.magnitude_bound(), 1e-300)
     poly = z.zero_frequency_coefficients()
     candidates = (
-        z.integrate_unit().real,
-        poly[-1].real if poly else 0.0,
-        z.evaluate(0.0).real,
+        lambda: z.integrate_unit().real,
+        lambda: poly[-1].real if poly else 0.0,
+        lambda: z.evaluate(0.0).real,
+        lambda: z.differentiate(1).evaluate(0.0).real,
     )
-    for v in candidates:
+    for candidate in candidates:
+        v = candidate()
         if abs(v) > 1e-9 * scale:
             return z.scaled(-1.0) if v < 0 else z
     return z
 
 
 def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> EigenPair:
-    """Assemble the eigenfunction at a refined eigenvalue.
+    """Assemble the eigenfunction at a refined eigenvalue from the scan's reduced system.
 
-    The coefficient vector is the smallest singular direction of the
-    row-scaled boundary matrix.  Fails when the null-space quality is poor
-    (eigenvalue not refined enough) or a second pivot is also tiny (the
-    eigenvalue looks multiple; flagged rather than split heuristically).
+    From one kernel evaluation at the root coordinate of Lambda, the kernel
+    coefficients ``a`` are the smallest right singular vector of ``R = N K``
+    and the monomial ones solve the first n-p boundary rows,
+    ``b = -M_q^(-1) (K a)_q``; the other p rows hold as ``N [K | M] (a, b)``
+    is ``R a`` up to row scaling.  Fails when the null-space quality
+    ``sigma_min(R) / max(sigma_max(R), 1)`` is poor (eigenvalue not refined
+    enough) or, at p >= 2, when the next singular value is tiny too (the
+    eigenvalue looks multiple; flagged rather than split).  A scan finds only
+    roots of odd multiplicity, at most p, so each is simple at p <= 2.
     z is scaled to ``<z^(n-p) z^(n-p)> = 1``.
     """
-    matrix = boundary_matrix(spec, root_system(spec.p, Lambda).rho)
-    _, svals, vt = np.linalg.svd(matrix)
+    matrices, powers, kernel = _reduced_system(spec, [root_system(spec.p, Lambda).rho])
+    _, svals, vt = np.linalg.svd(matrices[0])
     smax = max(float(svals[0]), 1.0)
     quality = float(svals[-1]) / smax
     if quality > NULLSPACE_QUALITY_LIMIT:
@@ -388,37 +390,33 @@ def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> 
             f"null-space quality {quality:.3e} too poor at Lambda={Lambda!r} for {spec.label()}; "
             "refine the eigenvalue first"
         )
-    if spec.n >= 2 and float(svals[-2]) / smax < NULLSPACE_QUALITY_LIMIT:
+    if spec.p >= 2 and float(svals[-2]) / smax < NULLSPACE_QUALITY_LIMIT:
         raise NonSimpleEigenvalueError(
-            f"two near-zero pivots at Lambda={Lambda!r} for {spec.label()}"
+            f"two near-zero singular values at Lambda={Lambda!r} for {spec.label()}"
         )
-    coeffs = vt[-1]
-    basis = solution_basis(spec, Lambda)
+    q = spec.n - spec.p
+    inverse = np.array([[float(v) for v in row] for row in monomial_inverse(spec)]).reshape(q, q)
+    monomial_part = np.einsum("mj,j,jk,k->m", inverse, powers[0, :q], kernel[0, :q], vt[-1])
     z = ExpPoly.zero()
-    for c, fn in zip(coeffs, basis):
+    for c, fn in zip(vt[-1].tolist() + [-v for v in monomial_part.tolist()],
+                     solution_basis(spec, Lambda)):
         if c != 0.0:
-            z = z + fn.scaled(float(c))
+            z = z + fn.scaled(c)
     w = z.differentiate(spec.n - spec.p)
     norm_sq = inner_product(w, w).real
     if not norm_sq > 0:
         raise SolverError("degenerate normalization integral")
     z = z.scaled(1.0 / math.sqrt(norm_sq))
-    return _eigenpair(spec, Lambda, _fix_sign(z), index, quality, True)
-
-
-def simple_eigenpair(spec: ProblemSpec, Lambda: float, index: int) -> EigenPair | None:
-    """The extracted eigenpair at a refined eigenvalue, or None when it looks non-simple."""
-    try:
-        return extract_eigenfunction(spec, Lambda, index=index)
-    except NonSimpleEigenvalueError:
-        return None
+    indicator = float(_determinants(matrices)[0])
+    return _eigenpair(spec, Lambda, _fix_sign(z), index, indicator, quality, True)
 
 
 def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
-    return _eigenpair(spec, Lambda, z, index, 0.0, False)
+    indicator = float(_determinants(reduced_matrices(spec, [root_system(spec.p, Lambda).rho]))[0])
+    return _eigenpair(spec, Lambda, z, index, indicator, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -630,7 +628,7 @@ class _Order:
     """What the store knows of one (n, p, parity): an eigenvalue prefix and its pairs."""
 
     eigenvalues: tuple[float, ...] = ()
-    pairs: dict[int, EigenPair | None] = field(default_factory=dict)
+    pairs: dict[int, EigenPair] = field(default_factory=dict)
     exhausted_at: float | None = None  # ceiling a scan ran out of grid at, after `eigenvalues`
 
 
@@ -696,10 +694,10 @@ def _check_interlacing(spec: ProblemSpec, eigenvalues: Sequence[float]) -> None:
                                   f"of {label_b}: the two orders do not interlace")
 
 
-def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair | None:
-    """Eigenpair ``index`` of (n, p, parity), extracted once; None when non-simple."""
+def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair:
+    """Eigenpair ``index`` of (n, p, parity), extracted once."""
     Lambda = cached_spectrum(n, p, parity, index + 1)[index]
     pairs = _STORE[(n, p, parity)].pairs
     if index not in pairs:
-        pairs[index] = simple_eigenpair(ProblemSpec(n, p, parity), Lambda, index)
+        pairs[index] = extract_eigenfunction(ProblemSpec(n, p, parity), Lambda, index=index)
     return pairs[index]

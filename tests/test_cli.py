@@ -9,8 +9,9 @@ import pytest
 
 import rqlab
 import rqlab.cli
+from rqlab import solver
 from rqlab.cli import main
-from rqlab.errors import SolverError
+from rqlab.errors import NonSimpleEigenvalueError, SolverError
 
 from conftest import PI
 
@@ -250,20 +251,30 @@ class TestCommands:
         values = json.loads(out)["results"]["eigenvalues"]
         assert abs(values[0] - 31.28524) < 1e-4
 
-    def test_spectrum_lists_a_non_simple_eigenvalue_as_a_suspect(self, capsys, monkeypatch):
-        extract = rqlab.cli.simple_eigenpair
-        monkeypatch.setattr(rqlab.cli, "simple_eigenpair", lambda spec, Lambda, index: (
-            None if index == 1 else extract(spec, Lambda, index)))
-        code, out, _ = run_cli(
-            capsys, "spectrum", "--n", "2", "--p", "1", "--count", "3", "--format", "json"
-        )
+    @pytest.mark.parametrize("argv", [
+        "eigenfunction --n 3 --p 2 --index 1",
+        "verify --n 3 --p 2 --count 2",
+        "spectrum --n 3 --p 2 --count 2",
+    ])
+    def test_a_non_simple_eigenvalue_is_a_solver_failure(self, capsys, monkeypatch, argv):
+        def non_simple(spec, Lambda, index=-1):
+            raise NonSimpleEigenvalueError(f"two near-zero singular values at index {index}")
+
+        monkeypatch.setattr(solver, "_STORE", {})
+        monkeypatch.setattr(solver, "extract_eigenfunction", non_simple)
+        monkeypatch.setattr(rqlab.cli, "extract_eigenfunction", non_simple)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == ("rqlab: solver failure: two near-zero singular values at index "
+                       f"{1 if argv.startswith('eigenfunction') else 0}\n")
+
+    def test_every_eigenpair_of_8_1_extracts(self, capsys):
+        # the n x n boundary matrix flagged index 12 and above non-simple
+        code, out, _ = run_cli(capsys, "eigenfunction", "--n", "8", "--p", "1", "--index", "12",
+                               "--format", "json")
         assert code == 0
-        results = json.loads(out)["results"]
-        rows = results["rows"]
-        residuals = {"nullspace_quality", "operator_residual_rel", "boundary_residual_rel"}
-        assert residuals <= rows[0].keys() and residuals <= rows[2].keys()
-        assert not residuals & rows[1].keys()
-        assert results["scan_metadata"]["suspects"] == [rows[1]["lambda"]]
+        residuals = json.loads(out)["results"]["residuals"]
+        assert residuals["boundary_residual"] <= 1e-12 * residuals["boundary_scale"]
 
     def test_eigenfunction_detail(self, capsys):
         _, out, _ = run_cli(

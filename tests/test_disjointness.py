@@ -14,7 +14,7 @@ from rqlab.disjointness import (
     follow_up_candidates,
     sweep_conjecture,
 )
-from rqlab.errors import ConfigError, SolverError
+from rqlab.errors import ConfigError, NonSimpleEigenvalueError, SolverError
 from rqlab.invariants import bracket, stone_polynomials
 from rqlab.solver import cached_eigenpair
 
@@ -183,16 +183,24 @@ class TestSweep:
         assert summary.partial
         assert all(sp.error == "SolverError: no spectrum" for sp in summary.pairs)
 
-    def test_non_simple_candidate_makes_the_sweep_partial(self, monkeypatch):
+    def test_a_failed_candidate_extraction_makes_its_pair_partial(self, monkeypatch):
         # (3, 5) at p = 1 has one candidate at this tolerance
         table = compare_spectra(3, 5, 1, 5, 0.05)
-        reports, non_simple = follow_up_candidates(table, 0.05)
-        assert len(table.candidates) == len(reports) == 1 and not non_simple
-        monkeypatch.setattr(disjointness, "cached_eigenpair", lambda *args: None)
-        assert follow_up_candidates(table, 0.05) == ([], True)
+        assert len(table.candidates) == len(follow_up_candidates(table, 0.05)) == 1
+        clean = sweep_conjecture(1, 5, 5, 0.05)
+        # candidates at n = p are not followed up
+        followed = {(sp.n, sp.m) for sp in clean.pairs if sp.candidate_count and sp.n > 1}
+        assert not clean.partial and (3, 5) in followed
+
+        def non_simple(*args):
+            raise NonSimpleEigenvalueError("two near-zero singular values")
+
+        monkeypatch.setattr(disjointness, "cached_eigenpair", non_simple)
         summary = sweep_conjecture(1, 5, 5, 0.05)
-        assert summary.partial and summary.candidates and not summary.condition_reports
-        assert not any(sp.error for sp in summary.pairs)
+        assert summary.partial and not summary.condition_reports
+        errors = {(sp.n, sp.m): sp.error for sp in summary.pairs if sp.error}
+        assert errors == dict.fromkeys(followed,
+                                       "NonSimpleEigenvalueError: two near-zero singular values")
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args):

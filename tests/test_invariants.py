@@ -11,7 +11,7 @@ from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec, reduced_operator
 from rqlab.reporting import NOT_APPLICABLE, PASS
 from rqlab.selftest import closed_form_anchor_pairs, identity_anchor_checks
-from rqlab.solver import cached_eigenpair, eigenpair_from_function
+from rqlab.solver import cached_eigenpair, cached_spectrum, eigenpair_from_function
 
 from conftest import PI, quad_integral, rel_err
 
@@ -295,6 +295,17 @@ class TestRootCompleteness:
     def test_2_2_all_four_roots_present(self):
         report = inv.check_root_completeness(cached_eigenpair(2, 2, S, 0))
         assert report.verdict == PASS
+
+    @pytest.mark.parametrize("n, floor", [(5, 0.45), (6, 0.33)])
+    def test_weights_are_term_sizes_on_the_interval(self, n, floor):
+        # index 4 of (n, 2): the raw |c| of the imaginary roots is about e^(-rho)
+        # of the real ones', so a raw ratio would call a root missing
+        cached_spectrum(n, 2, S, 5)
+        pair = cached_eigenpair(n, 2, S, 4)
+        raw = [abs(c) for c in pair.kernel_coeffs]
+        assert min(raw) / max(raw) < 1e-8
+        report = inv.check_root_completeness(pair)
+        assert report.verdict == PASS and report.lhs > floor
 
     def test_synthetic_missing_root_fails(self):
         Lam = 31.285243858777125

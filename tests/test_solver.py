@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +16,19 @@ import pytest
 import rqlab
 from rqlab import solver
 from rqlab.cli import main
-from rqlab.errors import ConfigError, DegenerateSystemError, ScanExhaustedError, SolverError
+from rqlab.errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
+from rqlab.errors import ScanExhaustedError, SolverError
 from rqlab.exppoly import inner_product
 from rqlab.invariants import antisym_equals_next_sym
 from rqlab.problem import ProblemSpec, root_system, solution_basis
 from rqlab.reporting import PASS
 from rqlab.selftest import closed_form_spectrum_checks
 from rqlab.solver import (
-    boundary_matrix,
     cached_eigenpair,
     cached_spectrum,
     extract_eigenfunction,
     monomial_annihilator,
+    monomial_inverse,
     reduced_matrices,
     scan_spectrum,
 )
@@ -68,46 +70,16 @@ class TestDetIndicator:
 ORACLE_BOUND = 8 * np.finfo(float).eps
 
 
-@functools.cache  # each is read by both oracles below
-def exppoly_kernel_rows(spec: ProblemSpec, Lambda: float) -> tuple[np.ndarray, np.ndarray]:
-    """The unscaled boundary rows of the basis through ExpPoly differentiation, and their bounds."""
-    values, bounds = [], []
-    derivatives = solution_basis(spec, Lambda)
-    for _ in range(spec.n):
-        values.append([fn.evaluate(1.0).real for fn in derivatives])
-        bounds.append([fn.magnitude_bound() for fn in derivatives])
-        derivatives = [fn.differentiate() for fn in derivatives]
-    return np.array(values), np.array(bounds)
-
-
-def exppoly_boundary_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
-    """The boundary matrix through ExpPoly differentiation, the closed form's oracle."""
-    values, bounds = exppoly_kernel_rows(spec, Lambda)
-    return values / np.max(bounds, axis=1, keepdims=True)
-
-
 def exppoly_reduced_matrix(spec: ProblemSpec, Lambda: float) -> np.ndarray:
-    """``N K`` from the ExpPoly kernel rows, row i over ``sum_j |N_ij| rho^j``."""
-    kernel = exppoly_kernel_rows(spec, Lambda)[0][:, :spec.p]
+    """``N K`` with K's rows through ExpPoly differentiation, row i over ``sum_j |N_ij| rho^j``."""
+    rows = []
+    derivatives = solution_basis(spec, Lambda)[:spec.p]
+    for _ in range(spec.n):
+        rows.append([fn.evaluate(1.0).real for fn in derivatives])
+        derivatives = [fn.differentiate() for fn in derivatives]
     basis = np.array(monomial_annihilator(spec), dtype=float)
     scale = np.abs(basis) @ root_system(spec.p, Lambda).rho ** np.arange(spec.n)
-    return basis @ kernel / scale[:, None]
-
-
-def numpy_boundary_matrix(spec: ProblemSpec, rho: float) -> np.ndarray:
-    """``boundary_matrix`` as numpy routines build it, the row-by-row build's oracle."""
-    weights, exponents = solver.boundary_tables(spec)
-    monomials = np.array(solver._monomial_block(spec), dtype=float).reshape(spec.n, -1)
-    bounds = monomials.max(axis=-1, initial=0.0)
-    powers = rho ** np.arange(spec.n)
-    scale = np.maximum(powers, bounds)
-    kernel = np.einsum("jkt,kt->jk", weights, np.exp(rho * exponents).view(float))
-    free = np.count_nonzero(bounds)  # the rows from here on have no monomials
-    vanishing = (powers[free:] == 0.0) | ~kernel[free:].any(axis=-1)
-    if vanishing.any():
-        raise DegenerateSystemError(f"boundary row {free + np.argmax(vanishing)} vanishes "
-                                    f"identically for {spec.label()}, rho={rho}")
-    return np.hstack((kernel * (powers / scale)[:, None], monomials / scale[:, None]))
+    return basis @ np.array(rows) / scale[:, None]
 
 
 class TestBoundaryMatrix:
@@ -120,12 +92,9 @@ class TestBoundaryMatrix:
                 rhos = [root_system(p, Lambda).rho for Lambda in Lambdas]
                 reduced = reduced_matrices(spec, rhos)
                 assert reduced.shape == (len(Lambdas), p, p)
-                for matrix, Lambda, rho in zip(reduced, Lambdas, rhos):
+                for matrix, Lambda in zip(reduced, Lambdas):
                     oracle = exppoly_reduced_matrix(spec, Lambda)
                     assert np.abs(matrix - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
-                    full = boundary_matrix(spec, rho)
-                    oracle = exppoly_boundary_matrix(spec, Lambda)
-                    assert np.abs(full - oracle).max() <= ORACLE_BOUND, (spec.label(), Lambda)
 
     def test_batched_reduced_matrices_equal_one_point_calls_and_the_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -171,40 +140,12 @@ class TestBoundaryMatrix:
                     values = [f for _, f, _ in solver.indicator_series(spec, rhos)]
                     assert np.isfinite(matrices).all() and np.abs(matrices).max() <= 1.0
                     assert np.isfinite(values).all() and np.abs(values).max() <= 1.0
-                    for rho in rhos:
-                        full = boundary_matrix(spec, rho)
-                        assert np.isfinite(full).all() and np.abs(full).max() <= 1.0
-
-    def test_row_by_row_matrix_equals_the_numpy_construction(self):
-        # every spec with n <= 12 at 29 root coordinates, the degenerate rows of
-        # rho = 1e-200 included: the same bits, or the same error
-        rhos = [1e-200, 1e-30, 0.02, 0.25, 1.0, PI / 2, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0,
-                31.4, 47.0, 60.0, 88.8, 100.0, 150.0, 200.0, 300.0, 500.0, 700.0, 709.9,
-                720.0, 1000.0, 2000.0, 4999.0, 1e6]
-        for n in range(1, 13):
-            for p in range(1, n + 1):
-                for parity in (S, A):
-                    spec = ProblemSpec(n, p, parity)
-                    for rho in rhos:
-                        try:
-                            expected = numpy_boundary_matrix(spec, rho)
-                        except DegenerateSystemError as exc:
-                            with pytest.raises(DegenerateSystemError) as caught:
-                                boundary_matrix(spec, rho)
-                            assert str(caught.value) == str(exc)
-                        else:
-                            got = boundary_matrix(spec, rho)
-                            assert got.dtype == expected.dtype and got.shape == expected.shape
-                            assert np.array_equal(got, expected, equal_nan=True), (n, p, rho)
 
     def test_a_row_without_monomials_that_vanishes_is_degenerate(self):
         # rho^2 underflows, so the last row of the (3,3) matrix has no scale
-        with pytest.raises(DegenerateSystemError, match="boundary row 2 vanishes identically"):
-            boundary_matrix(ProblemSpec(3, 3, S), 1e-200)
         with pytest.raises(DegenerateSystemError,
                            match="reduced boundary row 2 vanishes identically"):
             reduced_matrices(ProblemSpec(3, 3, S), [1.0, 1e-200])
-        assert np.isfinite(boundary_matrix(ProblemSpec(3, 1, S), 1e-200)).all()
         assert np.isfinite(reduced_matrices(ProblemSpec(3, 1, S), [1e-200])).all()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -240,9 +181,24 @@ class TestReduction:
                 assert max(abs(v) for row in basis for v in row) < 2**53
                 assert np.linalg.matrix_rank(np.array(basis, dtype=float)) == p, spec.label()
 
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_the_inverse_of_the_top_monomial_block_is_exact(self, parity):
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                inverse = monomial_inverse(spec)
+                q = n - p
+                top = [[math.perm(m, j) for m in spec.monomial_degrees] for j in range(q)]
+                product = [[sum(inverse[i][k] * top[k][j] for k in range(q)) for j in range(q)]
+                           for i in range(q)]
+                assert product == [[int(i == j) for j in range(q)] for i in range(q)], spec.label()
+                assert all(type(v) is Fraction for row in inverse for v in row)
+
     def test_p_equal_to_n_reduces_nothing(self):
         for n in range(1, 6):
-            assert np.array_equal(monomial_annihilator(ProblemSpec(n, n, A)), np.eye(n, dtype=int))
+            spec = ProblemSpec(n, n, A)
+            assert np.array_equal(monomial_annihilator(spec), np.eye(n, dtype=int))
+            assert monomial_inverse(spec) == ()
 
     @pytest.mark.parametrize("parity", [S, A])
     def test_every_order_completes_at_count_8(self, parity):
@@ -648,20 +604,55 @@ class TestExtraction:
         assert same == pair and hash(same) == hash(pair)
         assert same.derivatives is pair.derivatives
 
-    def test_extraction_builds_one_boundary_matrix(self, monkeypatch):
+    def test_extraction_evaluates_the_kernel_once(self, monkeypatch):
         calls = []
-        original = solver.boundary_matrix
+        original = solver._reduced_system
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(solver, "boundary_matrix", counted)
+        monkeypatch.setattr(solver, "_reduced_system", counted)
         Lambda = cached_spectrum(3, 1, S, 1)[0]
         calls.clear()
         pair = extract_eigenfunction(ProblemSpec(3, 1, S), Lambda, index=0)
         assert len(calls) == 1
         assert pair.residuals.det_indicator == det_indicator(ProblemSpec(3, 1, S), Lambda)
+
+    @pytest.mark.parametrize("n, p", [(12, 1), (10, 3)])
+    def test_high_index_pairs_meet_their_boundary_rows(self, n, p):
+        # the n x n boundary matrix flagged most (12,1) pairs non-simple and
+        # left up to 8e-10 on their boundary rows
+        cached_spectrum(n, p, S, 20)
+        for index in (0, 6, 12, 19):
+            r = cached_eigenpair(n, p, S, index).residuals
+            assert r.boundary_residual <= 1e-12 * r.boundary_scale, (n, p, index)
+            assert r.operator_residual <= 1e-12 * r.operator_scale, (n, p, index)
+
+    def test_sign_of_an_antisymmetric_kernel_only_pair_is_pinned(self):
+        # at n = p an antisymmetric z has <z> = 0, no polynomial part and z(0) = 0,
+        # so z'(0) fixes its sign
+        for n in range(1, 7):
+            cached_spectrum(n, n, A, 6)
+            for index in range(6):
+                z = cached_eigenpair(n, n, A, index).z
+                assert z.differentiate(1).evaluate(0.0).real > 1e-6 * z.magnitude_bound()
+
+    def test_a_second_small_singular_value_is_non_simple_only_at_p_of_2_or_more(
+        self, monkeypatch
+    ):
+        Lambda = cached_spectrum(3, 2, S, 1)[0]
+        svd = np.linalg.svd
+
+        def twin_zeros(matrix):
+            u, svals, vt = svd(matrix)
+            return u, np.concatenate([svals[:-2], [1e-12, 0.0]])[-len(svals):], vt
+
+        monkeypatch.setattr(np.linalg, "svd", twin_zeros)
+        with pytest.raises(NonSimpleEigenvalueError, match="two near-zero singular values"):
+            extract_eigenfunction(ProblemSpec(3, 2, S), Lambda)
+        # at p = 1 R has one singular value, so an eigenvalue there is simple
+        extract_eigenfunction(ProblemSpec(3, 1, S), cached_spectrum(3, 1, S, 1)[0])
 
 
 class TestSpectrumStructure:
