@@ -8,7 +8,7 @@ spectral-disjointness facts on the computed eigenpairs at machine precision.
 
 import os
 
-# OpenBLAS reads its thread count once, when numpy (or scipy) loads it, so this
+# OpenBLAS reads its thread count once, when numpy loads it, so this
 # must precede the first submodule import.  The largest matrix rqlab factors is
 # 64 x 64, far below where a second thread pays; OpenBLAS's worker busy-waits
 # through the import, on the importing CPU more often than not; and a threaded

@@ -2,15 +2,15 @@
 
 These are the one implementation of the checks at the heart of the
 acceptance suite, which runs them too, so a deployed copy can vouch for
-itself in about a minute: closed-form spectra, the two hand-computable
+itself in under a second: closed-form spectra, the two hand-computable
 identity anchors, and seeded randomized property sweeps of the
 exponential-polynomial core.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -102,16 +102,47 @@ def random_real_exppoly(rng: np.random.RandomState, **kw) -> ExpPoly:
     return f + f.conjugate()
 
 
-def quadrature_integral(f: ExpPoly) -> complex:
-    """Adaptive-quadrature reference for the closed-form integrator."""
-    # imported here: every CLI command imports this module, few need quadrature
-    from scipy.integrate import IntegrationWarning, quad
+QUADRATURE_NODES = 100
+QUADRATURE_MAX_FREQ = 75.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, _ = quad(lambda x: f.evaluate(x).real, -1.0, 1.0, limit=800, epsabs=0.0, epsrel=1e-12)
-        im, _ = quad(lambda x: f.evaluate(x).imag, -1.0, 1.0, limit=800, epsabs=0.0, epsrel=1e-12)
-    return complex(re, im)
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # imported here: numpy.polynomial is on no command's start-up path
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(QUADRATURE_NODES)
+
+
+def quadrature_integral(f: ExpPoly) -> complex:
+    """Fixed 100-node Gauss-Legendre reference for the closed-form integrator.
+
+    Against ``exppoly._int_xk_exp`` on ``x^d e^(mu x)``, over 13 angles of mu
+    in [0, pi], |mu| up to 75 at step 0.5 and degrees 0-8, the rule's error
+    is at most 6.4e-15 e^|Re mu|, the rounding of the phase mu x; it stays
+    below 1e-14 of that up to |mu| = 140 and fails near 160.  The property
+    sweep draws |mu| <= 50 sqrt(2) ~ 71, and a term with |mu| > 75 raises
+    ValueError rather than be vouched for.
+    """
+    from numpy.polynomial.polynomial import polyval
+
+    nodes, weights = _gauss_legendre()
+    total = 0j
+    for mu, coeffs in f.terms:
+        if abs(mu) > QUADRATURE_MAX_FREQ:
+            raise ValueError(
+                f"quadrature oracle resolves |mu| <= {QUADRATURE_MAX_FREQ:g}, got |mu| = {abs(mu):.6g}"
+            )
+        total += complex(weights @ (polyval(nodes, coeffs) * np.exp(mu * nodes)))
+    return total
+
+
+def quadrature_miss(f: ExpPoly) -> float:
+    """|closed form - quadrature| over the larger value, floored at 1e-10 of f's bound."""
+    closed = f.integrate_unit()
+    reference = quadrature_integral(f)
+    scale = max(abs(closed), abs(reference), 1e-10 * f.magnitude_bound(), 1e-30)
+    return abs(closed - reference) / scale
 
 
 def hermiticity_error(f: ExpPoly, g: ExpPoly, k: int) -> float:
@@ -171,10 +202,7 @@ def property_checks(seed: int = 2024, cases: int = 200) -> list[IdentityReport]:
     worst = 0.0
     for _ in range(cases):
         f = random_exppoly(rng, freq_scale=50.0, max_degree=8, terms=2)
-        closed = f.integrate_unit()
-        reference = quadrature_integral(f)
-        scale = max(abs(closed), abs(reference), 1e-10 * f.magnitude_bound(), 1e-30)
-        worst = max(worst, abs(closed - reference) / scale)
+        worst = max(worst, quadrature_miss(f))
     reports.append(bound_report("prop-quadrature-agreement", (cases,), worst, 1e-10))
 
     worst_b = worst_o = 0.0

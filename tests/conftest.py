@@ -2,8 +2,8 @@
 
 The oracles live in ``rqlab.selftest``, which the built-in self-test uses
 too.  They deliberately avoid the package's own closed-form paths:
-integrals are checked against adaptive quadrature, transcendental roots
-against plain bisection, so a failure in the library cannot hide itself.
+integrals are checked against a fixed Gauss-Legendre rule, transcendental
+roots against plain bisection, so a failure in the library cannot hide itself.
 """
 
 import math

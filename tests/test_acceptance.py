@@ -2,7 +2,7 @@
 
 Expected values never come from the code paths they check: spectra are
 compared against closed forms and plain-bisection roots, integrals against
-adaptive quadrature, and the identity anchors against hand-computed
+a fixed Gauss-Legendre rule, and the identity anchors against hand-computed
 constants.  Criteria 01, 09 and the anchors of 05 run the checks of
 ``rqlab.selftest``, their one implementation, and hold each report to the
 criterion's own bound.

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from rqlab.exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
-from rqlab.selftest import hermiticity_error
+from rqlab import exppoly
+from rqlab.exppoly import SERIES_FREQ_CUTOFF, ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
+from rqlab.selftest import hermiticity_error, quadrature_miss
 
 from conftest import PI, quad_integral, random_exppoly, random_real_exppoly, rel_err
 
@@ -121,6 +122,45 @@ class TestIntegrateUnit:
     def test_small_frequency_series_branch(self):
         f = ExpPoly.build([(1e-4 + 1e-5j, (1.0, 2.0, 0.5))])
         assert rel_err(abs(f.integrate_unit()), abs(quad_integral(f))) < 1e-12
+
+
+def closed_form_regime(mu: complex, k: int) -> str:
+    """Which branch of ``exppoly._int_xk_exp`` produces I_k at frequency mu."""
+    if mu == 0:
+        return "monomial"
+    if abs(mu) < SERIES_FREQ_CUTOFF:
+        return "series"
+    return "upward" if k <= int(abs(mu)) - 1 else "downward"
+
+
+# one fixed ExpPoly whose every integral comes from the named branch
+REGIME_CASES = {
+    "series": ExpPoly.build([(4e-4 + 3e-4j, (1.0, 2.0, 0.5, -1.0))]),
+    "upward": ExpPoly.build([(6 + 8j, (1.0, -0.5j, 0.25, 2.0))]),
+    "downward": ExpPoly.build([(3 + 4j, (0, 0, 0, 0, 0, 0, 1.0, 0.5j, -2.0))]),
+}
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("regime", sorted(REGIME_CASES))
+    def test_oracle_sees_a_1e_8_error_in_each_closed_form_regime(self, regime, monkeypatch):
+        f = REGIME_CASES[regime]
+        assert quadrature_miss(f) <= 1e-12
+        exact = exppoly._int_xk_exp
+
+        def perturbed(mu, dmax):
+            return [value * (1 + 1e-8) if closed_form_regime(mu, k) == regime else value
+                    for k, value in enumerate(exact(mu, dmax))]
+
+        monkeypatch.setattr(exppoly, "_int_xk_exp", perturbed)
+        assert quadrature_miss(f) > 1e-10
+
+    def test_oracle_refuses_a_frequency_above_its_resolution(self):
+        at_limit = ExpPoly.build([(75j, (1.0,))])
+        assert abs(quad_integral(at_limit) - at_limit.integrate_unit()) <= 1e-14
+        beyond = ExpPoly.build([(1.0, (1.0,)), (60 + 45.1j, (1.0,))])  # |mu| = 75.06
+        with pytest.raises(ValueError, match=r"\|mu\| <= 75"):
+            quad_integral(beyond)
 
 
 class TestEvaluate:

@@ -494,8 +494,8 @@ class TestScanSpectrum:
                               text=True, check=True).stdout.strip()
 
     def test_import_leaves_scipy_out(self):
-        # scipy serves only the self-test's quadrature oracle, imported on use; and a
-        # command reads its flags without argparse, which would load gettext and locale
+        # rqlab needs no scipy, so none may load; and a command reads its
+        # flags without argparse, which would load gettext and locale
         code = (
             "import contextlib, io, sys, rqlab.cli\n"
             "def loaded(): return [m for m in sys.modules if m.split('.')[0] in "
@@ -507,9 +507,21 @@ class TestScanSpectrum:
         )
         assert self._run_fresh(code, None) == "0 [] []"
 
+    def test_import_and_spectrum_leave_numpy_polynomial_out(self):
+        # only the self-test's quadrature rule needs numpy.polynomial, imported on use
+        code = (
+            "import contextlib, io, sys, rqlab.cli\n"
+            "def loaded(): return [m for m in sys.modules if m.startswith('numpy.polynomial')]\n"
+            "after_import = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = rqlab.cli.main(['spectrum', '--n', '1', '--p', '1', '--count', '1'])\n"
+            "print(code, after_import, loaded())\n"
+        )
+        assert self._run_fresh(code, None) == "0 [] []"
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_import_and_selftest_start_no_thread(self):
-        # OpenBLAS (numpy's, and scipy's loaded by the self-test) runs on the calling thread
+        # numpy's OpenBLAS runs on the calling thread, through import and the self-test
         code = (
             "import contextlib, io, os, rqlab.cli\n"
             "def threads(): return len(os.listdir('/proc/self/task'))\n"
