@@ -112,13 +112,14 @@ def _reduced_matrix(system: RitzSystem) -> np.ndarray:
     ``D_i = n_i / u_i[i]^2``.  Each reduced entry
     ``u_i A u_j / (Q u_i[i] u_j[j])`` is one exact integer ratio, and integer
     true division rounds correctly, exactly as the rounded rational reduction
-    would.
+    would.  Only the lower triangle is filled, the one that
+    ``numpy.linalg.eigvalsh`` reads; the rest stays 0.
     """
     K, a, b, scale = system.K, system.stiffness, system.mass, system.denominator
     rows: list[list[int]] = []  # u_i, up to its diagonal
     norms: list[int] = []  # n_i
     inv_sqrt: list[float] = []  # (D_i / Q)^(-1/2)
-    reduced = np.empty((K, K))
+    reduced = np.zeros((K, K))
     for i in range(K):
         # the projection coefficient of e_i on u_k is num/den in lowest terms;
         # map() stops at the end of u_k, its diagonal
@@ -153,7 +154,6 @@ def _reduced_matrix(system: RitzSystem) -> np.ndarray:
         for j in range(i + 1):
             w = sum(map(operator.mul, row_a, rows[j])) / (scale * row[i] * rows[j][j])
             reduced[i, j] = w * inv_sqrt[i] * inv_sqrt[j]
-            reduced[j, i] = w * inv_sqrt[j] * inv_sqrt[i]
     return reduced
 
 

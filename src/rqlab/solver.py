@@ -292,19 +292,36 @@ class EigenPair:
     ``derivatives`` is z's table (z, z', ..., z^(2n)), which every operator
     image and derivative of z is read from; it is rebuilt whenever its first
     entry is not z (``dataclasses.replace(pair, z=...)``) and is not compared.
+    ``det_indicator`` and ``nullspace_quality`` come from whoever built the
+    pair, and a replaced copy keeps them; the operator and boundary residuals
+    are computed from the pair's own table when ``residuals`` is first read.
     """
 
     spec: ProblemSpec
     Lambda: float
     index: int
     z: ExpPoly
-    residuals: EigenResiduals
+    det_indicator: float  # det R, the scan's reduced determinant, at Lambda
+    nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
     normalized: bool = True
     derivatives: tuple[ExpPoly, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.derivatives or self.derivatives[0] is not self.z:
             object.__setattr__(self, "derivatives", self.z.derivatives(2 * self.spec.n))
+
+    @functools.cached_property
+    def residuals(self) -> EigenResiduals:
+        table, n = self.derivatives, self.spec.n
+        return EigenResiduals(
+            det_indicator=self.det_indicator,
+            nullspace_quality=self.nullspace_quality,
+            operator_residual=math.sqrt(max(
+                l2_norm_sq(build_operator(self.spec, self.Lambda).apply(table)), 0.0)),
+            operator_scale=math.sqrt(max(l2_norm_sq(table[-1]), 0.0)),
+            boundary_residual=max(abs(d.evaluate(x)) for d in table[:n] for x in (1.0, -1.0)),
+            boundary_scale=max(d.magnitude_bound() for d in table[:n]),
+        )
 
     @property
     def kernel_coeffs(self) -> tuple[complex, ...]:
@@ -318,32 +335,6 @@ class EigenPair:
 
     def mean(self) -> float:
         return self.z.integrate_unit().real
-
-
-def _eigenpair(
-    spec: ProblemSpec,
-    Lambda: float,
-    z: ExpPoly,
-    index: int,
-    indicator: float,
-    quality: float,
-    normalized: bool,
-) -> EigenPair:
-    """EigenPair of z with its residuals; ``indicator`` is det R at Lambda."""
-    table = z.derivatives(2 * spec.n)
-    op_res = math.sqrt(max(l2_norm_sq(build_operator(spec, Lambda).apply(table)), 0.0))
-    op_scale = math.sqrt(max(l2_norm_sq(table[-1]), 0.0))
-    boundary = max(abs(d.evaluate(x)) for d in table[:spec.n] for x in (1.0, -1.0))
-    bscale = max(d.magnitude_bound() for d in table[:spec.n])
-    residuals = EigenResiduals(
-        det_indicator=indicator,
-        nullspace_quality=quality,
-        operator_residual=op_res,
-        operator_scale=op_scale,
-        boundary_residual=boundary,
-        boundary_scale=bscale,
-    )
-    return EigenPair(spec, Lambda, index, z, residuals, normalized, table)
 
 
 def _fix_sign(z: ExpPoly) -> ExpPoly:
@@ -397,18 +388,15 @@ def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> 
     q = spec.n - spec.p
     inverse = np.array([[float(v) for v in row] for row in monomial_inverse(spec)]).reshape(q, q)
     monomial_part = np.einsum("mj,j,jk,k->m", inverse, powers[0, :q], kernel[0, :q], vt[-1])
-    z = ExpPoly.zero()
-    for c, fn in zip(vt[-1].tolist() + [-v for v in monomial_part.tolist()],
-                     solution_basis(spec, Lambda)):
-        if c != 0.0:
-            z = z + fn.scaled(c)
+    coeffs = vt[-1].tolist() + [-v for v in monomial_part.tolist()]
+    z = ExpPoly.build(term for c, fn in zip(coeffs, solution_basis(spec, Lambda))
+                      for term in fn.scaled(c).terms)
     w = z.differentiate(spec.n - spec.p)
     norm_sq = inner_product(w, w).real
     if not norm_sq > 0:
         raise SolverError("degenerate normalization integral")
-    z = z.scaled(1.0 / math.sqrt(norm_sq))
-    indicator = float(_determinants(matrices)[0])
-    return _eigenpair(spec, Lambda, _fix_sign(z), index, indicator, quality, True)
+    z = _fix_sign(z.scaled(1.0 / math.sqrt(norm_sq)))
+    return EigenPair(spec, Lambda, index, z, float(_determinants(matrices)[0]), quality)
 
 
 def eigenpair_from_function(
@@ -416,7 +404,7 @@ def eigenpair_from_function(
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
     indicator = float(_determinants(reduced_matrices(spec, [root_system(spec.p, Lambda).rho]))[0])
-    return _eigenpair(spec, Lambda, z, index, indicator, 0.0, False)
+    return EigenPair(spec, Lambda, index, z, indicator, 0.0, normalized=False)
 
 
 @dataclass(frozen=True)

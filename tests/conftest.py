@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and random instance generators.
+"""Shared test helpers: independent oracles, random instance generators and a cold start.
 
 The oracles live in ``rqlab.selftest``, which the built-in self-test uses
 too.  They deliberately avoid the package's own closed-form paths:
@@ -11,8 +11,18 @@ import math
 import numpy as np
 import pytest
 
+from rqlab import invariants as inv
+from rqlab import solver
 from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
 from rqlab.selftest import quadrature_integral as quad_integral
+
+
+def cold_start(monkeypatch):
+    """An empty spectrum store and empty per-pair caches, as in a new process."""
+    monkeypatch.setattr(solver, "_STORE", {})
+    for cached in (inv._half_image, inv._reduced_image, inv.stone_polynomials,
+                   inv._z_dot_h, inv._moment):
+        cached.cache_clear()
 
 
 @pytest.fixture

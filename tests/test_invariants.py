@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from rqlab import invariants as inv
-from rqlab import solver
 from rqlab.errors import IdentityViolationError
 from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec, reduced_operator
@@ -13,17 +12,9 @@ from rqlab.reporting import NOT_APPLICABLE, PASS
 from rqlab.selftest import closed_form_anchor_pairs, identity_anchor_checks
 from rqlab.solver import cached_eigenpair, cached_spectrum, eigenpair_from_function
 
-from conftest import PI, quad_integral, rel_err
+from conftest import PI, cold_start, quad_integral, rel_err
 
 S = "symmetric"
-
-
-def cold_start(monkeypatch):
-    """An empty spectrum store and empty per-pair caches, as in a new process."""
-    monkeypatch.setattr(solver, "_STORE", {})
-    for cached in (inv._half_image, inv._reduced_image, inv.stone_polynomials,
-                   inv._z_dot_h, inv._moment):
-        cached.cache_clear()
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from rqlab.solver import (
     scan_spectrum,
 )
 
-from conftest import PI, bisect_root, rel_err
+from conftest import PI, bisect_root, cold_start, rel_err
 
 S, A = "symmetric", "antisymmetric"
 
@@ -750,21 +750,63 @@ class TestSpectrumStructure:
                 assert residual < 1e-9 * local
 
 
+def count_calls(monkeypatch, *names):
+    """Each named ``solver`` member wrapped to count its calls, and the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    return counts
+
+
+class TestLazyResiduals:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A cold start, with eigenpairs and residual records counted."""
+        cold_start(monkeypatch)
+        return count_calls(monkeypatch, "EigenPair", "EigenResiduals")
+
+    @pytest.mark.parametrize(
+        "argv, pairs, residuals",
+        [
+            # the identity suite and the candidate follow-ups read no residuals
+            ("verify --n 3 --p 1 --count 2", 4, 0),
+            ("disjoint --n 2 --m 4 --p 1 --count 5 --collision-tol 0.05", 4, 0),
+            ("sweep --p 1 --n-max 5 --count 5 --collision-tol 0.05", 6, 0),
+            # the spectrum table and the eigenfunction detail print them
+            ("spectrum --n 3 --p 1 --count 3", 3, 3),
+            ("eigenfunction --n 3 --p 1 --index 1", 1, 1),
+        ],
+    )
+    def test_only_a_command_that_prints_residuals_builds_them(
+        self, calls, capsys, argv, pairs, residuals
+    ):
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert calls == {"EigenPair": pairs, "EigenResiduals": residuals}
+
+    def test_residuals_are_built_once_and_follow_z(self):
+        pair = cached_eigenpair(3, 1, S, 0)
+        assert pair.residuals is pair.residuals
+        operator_residual = pair.residuals.operator_residual
+        assert operator_residual > 0
+        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0)).residuals
+        assert doubled.operator_residual == pytest.approx(2 * operator_residual, rel=1e-12)
+        assert (doubled.det_indicator, doubled.nullspace_quality) == (
+            pair.det_indicator, pair.nullspace_quality)
+
+
 class TestSpectrumStore:
     @pytest.fixture
     def calls(self, monkeypatch):
         """An empty store, with scan and extraction calls counted."""
         monkeypatch.setattr(solver, "_STORE", {})
-        counts = {"scan_spectrum": 0, "extract_eigenfunction": 0}
-        for name in counts:
-            original = getattr(solver, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(solver, name, counted)
-        return counts
+        return count_calls(monkeypatch, "scan_spectrum", "extract_eigenfunction")
 
     @pytest.mark.parametrize(
         "argv, scans, extractions",
