@@ -20,12 +20,20 @@ JSON is emitted with sorted keys and repr-shortest floats, so parsing and
 re-serializing an envelope reproduces it byte for byte.  Floats outside the
 [1e-300, 1e300] magnitude band (and non-finite values) are carried as
 decimal strings to keep the interchange lossless.
+
+:func:`dumps_envelope` writes that text in one pass over the payloads, the
+text ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` gives,
+without the stdlib's pure-Python indent encoder.  An envelope holds dicts
+(keys through ``str``), lists, tuples, dataclass instances (their fields as
+a dict), floats, ints, strings, bools and None; also subclasses of these
+(``np.float64``), other numpy scalars, ``complex`` (as ``{"im", "re"}``) and
+``Fraction`` (as a string).  Any other value raises ``TypeError``: a numpy
+array or a set has no byte-stable text.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -105,48 +113,115 @@ def not_applicable(identity_id, index, notes="") -> IdentityReport:
 SCHEMA_VERSION = 1
 TOOL_NAME = "rqlab"
 FLOAT_BAND = (1e-300, 1e300)
+_LO, _HI = FLOAT_BAND
+_FIELDS: dict[type, list[str]] = {}  # a dataclass's field names, sorted
+_quote = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert package values to JSON-safe builtins."""
-    if obj is None or isinstance(obj, (bool, str, int)):
-        return obj
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return repr(obj)
-        if obj != 0.0 and not FLOAT_BAND[0] <= abs(obj) <= FLOAT_BAND[1]:
-            return repr(obj)
-        return obj
-    if isinstance(obj, complex):
-        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        return to_jsonable(obj.item())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [to_jsonable(v) for v in obj]
-    return str(obj)
+def _plain(value: Any) -> Any:
+    """A value of a rarer type as the built-in value it is written as.
+
+    A ``str``, ``int`` or ``float`` subclass (``np.float64`` is one) is
+    written as its base value, an out-of-band or non-finite float as the
+    string of its own ``repr``;
+    ``complex`` as ``{"im", "re"}``, ``Fraction`` as its string, a numpy
+    scalar through ``.item()``, and a ``dict``, ``list`` or ``tuple``
+    subclass as a ``dict`` or a ``list``.
+    """
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):
+        return int.__index__(value)
+    if isinstance(value, float):
+        plain = float.__float__(value)
+        return plain if _LO <= abs(plain) <= _HI or plain == 0.0 else repr(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, np.generic):
+        return _plain(value.item())
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise TypeError(f"an envelope cannot hold a {type(value).__name__}: {value!r}")
+
+
+def _emit(value: Any, out: list, nl: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``nl`` is a newline and its line's indent."""
+    cls = type(value)
+    inner = nl + "  "
+    if cls is list or cls is tuple:
+        if not value:
+            out.append("[]")
+            return
+        heads, values, sep, closing = [inner] * len(value), value, "[", nl + "]"
+    else:
+        if cls is dict:
+            if not all(type(k) is str for k in value):
+                value = {str(k): v for k, v in value.items()}
+            keys = sorted(value)
+            values = [value[k] for k in keys]
+        else:
+            keys = _FIELDS.get(cls)
+            if keys is None and is_dataclass(cls):
+                keys = _FIELDS[cls] = sorted(f.name for f in fields(cls))
+            if keys is not None:
+                values = [getattr(value, k) for k in keys]
+        if keys is None:  # a value of a rarer type, written as its plain value on this line
+            heads, values, sep, closing, inner = [""], [_plain(value)], "", "", nl
+        elif keys:
+            heads, sep, closing = [f"{inner}{_quote(k)}: " for k in keys], "{", nl + "}"
+        else:
+            out.append("{}")
+            return
+    for head, v in zip(heads, values):
+        t = type(v)
+        if t is float:
+            out.append(sep + head + (_float_repr(v) if _LO <= abs(v) <= _HI or v == 0.0
+                                     else _quote(repr(v))))
+        elif t is str:
+            out.append(sep + head + _quote(v))
+        elif t is int:
+            out.append(sep + head + _int_repr(v))
+        elif v is None:
+            out.append(sep + head + "null")
+        elif v is True:
+            out.append(sep + head + "true")
+        elif v is False:
+            out.append(sep + head + "false")
+        else:
+            out.append(sep + head)
+            _emit(v, out, inner)
+        sep = ","
+    out.append(closing)
 
 
 def make_envelope(command: str, config: dict, results: Any, rollup: dict | None = None) -> dict:
+    """The envelope of one command; ``dumps_envelope`` walks its payloads."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "version": __version__,
         "command": command,
-        "config": to_jsonable(config),
+        "config": config,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "results": to_jsonable(results),
-        "rollup": to_jsonable(rollup or {}),
+        "results": results,
+        "rollup": rollup or {},
     }
 
 
 def dumps_envelope(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The envelope's JSON text: indent 2, sorted keys, one trailing newline."""
+    out: list[str] = []
+    _emit(envelope, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def rollup_from_reports(reports) -> dict:

@@ -4,15 +4,20 @@ The oracles live in ``rqlab.selftest``, which the built-in self-test uses
 too.  They deliberately avoid the package's own closed-form paths:
 integrals are checked against a fixed Gauss-Legendre rule, transcendental
 roots against plain bisection, so a failure in the library cannot hide itself.
+The JSON oracle is the two-pass emitter the one-pass walker replaced.
 """
 
+import json
 import math
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rqlab import invariants as inv
 from rqlab import solver
+from rqlab.reporting import FLOAT_BAND
 from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
 from rqlab.selftest import quadrature_integral as quad_integral
 
@@ -23,6 +28,36 @@ def cold_start(monkeypatch):
     for cached in (inv._half_image, inv._reduced_image, inv.stone_polynomials,
                    inv._z_dot_h, inv._moment):
         cached.cache_clear()
+
+
+def to_jsonable(obj):
+    """Recursively convert package values to JSON-safe builtins."""
+    if obj is None or isinstance(obj, (bool, str, int)):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return repr(obj)
+        if obj != 0.0 and not FLOAT_BAND[0] <= abs(obj) <= FLOAT_BAND[1]:
+            return repr(obj)
+        return obj
+    if isinstance(obj, complex):
+        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [to_jsonable(v) for v in obj]
+    return str(obj)
+
+
+def two_pass_dumps(value) -> str:
+    """``to_jsonable``, then the stdlib's pure-Python indent-2 encoder."""
+    return json.dumps(to_jsonable(value), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @pytest.fixture

@@ -207,13 +207,31 @@ class TestExitCodes:
 
 
 class TestEnvelope:
-    def test_json_round_trip_is_byte_stable(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "spectrum", "--n", "2", "--p", "1", "--count", "2", "--format", "json"
-        )
+    @pytest.mark.parametrize("argv", [
+        "spectrum --n 2 --p 1 --count 2",
+        "eigenfunction --n 3 --p 2 --index 1",
+        "verify --n 3 --p 1 --count 2",
+        "verify --n 3 --p 1 --count 2 --inject-fault",
+        "disjoint --n 2 --m 4 --p 1 --count 5 --collision-tol 0.05",
+        "sweep --p 1 --n-max 4 --count 3 --collision-tol 0.05",
+        "ritz --n 3 --p 1 --count 3 --cross-check",
+        "plotdata --n 2 --p 1 --lambda-to 50",
+        "selftest --cases 5",
+    ])
+    def test_json_round_trip_is_byte_stable(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
         parsed = json.loads(out)
         again = json.dumps(parsed, sort_keys=True, indent=2, allow_nan=False) + "\n"
         assert again == out
+
+    def test_emission_skips_the_pure_python_indent_encoder(self, capsys, monkeypatch):
+        def slow_path(*args, **kwargs):
+            raise AssertionError("json.encoder._make_iterencode was called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+        code, out, _ = run_cli(capsys, "sweep", "--p", "1", "--n-max", "4", "--count", "3",
+                               "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == "sweep"
 
     def test_schema_and_config_echo(self, capsys):
         _, out, _ = run_cli(
