@@ -170,21 +170,18 @@ class ExpPoly:
             return ExpPoly.zero()
         return ExpPoly(tuple((mu, tuple(z * c for c in coeffs)) for mu, coeffs in self.terms))
 
-    def __mul__(self, other):
-        if isinstance(other, ExpPoly):
-            raw: list[Term] = []
-            for mu1, c1 in self.terms:
-                for mu2, c2 in other.terms:
-                    prod = [0j] * (len(c1) + len(c2) - 1)
-                    for i, a in enumerate(c1):
-                        for j, b in enumerate(c2):
-                            prod[i + j] += a * b
-                    raw.append((mu1 + mu2, tuple(prod)))
-            return ExpPoly.build(raw)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
+    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
+        raw: list[Term] = []
+        for mu1, c1 in self.terms:
+            for mu2, c2 in other.terms:
+                prod = [0j] * (len(c1) + len(c2) - 1)
+                for i, a in enumerate(c1):
+                    for j, b in enumerate(c2):
+                        prod[i + j] += a * b
+                raw.append((mu1 + mu2, tuple(prod)))
+        return ExpPoly.build(raw)
 
     # ----- calculus ------------------------------------------------------
 

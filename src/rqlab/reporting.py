@@ -23,12 +23,17 @@ decimal strings to keep the interchange lossless.
 
 :func:`dumps_envelope` writes that text in one pass over the payloads, the
 text ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` gives,
-without the stdlib's pure-Python indent encoder.  An envelope holds dicts
-(keys through ``str``), lists, tuples, dataclass instances (their fields as
-a dict), floats, ints, strings, bools and None; also subclasses of these
-(``np.float64``), other numpy scalars, ``complex`` (as ``{"im", "re"}``) and
-``Fraction`` (as a string).  Any other value raises ``TypeError``: a numpy
-array or a set has no byte-stable text.
+without the stdlib's pure-Python indent encoder.  An envelope holds exactly
+the types rqlab builds: ``dict`` with ``str`` keys, ``list``, ``tuple`` and
+dataclass instances (their fields as a dict), and ``float``, ``int``, ``str``,
+``True``, ``False`` and ``None``.  No value of a subclass counts
+(``np.float64``, ``OrderedDict``), and nothing is converted: any other value,
+a numpy scalar, ``complex``, ``Fraction``, an array or a set, and any key that
+is not a ``str``, raises ``TypeError``.
+
+CSV cells are written bare, except that a cell holding ``,``, ``"``, CR or LF
+is quoted as ``csv.writer`` quotes it: wrapped in double quotes, with each
+quote inside doubled.
 """
 
 from __future__ import annotations
@@ -36,10 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 
@@ -118,38 +120,7 @@ _FIELDS: dict[type, list[str]] = {}  # a dataclass's field names, sorted
 _quote = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
-
-
-def _plain(value: Any) -> Any:
-    """A value of a rarer type as the built-in value it is written as.
-
-    A ``str``, ``int`` or ``float`` subclass (``np.float64`` is one) is
-    written as its base value, an out-of-band or non-finite float as the
-    string of its own ``repr``;
-    ``complex`` as ``{"im", "re"}``, ``Fraction`` as its string, a numpy
-    scalar through ``.item()``, and a ``dict``, ``list`` or ``tuple``
-    subclass as a ``dict`` or a ``list``.
-    """
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return str.__str__(value)
-    if isinstance(value, int):
-        return int.__index__(value)
-    if isinstance(value, float):
-        plain = float.__float__(value)
-        return plain if _LO <= abs(plain) <= _HI or plain == 0.0 else repr(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, np.generic):
-        return _plain(value.item())
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    raise TypeError(f"an envelope cannot hold a {type(value).__name__}: {value!r}")
+_CSV_SPECIAL = frozenset(',"\r\n')  # a CSV cell holding one of these is quoted
 
 
 def _emit(value: Any, out: list, nl: str) -> None:
@@ -157,29 +128,22 @@ def _emit(value: Any, out: list, nl: str) -> None:
     cls = type(value)
     inner = nl + "  "
     if cls is list or cls is tuple:
-        if not value:
-            out.append("[]")
-            return
-        heads, values, sep, closing = [inner] * len(value), value, "[", nl + "]"
+        heads, values, sep, closing = [inner] * len(value), value, "[", "]"
     else:
         if cls is dict:
-            if not all(type(k) is str for k in value):
-                value = {str(k): v for k, v in value.items()}
             keys = sorted(value)
             values = [value[k] for k in keys]
         else:
             keys = _FIELDS.get(cls)
-            if keys is None and is_dataclass(cls):
+            if keys is None:
+                if not is_dataclass(cls):
+                    raise TypeError(f"an envelope cannot hold a {cls.__name__}: {value!r}")
                 keys = _FIELDS[cls] = sorted(f.name for f in fields(cls))
-            if keys is not None:
-                values = [getattr(value, k) for k in keys]
-        if keys is None:  # a value of a rarer type, written as its plain value on this line
-            heads, values, sep, closing, inner = [""], [_plain(value)], "", "", nl
-        elif keys:
-            heads, sep, closing = [f"{inner}{_quote(k)}: " for k in keys], "{", nl + "}"
-        else:
-            out.append("{}")
-            return
+            values = [getattr(value, k) for k in keys]
+        heads, sep, closing = [f"{inner}{_quote(k)}: " for k in keys], "{", "}"
+    if not heads:
+        out.append(sep + closing)
+        return
     for head, v in zip(heads, values):
         t = type(v)
         if t is float:
@@ -199,7 +163,7 @@ def _emit(value: Any, out: list, nl: str) -> None:
             out.append(sep + head)
             _emit(v, out, inner)
         sep = ","
-    out.append(closing)
+    out.append(nl + closing)
 
 
 def make_envelope(command: str, config: dict, results: Any, rollup: dict | None = None) -> dict:
@@ -232,14 +196,15 @@ def rollup_from_reports(reports) -> dict:
 
 
 def format_csv(rows: list[dict], columns: list[str]) -> str:
-    """CSV with repr-shortest numbers and a fixed column order."""
+    """CSV with repr-shortest numbers, a fixed column order and minimal quoting."""
 
     def cell(value) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+        text = repr(value) if isinstance(value, float) else str(value)
+        if _CSV_SPECIAL.isdisjoint(text):
+            return text
+        return '"' + text.replace('"', '""') + '"'
 
-    lines = [",".join(columns)]
+    lines = [",".join(map(cell, columns))]
     for row in rows:
         lines.append(",".join(cell(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, envelope stability, file formats."""
 
+import csv
+import io
 import json
 import math
 import time
@@ -217,6 +219,11 @@ class TestEnvelope:
         "ritz --n 3 --p 1 --count 3 --cross-check",
         "plotdata --n 2 --p 1 --lambda-to 50",
         "selftest --cases 5",
+        # past the benchmark menu: a payload holding a numpy scalar would now raise
+        "verify --n 3 --p 1 --count 2 --m 9",
+        "spectrum --n 6 --p 5 --parity antisym --count 4",
+        "sweep --p 1 --n-max 3 --count 66",
+        "eigenfunction --n 8 --p 1 --index 12",
     ])
     def test_json_round_trip_is_byte_stable(self, capsys, argv):
         _, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
@@ -431,6 +438,17 @@ class TestConfigAndOutput:
         assert header[:4] == ["index", "Lambda", "lambda", "ritz"]
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(PI * PI / 4, rel=1e-9)
+
+    @pytest.mark.parametrize("argv, code", [
+        ("verify --n 3 --p 1 --count 2", 0),
+        ("sweep --p 1 --n-max 3 --count 66", 2),
+    ])
+    def test_csv_rows_parse_to_the_header_width(self, capsys, argv, code):
+        # parity-shift notes and a partial sweep's error strings hold commas
+        got, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert got == code and len(rows) > 1
+        assert [len(r) for r in rows] == [len(rows[0])] * len(rows)
 
 
 class TestFlagParsing:

@@ -1,5 +1,7 @@
 """Envelope serialization: lossless numbers, canonical shape."""
 
+import csv
+import io
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,19 +37,29 @@ class TestEmittedValues:
         assert emitted(float("inf")) == "inf"
         assert emitted(float("nan")) == "nan"
 
-    def test_complex_and_fraction(self):
-        assert emitted(1 + 2j) == {"re": 1.0, "im": 2.0}
-        assert emitted(Fraction(8, 3)) == "8/3"
-
     def test_nested_structures(self):
-        value = {"a": (1, 2.5), "b": [1j]}
-        assert emitted(value) == {"a": [1, 2.5], "b": [{"re": 0.0, "im": 1.0}]}
+        value = {"a": (1, 2.5), "b": [None, True, {"c": "d"}]}
+        assert emitted(value) == {"a": [1, 2.5], "b": [None, True, {"c": "d"}]}
 
-    @pytest.mark.parametrize("leak", [np.arange(3), {"a", "b"}], ids=["ndarray", "set"])
-    def test_unknown_values_raise(self, leak):
-        # neither has one byte-stable text: an array prints truncated, a set in hash order
+    @pytest.mark.parametrize("leak, match", [
+        (1 + 2j, "complex"),
+        (Fraction(8, 3), "Fraction"),
+        (np.float64(1.0), np.float64.__name__),
+        (np.int64(1), np.int64.__name__),
+        (np.bool_(True), np.bool_.__name__),
+        (np.str_("a"), np.str_.__name__),
+        (OrderedDict(), "OrderedDict"),
+        ({1: 2.0}, "not int"),
+        (np.arange(3), "ndarray"),
+        ({"a", "b"}, "set"),
+    ], ids=["complex", "fraction", "float64", "int64", "bool_", "str_", "OrderedDict",
+            "int-key", "ndarray", "set"])
+    def test_unknown_values_raise(self, leak, match):
+        # nothing is converted: a subclass, a numpy scalar or a non-str key is a leak
+        # from code that should have built a plain value, and an array or a set has
+        # no byte-stable text (an array prints truncated, a set in hash order)
         env = make_envelope("x", {}, {"values": [1.0, leak]})
-        with pytest.raises(TypeError, match=type(leak).__name__):
+        with pytest.raises(TypeError, match=match):
             dumps_envelope(env)
 
 
@@ -73,14 +85,11 @@ def test_one_pass_matches_the_two_pass_oracle():
     texts = st.text() | st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\U0001f600'))
     scalars = (
         st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(10**40)])
-        | floats | texts | st.complex_numbers() | st.fractions()
-        | floats.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
-        | st.booleans().map(np.bool_) | texts.map(np.str_) | st.just(Empty())
+        | floats | texts | st.just(Empty())
     )
-    keys = texts | st.integers() | st.floats() | st.booleans() | st.none()
     payloads = st.recursive(scalars, lambda kids: (
-        st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(keys, kids)
-        | st.dictionaries(keys, kids).map(OrderedDict) | st.builds(Node, kids, kids)
+        st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(texts, kids)
+        | st.builds(Node, kids, kids)
     ), max_leaves=30)
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,3 +122,10 @@ class TestCsv:
         assert text == "x,y\n0.1,1\n"
         value = float(text.splitlines()[1].split(",")[0])
         assert value == 0.1
+
+    def test_cells_with_a_comma_quote_or_newline_round_trip(self):
+        row = {"a": "x, y", "b": 'say "hi"', "c": "two\nlines", "d": "cr\r", "e": 2.5}
+        text = format_csv([row], list(row))
+        assert text == 'a,b,c,d,e\n"x, y","say ""hi""","two\nlines","cr\r",2.5\n'
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
+        assert parsed == [list(row), ["x, y", 'say "hi"', "two\nlines", "cr\r", "2.5"]]
