@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, RQLabError
-from .invariants import bracket, kernel_annihilation_residual, lambda_sq, moments, stone_polynomials
+from .invariants import bracket, kernel_annihilation_residual, lambda_sq, moments
+from .invariants import stone_coefficients
 from .reporting import FAIL, PASS, IdentityReport
 from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
@@ -202,18 +203,16 @@ def evaluate_necessary_conditions(
     eps_ends = (1.0 / lambda_sq(zn), 1.0 / lambda_sq(zm))
 
     depth = n - p - 1 + delta_order
-    # manufactured candidates carry a Lambda deliberately inconsistent with z;
-    # extraction is run with the guards open and the measured inconsistency
-    # recorded instead (the whole report is diagnostic)
-    loose = float("inf")
+    # a manufactured candidate is measured, not refused: its kernel residual
+    # is recorded and its stone coefficients are read unchecked
     consistency = (
         kernel_annihilation_residual(zn),
         kernel_annihilation_residual(zm),
     )
     a = moments(zn, depth)
     b = moments(zm, depth)
-    c = list(stone_polynomials(zn, annihilation_tol=loose, consistency_tol=loose).coefficients)
-    d = list(stone_polynomials(zm, annihilation_tol=loose, consistency_tol=loose).coefficients)
+    c = list(stone_coefficients(zn))
+    d = list(stone_coefficients(zm))
     alpha = alpha_sequence(a, eps_mid)
     beta = alpha_sequence(b, eps_mid)
 

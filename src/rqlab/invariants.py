@@ -3,10 +3,10 @@
 For an eigenpair (Lambda, z) of order n with offset p < n, repeatedly
 peeling two derivative orders off the operator leaves polynomial residues:
 
-* the stone ``c = [reduced operator of order n-1](z)`` is a constant
-  (degree <= 1 for odd parity) and never vanishes on a true eigenfunction;
 * the stone polynomials ``h^k = (-1)^k [reduced operator of order n-k-1](z)``
-  are even polynomials of degree 2k whose coefficients extend the stone;
+  of a symmetric pair are even polynomials of degree 2k, one residue per k;
+* their constant terms c_0, c_1, ... extend the stone ``c = c_0``, which
+  never vanishes on a true eigenfunction;
 * moments ``a_k = <z x^{2k}/(2k)!>`` pair with stone coefficients through a
   signed convolution bracket.
 
@@ -38,6 +38,7 @@ from .reporting import (
 from .solver import EigenPair, cached_eigenpair, cached_spectrum
 
 STONE_FLOOR = 1e-6  # |stone| must exceed this times the natural scale
+ANNIHILATION_TOL = 1e-9
 COEFF_CONSISTENCY_TOL = 1e-9
 DEFAULT_IDENTITY_TOL = 1e-8
 
@@ -88,17 +89,6 @@ def _reduced_image(pair: EigenPair, order: int) -> tuple[ExpPoly, float]:
     return image, image.nonzero_frequency_part().magnitude_bound() / max(scale, 1e-300)
 
 
-def _polynomial_image(pair: EigenPair, order: int, annihilation_tol: float = 1e-9) -> ExpPoly:
-    """The polynomial residue of the reduced operator's image; the kernel must be annihilated."""
-    image, residual = _reduced_image(pair, order)
-    if residual > annihilation_tol:
-        raise IdentityViolationError(
-            f"kernel not annihilated by reduced operator (order {order}) for "
-            f"{pair.spec.label()}, Lambda={pair.Lambda!r}: bad eigenpair"
-        )
-    return image.zero_frequency_part()
-
-
 def _mean_negligible(pair: EigenPair, mean: float) -> bool:
     """Whether <z> = ``mean`` is ~0 against the size of z."""
     return abs(mean) <= 1e-12 * max(pair.z.magnitude_bound(), 1e-300)
@@ -107,24 +97,6 @@ def _mean_negligible(pair: EigenPair, mean: float) -> bool:
 def kernel_annihilation_residual(pair: EigenPair) -> float:
     """How well the order-(n-1) reduced operator kills the kernel part, relative to its size."""
     return _reduced_image(pair, pair.spec.n - 1)[1]
-
-
-def stone(pair: EigenPair) -> float:
-    """The stone: constant residue of the order-(n-1) reduced operator.
-
-    For symmetric pairs this is the constant itself; for antisymmetric
-    pairs the residue is linear and the slope is returned.
-    """
-    spec = pair.spec
-    if not spec.has_stones:
-        raise ValueError(f"stone undefined for n = p = {spec.n}")
-    residue = _polynomial_image(pair, spec.n - 1)
-    coeffs = residue.zero_frequency_coefficients()
-    if len(coeffs) > 2:
-        raise IdentityViolationError(f"stone residue has degree {len(coeffs) - 1} > 1")
-    if spec.symmetric:
-        return coeffs[0].real if coeffs else 0.0
-    return coeffs[1].real if len(coeffs) == 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -141,50 +113,72 @@ class StonePolynomials:
         return self.polynomials[k]
 
 
-@functools.cache
-def stone_polynomials(
-    pair: EigenPair,
-    annihilation_tol: float = 1e-9,
-    consistency_tol: float = COEFF_CONSISTENCY_TOL,
-) -> StonePolynomials:
-    """Stone polynomials h^k = (-1)^k [order n-k-1 reduced operator](z), k = 0..n-p-1.
+def _residues(pair: EigenPair) -> tuple[ExpPoly, ...]:
+    """h^k = (-1)^k times the polynomial residue of the order-(n-k-1) reduced image, k = 0..n-p-1.
 
-    The expansion h^k = sum_j c_j x^{2(k-j)}/(2(k-j))! is overdetermined:
-    every admissible k re-derives each c_j, and the extractions must agree
-    to ~1e-9 relative or the eigenpair is rejected.  The two tolerances are
-    only loosened for diagnostic evaluation of deliberately perturbed pairs.
-    Computed once per (pair, tolerances); a rejection is raised on every call.
+    Read off the cached reduced images with no check of the eigenpair.
     """
     spec = pair.spec
     if not spec.symmetric:
         raise ValueError("stone polynomials are defined on symmetric eigenpairs")
     if not spec.has_stones:
         raise ValueError(f"stone polynomials undefined for n = p = {spec.n}")
-    top = spec.n - spec.p - 1
-    hs = []
-    for k in range(top + 1):
-        image = _polynomial_image(pair, spec.n - k - 1, annihilation_tol)
-        hs.append(image if k % 2 == 0 else image.scaled(-1.0))
+    residues = (_reduced_image(pair, spec.n - k - 1)[0].zero_frequency_part()
+                for k in range(spec.n - spec.p))
+    return tuple(h if k % 2 == 0 else h.scaled(-1.0) for k, h in enumerate(residues))
 
-    # c_j extracted from every h^k with k >= j must agree
-    extracted: list[list[float]] = [[] for _ in range(top + 1)]
-    for k, h in enumerate(hs):
-        coeffs = h.zero_frequency_coefficients()
-        for j in range(k + 1):
-            power = 2 * (k - j)
-            value = coeffs[power].real if power < len(coeffs) else 0.0
-            extracted[j].append(value * math.factorial(power))
-    canonical = []
-    for j, values in enumerate(extracted):
-        ref = values[0]  # h^j's constant term is c_j itself
-        for k_off, v in enumerate(values):
-            if relative_residual(v, ref) > consistency_tol:
+
+def _ladder_coefficient(h: ExpPoly, power: int) -> float:
+    """(power)! times h's x^power coefficient: c_(k - power/2) when h = h^k."""
+    coeffs = h.zero_frequency_coefficients()
+    return coeffs[power].real * math.factorial(power) if power < len(coeffs) else 0.0
+
+
+def stone_coefficients(pair: EigenPair) -> tuple[float, ...]:
+    """c_0..c_(n-p-1), each h^k's constant term, unchecked.
+
+    The collision follow-up reads these, so a manufactured candidate (a
+    Lambda deliberately inconsistent with z) is measured, not refused.
+    """
+    return tuple(_ladder_coefficient(h, 0) for h in _residues(pair))
+
+
+@functools.cache
+def stone_polynomials(pair: EigenPair) -> StonePolynomials:
+    """Stone polynomials h^k = (-1)^k [order n-k-1 reduced operator](z), k = 0..n-p-1, checked.
+
+    Each reduced operator must annihilate the kernel part to
+    ``ANNIHILATION_TOL`` and h^0 must have degree <= 1.  The expansion
+    h^k = sum_j c_j x^{2(k-j)}/(2(k-j))! is overdetermined: every admissible
+    k re-derives each c_j, and the extractions must agree to
+    ``COEFF_CONSISTENCY_TOL`` relative or the eigenpair is rejected.
+    Computed once per pair; a rejection is raised on every call.
+    """
+    spec = pair.spec
+    hs = _residues(pair)
+    for order in range(spec.n - 1, spec.p - 1, -1):  # h^0's first
+        if _reduced_image(pair, order)[1] > ANNIHILATION_TOL:
+            raise IdentityViolationError(
+                f"kernel not annihilated by reduced operator (order {order}) for "
+                f"{spec.label()}, Lambda={pair.Lambda!r}: bad eigenpair"
+            )
+    degree = len(hs[0].zero_frequency_coefficients()) - 1
+    if degree > 1:
+        raise IdentityViolationError(f"stone residue has degree {degree} > 1")
+    coefficients = tuple(_ladder_coefficient(h, 0) for h in hs)
+    for j, c in enumerate(coefficients):
+        for k in range(j + 1, len(hs)):
+            v = _ladder_coefficient(hs[k], 2 * (k - j))
+            if relative_residual(v, c) > COEFF_CONSISTENCY_TOL:
                 raise IdentityViolationError(
-                    f"stone coefficient c_{j} disagrees between h^{j} and h^{j + k_off}: "
-                    f"{ref!r} vs {v!r}"
+                    f"stone coefficient c_{j} disagrees between h^{j} and h^{k}: {c!r} vs {v!r}"
                 )
-        canonical.append(ref)
-    return StonePolynomials(polynomials=tuple(hs), coefficients=tuple(canonical))
+    return StonePolynomials(polynomials=hs, coefficients=coefficients)
+
+
+def stone(pair: EigenPair) -> float:
+    """The stone c_0: the constant residue of the order-(n-1) reduced operator."""
+    return stone_polynomials(pair).coefficients[0]
 
 
 @functools.cache
@@ -230,7 +224,7 @@ def check_stone_identity(pair: EigenPair, tol: float = DEFAULT_IDENTITY_TOL) -> 
         return not_applicable("stone-identity", (spec.n, spec.p), notes="n = p")
     lhs = _half_image(pair, spec.n)[1]
     c = stone(pair)
-    mean = pair.mean()
+    mean = _moment(pair, 0)
     rhs = -lambda_sq(pair) * c * mean
     notes = ""
     if _mean_negligible(pair, mean):
@@ -258,7 +252,7 @@ def check_cross_identity(
     order = spec.n - spec.p - 1
     coupling = inner_product(pair.derivatives[order], z_prev.derivatives[order]).real
     lhs = (z_prev.Lambda - pair.Lambda) * coupling
-    mean_prev = z_prev.mean()
+    mean_prev = _moment(z_prev, 0)
     rhs = stone(pair) * mean_prev
     notes = ""
     if _mean_negligible(z_prev, mean_prev):
@@ -577,7 +571,7 @@ def check_stone_lemma(pair: EigenPair) -> IdentityReport:
     if not spec.has_stones or not spec.symmetric:
         return not_applicable("stone-lemma", (spec.n, spec.p), notes="needs symmetric n > p")
     c = stone(pair)
-    mean = pair.mean()
+    mean = _moment(pair, 0)
     # the stone is a difference of pieces the size of z^(2n-2), so that norm
     # is the honest "could it have cancelled to zero" yardstick
     scale = max(math.sqrt(l2_norm_sq(pair.derivatives[2 * spec.n - 2])), 1e-300)

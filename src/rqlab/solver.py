@@ -290,8 +290,7 @@ class EigenPair:
     aligned with ``root_system(p, Lambda).roots``; ``poly_coeffs`` are
     the real coefficients of the polynomial part.  Both are read off z.
     ``derivatives`` is z's table (z, z', ..., z^(2n)), which every operator
-    image and derivative of z is read from; it is rebuilt whenever its first
-    entry is not z (``dataclasses.replace(pair, z=...)``) and is not compared.
+    image and derivative of z is read from, computed when first read.
     ``det_indicator`` and ``nullspace_quality`` come from whoever built the
     pair, and a replaced copy keeps them; the operator and boundary residuals
     are computed from the pair's own table when ``residuals`` is first read.
@@ -304,11 +303,10 @@ class EigenPair:
     det_indicator: float  # det R, the scan's reduced determinant, at Lambda
     nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
     normalized: bool = True
-    derivatives: tuple[ExpPoly, ...] = field(default=(), compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.derivatives or self.derivatives[0] is not self.z:
-            object.__setattr__(self, "derivatives", self.z.derivatives(2 * self.spec.n))
+    @functools.cached_property
+    def derivatives(self) -> tuple[ExpPoly, ...]:
+        return self.z.derivatives(2 * self.spec.n)
 
     @functools.cached_property
     def residuals(self) -> EigenResiduals:
@@ -332,9 +330,6 @@ class EigenPair:
     @property
     def poly_coeffs(self) -> tuple[float, ...]:
         return tuple(c.real for c in self.z.zero_frequency_coefficients())
-
-    def mean(self) -> float:
-        return self.z.integrate_unit().real
 
 
 def _fix_sign(z: ExpPoly) -> ExpPoly:

@@ -17,17 +17,38 @@ import pytest
 
 from rqlab import invariants as inv
 from rqlab import solver
+from rqlab.exppoly import SERIES_FREQ_CUTOFF
 from rqlab.reporting import FLOAT_BAND
 from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
 from rqlab.selftest import quadrature_integral as quad_integral
 
 
 def cold_start(monkeypatch):
-    """An empty spectrum store and empty per-pair caches, as in a new process."""
+    """An empty spectrum store and every cache of ``invariants`` empty, as in a new process."""
     monkeypatch.setattr(solver, "_STORE", {})
-    for cached in (inv._half_image, inv._reduced_image, inv.stone_polynomials,
-                   inv._z_dot_h, inv._moment):
-        cached.cache_clear()
+    for value in vars(inv).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def closed_form_regime(mu: complex, k: int) -> str:
+    """Which branch of ``exppoly._int_xk_exp`` produces I_k at frequency mu.
+
+    Away from the series, I_0 is the exact anchor, I_1..I_(floor|mu| - 1)
+    come from the upward recurrence and the rest from the downward one.
+    """
+    if mu == 0:
+        return "monomial"
+    if abs(mu) < SERIES_FREQ_CUTOFF:
+        return "series"
+    if k == 0:
+        return "anchor"
+    return "upward" if k <= int(abs(mu)) - 1 else "downward"
+
+
+def closed_form_regimes(f) -> set[str]:
+    """The branches of ``exppoly._int_xk_exp`` that integrating f's terms goes through."""
+    return {closed_form_regime(mu, k) for mu, coeffs in f.terms for k in range(len(coeffs))}
 
 
 def to_jsonable(obj):

@@ -156,11 +156,21 @@ class TestExitCodes:
         assert code == 1 and out == "" and "empty" in err
         assert "--lambda-to" in err and "--step" in err
 
-    def test_identity_violation_is_three(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--inject-fault"
-        )
+    @pytest.mark.parametrize("argv", [
+        "verify --n 2 --p 1 --count 1 --inject-fault",
+        "verify --n 3 --p 1 --count 2 --inject-fault --format csv",
+    ])
+    def test_identity_violation_is_three(self, capsys, argv):
+        # both negative controls: at (2,1) the perturbed stone residue is
+        # quadratic and the ladder refuses it; at (3,1) it stays constant and
+        # the stone identity fails
+        code, out, err = run_cli(capsys, *argv.split())
         assert code == 3
+        if "--format" in argv:
+            last = list(csv.reader(io.StringIO(out)))[-1]
+            assert last[:2] == ["stone-identity", "3/1/0"] and last[5] == "fail"
+        else:
+            assert out == "" and "stone residue has degree 2 > 1" in err
 
     def test_verify_passes_cleanly(self, capsys):
         code, out, _ = run_cli(

@@ -15,7 +15,7 @@ from rqlab.disjointness import (
     sweep_conjecture,
 )
 from rqlab.errors import ConfigError, NonSimpleEigenvalueError, SolverError
-from rqlab.invariants import bracket, stone_polynomials
+from rqlab.invariants import bracket, stone_coefficients
 from rqlab.solver import cached_eigenpair
 
 from conftest import PI
@@ -123,9 +123,7 @@ class TestNecessaryConditions:
             cached_eigenpair(m, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
         )
         report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-5)
-        loose = float("inf")
-        c, d = (stone_polynomials(z, annihilation_tol=loose, consistency_tol=loose).coefficients
-                for z in (zn, zm))
+        c, d = (stone_coefficients(z) for z in (zn, zm))
         four_fold = gf(report.alpha)
         for factor in (report.beta, c, d):
             four_fold = np.convolve(four_fold, gf(factor))

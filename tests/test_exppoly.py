@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from rqlab import exppoly
-from rqlab.exppoly import SERIES_FREQ_CUTOFF, ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
+from rqlab.exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
 from rqlab.selftest import hermiticity_error, quadrature_miss
 
-from conftest import PI, quad_integral, random_exppoly, random_real_exppoly, rel_err
+from conftest import (PI, closed_form_regime, closed_form_regimes, quad_integral, random_exppoly,
+                      random_real_exppoly, rel_err)
 
 
 def z2_closed_form() -> ExpPoly:
@@ -124,17 +125,9 @@ class TestIntegrateUnit:
         assert rel_err(abs(f.integrate_unit()), abs(quad_integral(f))) < 1e-12
 
 
-def closed_form_regime(mu: complex, k: int) -> str:
-    """Which branch of ``exppoly._int_xk_exp`` produces I_k at frequency mu."""
-    if mu == 0:
-        return "monomial"
-    if abs(mu) < SERIES_FREQ_CUTOFF:
-        return "series"
-    return "upward" if k <= int(abs(mu)) - 1 else "downward"
-
-
-# one fixed ExpPoly whose every integral comes from the named branch
+# one fixed ExpPoly per branch, on which a 1e-8 error in that branch shows
 REGIME_CASES = {
+    "anchor": ExpPoly.build([(2 + 1j, (1.0,))]),
     "series": ExpPoly.build([(4e-4 + 3e-4j, (1.0, 2.0, 0.5, -1.0))]),
     "upward": ExpPoly.build([(6 + 8j, (1.0, -0.5j, 0.25, 2.0))]),
     "downward": ExpPoly.build([(3 + 4j, (0, 0, 0, 0, 0, 0, 1.0, 0.5j, -2.0))]),
@@ -145,6 +138,7 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("regime", sorted(REGIME_CASES))
     def test_oracle_sees_a_1e_8_error_in_each_closed_form_regime(self, regime, monkeypatch):
         f = REGIME_CASES[regime]
+        assert regime in closed_form_regimes(f)
         assert quadrature_miss(f) <= 1e-12
         exact = exppoly._int_xk_exp
 

@@ -10,7 +10,9 @@ import math
 
 import pytest
 
-from rqlab.exppoly import SERIES_FREQ_CUTOFF, ExpPoly, SigmaPolynomial
+from rqlab.exppoly import ExpPoly, SigmaPolynomial
+
+from conftest import closed_form_regimes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -30,24 +32,9 @@ def exppolys(draw, magnitudes, max_degree: int, max_terms: int = 3) -> ExpPoly:
     return ExpPoly.build(terms)
 
 
-def _regimes(f: ExpPoly) -> set[str]:
-    """The regimes of the closed-form integral that integrating f's terms goes through."""
-    seen = set()
-    for mu, coeffs in f.terms:
-        degree, size = len(coeffs) - 1, abs(mu)
-        if 0.0 < size < SERIES_FREQ_CUTOFF:
-            seen.add("series")
-        elif size >= SERIES_FREQ_CUTOFF:
-            if 1 <= degree < size:
-                seen.add("upward")
-            if degree > size:
-                seen.add("downward")
-    return seen
-
-
 def test_integral_of_a_derivative_is_the_difference_of_end_values():
-    # tiny frequencies take the power series; larger ones the recurrence,
-    # upward while k < |mu| and downward beyond
+    # tiny frequencies take the power series; larger ones the recurrence from
+    # the anchor I_0, upward for 1 <= k <= floor|mu| - 1 and downward beyond
     magnitudes = st.one_of(st.floats(1e-6, 9e-4), st.floats(0.05, 40.0))
     regimes = set()
 
@@ -59,10 +46,10 @@ def test_integral_of_a_derivative_is_the_difference_of_end_values():
         rhs = f.evaluate(1.0) - f.evaluate(-1.0)
         scale = max(f.magnitude_bound(), derivative.magnitude_bound())
         assert abs(lhs - rhs) <= BOUND * scale
-        regimes.update(_regimes(derivative))
+        regimes.update(closed_form_regimes(derivative))
 
     fundamental_theorem()
-    assert regimes == {"series", "upward", "downward"}
+    assert regimes == {"series", "anchor", "upward", "downward"}
 
 
 def test_sigma_polynomial_product_applies_as_composition():

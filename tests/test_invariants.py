@@ -1,10 +1,12 @@
 """Stone/moment apparatus and the identity suite."""
 
 import dataclasses
+import json
 
 import pytest
 
 from rqlab import invariants as inv
+from rqlab.cli import main
 from rqlab.errors import IdentityViolationError
 from rqlab.exppoly import ExpPoly
 from rqlab.problem import ProblemSpec, reduced_operator
@@ -46,15 +48,6 @@ class TestStone:
         kernel_only = eigenpair_from_function(z2.spec, z2.Lambda, z2.z.nonzero_frequency_part(), 0)
         assert abs(inv.stone(kernel_only)) < 1e-10
 
-    def test_antisymmetric_residue_is_linear(self):
-        # odd parity: the reduced-operator residue is c*x and the slope is
-        # reported; for (2,1,a) with z = A sin(rho x) + B x it equals -Lambda*B
-        pair = cached_eigenpair(2, 1, "antisymmetric", 0)
-        slope = inv.stone(pair)
-        expect = -pair.Lambda * pair.poly_coeffs[1]
-        assert slope == pytest.approx(expect, rel=1e-10)
-        assert abs(slope) > 1e-8
-
     def test_scaling_invariance_of_checks(self, z2):
         base = inv.check_stone_identity(z2)
         doubled = inv.check_stone_identity(
@@ -94,8 +87,32 @@ class TestStonePolynomials:
 
     def test_rejects_wrong_parity(self):
         pair = cached_eigenpair(3, 1, "antisymmetric", 0)
-        with pytest.raises(ValueError):
-            inv.stone_polynomials(pair)
+        for ladder in (inv.stone_polynomials, inv.stone_coefficients, inv.stone):
+            with pytest.raises(ValueError):
+                ladder(pair)
+
+    def test_unchecked_coefficients_are_the_checked_ladder(self):
+        for n in range(2, 7):
+            for p in range(1, min(n - 1, 3) + 1):
+                for index in range(3):
+                    pair = cached_eigenpair(n, p, S, index)
+                    unchecked = [c.hex() for c in inv.stone_coefficients(pair)]
+                    assert unchecked == [c.hex() for c in inv.stone_polynomials(pair).coefficients]
+                    assert inv.stone(pair).hex() == unchecked[0]
+
+
+class TestOneLadderPerPair:
+    def test_verify_builds_one_ladder_per_pair(self, monkeypatch, capsys):
+        cold_start(monkeypatch)
+        assert main("verify --n 4 --p 1 --count 3".split()) == 0
+        assert inv.stone_polynomials.cache_info().currsize == 6  # three pairs each of (4,1), (3,1)
+
+    def test_the_collision_follow_up_builds_no_ladder(self, monkeypatch, capsys):
+        cold_start(monkeypatch)
+        assert main("disjoint --n 2 --m 4 --p 1 --count 5 --collision-tol 0.05 "
+                    "--format json".split()) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["condition_reports"]
+        assert inv.stone_polynomials.cache_info().currsize == 0
 
 
 class TestResidues:
@@ -155,6 +172,7 @@ class TestResidues:
         for _ in range(2):  # a raise is never remembered as a pass
             with pytest.raises(IdentityViolationError, match=r"\(order 3\)"):
                 inv.stone_polynomials(bad)
+        assert len(inv.stone_coefficients(bad)) == 3  # measured, not refused
         assert len(inv.stone_polynomials(genuine).coefficients) == 3
         assert inv.kernel_annihilation_residual(genuine) < 1e-14
         assert 1e-7 < inv.kernel_annihilation_residual(bad) < 1e-5
