@@ -22,6 +22,7 @@ scans directly with its own step and ceiling.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -458,6 +459,20 @@ def _emit(text: str, out_path: str | None):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # the heap that exists now (the imports, and all that a caller which forks
+    # one child per command holds) leaves the collector's generations, so a
+    # command's collections walk only what it allocates; a caller's frozen
+    # heap stays frozen
+    thaw = not gc.get_freeze_count()
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        if thaw:
+            gc.unfreeze()
+
+
+def _run(argv: list[str]) -> int:
     try:
         args = _parse(argv)
         if args is None:  # the help or the version was printed

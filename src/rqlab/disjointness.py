@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, RQLabError
+from .errors import ConfigError, RQLabError, SolverError
 from .invariants import bracket, kernel_annihilation_residual, lambda_sq, moments
 from .invariants import stone_coefficients
 from .reporting import FAIL, PASS, IdentityReport
-from .solver import EigenPair, cached_eigenpair, cached_spectrum
+from .solver import EigenPair, cached_eigenpair, cached_spectra
 
 INDETERMINATE = "indeterminate"
 CONSISTENT = "consistent"
@@ -93,8 +93,11 @@ def compare_spectra(
         raise ConfigError(f"need m > n >= p >= 1, got n={n}, m={m}, p={p}")
     if count < 1:
         raise ConfigError("count must be >= 1")
-    ev_n = cached_spectrum(n, p, "symmetric", count)
-    ev_m = cached_spectrum(m, p, "symmetric", count)
+    spectra = cached_spectra((n, m), p, "symmetric", count)  # one lockstep scan
+    for order in (n, m):
+        if isinstance(spectra[order], SolverError):
+            raise spectra[order]
+    ev_n, ev_m = spectra[n], spectra[m]
     gaps = []
     min_gap, min_pair = float("inf"), (0, 0)
     candidates = []
@@ -366,14 +369,17 @@ def sweep_conjecture(
 ) -> SweepSummary:
     """All order pairs p <= n < m <= n_max, gap tables plus candidate follow-up.
 
-    A pair whose spectra or candidate eigenpairs cannot be computed is
-    recorded with its error and the sweep continues, so the summary may be
-    partial.
+    Every order is scanned in one lockstep before the first pair is
+    compared.  A pair whose spectra or candidate eigenpairs cannot be
+    computed is recorded with its error and the sweep continues, so the
+    summary may be partial.
     """
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
     if p < 1 or p > n_max - 1:
         raise ConfigError("need 1 <= p < n_max")
+    # an order that fails is not stored: each pair that needs it gets its error
+    cached_spectra(range(p, n_max + 1), p, "symmetric", count)
     pairs = []
     all_candidates: list[CollisionCandidate] = []
     reports: list[NecessaryConditionReport] = []

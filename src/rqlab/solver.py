@@ -12,6 +12,14 @@ kernel coefficients are the null direction of the p x p matrix ``R`` via
 SVD, and the monomial coefficients follow from the first n-p boundary rows
 through the exact inverse of their monomial block.
 
+The kernel rows K(rho) depend on p and the parity but not on n, so the
+orders of one (p, parity) that a command needs are scanned as one family
+(``scan_family``): each grid chunk and each refinement round costs one
+``exp`` and one kernel contraction for all of them, and one contraction
+with their N, zero-padded to the largest n.  Each order walks its own
+samples up to its last bracket, and gets the roots and metadata its own
+scan gives, bit for bit; ``scan_spectrum`` is the one-order case.
+
 A stored spectrum of order n-2 (same p and parity) interlaces the roots of
 order n.  For p <= n-2, u -> u'' maps the clamped order-n functions of a
 parity one to one onto the clamped order-(n-2) functions of that parity
@@ -19,7 +27,7 @@ with one vanishing moment (``int v = 0`` when symmetric, ``int x v = 0``
 when antisymmetric: exactly what a clamped second antiderivative of the
 parity needs), and it keeps the quotient ``|u^(n)|^2 / |u^(n-p)|^2``.  So
 order n is order n-2 under one linear constraint, and min-max gives
-``Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2)``.  ``cached_spectrum``
+``Lambda_k(n-2) <= Lambda_k(n) <= Lambda_(k+1)(n-2)``.  ``cached_spectra``
 checks every store scan against the stored orders n-2 and n+2, which
 witnesses each root's index; equality (a common eigenvalue of orders n
 and n+2, which the paper rules out and ``disjoint`` looks for) passes.
@@ -40,7 +48,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, inner_product, l2_norm_sq
-from .problem import ProblemSpec, build_operator, kernel_columns, root_system, solution_basis
+from .problem import SYMMETRIC, ProblemSpec, build_operator, kernel_columns, root_system
+from .problem import solution_basis
 
 DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
@@ -53,26 +62,28 @@ INTERLACING_SLACK = 1e-9  # relative, in the root coordinate, of the store's int
 
 
 @functools.cache
-def boundary_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-spec constants of the kernel block, built once, as read-only arrays.
+def boundary_tables(p: int, parity: str, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the first ``rows`` kernel rows of a (p, parity), as read-only arrays.
 
     Kernel entry ``(j, k)`` at ``rho`` is
     ``rho^j Re sum_s W[j, k, s] e^(rho exponents[k, s])`` with the power table
     ``W = kappa freq^j / 2`` of :func:`kernel_columns`.  ``weights``, shape
-    ``(n, p, 2 slots)``, holds W as the real pairs ``(Re W, -Im W)``, the
+    ``(rows, p, 2 slots)``, holds W as the real pairs ``(Re W, -Im W)``, the
     real view of its conjugate, so the real part is one real contraction.
     ``exponents = freq - b``, shape ``(p, slots)``, has real part 0 or
     ``-2b``, so no term overflows.  A two-term column is padded with zero
-    terms only where four-term columns share the table (p >= 3).  Its few
-    hundred entries are formed in Python's complex arithmetic, whose integer
-    powers and products give numpy's bits: in a fresh process a numpy
-    routine costs 0.1-0.5 ms on its first call, more than the whole table.
+    terms only where four-term columns share the table (p >= 3).  No entry
+    depends on the order n, so the orders of a family read the leading rows
+    of one table.  Its few hundred entries are formed in Python's complex
+    arithmetic, whose integer powers and products give numpy's bits: in a
+    fresh process a numpy routine costs 0.1-0.5 ms on its first call, more
+    than the whole table.
     """
-    columns = kernel_columns(spec.p, spec.symmetric)
+    columns = kernel_columns(p, parity == SYMMETRIC)
     slots = max(len(terms) for terms, _ in columns)
     padded = [(terms + ((0j, 0j),) * (slots - len(terms)), b) for terms, b in columns]
     weights = np.array([[[kappa * freq ** j / 2 for freq, kappa in terms] for terms, _ in padded]
-                        for j in range(spec.n)])
+                        for j in range(rows)])
     tables = (weights.conj().view(float),
               np.array([[freq - b for freq, _ in terms] for terms, b in padded]))
     for array in tables:
@@ -140,66 +151,81 @@ def monomial_inverse(spec: ProblemSpec) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @functools.cache
-def reduced_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """N, |N|, the per-row sign-trust tolerances and the cofactor mask, as read-only arrays.
+def reduced_tables(
+    specs: tuple[ProblemSpec, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """What a scan of these orders of one (p, parity) reads, as read-only arrays.
 
-    A normalised entry of row i sums ``nnz(N_i)`` products of N with kernel
-    rows, each a sum over the term slots, and every summand is at most 1 in
-    size, so its rounding error is about ``(nnz(N_i) + slots) eps`` and
-    that of the row's norm ``sqrt(p)`` times as much.  ``tolerances`` holds
-    ``SIGN_TRUST_FACTOR`` times that row error.  Row i of ``others``, the
-    p x p mask with 0 on the diagonal and 1 elsewhere, picks the rows whose
-    norms bound the cofactors of row i.
+    The kernel tables (:func:`boundary_tables`) with the rows of the largest
+    order, each order's N zero-padded to them, ``(orders, p, rows)``, each
+    order's |N|, ``(p, n)``, the per-row sign-trust tolerances,
+    ``(orders, 1, p)``, and the cofactor mask.  A normalised entry of row i
+    of ``R = N K`` sums ``nnz(N_i)`` products of N with kernel rows, each a
+    sum over the term slots, and every summand is at most 1 in size, so its
+    rounding error is about ``(nnz(N_i) + slots) eps`` and that of the
+    row's norm ``sqrt(p)`` times as much; a tolerance is
+    ``SIGN_TRUST_FACTOR`` times that row error.  Row i of the mask, 0 on
+    the diagonal and 1 elsewhere, picks the rows whose norms bound the
+    cofactors of row i.
     """
-    basis = monomial_annihilator(spec)
-    slots = boundary_tables(spec)[1].shape[-1]
-    error = sys.float_info.epsilon * math.sqrt(spec.p)
-    tables = (
-        np.array(basis, dtype=float),
-        np.array([[abs(v) for v in row] for row in basis], dtype=float),
-        np.array([SIGN_TRUST_FACTOR * (sum(map(bool, row)) + slots) * error for row in basis]),
-        np.array([[float(k != i) for k in range(spec.p)] for i in range(spec.p)]),
+    p, parity = specs[0].p, specs[0].parity
+    if any((spec.p, spec.parity) != (p, parity) for spec in specs):
+        raise ConfigError("the orders of a family share p and parity")
+    rows = max(spec.n for spec in specs)
+    weights, exponents = boundary_tables(p, parity, rows)
+    error = sys.float_info.epsilon * math.sqrt(p)
+    bases = [monomial_annihilator(spec) for spec in specs]
+    magnitudes = tuple(np.array([[abs(v) for v in row] for row in basis], dtype=float)
+                       for basis in bases)
+    arrays = (
+        np.array([[row + (0,) * (rows - len(row)) for row in basis] for basis in bases],
+                 dtype=float),
+        np.array([[[SIGN_TRUST_FACTOR * (sum(map(bool, row)) + exponents.shape[-1]) * error
+                    for row in basis]] for basis in bases]),
+        np.array([[float(k != i) for k in range(p)] for i in range(p)]),
     )
-    for array in tables:
+    for array in (*magnitudes, *arrays):
         array.setflags(write=False)
-    return tables
+    return weights, exponents, arrays[0], magnitudes, *arrays[1:]
 
 
 def _determinants(matrices: np.ndarray) -> np.ndarray:
-    """det of each matrix of an ``(L, p, p)`` stack.
+    """det of each matrix of a ``(..., p, p)`` stack.
 
     For p <= 3 in closed form (at p = 1 the entry itself, which LAPACK's LU
     would take through a logarithm and round), by LAPACK above.
     """
     p = matrices.shape[-1]
     if p == 1:
-        return matrices[:, 0, 0]
+        return matrices[..., 0, 0]
     if p == 2:
-        return matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
+        return matrices[..., 0, 0] * matrices[..., 1, 1] - matrices[..., 0, 1] * matrices[..., 1, 0]
     if p == 3:
-        (a, b, c), (d, e, f), (g, h, i) = ([matrices[:, r, k] for k in range(3)] for r in range(3))
+        (a, b, c), (d, e, f), (g, h, i) = ([matrices[..., r, k] for k in range(3)]
+                                           for r in range(3))
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return np.linalg.det(matrices)
 
 
 def _cofactor_bounds(matrices: np.ndarray, tolerances: np.ndarray, others: np.ndarray):
-    """``sum_i tolerances_i prod_(k != i) |R_k|`` for each matrix of an ``(L, p, p)`` stack.
+    """``sum_i tolerances_i prod_(k != i) |R_k|`` for each matrix of a ``(..., p, p)`` stack.
 
+    ``tolerances``, ``(..., p)``, broadcasts against the stack's rows.
     Written out for p <= 3; above, each row norm is raised to its 0 or 1 in
     the mask ``others`` and the powers multiplied.
     """
     p = matrices.shape[-1]
     if p == 1:
-        return tolerances[0]
-    norms = np.sqrt(np.einsum("lik,lik->li", matrices, matrices))
+        return tolerances[..., 0]
+    norms = np.sqrt(np.einsum("...ik,...ik->...i", matrices, matrices))
     if p == 2:
-        return tolerances[0] * norms[:, 1] + tolerances[1] * norms[:, 0]
+        return tolerances[..., 0] * norms[..., 1] + tolerances[..., 1] * norms[..., 0]
     if p == 3:
-        first, second, third = norms[:, 0], norms[:, 1], norms[:, 2]
-        return (tolerances[0] * second * third + tolerances[1] * first * third
-                + tolerances[2] * first * second)
-    cofactors = np.multiply.reduce(norms[:, None, :] ** others, axis=-1)
-    return np.einsum("li,i->l", cofactors, tolerances)
+        (first, second, third), (a, b, c) = ([x[..., i] for i in range(3)]
+                                             for x in (norms, tolerances))
+        return a * second * third + b * first * third + c * first * second
+    cofactors = np.multiply.reduce(norms[..., None, :] ** others, axis=-1)
+    return np.einsum("...i,...i->...", cofactors, tolerances)
 
 
 def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
@@ -217,13 +243,14 @@ def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
     underflows to 0 (only where N's row is a single high power, as at
     p = n) raises ``DegenerateSystemError``.
 
-    Kernel rows come from the per-spec power table (:func:`boundary_tables`):
-    a point costs one complex ``exp`` per term and two real contractions
-    (the second applies ``N`` and the powers ``rho^j`` at once), and raises
-    no complex power.  The contractions are ``einsum`` calls, so
-    each point's matrix is bit-identical whatever the batch it is evaluated
-    in (a batched ``matmul`` may sum in an order that depends on the batch),
-    and a scan does not depend on how it batches its grid.
+    Kernel rows come from the power table (:func:`boundary_tables`): a
+    point costs one complex ``exp`` per term and two real contractions (the
+    second applies ``N`` and the powers ``rho^j`` at once), and raises no
+    complex power.  The contractions are ``einsum`` calls, so each point's
+    matrix is bit-identical whatever the batch it is evaluated in and
+    whatever other orders share its kernel rows (a batched ``matmul`` may
+    sum in an order that depends on the batch), and a scan does not depend
+    on how it batches its grid or which orders it scans together.
     """
     return _reduced_system(spec, rho)[0]
 
@@ -232,21 +259,74 @@ def _reduced_system(
     spec: ProblemSpec, rho: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`reduced_matrices`, and the ``powers[l, j] * kernel[l, j, k]`` of K it is made of."""
-    weights, exponents = boundary_tables(spec)
-    basis, magnitudes, _, _ = reduced_tables(spec)
+    matrices, degenerate, powers, kernel = _reduced_stack((spec,), rho)
+    if degenerate:
+        raise degenerate[0]
+    return matrices[0], powers, kernel
+
+
+def _reduced_stack(
+    specs: tuple[ProblemSpec, ...], rho: Sequence[float]
+) -> tuple[np.ndarray, dict[int, DegenerateSystemError], np.ndarray, np.ndarray]:
+    """Every order's reduced matrices at every point, an ``(orders, L, p, p)`` stack.
+
+    One complex ``exp`` and one kernel contraction serve all the orders, and
+    one contraction applies their zero-padded N.  Each order's row bounds
+    are summed over its own n columns only: summed over the padding, the
+    contraction would group the terms differently and move the last bit.
+    Also returns the orders whose row bound underflows to 0 at a point,
+    each with its ``DegenerateSystemError`` (its matrices are then zero),
+    and the powers and kernel rows.  Where the largest order's powers
+    overflow, ``0 * inf`` would fill the others' padding with nan, so each
+    order is then evaluated alone (and no shared powers or kernel rows are
+    returned).
+    """
     smallest = min(rho)
     if not smallest > 0:
         raise ConfigError("the root coordinate must be positive")
+    weights, exponents, basis, magnitudes, _, _ = reduced_tables(specs)
+    if len(specs) > 1:
+        try:
+            max(rho) ** (basis.shape[-1] - 1)
+        except OverflowError:
+            stacks = [_reduced_stack((spec,), rho) for spec in specs]
+            degenerate = {order: stack[1][0] for order, stack in enumerate(stacks) if stack[1]}
+            return np.concatenate([stack[0] for stack in stacks]), degenerate, None, None
     rhos = np.asarray(rho, dtype=float)
-    powers = rhos[:, None] ** np.arange(spec.n)  # (L, n)
-    scale = np.einsum("ij,lj->li", magnitudes, powers)
-    if smallest < 1.0 and smallest ** (spec.n - 1) == 0.0 and not scale.all():  # underflow only
-        point, row = np.argwhere(scale == 0.0)[0]
-        raise DegenerateSystemError(f"reduced boundary row {row} vanishes identically for "
-                                    f"{spec.label()}, rho={rhos[point]}")
+    powers = rhos[:, None] ** np.arange(basis.shape[-1])  # (L, rows)
     terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
     kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
-    return np.einsum("ij,lj,ljk->lik", basis, powers, kernel) / scale[..., None], powers, kernel
+    matrices = np.einsum("oij,lj,ljk->olik", basis, powers, kernel)
+    degenerate = {}
+    for order, spec in enumerate(specs):
+        scale = np.einsum("ij,lj->li", magnitudes[order], powers[:, :spec.n])
+        if smallest < 1.0 and smallest ** (spec.n - 1) == 0.0 and not scale.all():  # underflow
+            point, row = np.argwhere(scale == 0.0)[0]
+            degenerate[order] = DegenerateSystemError(
+                f"reduced boundary row {row} vanishes identically for {spec.label()}, "
+                f"rho={rhos[point]}")
+            matrices[order] = 0.0
+        else:
+            matrices[order] /= scale[..., None]
+    return matrices, degenerate, powers, kernel
+
+
+def _indicators(
+    specs: tuple[ProblemSpec, ...], rho: Sequence[float]
+) -> tuple[list[list[float]], list[list[bool]], dict[int, DegenerateSystemError]]:
+    """Each order's det R and sign-trust flag at each point, and the degenerate orders.
+
+    A sign is trusted when ``|det R|`` exceeds the bound
+    ``sum_i tolerances_i prod_(k != i) |R_k|`` (:func:`reduced_tables`),
+    ``SIGN_TRUST_FACTOR`` times the first-order change that the rounding
+    errors of the rows can make in it, as each cofactor is at most the
+    product of the other row norms (:func:`_cofactor_bounds`).  No division
+    is taken, so a vanishing row gives det 0, which is never trusted.
+    """
+    matrices, degenerate, _, _ = _reduced_stack(specs, rho)
+    values = _determinants(matrices)
+    trusted = np.abs(values) > _cofactor_bounds(matrices, *reduced_tables(specs)[4:])
+    return values.tolist(), trusted.tolist(), degenerate
 
 
 def indicator_series(
@@ -256,20 +336,14 @@ def indicator_series(
 
     ``lams`` is read lazily, ``SCAN_CHUNK`` points per batch of reduced
     matrices, so a caller that stops early has evaluated at most the rest of
-    the chunk it stopped in.  A sign is trusted when ``|det R|`` exceeds the
-    bound ``sum_i tolerances_i prod_(k != i) |R_k|`` (:func:`reduced_tables`),
-    ``SIGN_TRUST_FACTOR`` times the first-order change that the rounding
-    errors of the rows can make in it, as each cofactor is at most the
-    product of the other row norms (:func:`_cofactor_bounds`).  No division
-    is taken, so a vanishing row gives det 0, which is never trusted.
+    the chunk it stopped in.  The sign trust is :func:`_indicators`'.
     """
-    _, _, tolerances, others = reduced_tables(spec)
     points = iter(lams)
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
-        matrices = reduced_matrices(spec, chunk)
-        values = _determinants(matrices)
-        trusted = np.abs(values) > _cofactor_bounds(matrices, tolerances, others)
-        yield from zip(chunk, values.tolist(), trusted.tolist())
+        (values,), (trusted,), degenerate = _indicators((spec,), chunk)
+        if degenerate:
+            raise degenerate[0]
+        yield from zip(chunk, values, trusted)
 
 
 @dataclass(frozen=True)
@@ -466,16 +540,17 @@ def _anderson_bjorck(gx: float, replaced: float) -> float:
 
 
 def _refine_all(
-    spec: ProblemSpec, brackets: list[_Bracket]
+    specs: tuple[ProblemSpec, ...], brackets: Sequence[tuple[int, _Bracket]]
 ) -> list[tuple[float, int] | SolverError]:
-    """Each bracket's ``_refine`` outcome: its (root, evaluations), or the error it raised.
+    """Each ``(order, bracket)``'s ``_refine`` outcome: its (root, evaluations), or its error.
 
-    The brackets advance in lockstep, one step each per round, and a round
-    evaluates det R at the trial points of every live bracket through one
-    stack of reduced matrices and one stacked determinant: a scan
-    pays one batched call per round rather than one per step.
+    The brackets of every order advance in lockstep, one step each per
+    round, and a round evaluates det R at the trial points of every live
+    bracket through one stack of reduced matrices and one stacked
+    determinant, and each bracket reads its own order's: a scan pays one
+    batched call per round rather than one per step.
     """
-    steps = [_refine(*bracket) for bracket in brackets]
+    steps = [_refine(*bracket) for _, bracket in brackets]
     outcomes: dict[int, tuple[float, int] | SolverError] = {}
     trials: dict[int, float] = {}  # live bracket -> its pending trial point
 
@@ -492,20 +567,28 @@ def _refine_all(
     while trials:
         live, points = zip(*trials.items())
         trials.clear()
-        for i, value in zip(live, _determinants(reduced_matrices(spec, points)).tolist()):
-            advance(i, value)
+        # a trial point lies above a trusted grid point of its own order, so no
+        # row bound of that order vanishes there
+        values = _determinants(_reduced_stack(specs, points)[0]).tolist()
+        for point, i in enumerate(live):
+            advance(i, values[brackets[i][0]][point])
     return [outcomes[i] for i in range(len(steps))]
 
 
-def _walk(
-    samples: Iterable[tuple[float, float, bool]], wanted: int
-) -> tuple[list[_Bracket], list[float], int]:
+_Sample = tuple[float, float, bool]  # (lam, det R, sign trusted)
+_Walked = tuple[list[_Bracket], list[float], int]  # (brackets, suspects, untrusted samples)
+
+
+def _walk(wanted: int) -> Generator[None, _Sample | None, _Walked]:
     """The first ``wanted`` sign-change brackets among ``(lam, det R, trusted)`` samples.
 
-    A bracket joins consecutive trusted samples of opposite sign; an
-    untrusted sample's sign is roundoff noise (N cancels the nearly
+    A generator: it is sent the samples in grid order and ``None`` where the
+    grid ends, so a scan walks each chunk as it is evaluated and resumes on
+    the next.  A bracket joins consecutive trusted samples of opposite sign;
+    an untrusted sample's sign is roundoff noise (N cancels the nearly
     polynomial kernel columns as Lambda -> 0, or a root is close by), so
-    nothing is bracketed against it.  Also returns the sign-preserving
+    nothing is bracketed against it.  It returns at the ``wanted``-th
+    bracket or at the end of the grid: the brackets, the sign-preserving
     near-zero dips (suspected double roots) and the untrusted sample count.
     """
     brackets: list[_Bracket] = []
@@ -516,7 +599,8 @@ def _walk(
     # (f1 = 0.0 before the first, which brackets nothing), and (f0, |f0|) before it
     lam1 = f1 = size1 = f0 = size0 = 0.0
 
-    for lam, f, trusted in samples:
+    while len(brackets) < wanted and (sample := (yield)) is not None:
+        lam, f, trusted = sample
         if not trusted:
             untrusted += 1
             run = 0
@@ -534,8 +618,6 @@ def _walk(
             suspects.append(lam1)
         f0, size0, lam1, f1, size1 = f1, size1, lam, f, size
         run += 1
-        if len(brackets) == wanted:
-            break
     return brackets, suspects, untrusted
 
 
@@ -557,7 +639,31 @@ def scan_spectrum(
     ``SolverError`` rather than report a spectrum with a skipped root.
     Sign-preserving near-zero dips are recorded as suspected double roots
     instead of being split heuristically.  A grid of more than
-    ``MAX_GRID_POINTS`` points is a ``ConfigError``.
+    ``MAX_GRID_POINTS`` points is a ``ConfigError``.  This is the one-order
+    case of :func:`scan_family`.
+    """
+    (outcome,) = scan_family([spec], count, step=step, lambda_ceiling=lambda_ceiling)
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
+
+
+def scan_family(
+    specs: Sequence[ProblemSpec],
+    count: int,
+    *,
+    step: float = DEFAULT_SCAN_STEP,
+    lambda_ceiling: float = DEFAULT_LAMBDA_CEILING,
+) -> list[SpectrumSlice | SolverError]:
+    """:func:`scan_spectrum` of each order of one (p, parity), all of them in one lockstep.
+
+    Each order gets the slice its own scan returns, or the ``SolverError``
+    it raises, bit for bit.  Every grid chunk is evaluated once for all the
+    orders (:func:`_reduced_stack`), each order walks its own samples
+    (:func:`_walk`) until its ``count``-th bracket, the grid ends when every
+    walk has, and the brackets of every order are refined together
+    (:func:`_refine_all`).  An invalid count, step or grid is a
+    ``ConfigError`` for all of them.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -576,11 +682,66 @@ def scan_spectrum(
             lam += step
         yield lambda_ceiling
 
-    brackets, suspects, untrusted_points = _walk(indicator_series(spec, grid()), count)
+    specs = tuple(specs)
+    outcomes: dict[int, SpectrumSlice | SolverError] = {}
+    walks = {order: _walk(count) for order in range(len(specs))}
+    for walk in walks.values():
+        next(walk)
+    walked: dict[int, _Walked] = {}
 
+    def send(order: int, samples: Iterable[_Sample | None]) -> None:
+        try:
+            for sample in samples:
+                walks[order].send(sample)
+        except StopIteration as done:
+            walked[order] = done.value
+            del walks[order]
+
+    points = grid()
+    while walks:
+        chunk = list(itertools.islice(points, SCAN_CHUNK))
+        if not chunk:
+            for order in list(walks):
+                send(order, [None])
+            break
+        values, trusted, degenerate = _indicators(specs, chunk)
+        for order in list(walks):
+            if order in degenerate:
+                outcomes[order] = degenerate[order]
+                del walks[order]
+            else:
+                send(order, zip(chunk, values[order], trusted[order]))
+
+    brackets = [(order, bracket) for order in sorted(walked) for bracket in walked[order][0]]
+    refined = iter(_refine_all(specs, brackets))
+    for order in sorted(walked):
+        spec, (found, suspects, untrusted_points) = specs[order], walked[order]
+        try:
+            roots, iterations = _roots(spec, [next(refined) for _ in found])
+            eigenvalues = tuple(root ** (2 * spec.p) for root in roots)
+            if len(roots) < count:
+                raise ScanExhaustedError(spec, eigenvalues, count, lambda_ceiling)
+            metadata = ScanMetadata(
+                grid_step=step,
+                bracket_count=len(roots),
+                refinement_iterations=iterations,
+                suspects=tuple(suspects),
+                lambda_ceiling=lambda_ceiling,
+                untrusted_points=untrusted_points,
+            )
+            outcomes[order] = SpectrumSlice(spec=spec, eigenvalues=eigenvalues, metadata=metadata)
+        except SolverError as exc:
+            outcomes[order] = exc
+    return [outcomes[order] for order in range(len(specs))]
+
+
+def _roots(
+    spec: ProblemSpec, refined: list[tuple[float, int] | SolverError]
+) -> tuple[list[float], tuple[int, ...]]:
+    """One order's refined roots and evaluations; the first failure, or a skipped root, raises."""
     found: list[float] = []
     iterations: list[int] = []
-    for outcome in _refine_all(spec, brackets):
+    for outcome in refined:
         if isinstance(outcome, SolverError):
             raise outcome
         root, evaluations = outcome
@@ -591,19 +752,7 @@ def scan_spectrum(
             )
         iterations.append(evaluations)
         found.append(root)
-
-    eigenvalues = tuple(lam_root ** (2 * spec.p) for lam_root in found)
-    if len(found) < count:
-        raise ScanExhaustedError(spec, eigenvalues, count, lambda_ceiling)
-    metadata = ScanMetadata(
-        grid_step=step,
-        bracket_count=len(found),
-        refinement_iterations=tuple(iterations),
-        suspects=tuple(suspects),
-        lambda_ceiling=lambda_ceiling,
-        untrusted_points=untrusted_points,
-    )
-    return SpectrumSlice(spec=spec, eigenvalues=eigenvalues, metadata=metadata)
+    return found, tuple(iterations)
 
 
 @dataclass
@@ -618,35 +767,65 @@ class _Order:
 _STORE: dict[tuple[int, int, str], _Order] = {}
 
 
-def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...]:
-    """First ``count`` eigenvalues of (n, p, parity), scanned once per order.
+def cached_spectra(
+    ns: Iterable[int], p: int, parity: str, count: int
+) -> dict[int, tuple[float, ...] | SolverError]:
+    """First ``count`` eigenvalues of each order n of ``ns`` at (p, parity), or its scan's error.
 
-    The order is rescanned only when a caller asks for a longer prefix than
-    it holds.  The store is append-only: a rescan adds only the indices
-    past the stored prefix, which it reproduces bit for bit, so every value
-    the store has returned, and each eigenpair extracted at one, stays as
-    it was.  Every scan is checked against the stored orders n-2 and n+2
-    (:func:`_check_interlacing`) before the store keeps it.  A scan that
-    runs out of grid keeps the roots it found, and a later request for more
-    raises the error a fresh scan would, without scanning again.
+    Each order is scanned once, and rescanned only when a caller asks for a
+    longer prefix than it holds; the orders that need a scan are scanned
+    together (:func:`scan_family`).  The store is append-only: a rescan
+    adds only the indices past the stored prefix, which it reproduces bit
+    for bit, so every value the store has returned, and each eigenpair
+    extracted at one, stays as it was.  In ascending n, every scan is
+    checked against the stored orders n-2 and n+2 (:func:`_check_interlacing`)
+    before the store keeps it.  An order whose scan or check fails is not
+    kept, so asking for it again scans it again and fails alike.  A scan
+    that runs out of grid keeps the roots it found, and a later request for
+    more gets the error a fresh scan would, without scanning again.
     """
-    spec = ProblemSpec(n, p, parity)  # an invalid order raises before the store gains an entry
-    order = _STORE.setdefault((n, p, parity), _Order())
-    held = len(order.eigenvalues)
-    if not 0 < count <= held:
-        if order.exhausted_at is not None and count > 0:
-            raise ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
-        exhausted = None
-        try:
-            scanned = scan_spectrum(spec, count).eigenvalues
-        except ScanExhaustedError as exc:
-            scanned, exhausted = exc.eigenvalues, exc
-        _check_interlacing(spec, scanned)
-        order.eigenvalues += scanned[held:]
-        if exhausted is not None:
-            order.exhausted_at = exhausted.ceiling
-            raise exhausted
+    # an invalid order raises before the store gains an entry
+    specs = [ProblemSpec(n, p, parity) for n in sorted(set(ns))]
+    orders = {spec: _STORE.setdefault((spec.n, p, parity), _Order()) for spec in specs}
+    spectra: dict[int, tuple[float, ...] | SolverError] = {}
+    stale = []
+    for spec, order in orders.items():
+        if 0 < count <= len(order.eigenvalues):
+            spectra[spec.n] = order.eigenvalues[:count]
+        elif order.exhausted_at is not None and count > 0:
+            spectra[spec.n] = ScanExhaustedError(spec, order.eigenvalues, count, order.exhausted_at)
+        else:
+            stale.append(spec)
+    if stale:
+        for spec, outcome in zip(stale, scan_family(stale, count)):
+            spectra[spec.n] = _keep(spec, orders[spec], outcome, count)
+    return spectra
+
+
+def _keep(
+    spec: ProblemSpec, order: _Order, outcome: SpectrumSlice | SolverError, count: int
+) -> tuple[float, ...] | SolverError:
+    """Store a scan's roots past the held prefix if they interlace; the prefix, or the error."""
+    exhausted = isinstance(outcome, ScanExhaustedError)
+    if isinstance(outcome, SolverError) and not exhausted:
+        return outcome
+    try:
+        _check_interlacing(spec, outcome.eigenvalues)
+    except SolverError as exc:
+        return exc
+    order.eigenvalues += outcome.eigenvalues[len(order.eigenvalues):]
+    if exhausted:
+        order.exhausted_at = outcome.ceiling
+        return outcome
     return order.eigenvalues[:count]
+
+
+def cached_spectrum(n: int, p: int, parity: str, count: int) -> tuple[float, ...]:
+    """First ``count`` eigenvalues of (n, p, parity): :func:`cached_spectra` of the one order."""
+    spectrum = cached_spectra((n,), p, parity, count)[n]
+    if isinstance(spectrum, SolverError):
+        raise spectrum
+    return spectrum
 
 
 def _check_interlacing(spec: ProblemSpec, eigenvalues: Sequence[float]) -> None:

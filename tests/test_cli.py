@@ -1,6 +1,7 @@
 """CLI contract: exit codes, envelope stability, file formats."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -585,3 +586,46 @@ class TestSelftest:
         pa, pb = json.loads(a), json.loads(b)
         pa.pop("generated_at"), pb.pop("generated_at")
         assert pa == pb
+
+
+class TestCollectorFreeze:
+    @pytest.mark.parametrize("argv, code", [
+        ("spectrum --n 1 --p 1 --count 1", 0),
+        ("spectrum --n 1 --p 1 --count 0", 1),
+        ("spectrum --n 1 --p 1 --count 1 --lambda-max 1.5", 2),
+        ("verify --n 2 --p 1 --count 1 --inject-fault", 3),
+        ("--help", 0),
+        ("sweep --help", 0),
+    ])
+    def test_main_leaves_the_freeze_count_as_it_found_it(self, capsys, argv, code):
+        assert gc.get_freeze_count() == 0
+        assert main(argv.split()) == code
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_frozen_heap_stays_frozen(self, capsys):
+        entry = [object()]  # a container the collector tracks
+        gc.freeze()
+        try:
+            assert main(["spectrum", "--n", "1", "--p", "1", "--count", "1"]) == 0
+            assert gc.get_freeze_count() > 0
+            assert not any(o is entry for o in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        capsys.readouterr()
+
+    def test_a_command_runs_with_the_entry_heap_frozen(self, capsys, monkeypatch):
+        entry = [object()]  # a container the collector tracks
+        seen = []
+
+        def stub(args):
+            seen.append((gc.get_freeze_count() > 0,
+                         any(o is entry for o in gc.get_objects())))
+            return {}, [], [], {"pass": True}, 0
+
+        handler, *rest = rqlab.cli._COMMANDS["selftest"]
+        monkeypatch.setitem(rqlab.cli._COMMANDS, "selftest", (stub, *rest))
+        assert main(["selftest", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert seen == [(True, False)]
+        assert any(o is entry for o in gc.get_objects())

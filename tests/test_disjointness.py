@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rqlab import disjointness
+from rqlab import disjointness, solver
 from rqlab.disjointness import (
     alpha_sequence,
     compare_spectra,
@@ -16,6 +16,7 @@ from rqlab.disjointness import (
 )
 from rqlab.errors import ConfigError, NonSimpleEigenvalueError, SolverError
 from rqlab.invariants import bracket, stone_coefficients
+from rqlab.problem import ProblemSpec
 from rqlab.solver import cached_eigenpair
 
 from conftest import PI
@@ -207,6 +208,41 @@ class TestSweep:
         monkeypatch.setattr(disjointness, "compare_spectra", broken)
         with pytest.raises(TypeError):
             sweep_conjecture(1, 3, 2)
+
+    @pytest.mark.parametrize("p, n_max, count, failing", [
+        # the benchmark's edge sweep, chosen when (7,1) found too few roots at count 8
+        (1, 7, 8, set()),
+        # (4,1) holds 62 roots below the scan ceiling
+        (1, 4, 63, {4}),
+    ])
+    def test_each_sweep_row_is_its_pair_compared_alone(self, monkeypatch, p, n_max, count,
+                                                       failing):
+        monkeypatch.setattr(solver, "_STORE", {})
+        summary = sweep_conjecture(p, n_max, count)
+        assert {n for sp in summary.pairs if sp.error for n in (sp.n, sp.m)} >= failing
+        for sp in summary.pairs:
+            monkeypatch.setattr(solver, "_STORE", {})
+            try:
+                table = compare_spectra(sp.n, sp.m, p, count)
+            except SolverError as exc:
+                assert sp.error == f"{type(exc).__name__}: {exc}" and (failing & {sp.n, sp.m})
+            else:
+                assert (sp.error, sp.min_gap, sp.min_pair) == ("", table.min_gap, table.min_pair)
+
+    def test_an_order_that_breaks_interlacing_fails_every_pair_it_is_in(self, monkeypatch):
+        # root 2 of the stored order 3 lies past root 2 of order 5, so order 5 is
+        # never stored, and each pair that needs it rescans it and fails alike
+        store = {}
+        monkeypatch.setattr(solver, "_STORE", store)
+        values = list(solver.scan_spectrum(ProblemSpec(3, 2, "symmetric"), 4).eigenvalues)
+        values[2] = solver.scan_spectrum(ProblemSpec(5, 2, "symmetric"), 4).eigenvalues[2] * 1.01
+        store[(3, 2, "symmetric")] = solver._Order(tuple(values))
+        summary = sweep_conjecture(2, 6, 4)
+        errors = {(sp.n, sp.m): sp.error for sp in summary.pairs if sp.error}
+        assert set(errors) == {(2, 5), (3, 5), (4, 5), (5, 6)}
+        assert len(set(errors.values())) == 1
+        assert "of (n=3, p=2, sym) exceeds Lambda_2" in errors[2, 5]
+        assert store[(5, 2, "symmetric")].eigenvalues == ()
 
     def test_degenerate_grid_guard(self):
         with pytest.raises(ConfigError):

@@ -157,7 +157,8 @@ class TestBoundaryMatrix:
         stack[0, 0] = 0.0
         stack[1, -1] = 5e-324
         stack[2, 0, 0] = 1e-300
-        monkeypatch.setattr(solver, "reduced_matrices", lambda spec, rho: stack[:len(rho)])
+        monkeypatch.setattr(solver, "_reduced_stack",
+                            lambda specs, rho: (stack[None, :len(rho)], {}, None, None))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = list(solver.indicator_series(ProblemSpec(3, p, S), [1.0, 2.0, 3.0]))
@@ -264,15 +265,8 @@ class TestScanSpectrum:
     def test_near_zero_dip_is_recorded_as_a_suspect(self, monkeypatch):
         # a dip below 1e-8 of its neighbours without a sign change is a suspected
         # double root; a shallower dip is not
-        series = [(0.05, 1.0), (0.10, 1e-9), (0.15, 1.0), (0.20, 1e-3), (0.25, 1.0),
-                  (0.30, 0.5), (0.35, -0.5)]
-        monkeypatch.setattr(solver, "indicator_series",
-                            lambda spec, lams: ((lam, f, True) for lam, f in series))
-        monkeypatch.setattr(solver, "reduced_matrices",
-                            lambda spec, rho: (0.325 - np.asarray(rho))[..., None, None])
-        out = scan_spectrum(ProblemSpec(1, 1, S), 1, step=0.05)
-        assert out.metadata.suspects == (0.10,)
-        assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
+        metadata = self.scan_with_samples(monkeypatch, {1: 1.0, 2: 1e-9, 3: 1.0, 4: 1e-3, 5: 1.0})
+        assert metadata.suspects == (0.10,)
 
     @staticmethod
     def scan_with_samples(monkeypatch, samples):
@@ -280,14 +274,15 @@ class TestScanSpectrum:
         points ``rho = 0.05 k`` whose k ``samples`` maps to a value of their own
         (0.0 is below every trust bound, so it makes the point untrusted)."""
 
-        def matrix(spec, rho):
+        def matrix(rho):
             rhos = np.asarray(rho, dtype=float)
             values = 0.325 - rhos
             for k, value in samples.items():
                 values = np.where(np.rint(rhos / 0.05) == k, value, values)
             return values[..., None, None]
 
-        monkeypatch.setattr(solver, "reduced_matrices", matrix)
+        monkeypatch.setattr(solver, "_reduced_stack",
+                            lambda specs, rho: (matrix(rho)[None], {}, None, None))
         out = scan_spectrum(ProblemSpec(1, 1, S), 1, step=0.05)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
         return out.metadata
@@ -431,15 +426,15 @@ class TestScanSpectrum:
         # the refiner starts from the two grid samples of its bracket, so the
         # scan evaluates the grid up to the end of the chunk holding its last
         # root, and one more point per refinement step; the brackets advance in
-        # lockstep, so a round of steps is one call
+        # lockstep, so a round of steps is one kernel evaluation
         points = []
-        original = solver.reduced_matrices
+        original = solver._reduced_stack
 
-        def counted(spec, rho):
+        def counted(specs, rho):
             points.append(len(rho))
-            return original(spec, rho)
+            return original(specs, rho)
 
-        monkeypatch.setattr(solver, "reduced_matrices", counted)
+        monkeypatch.setattr(solver, "_reduced_stack", counted)
         evaluations = []
         for (n, p) in [(2, 1), (4, 2), (6, 3)]:
             for parity in (S, A):
@@ -805,9 +800,18 @@ class TestLazyResiduals:
 class TestSpectrumStore:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """An empty store, with scan and extraction calls counted."""
+        """An empty store, with the scanned orders and the extraction calls counted."""
         monkeypatch.setattr(solver, "_STORE", {})
-        return count_calls(monkeypatch, "scan_spectrum", "extract_eigenfunction")
+        calls = count_calls(monkeypatch, "extract_eigenfunction")
+        calls["scanned_orders"] = 0
+        original = solver.scan_family
+
+        def counted(specs, *args, **kwargs):
+            calls["scanned_orders"] += len(specs)
+            return original(specs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "scan_family", counted)
+        return calls
 
     @pytest.mark.parametrize(
         "argv, scans, extractions",
@@ -826,33 +830,37 @@ class TestSpectrumStore:
     def test_each_order_is_scanned_once(self, calls, capsys, argv, scans, extractions):
         assert main(argv.split()) == 0
         capsys.readouterr()
-        assert calls == {"scan_spectrum": scans, "extract_eigenfunction": extractions}
+        assert calls == {"scanned_orders": scans, "extract_eigenfunction": extractions}
 
     def test_longer_prefix_rescans_shorter_does_not(self, calls):
         cached_spectrum(2, 1, S, 2)
         cached_spectrum(2, 1, S, 1)
-        assert calls["scan_spectrum"] == 1
+        assert calls["scanned_orders"] == 1
         cached_spectrum(2, 1, S, 3)
         cached_eigenpair(2, 1, S, 2)
         cached_eigenpair(2, 1, S, 2)
-        assert calls == {"scan_spectrum": 2, "extract_eigenfunction": 1}
+        assert calls == {"scanned_orders": 2, "extract_eigenfunction": 1}
 
     def test_exhausted_scan_is_kept(self, calls, monkeypatch):
         # (1,1,sym) has lambda = (k + 1/2) pi, so a ceiling of 5 holds two roots
-        monkeypatch.setattr(solver, "scan_spectrum",
-                            functools.partial(solver.scan_spectrum, lambda_ceiling=5.0))
         spec = ProblemSpec(1, 1, S)
+        fresh = {}
+        for count in (3, 4):
+            with pytest.raises(SolverError) as exc:
+                scan_spectrum(spec, count, lambda_ceiling=5.0)
+            fresh[count] = str(exc.value)
+        prefix = scan_spectrum(spec, 2, lambda_ceiling=5.0)
+        monkeypatch.setattr(solver, "scan_family",
+                            functools.partial(solver.scan_family, lambda_ceiling=5.0))
+        calls["scanned_orders"] = 0
         for count in (3, 3, 4):
             with pytest.raises(SolverError) as caught:
                 cached_spectrum(1, 1, S, count)
-            with pytest.raises(SolverError) as fresh:
-                scan_spectrum(spec, count, lambda_ceiling=5.0)
-            assert str(caught.value) == str(fresh.value)
+            assert str(caught.value) == fresh[count]
         assert str(caught.value).startswith("found only 2 of 4 eigenvalues")
-        prefix = scan_spectrum(spec, 2, lambda_ceiling=5.0)
         assert cached_spectrum(1, 1, S, 2) == prefix.eigenvalues
         assert cached_spectrum(1, 1, S, 1) == prefix.eigenvalues[:1]
-        assert calls["scan_spectrum"] == 1
+        assert calls["scanned_orders"] == 1
 
     @pytest.mark.parametrize("n, p, parity", [(3, 1, S), (4, 2, A), (5, 3, S)])
     def test_store_is_bit_identical_to_a_direct_scan(self, monkeypatch, n, p, parity):
@@ -872,7 +880,95 @@ class TestSpectrumStore:
     def test_invalid_order_leaves_the_store_unchanged(self, calls, n, p, parity):
         with pytest.raises(ConfigError):
             cached_spectrum(n, p, parity, 1)
-        assert solver._STORE == {} and calls["scan_spectrum"] == 0
+        assert solver._STORE == {} and calls["scanned_orders"] == 0
+
+
+def outcome_of(scan):
+    """A scan's slice, or its error as (type, message, the roots it kept)."""
+    try:
+        return scan()
+    except SolverError as exc:
+        return type(exc), str(exc), getattr(exc, "eigenvalues", None)
+
+
+class TestFamilyScan:
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_every_order_up_to_12_scanned_together_equals_its_own_scan(self, parity):
+        # the 78 orders n <= 12 of each parity, all of one p in one lockstep
+        for p in range(1, 13):
+            specs = [ProblemSpec(n, p, parity) for n in range(p, 13)]
+            for spec, together in zip(specs, solver.scan_family(specs, 20), strict=True):
+                alone = scan_spectrum(spec, 20)
+                assert together.eigenvalues == alone.eigenvalues, spec.label()
+                for f in dataclasses.fields(solver.ScanMetadata):
+                    assert getattr(together.metadata, f.name) == getattr(alone.metadata, f.name)
+
+    @pytest.mark.parametrize("orders, count, options, failing", [
+        # (1,1) holds both roots below the ceiling, (5,1) runs out of grid
+        ([1, 5], 2, {"lambda_ceiling": 5.0}, [False, True]),
+        # a step of 4 skips a root of orders 2 and 4 only
+        ([1, 2, 3, 4], 3, {"step": 4.0}, [False, True, False, True]),
+        # rho^2 underflows, so (3,3) is degenerate at the first chunk while (7,3)
+        # walks on, to the end of a grid that holds none of its roots
+        ([3, 7], 1, {"step": 1e-170, "lambda_ceiling": 1e-166}, [True, True]),
+        # rho^2 overflows, so (3,1)'s powers would fill (1,1)'s padding with nan;
+        # alone, (1,1) finds its grid too coarse and (3,1) finds no root
+        ([1, 3], 2, {"step": 1e155, "lambda_ceiling": 1e159}, [True, True]),
+    ])
+    def test_an_order_that_fails_fails_as_it_does_alone(self, orders, count, options, failing):
+        p = min(orders)
+        specs = [ProblemSpec(n, p, S) for n in orders]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an overflowing order's own
+            together = solver.scan_family(specs, count, **options)
+            alone = [outcome_of(lambda: scan_spectrum(spec, count, **options)) for spec in specs]
+        assert [isinstance(outcome, SolverError) for outcome in together] == failing
+        for outcome, expected in zip(together, alone, strict=True):
+            if isinstance(outcome, SolverError):
+                outcome = type(outcome), str(outcome), getattr(outcome, "eigenvalues", None)
+            assert outcome == expected
+        if p == 3:
+            assert isinstance(together[0], DegenerateSystemError)
+            assert isinstance(together[1], ScanExhaustedError)
+
+    def test_a_family_shares_p_and_parity(self):
+        with pytest.raises(ConfigError, match="share p and parity"):
+            solver.scan_family([ProblemSpec(2, 1, S), ProblemSpec(2, 2, S)], 1)
+        with pytest.raises(ConfigError, match="share p and parity"):
+            solver.scan_family([ProblemSpec(2, 1, S), ProblemSpec(3, 1, A)], 1)
+
+    def test_the_walk_resumes_across_chunks(self):
+        # one sample at a time, or all at once, the walk ends alike
+        samples = [(0.1 * k, math.cos(k), k % 7 != 3) for k in range(1, 80)]
+        walks = []
+        for wanted in (3, 40):
+            for chunk in (1, 5, len(samples)):
+                walk = solver._walk(wanted)
+                next(walk)
+                try:
+                    for start in range(0, len(samples), chunk):
+                        for sample in samples[start:start + chunk]:
+                            walk.send(sample)
+                    walk.send(None)
+                except StopIteration as done:
+                    walks.append((wanted, done.value))
+        assert walks[0] == walks[1] == walks[2] and len(walks[0][1][0]) == 3
+        assert walks[3] == walks[4] == walks[5] and len(walks[3][1][0]) < 40
+
+    def test_a_store_request_scans_its_stale_orders_together(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STORE", {})
+        families = []
+        original = solver.scan_family
+
+        def recorded(specs, *args, **kwargs):
+            families.append([spec.n for spec in specs])
+            return original(specs, *args, **kwargs)
+
+        expected = {n: direct_scan(n, 1, S, 4) for n in (1, 3, 5)}
+        monkeypatch.setattr(solver, "scan_family", recorded)
+        assert cached_spectrum(3, 1, S, 4) == expected[3]
+        assert solver.cached_spectra([5, 3, 1, 5], 1, S, 4) == expected
+        assert families == [[3], [1, 5]]
 
 
 @functools.cache
