@@ -197,7 +197,7 @@ def _cmd_disjoint(args):
     rows = [{"i": i, "Lambda_n": li, "j": j, "Lambda_m": lj, "rel_gap": table.gaps[i][j]}
             for i, li in enumerate(table.eigenvalues_n)
             for j, lj in enumerate(table.eigenvalues_m)]
-    condition_reports = follow_up_candidates(table, args.collision_tol)
+    condition_reports = follow_up_candidates(table)
     results = {"table": table, "condition_reports": condition_reports}
     rollup = {"pass": True, "min_gap": table.min_gap, "candidates": len(table.candidates)}
     return results, rows, ["i", "Lambda_n", "j", "Lambda_m", "rel_gap"], rollup, EXIT_OK

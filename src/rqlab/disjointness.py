@@ -169,11 +169,7 @@ def _equality_band_report(identity_id, index, lhs, rhs, scale, theta) -> Identit
     )
 
 
-def evaluate_necessary_conditions(
-    zn: EigenPair,
-    zm: EigenPair,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> NecessaryConditionReport:
+def evaluate_necessary_conditions(zn: EigenPair, zm: EigenPair) -> NecessaryConditionReport:
     """Evaluate the conditional-collision constraint system on a close pair.
 
     All bracket conditions assume the two eigenvalues coincide; they are
@@ -193,10 +189,6 @@ def evaluate_necessary_conditions(
     p = sn.p
     n, m = sn.n, sm.n
     gap_rel = abs(zn.Lambda - zm.Lambda) / max(zn.Lambda, zm.Lambda)
-    if gap_rel > collision_tol:
-        raise ConfigError(
-            f"pair is not a collision candidate: relative gap {gap_rel:.3e} > {collision_tol:.3e}"
-        )
     delta_order = m - n
     q = delta_order // 2
     delta = delta_order - 2 * q
@@ -321,9 +313,7 @@ def evaluate_necessary_conditions(
     )
 
 
-def follow_up_candidates(
-    table: GapTable, collision_tol: float = DEFAULT_COLLISION_TOL
-) -> list[NecessaryConditionReport]:
+def follow_up_candidates(table: GapTable) -> list[NecessaryConditionReport]:
     """Necessary conditions on each candidate of a gap table.
 
     At n = p there are no stones to compare, so only the gap table stands.
@@ -334,7 +324,7 @@ def follow_up_candidates(
     for cand in table.candidates:
         zn = cached_eigenpair(table.n, table.p, "symmetric", cand.index_n)
         zm = cached_eigenpair(table.m, table.p, "symmetric", cand.index_m)
-        reports.append(evaluate_necessary_conditions(zn, zm, collision_tol))
+        reports.append(evaluate_necessary_conditions(zn, zm))
     return reports
 
 
@@ -389,7 +379,7 @@ def sweep_conjecture(
         for m in range(n + 1, n_max + 1):
             try:
                 table = compare_spectra(n, m, p, count, collision_tol)
-                followed = follow_up_candidates(table, collision_tol)
+                followed = follow_up_candidates(table)
             except RQLabError as exc:  # record and continue: partial results
                 pairs.append(
                     SweepPair(n=n, m=m, min_gap=float("nan"), min_pair=(-1, -1),

@@ -12,13 +12,15 @@ kernel coefficients are the null direction of the p x p matrix ``R`` via
 SVD, and the monomial coefficients follow from the first n-p boundary rows
 through the exact inverse of their monomial block.
 
-The kernel rows K(rho) depend on p and the parity but not on n, so the
-orders of one (p, parity) that a command needs are scanned as one family
-(``scan_family``): each grid chunk and each refinement round costs one
-``exp`` and one kernel contraction for all of them, and one contraction
-with their N, zero-padded to the largest n.  Each order walks its own
-samples up to its last bracket, and gets the roots and metadata its own
-scan gives, bit for bit; ``scan_spectrum`` is the one-order case.
+The kernel rows K(rho) depend on p and the parity but not on n, so R has
+one producer, ``reduced_matrices``, which evaluates several orders of one
+(p, parity) at once: one ``exp`` and one kernel contraction for all of
+them, and one contraction with their N, zero-padded to the largest n.  The
+scan, its refinement, ``plotdata`` and extraction all read it, and the
+orders a command needs are scanned as one family (``scan_family``).  Each
+order walks its own samples up to its last bracket, and gets the roots and
+metadata its own scan gives, bit for bit; ``scan_spectrum`` is the
+one-order case.
 
 A stored spectrum of order n-2 (same p and parity) interlaces the roots of
 order n.  For p <= n-2, u -> u'' maps the clamped order-n functions of a
@@ -228,75 +230,53 @@ def _cofactor_bounds(matrices: np.ndarray, tolerances: np.ndarray, others: np.nd
     return np.einsum("...i,...i->...", cofactors, tolerances)
 
 
-def reduced_matrices(spec: ProblemSpec, rho: Sequence[float]) -> np.ndarray:
-    """The row-normalised reduced matrices ``R = N K(rho)``, an ``(L, p, p)`` stack.
+def reduced_matrices(
+    specs: tuple[ProblemSpec, ...], rho: Sequence[float]
+) -> tuple[np.ndarray, dict[int, DegenerateSystemError], np.ndarray, np.ndarray]:
+    """Each order's row-normalised ``R = N K(rho)`` at each point, an ``(orders, L, p, p)`` stack.
 
-    ``K`` is the kernel block of the unscaled boundary matrix, row j holding
-    the closed form ``sum c mu^j e^mu`` of each kernel function, and ``N``
-    is :func:`monomial_annihilator`: as ``N M = 0`` for the monomial block
-    M, which does not depend on rho,
+    The one producer of R.  ``K`` is the kernel block of the unscaled
+    boundary matrix, row j holding the closed form ``sum c mu^j e^mu`` of
+    each kernel function, and ``N`` is :func:`monomial_annihilator`: as
+    ``N M = 0`` for the monomial block M, which does not depend on rho,
     ``det[K | M] = const * det(N K)`` with a nonzero constant, so det R has
     the boundary determinant's zeros, signs changing alike.  Row i is
     divided by ``sum_j |N_ij| rho^j``, the bound of its entries (a kernel
     function's ``sum |c mu^j| e^|Re mu|`` is ``rho^j``), so every entry lies
-    in [-1, 1] while ``rho^(n-1)`` is finite.  A row whose divisor
-    underflows to 0 (only where N's row is a single high power, as at
-    p = n) raises ``DegenerateSystemError``.
+    in [-1, 1] while ``rho^(n-1)`` is finite.
 
     Kernel rows come from the power table (:func:`boundary_tables`): a
-    point costs one complex ``exp`` per term and two real contractions (the
-    second applies ``N`` and the powers ``rho^j`` at once), and raises no
-    complex power.  The contractions are ``einsum`` calls, so each point's
-    matrix is bit-identical whatever the batch it is evaluated in and
-    whatever other orders share its kernel rows (a batched ``matmul`` may
-    sum in an order that depends on the batch), and a scan does not depend
-    on how it batches its grid or which orders it scans together.
-    """
-    return _reduced_system(spec, rho)[0]
-
-
-def _reduced_system(
-    spec: ProblemSpec, rho: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`reduced_matrices`, and the ``powers[l, j] * kernel[l, j, k]`` of K it is made of."""
-    matrices, degenerate, powers, kernel = _reduced_stack((spec,), rho)
-    if degenerate:
-        raise degenerate[0]
-    return matrices[0], powers, kernel
-
-
-def _reduced_stack(
-    specs: tuple[ProblemSpec, ...], rho: Sequence[float]
-) -> tuple[np.ndarray, dict[int, DegenerateSystemError], np.ndarray, np.ndarray]:
-    """Every order's reduced matrices at every point, an ``(orders, L, p, p)`` stack.
-
-    One complex ``exp`` and one kernel contraction serve all the orders, and
-    one contraction applies their zero-padded N.  Each order's row bounds
-    are summed over its own n columns only: summed over the padding, the
-    contraction would group the terms differently and move the last bit.
-    Also returns the orders whose row bound underflows to 0 at a point,
-    each with its ``DegenerateSystemError`` (its matrices are then zero),
-    and the powers and kernel rows.  Where the largest order's powers
-    overflow, ``0 * inf`` would fill the others' padding with nan, so each
-    order is then evaluated alone (and no shared powers or kernel rows are
-    returned).
+    point costs one complex ``exp`` per term and two real contractions for
+    all the orders (the second applies their N, zero-padded to the largest
+    n, and the powers ``rho^j`` at once), and raises no complex power.  The
+    contractions are ``einsum`` calls, so each point's matrix is
+    bit-identical whatever the batch it is evaluated in and whatever other
+    orders share its kernel rows (a batched ``matmul`` may sum in an order
+    that depends on the batch).  Each order's row bounds are summed over its
+    own n columns only: summed over the padding, the contraction would group
+    the terms differently and move the last bit.  Where the largest order's
+    powers overflow, each order's padding powers are zeroed, as ``0 * inf``
+    would fill its padding with nan.  Also returns the orders whose row
+    bound underflows to 0 at a point (only where N's row is a single high
+    power, as at p = n), each with its ``DegenerateSystemError`` (its
+    matrices are then zero), and the powers ``powers[l, j]`` and kernel rows
+    ``kernel[l, j, k]`` whose products are K.
     """
     smallest = min(rho)
     if not smallest > 0:
         raise ConfigError("the root coordinate must be positive")
     weights, exponents, basis, magnitudes, _, _ = reduced_tables(specs)
-    if len(specs) > 1:
-        try:
-            max(rho) ** (basis.shape[-1] - 1)
-        except OverflowError:
-            stacks = [_reduced_stack((spec,), rho) for spec in specs]
-            degenerate = {order: stack[1][0] for order, stack in enumerate(stacks) if stack[1]}
-            return np.concatenate([stack[0] for stack in stacks]), degenerate, None, None
     rhos = np.asarray(rho, dtype=float)
-    powers = rhos[:, None] ** np.arange(basis.shape[-1])  # (L, rows)
+    columns = np.arange(basis.shape[-1])
+    powers = rhos[:, None] ** columns  # (L, rows)
+    padded = powers[None]
+    try:
+        float(max(rho)) ** (basis.shape[-1] - 1)  # a numpy float gives inf instead
+    except OverflowError:
+        padded = np.where(columns < np.array([[[spec.n]] for spec in specs]), powers, 0.0)
     terms = np.exp(rhos[:, None, None] * exponents)  # (L, p, slots)
     kernel = np.einsum("jkt,lkt->ljk", weights, terms.view(float))
-    matrices = np.einsum("oij,lj,ljk->olik", basis, powers, kernel)
+    matrices = np.einsum("oij,olj,ljk->olik", basis, padded, kernel)
     degenerate = {}
     for order, spec in enumerate(specs):
         scale = np.einsum("ij,lj->li", magnitudes[order], powers[:, :spec.n])
@@ -323,7 +303,7 @@ def _indicators(
     product of the other row norms (:func:`_cofactor_bounds`).  No division
     is taken, so a vanishing row gives det 0, which is never trusted.
     """
-    matrices, degenerate, _, _ = _reduced_stack(specs, rho)
+    matrices, degenerate, _, _ = reduced_matrices(specs, rho)
     values = _determinants(matrices)
     trusted = np.abs(values) > _cofactor_bounds(matrices, *reduced_tables(specs)[4:])
     return values.tolist(), trusted.tolist(), degenerate
@@ -441,7 +421,10 @@ def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> 
     roots of odd multiplicity, at most p, so each is simple at p <= 2.
     z is scaled to ``<z^(n-p) z^(n-p)> = 1``.
     """
-    matrices, powers, kernel = _reduced_system(spec, [root_system(spec.p, Lambda).rho])
+    (matrices,), degenerate, powers, kernel = reduced_matrices(
+        (spec,), [root_system(spec.p, Lambda).rho])
+    if degenerate:
+        raise degenerate[0]
     _, svals, vt = np.linalg.svd(matrices[0])
     smax = max(float(svals[0]), 1.0)
     quality = float(svals[-1]) / smax
@@ -472,7 +455,10 @@ def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
     """Wrap a closed-form eigenfunction (any scaling) as an EigenPair."""
-    indicator = float(_determinants(reduced_matrices(spec, [root_system(spec.p, Lambda).rho]))[0])
+    (matrices,), degenerate, _, _ = reduced_matrices((spec,), [root_system(spec.p, Lambda).rho])
+    if degenerate:
+        raise degenerate[0]
+    indicator = float(_determinants(matrices)[0])
     return EigenPair(spec, Lambda, index, z, indicator, 0.0, normalized=False)
 
 
@@ -569,7 +555,7 @@ def _refine_all(
         trials.clear()
         # a trial point lies above a trusted grid point of its own order, so no
         # row bound of that order vanishes there
-        values = _determinants(_reduced_stack(specs, points)[0]).tolist()
+        values = _determinants(reduced_matrices(specs, points)[0]).tolist()
         for point, i in enumerate(live):
             advance(i, values[brackets[i][0]][point])
     return [outcomes[i] for i in range(len(steps))]
@@ -659,7 +645,7 @@ def scan_family(
 
     Each order gets the slice its own scan returns, or the ``SolverError``
     it raises, bit for bit.  Every grid chunk is evaluated once for all the
-    orders (:func:`_reduced_stack`), each order walks its own samples
+    orders (:func:`reduced_matrices`), each order walks its own samples
     (:func:`_walk`) until its ``count``-th bracket, the grid ends when every
     walk has, and the brackets of every order are refined together
     (:func:`_refine_all`).  An invalid count, step or grid is a

@@ -73,24 +73,18 @@ class TestCompareSpectra:
 
 
 class TestNecessaryConditions:
-    def test_gap_precondition(self):
-        zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = cached_eigenpair(4, 1, "symmetric", 0)
-        with pytest.raises(ConfigError):
-            evaluate_necessary_conditions(zn, zm, collision_tol=1e-4)
-
     def test_cloned_pair_rejected(self):
         # a forced zero order gap is refused outright, however close the values
         zn = cached_eigenpair(3, 1, "symmetric", 0)
         with pytest.raises(ConfigError):
-            evaluate_necessary_conditions(zn, dataclasses.replace(zn), collision_tol=1.0)
+            evaluate_necessary_conditions(zn, dataclasses.replace(zn))
 
     def test_adjacent_order_contradiction(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
         zm = dataclasses.replace(
             cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-6)
+        report = evaluate_necessary_conditions(zn, zm)
         assert report.verdict == "violated"
         head = [r for r in report.pair_equalities if r.identity_id == "collision-head-vanishing"]
         assert head[0].verdict == "fail" and abs(head[0].lhs) > 0.1
@@ -100,7 +94,7 @@ class TestNecessaryConditions:
         zm = dataclasses.replace(
             cached_eigenpair(5, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-6)
+        report = evaluate_necessary_conditions(zn, zm)
         assert report.verdict == "violated"
 
     def test_manufactured_diagnostic_run_is_finite(self):
@@ -108,7 +102,7 @@ class TestNecessaryConditions:
         zm = dataclasses.replace(
             cached_eigenpair(6, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-5)
+        report = evaluate_necessary_conditions(zn, zm)
         groups = (report.pair_inequalities, report.pair_equalities, report.moment_signs,
                   report.gf_inequalities, report.gf_factorization)
         assert any(groups)
@@ -123,7 +117,7 @@ class TestNecessaryConditions:
         zm = dataclasses.replace(
             cached_eigenpair(m, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-5)
+        report = evaluate_necessary_conditions(zn, zm)
         c, d = (stone_coefficients(z) for z in (zn, zm))
         four_fold = gf(report.alpha)
         for factor in (report.beta, c, d):
@@ -139,7 +133,7 @@ class TestNecessaryConditions:
         zm = dataclasses.replace(
             cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-6)
+        report = evaluate_necessary_conditions(zn, zm)
         trans = [
             r for r in report.pair_equalities if r.identity_id == "collision-head-translation"
         ]
@@ -150,7 +144,7 @@ class TestNecessaryConditions:
         zm = dataclasses.replace(
             cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
         )
-        report = evaluate_necessary_conditions(zn, zm, collision_tol=1e-6)
+        report = evaluate_necessary_conditions(zn, zm)
         assert report.eps_mid == pytest.approx(report.Lambda_mid ** (-1.0), rel=1e-12)
         assert len(report.eps_endpoints) == 2
 
@@ -185,7 +179,7 @@ class TestSweep:
     def test_a_failed_candidate_extraction_makes_its_pair_partial(self, monkeypatch):
         # (3, 5) at p = 1 has one candidate at this tolerance
         table = compare_spectra(3, 5, 1, 5, 0.05)
-        assert len(table.candidates) == len(follow_up_candidates(table, 0.05)) == 1
+        assert len(table.candidates) == len(follow_up_candidates(table)) == 1
         clean = sweep_conjecture(1, 5, 5, 0.05)
         # candidates at n = p are not followed up
         followed = {(sp.n, sp.m) for sp in clean.pairs if sp.candidate_count and sp.n > 1}

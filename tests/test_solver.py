@@ -38,6 +38,13 @@ from conftest import PI, bisect_root, cold_start, rel_err
 S, A = "symmetric", "antisymmetric"
 
 
+def one_order(spec, rho):
+    """:func:`solver.reduced_matrices` of the one order, an ``(L, p, p)`` stack."""
+    (matrices,), degenerate, _, _ = reduced_matrices((spec,), rho)
+    assert not degenerate
+    return matrices
+
+
 def det_indicator(spec, Lambda):
     """The scan's reduced determinant det R at the one eigenvalue Lambda."""
     ((_, value, _),) = solver.indicator_series(spec, [root_system(spec.p, Lambda).rho])
@@ -90,7 +97,7 @@ class TestBoundaryMatrix:
                 spec = ProblemSpec(n, p, parity)
                 Lambdas = [float(lam) ** (2 * p) for lam in np.arange(0.02, 60.0, 0.91)]
                 rhos = [root_system(p, Lambda).rho for Lambda in Lambdas]
-                reduced = reduced_matrices(spec, rhos)
+                reduced = one_order(spec, rhos)
                 assert reduced.shape == (len(Lambdas), p, p)
                 for matrix, Lambda in zip(reduced, Lambdas):
                     oracle = exppoly_reduced_matrix(spec, Lambda)
@@ -113,11 +120,11 @@ class TestBoundaryMatrix:
             depth = max(root.imag for root in root_system(spec.p, 1.0).roots)
             Lambdas = [lam ** (2 * spec.p) for lam in lams]
             rhos = [root_system(spec.p, Lambda).rho for Lambda in Lambdas]
-            batched = reduced_matrices(spec, rhos)
+            batched = one_order(spec, rhos)
             assert np.abs(batched).max() <= 1.0
             determinants = [f for _, f, _ in solver.indicator_series(spec, rhos)]
             for matrix, Lambda, rho, f in zip(batched, Lambdas, rhos, determinants):
-                assert np.array_equal(matrix, reduced_matrices(spec, [rho])[0])
+                assert np.array_equal(matrix, one_order(spec, [rho])[0])
                 if rho * depth < 700.0:  # the oracle's e^(rho b) is still finite
                     oracle = exppoly_reduced_matrix(spec, Lambda)
                     assert np.abs(matrix - oracle).max() <= ORACLE_BOUND
@@ -136,17 +143,21 @@ class TestBoundaryMatrix:
             for p in range(1, n + 1):
                 for parity in (S, A):
                     spec = ProblemSpec(n, p, parity)
-                    matrices = reduced_matrices(spec, rhos)
+                    matrices = one_order(spec, rhos)
                     values = [f for _, f, _ in solver.indicator_series(spec, rhos)]
                     assert np.isfinite(matrices).all() and np.abs(matrices).max() <= 1.0
                     assert np.isfinite(values).all() and np.abs(values).max() <= 1.0
 
     def test_a_row_without_monomials_that_vanishes_is_degenerate(self):
         # rho^2 underflows, so the last row of the (3,3) matrix has no scale
-        with pytest.raises(DegenerateSystemError,
-                           match="reduced boundary row 2 vanishes identically"):
-            reduced_matrices(ProblemSpec(3, 3, S), [1.0, 1e-200])
-        assert np.isfinite(reduced_matrices(ProblemSpec(3, 1, S), [1e-200])).all()
+        spec = ProblemSpec(3, 3, S)
+        (matrices,), degenerate, _, _ = reduced_matrices((spec,), [1.0, 1e-200])
+        assert list(degenerate) == [0] and isinstance(degenerate[0], DegenerateSystemError)
+        assert str(degenerate[0]).startswith("reduced boundary row 2 vanishes identically")
+        assert not matrices.any()
+        with pytest.raises(DegenerateSystemError, match="reduced boundary row 2"):
+            list(solver.indicator_series(spec, [1.0, 1e-200]))
+        assert np.isfinite(one_order(ProblemSpec(3, 1, S), [1e-200])).all()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_a_vanishing_or_underflowed_reduced_row_is_untrusted(self, monkeypatch, p):
@@ -157,7 +168,7 @@ class TestBoundaryMatrix:
         stack[0, 0] = 0.0
         stack[1, -1] = 5e-324
         stack[2, 0, 0] = 1e-300
-        monkeypatch.setattr(solver, "_reduced_stack",
+        monkeypatch.setattr(solver, "reduced_matrices",
                             lambda specs, rho: (stack[None, :len(rho)], {}, None, None))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -281,7 +292,7 @@ class TestScanSpectrum:
                 values = np.where(np.rint(rhos / 0.05) == k, value, values)
             return values[..., None, None]
 
-        monkeypatch.setattr(solver, "_reduced_stack",
+        monkeypatch.setattr(solver, "reduced_matrices",
                             lambda specs, rho: (matrix(rho)[None], {}, None, None))
         out = scan_spectrum(ProblemSpec(1, 1, S), 1, step=0.05)
         assert rel_err(out.eigenvalues[0], 0.325**2) < 1e-12
@@ -428,13 +439,13 @@ class TestScanSpectrum:
         # root, and one more point per refinement step; the brackets advance in
         # lockstep, so a round of steps is one kernel evaluation
         points = []
-        original = solver._reduced_stack
+        original = solver.reduced_matrices
 
         def counted(specs, rho):
             points.append(len(rho))
             return original(specs, rho)
 
-        monkeypatch.setattr(solver, "_reduced_stack", counted)
+        monkeypatch.setattr(solver, "reduced_matrices", counted)
         evaluations = []
         for (n, p) in [(2, 1), (4, 2), (6, 3)]:
             for parity in (S, A):
@@ -614,13 +625,13 @@ class TestExtraction:
 
     def test_extraction_evaluates_the_kernel_once(self, monkeypatch):
         calls = []
-        original = solver._reduced_system
+        original = solver.reduced_matrices
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(solver, "_reduced_system", counted)
+        monkeypatch.setattr(solver, "reduced_matrices", counted)
         Lambda = cached_spectrum(3, 1, S, 1)[0]
         calls.clear()
         pair = extract_eigenfunction(ProblemSpec(3, 1, S), Lambda, index=0)
@@ -969,6 +980,46 @@ class TestFamilyScan:
         assert cached_spectrum(3, 1, S, 4) == expected[3]
         assert solver.cached_spectra([5, 3, 1, 5], 1, S, 4) == expected
         assert families == [[3], [1, 5]]
+
+
+class TestOneProducer:
+    def test_every_evaluation_of_R_goes_through_reduced_matrices(self, monkeypatch):
+        calls = []  # (orders, points) of each call
+        original = solver.reduced_matrices
+
+        def counted(specs, rho):
+            calls.append((len(specs), len(rho)))
+            return original(specs, rho)
+
+        monkeypatch.setattr(solver, "_STORE", {})
+        monkeypatch.setattr(solver, "reduced_matrices", counted)
+        spec = ProblemSpec(3, 1, S)
+        out = scan_spectrum(spec, 2)
+        refinement = out.metadata.refinement_iterations
+        assert sum(points for _, points in calls) == solver.SCAN_CHUNK + sum(refinement)
+        assert {orders for orders, _ in calls} == {1}
+        calls.clear()
+        solver.cached_spectra([1, 3, 5], 1, S, 2)
+        assert calls and {orders for orders, _ in calls} == {3}
+        Lambda = cached_spectrum(3, 1, S, 1)[0]
+        calls.clear()
+        pair = extract_eigenfunction(spec, Lambda, index=0)
+        solver.eigenpair_from_function(spec, Lambda, pair.z, index=0)
+        list(solver.indicator_series(spec, [1.0, 2.0, 3.0]))
+        assert calls == [(1, 1), (1, 1), (1, 3)]
+
+    def test_an_overflowing_family_evaluates_each_order_as_alone(self):
+        # rho^2 overflows at 1e155, so (1,1)'s padding powers are zeroed, not inf
+        specs = (ProblemSpec(1, 1, S), ProblemSpec(3, 1, S))
+        rhos = [1.0, 2.5, 1e155]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # (3,1)'s own overflow
+            together, degenerate, _, _ = reduced_matrices(specs, rhos)
+            for order, spec in enumerate(specs):
+                assert np.array_equal(together[order], one_order(spec, rhos), equal_nan=True)
+            as_array = reduced_matrices(specs, np.array(rhos))[0]
+        assert not degenerate and np.isfinite(together[0]).all()
+        assert np.array_equal(as_array, together, equal_nan=True)
 
 
 @functools.cache
