@@ -16,12 +16,13 @@ after a command, and ``--version`` the version.  A flag error names its flag.
 Every command but spectrum reads eigenvalues and eigenpairs from the
 solver's per-order store, so within one process an order is rescanned only
 for a longer prefix and each eigenfunction is extracted once; spectrum
-scans directly with its own step and ceiling.
+scans directly with its own step and ceiling, and extracts all its
+eigenfunctions in one batch.  verify scans its symmetric orders in one
+lockstep before the suite reads them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import re
@@ -53,9 +54,10 @@ from .solver import (
     DEFAULT_SCAN_STEP,
     MAX_GRID_POINTS,
     cached_eigenpair,
+    cached_spectra,
     cached_spectrum,
     eigenpair_from_function,
-    extract_eigenfunction,
+    extract_eigenfunctions,
     indicator_series,
     scan_spectrum,
 )
@@ -120,11 +122,14 @@ def _cmd_spectrum(args):
     bounds = ritz_values(assemble(spec, k), k)  # upper bounds, up to the eigensolve's rounding
     ritz = bounds[:args.count]
     rows = []
-    for i, lam in enumerate(slice_.eigenvalues):
+    pairs = extract_eigenfunctions(spec, slice_.eigenvalues)
+    for i, (lam, pair) in enumerate(zip(slice_.eigenvalues, pairs)):
         if lam - ritz[i] > k * sys.float_info.epsilon * bounds[-1]:
             raise SolverError(f"Lambda_{i} = {lam!r} exceeds its Ritz upper bound {ritz[i]!r}: "
                               "the scan skipped a root; use a smaller --step")
-        r = extract_eigenfunction(spec, lam, i).residuals
+        if isinstance(pair, SolverError):
+            raise pair
+        r = pair.residuals
         rows.append({
             "index": i,
             "Lambda": lam,
@@ -136,7 +141,7 @@ def _cmd_spectrum(args):
             "boundary_residual_rel": r.boundary_residual / max(r.boundary_scale, 1e-300),
         })
     results = {
-        "spec": dataclasses.asdict(spec),
+        "spec": spec,
         "eigenvalues": slice_.eigenvalues,
         "ritz": ritz,
         "rows": rows,
@@ -158,7 +163,7 @@ def _cmd_eigenfunction(args):
         for r, c in zip(roots, pair.kernel_coeffs)
     ]
     results = {
-        "spec": dataclasses.asdict(spec),
+        "spec": spec,
         "index": pair.index,
         "Lambda": pair.Lambda,
         "kernel": rows,
@@ -177,6 +182,11 @@ def _corrupted_pair(pair):
 
 
 def _cmd_verify(args):
+    n, p = args.n, args.p
+    if n >= p and (args.m is None or args.m > n):  # else the suite refuses these orders first
+        # the suite's orders n-1, n and --m and the parity shift's n+1, in one lockstep
+        # scan; an order whose scan fails fails alike where the suite or the shift reads it
+        cached_spectra({n - 1, n, n + 1, args.m or n} - set(range(p)), p, SYMMETRIC, args.count)
     reports = invariants.run_identity_suite(args.n, args.p, count=args.count, m=args.m,
                                             tol=args.tol)
     try:
@@ -244,7 +254,7 @@ def _cmd_ritz(args):
             row["determinant"] = lam
             row["rel_gap"] = abs(row["ritz"] - lam) / lam
         columns = ["index", "ritz", "determinant", "rel_gap"]
-    return {"spec": dataclasses.asdict(spec), "rows": rows}, rows, columns, {"pass": True}, EXIT_OK
+    return {"spec": spec, "rows": rows}, rows, columns, {"pass": True}, EXIT_OK
 
 
 def _cmd_plotdata(args):
@@ -262,7 +272,7 @@ def _cmd_plotdata(args):
         {"lambda": lam, "Lambda": lam ** (2 * spec.p), "indicator": f}
         for lam, f, _ in indicator_series(spec, grid)
     ]
-    results = {"spec": dataclasses.asdict(spec), "rows": rows}
+    results = {"spec": spec, "rows": rows}
     return results, rows, ["lambda", "Lambda", "indicator"], {"pass": True}, EXIT_OK
 
 

@@ -121,6 +121,28 @@ def _int_xk_exp(mu: complex, dmax: int) -> list[complex]:
     return out
 
 
+def gram_integrals(mus: Sequence[complex]) -> list[list[complex]]:
+    """``G[a][b] = int_{-1}^{1} exp((mu_a + conj(mu_b)) x) dx`` for every pair of frequencies.
+
+    G is Hermitian, and ``I(s) = int e^{sx}`` is even in s, with the same
+    bits (``_int_xk_exp(-s)`` negates both its numerator and its
+    denominator), and ``I(conj(s)) = conj(I(s))``, so only one of the
+    frequency sums ``+-s, +-conj(s)`` is integrated.
+    """
+    gram = [[0j] * len(mus) for _ in mus]
+    conj = [mu.conjugate() for mu in mus]
+    integrals: dict[complex, complex] = {}
+    for a, mu in enumerate(mus):
+        for b in range(a, len(mus)):
+            s = mu + conj[b]
+            value = integrals.get(s)
+            if value is None:
+                value = integrals[s] = integrals[-s] = _int_xk_exp(s, 0)[0]
+                integrals[s.conjugate()] = integrals[-s.conjugate()] = value.conjugate()
+            gram[b][a], gram[a][b] = value.conjugate(), value
+    return gram
+
+
 @dataclass(frozen=True)
 class ExpPoly:
     """Canonical sum of terms ``P_i(x) * exp(mu_i * x)`` with distinct mu_i."""

@@ -7,10 +7,14 @@ changes and refined by regula falsi on the determinant itself, all of a
 scan's brackets in lockstep.  ``N`` is an exact integer left null basis of
 the boundary matrix's monomial block, which does not depend on rho, so the
 reduced p x p determinant vanishes exactly where the n x n one does.
-Eigenfunctions come from the same system at the refined eigenvalue: the
-kernel coefficients are the null direction of the p x p matrix ``R`` via
-SVD, and the monomial coefficients follow from the first n-p boundary rows
-through the exact inverse of their monomial block.
+Eigenfunctions come from the same system at the refined eigenvalues, all
+of them from one evaluation and one stacked SVD: the kernel coefficients
+are the null direction of the p x p matrix ``R``, and the monomial
+coefficients follow from the first n-p boundary rows through the exact
+inverse of their monomial block.  An eigenfunction is a constant at each
+of its 2p root frequencies ``i root`` plus a polynomial, so its norm, its
+sign and its residuals are closed-form sums over those terms, with no
+ExpPoly algebra.
 
 The kernel rows K(rho) depend on p and the parity but not on n, so R has
 one producer, ``reduced_matrices``, which evaluates several orders of one
@@ -37,9 +41,11 @@ and n+2, which the paper rules out and ``disjoint`` looks for) passes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -49,9 +55,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
-from .exppoly import ExpPoly, inner_product, l2_norm_sq
-from .problem import SYMMETRIC, ProblemSpec, build_operator, kernel_columns, root_system
-from .problem import solution_basis
+from .exppoly import ExpPoly, Term, _int_xk_exp, gram_integrals
+from .problem import SYMMETRIC, ProblemSpec, kernel_columns, root_system
 
 DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
@@ -336,6 +341,78 @@ class EigenResiduals:
     boundary_scale: float  # magnitude bound of the worst derivative order
 
 
+def _split(terms: Sequence[Term]) -> tuple[list[complex], list[complex], tuple[complex, ...]]:
+    """A function's nonzero frequencies, the constant coefficient at each, and its polynomial part.
+
+    An extracted eigenfunction has this shape (its frequencies are exactly
+    ``i root``), and so has each of its derivatives and operator images.
+    """
+    mus, coeffs, poly = [], [], ()
+    for mu, c in terms:
+        if mu == 0:
+            poly = c
+        elif len(c) == 1:
+            mus.append(mu)
+            coeffs.append(c[0])
+        else:
+            raise ValueError(
+                "a closed form needs a constant coefficient at every nonzero frequency")
+    return mus, coeffs, poly
+
+
+def _derivative(poly: tuple[complex, ...]) -> tuple[complex, ...]:
+    """P' of a trimmed polynomial part, whose leading coefficient stays nonzero."""
+    return tuple(k * c for k, c in enumerate(poly))[1:]
+
+
+def _magnitude_bound(mus: list[complex], coeffs: list[complex], poly: tuple[complex, ...]) -> float:
+    """``sum e^|Re mu| |c| + sum |p_k|``, an upper bound for sup |f| on [-1, 1]."""
+    return (sum(math.exp(abs(mu.real)) * abs(c) for mu, c in zip(mus, coeffs))
+            + sum(map(abs, poly)))
+
+
+class _Integrals:
+    """Closed-form integrals over [-1, 1] of functions on one set of nonzero frequencies.
+
+    A function here is a coefficient at each frequency (:func:`_split`)
+    and a polynomial.  Its squared L2 norm is the Gram sum
+    ``sum c_a conj(c_b) G[a][b]`` (:func:`exppoly.gram_integrals`) plus the
+    polynomial's cross and square terms, and every integral comes from
+    ``exppoly._int_xk_exp``.
+    """
+
+    def __init__(self, mus: list[complex]):
+        self.mus = mus
+        self.gram = gram_integrals(mus)
+        self._moments: list[list[complex]] = []  # int x^k e^(mu_a x), k = 0..degree, per mu_a
+
+    def _moments_to(self, degree: int) -> list[list[complex]]:
+        if not self._moments or len(self._moments[0]) <= degree:
+            self._moments = [_int_xk_exp(mu, degree) for mu in self.mus]
+        return self._moments
+
+    def mean(self, coeffs: list[complex], poly: tuple[complex, ...]) -> float:
+        """``int f``, real part."""
+        total = sum(c * table[0] for c, table in zip(coeffs, self._moments_to(0)))
+        if poly:
+            total += sum(map(operator.mul, poly, _int_xk_exp(0j, len(poly) - 1)))
+        return total.real
+
+    def norm_sq(self, coeffs: list[complex], poly: tuple[complex, ...]) -> float:
+        """``int |f|^2``."""
+        conj = [c.conjugate() for c in coeffs]
+        total = sum(a * sum(map(operator.mul, conj, row)) for a, row in zip(coeffs, self.gram))
+        if poly:
+            degree = len(poly) - 1
+            conj = [c.conjugate() for c in poly]
+            total += 2 * sum(a * sum(map(operator.mul, conj, table))
+                             for a, table in zip(coeffs, self._moments_to(degree)))
+            monomials = _int_xk_exp(0j, 2 * degree)
+            total += sum(a * sum(map(operator.mul, conj, monomials[k:]))
+                         for k, a in enumerate(poly))
+        return total.real
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue with its eigenfunction and quality diagnostics.
@@ -343,11 +420,12 @@ class EigenPair:
     ``kernel_coeffs[j]`` is the coefficient of exp(i * root_j * x) in z,
     aligned with ``root_system(p, Lambda).roots``; ``poly_coeffs`` are
     the real coefficients of the polynomial part.  Both are read off z.
-    ``derivatives`` is z's table (z, z', ..., z^(2n)), which every operator
-    image and derivative of z is read from, computed when first read.
-    ``det_indicator`` and ``nullspace_quality`` come from whoever built the
-    pair, and a replaced copy keeps them; the operator and boundary residuals
-    are computed from the pair's own table when ``residuals`` is first read.
+    ``derivatives`` is z's table (z, z', ..., z^(2n)), which the identity
+    suite reads every operator image and derivative of z from, computed
+    when first read.  ``det_indicator`` and ``nullspace_quality`` come from
+    whoever built the pair, and a replaced copy keeps them; the operator and
+    boundary residuals are computed in closed form from z's terms when
+    ``residuals`` is first read, so they build no ExpPoly.
     """
 
     spec: ProblemSpec
@@ -364,15 +442,42 @@ class EigenPair:
 
     @functools.cached_property
     def residuals(self) -> EigenResiduals:
-        table, n = self.derivatives, self.spec.n
+        """The operator and boundary residuals in closed form off z's terms (:func:`_split`).
+
+        z^(j) is ``mu^j c`` at each frequency plus P^(j), each ``e^(+-mu)``
+        is formed once, and each L2 norm is a Gram sum (:class:`_Integrals`).
+        The operator ``sigma^(2n-2p) (sigma^(2p) - Lambda)`` is
+        ``(-1)^n d^(2n) - (-1)^(n-p) Lambda d^(2n-2p)``.
+        """
+        n, p = self.spec.n, self.spec.p
+        mus, coeffs, poly = _split(self.z.terms)
+        table = [(coeffs, poly)]
+        for _ in range(2 * n):
+            table.append(([mu * c for mu, c in zip(mus, table[-1][0])], _derivative(table[-1][1])))
+        ends = [(x, [cmath.exp(mu * x) for mu in mus]) for x in (1.0, -1.0)]
+        boundary = boundary_scale = 0.0
+        for cs, ps in table[:n]:
+            for x, values in ends:
+                value = 0j
+                for c in reversed(ps):
+                    value = value * x + c
+                boundary = max(boundary, abs(sum(map(operator.mul, cs, values), value)))
+            boundary_scale = max(boundary_scale, _magnitude_bound(mus, cs, ps))
+        (low, low_poly), (high, high_poly) = table[2 * (n - p)], table[2 * n]
+        a = -self.Lambda if (n - p) % 2 == 0 else self.Lambda
+        b = 1.0 if n % 2 == 0 else -1.0
+        image_poly = [a * c for c in low_poly] + [0j] * (len(high_poly) - len(low_poly))
+        for k, c in enumerate(high_poly):
+            image_poly[k] += b * c
+        integrals = _Integrals(mus)
+        image = integrals.norm_sq([a * u + b * v for u, v in zip(low, high)], tuple(image_poly))
         return EigenResiduals(
             det_indicator=self.det_indicator,
             nullspace_quality=self.nullspace_quality,
-            operator_residual=math.sqrt(max(
-                l2_norm_sq(build_operator(self.spec, self.Lambda).apply(table)), 0.0)),
-            operator_scale=math.sqrt(max(l2_norm_sq(table[-1]), 0.0)),
-            boundary_residual=max(abs(d.evaluate(x)) for d in table[:n] for x in (1.0, -1.0)),
-            boundary_scale=max(d.magnitude_bound() for d in table[:n]),
+            operator_residual=math.sqrt(max(image, 0.0)),
+            operator_scale=math.sqrt(max(integrals.norm_sq(high, high_poly), 0.0)),
+            boundary_residual=boundary,
+            boundary_scale=boundary_scale,
         )
 
     @property
@@ -386,69 +491,128 @@ class EigenPair:
         return tuple(c.real for c in self.z.zero_frequency_coefficients())
 
 
-def _fix_sign(z: ExpPoly) -> ExpPoly:
-    """First non-negligible of (<z>, leading poly coefficient, z(0), z'(0)) is made positive.
+def _sign(mus: list[complex], coeffs: list[complex], poly: tuple[complex, ...],
+          integrals: _Integrals) -> float:
+    """1 or -1, so that the first non-negligible candidate of z comes out positive.
 
+    The candidates are <z>, the leading poly coefficient, z(0) and z'(0).
     An antisymmetric z without monomials (n = p) has the first three 0 by
     parity; its z'(0) is not.
     """
-    scale = max(z.magnitude_bound(), 1e-300)
-    poly = z.zero_frequency_coefficients()
+    scale = max(_magnitude_bound(mus, coeffs, poly), 1e-300)
     candidates = (
-        lambda: z.integrate_unit().real,
+        lambda: integrals.mean(coeffs, poly),
         lambda: poly[-1].real if poly else 0.0,
-        lambda: z.evaluate(0.0).real,
-        lambda: z.differentiate(1).evaluate(0.0).real,
+        lambda: (sum(coeffs) + sum(poly[:1])).real,
+        lambda: (sum(map(operator.mul, mus, coeffs)) + sum(poly[1:2])).real,
     )
     for candidate in candidates:
         v = candidate()
         if abs(v) > 1e-9 * scale:
-            return z.scaled(-1.0) if v < 0 else z
-    return z
+            return -1.0 if v < 0 else 1.0
+    return 1.0
+
+
+def _eigenfunction(spec: ProblemSpec, rho: float, kernel: list[float],
+                   monomials: list[float]) -> ExpPoly:
+    """z from its coefficients on the kernel functions and the parity monomials, normalised.
+
+    Each kernel column's term ``(freq, kappa)`` at ``rho`` is
+    ``kappa e^(-rho b) / 2`` times ``e^(rho freq x)``
+    (:func:`problem.kernel_columns`); the columns that share a frequency
+    add there, in column order, so z has one term per root plus the
+    polynomial.  z is scaled to ``<z^(n-p) z^(n-p)> = 1`` and signed by
+    :func:`_sign`, both in closed form off these terms.
+    """
+    merged: dict[complex, complex] = {}
+    for c, (column, depth) in zip(kernel, kernel_columns(spec.p, spec.symmetric)):
+        h = 0.5 * np.exp(-rho * depth)  # math.exp differs from np.exp in the last bit at times
+        for freq, kappa in column:
+            mu, v = rho * freq, complex(c) * (kappa * h)
+            merged[mu] = merged[mu] + v if mu in merged else v
+    poly = [0j] * (2 * (spec.n - spec.p))
+    for m, c in zip(spec.monomial_degrees, monomials):
+        poly[m] = complex(c)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    terms: list[Term] = [(mu, (v,)) for mu, v in merged.items() if v != 0]
+    if poly:
+        terms.append((0j, tuple(poly)))
+    terms.sort(key=lambda term: (term[0].real, term[0].imag))
+    mus, coeffs, poly = _split(terms)
+    integrals = _Integrals(mus)
+    w, w_poly = coeffs, poly
+    for _ in range(spec.n - spec.p):
+        w, w_poly = [mu * c for mu, c in zip(mus, w)], _derivative(w_poly)
+    norm_sq = integrals.norm_sq(w, w_poly)
+    if not norm_sq > 0:
+        raise SolverError("degenerate normalization integral")
+    return ExpPoly(tuple(terms)).scaled(_sign(mus, coeffs, poly, integrals) / math.sqrt(norm_sq))
+
+
+def extract_eigenfunctions(
+    spec: ProblemSpec, eigenvalues: Sequence[float], first_index: int = 0
+) -> list[EigenPair | SolverError]:
+    """The eigenpair at each refined eigenvalue, indexed from ``first_index``, or its error.
+
+    All of them read one reduced system, ``reduced_matrices`` at the root
+    coordinates of the eigenvalues, and one stacked SVD: at each, the
+    kernel coefficients ``a`` are the smallest right singular vector of
+    ``R = N K`` and the monomial ones solve the first n-p boundary rows,
+    ``b = -M_q^(-1) (K a)_q``; the other p rows hold as ``N [K | M] (a, b)``
+    is ``R a`` up to row scaling.  An extraction fails when the null-space
+    quality ``sigma_min(R) / max(sigma_max(R), 1)`` is poor (eigenvalue not
+    refined enough) or, at p >= 2, when the next singular value is tiny too
+    (the eigenvalue looks multiple; flagged rather than split).  A scan
+    finds only roots of odd multiplicity, at most p, so each is simple at
+    p <= 2.  Each pair is what its own extraction gives, bit for bit
+    (numpy's stacked SVD and the einsum contractions are computed matrix by
+    matrix); a row bound that underflows at any point fails them all.
+    """
+    rhos = [root_system(spec.p, Lambda).rho for Lambda in eigenvalues]
+    (matrices,), degenerate, powers, kernel = reduced_matrices((spec,), rhos)
+    if degenerate:
+        return [degenerate[0]] * len(rhos)
+    _, svals, vt = np.linalg.svd(matrices)
+    determinants = _determinants(matrices).tolist()
+    q = spec.n - spec.p
+    inverse = np.array([[float(v) for v in row] for row in monomial_inverse(spec)]).reshape(q, q)
+    outcomes: list[EigenPair | SolverError] = []
+    for point, Lambda in enumerate(eigenvalues):
+        smax = max(float(svals[point, 0]), 1.0)
+        quality = float(svals[point, -1]) / smax
+        if quality > NULLSPACE_QUALITY_LIMIT:
+            outcomes.append(SolverError(
+                f"null-space quality {quality:.3e} too poor at Lambda={Lambda!r} for "
+                f"{spec.label()}; refine the eigenvalue first"))
+            continue
+        if spec.p >= 2 and float(svals[point, -2]) / smax < NULLSPACE_QUALITY_LIMIT:
+            outcomes.append(NonSimpleEigenvalueError(
+                f"two near-zero singular values at Lambda={Lambda!r} for {spec.label()}"))
+            continue
+        null = vt[point, -1]
+        monomial_part = np.einsum("mj,j,jk,k->m", inverse, powers[point, :q], kernel[point, :q],
+                                  null)
+        try:
+            z = _eigenfunction(spec, rhos[point], null.tolist(),
+                               [-v for v in monomial_part.tolist()])
+        except SolverError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(EigenPair(spec, Lambda, first_index + point, z, determinants[point],
+                                  quality))
+    return outcomes
 
 
 def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> EigenPair:
-    """Assemble the eigenfunction at a refined eigenvalue from the scan's reduced system.
+    """The eigenpair at one refined eigenvalue: the one-pair case of :func:`extract_eigenfunctions`.
 
-    From one kernel evaluation at the root coordinate of Lambda, the kernel
-    coefficients ``a`` are the smallest right singular vector of ``R = N K``
-    and the monomial ones solve the first n-p boundary rows,
-    ``b = -M_q^(-1) (K a)_q``; the other p rows hold as ``N [K | M] (a, b)``
-    is ``R a`` up to row scaling.  Fails when the null-space quality
-    ``sigma_min(R) / max(sigma_max(R), 1)`` is poor (eigenvalue not refined
-    enough) or, at p >= 2, when the next singular value is tiny too (the
-    eigenvalue looks multiple; flagged rather than split).  A scan finds only
-    roots of odd multiplicity, at most p, so each is simple at p <= 2.
-    z is scaled to ``<z^(n-p) z^(n-p)> = 1``.
+    z is scaled to ``<z^(n-p) z^(n-p)> = 1``; a failed extraction raises.
     """
-    (matrices,), degenerate, powers, kernel = reduced_matrices(
-        (spec,), [root_system(spec.p, Lambda).rho])
-    if degenerate:
-        raise degenerate[0]
-    _, svals, vt = np.linalg.svd(matrices[0])
-    smax = max(float(svals[0]), 1.0)
-    quality = float(svals[-1]) / smax
-    if quality > NULLSPACE_QUALITY_LIMIT:
-        raise SolverError(
-            f"null-space quality {quality:.3e} too poor at Lambda={Lambda!r} for {spec.label()}; "
-            "refine the eigenvalue first"
-        )
-    if spec.p >= 2 and float(svals[-2]) / smax < NULLSPACE_QUALITY_LIMIT:
-        raise NonSimpleEigenvalueError(
-            f"two near-zero singular values at Lambda={Lambda!r} for {spec.label()}"
-        )
-    q = spec.n - spec.p
-    inverse = np.array([[float(v) for v in row] for row in monomial_inverse(spec)]).reshape(q, q)
-    monomial_part = np.einsum("mj,j,jk,k->m", inverse, powers[0, :q], kernel[0, :q], vt[-1])
-    coeffs = vt[-1].tolist() + [-v for v in monomial_part.tolist()]
-    z = ExpPoly.build(term for c, fn in zip(coeffs, solution_basis(spec, Lambda))
-                      for term in fn.scaled(c).terms)
-    w = z.differentiate(spec.n - spec.p)
-    norm_sq = inner_product(w, w).real
-    if not norm_sq > 0:
-        raise SolverError("degenerate normalization integral")
-    z = _fix_sign(z.scaled(1.0 / math.sqrt(norm_sq)))
-    return EigenPair(spec, Lambda, index, z, float(_determinants(matrices)[0]), quality)
+    (outcome,) = extract_eigenfunctions(spec, [Lambda], index)
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
 
 
 def eigenpair_from_function(

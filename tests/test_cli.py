@@ -293,12 +293,13 @@ class TestCommands:
         "spectrum --n 3 --p 2 --count 2",
     ])
     def test_a_non_simple_eigenvalue_is_a_solver_failure(self, capsys, monkeypatch, argv):
-        def non_simple(spec, Lambda, index=-1):
-            raise NonSimpleEigenvalueError(f"two near-zero singular values at index {index}")
+        def non_simple(spec, eigenvalues, first_index=0):
+            return [NonSimpleEigenvalueError(f"two near-zero singular values at index {i}")
+                    for i in range(first_index, first_index + len(eigenvalues))]
 
         monkeypatch.setattr(solver, "_STORE", {})
-        monkeypatch.setattr(solver, "extract_eigenfunction", non_simple)
-        monkeypatch.setattr(rqlab.cli, "extract_eigenfunction", non_simple)
+        monkeypatch.setattr(solver, "extract_eigenfunctions", non_simple)
+        monkeypatch.setattr(rqlab.cli, "extract_eigenfunctions", non_simple)
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2 and out == ""
         assert err == ("rqlab: solver failure: two near-zero singular values at index "

@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 import rqlab
-from rqlab import solver
-from rqlab.cli import main
+from rqlab import exppoly, solver
+from rqlab.cli import _corrupted_pair, main
 from rqlab.errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from rqlab.errors import ScanExhaustedError, SolverError
-from rqlab.exppoly import inner_product
+from rqlab.exppoly import ExpPoly, inner_product
 from rqlab.invariants import antisym_equals_next_sym
 from rqlab.problem import ProblemSpec, root_system, solution_basis
 from rqlab.reporting import PASS
-from rqlab.selftest import closed_form_spectrum_checks
+from rqlab.selftest import closed_form_anchor_pairs, closed_form_spectrum_checks
 from rqlab.solver import (
     cached_eigenpair,
     cached_spectrum,
@@ -33,7 +33,8 @@ from rqlab.solver import (
     scan_spectrum,
 )
 
-from conftest import PI, bisect_root, cold_start, rel_err
+from conftest import PI, bisect_root, cold_start, exppoly_route_pair, exppoly_route_residuals
+from conftest import rel_err
 
 S, A = "symmetric", "antisymmetric"
 
@@ -663,9 +664,11 @@ class TestExtraction:
         Lambda = cached_spectrum(3, 2, S, 1)[0]
         svd = np.linalg.svd
 
-        def twin_zeros(matrix):
-            u, svals, vt = svd(matrix)
-            return u, np.concatenate([svals[:-2], [1e-12, 0.0]])[-len(svals):], vt
+        def twin_zeros(matrices):  # the stack of one extraction's matrices
+            u, svals, vt = svd(matrices)
+            tail = np.array([1e-12, 0.0])[-svals.shape[-1]:]
+            svals[..., -len(tail):] = tail
+            return u, svals, vt
 
         monkeypatch.setattr(np.linalg, "svd", twin_zeros)
         with pytest.raises(NonSimpleEigenvalueError, match="two near-zero singular values"):
@@ -800,12 +803,130 @@ class TestLazyResiduals:
     def test_residuals_are_built_once_and_follow_z(self):
         pair = cached_eigenpair(3, 1, S, 0)
         assert pair.residuals is pair.residuals
-        operator_residual = pair.residuals.operator_residual
-        assert operator_residual > 0
-        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0)).residuals
-        assert doubled.operator_residual == pytest.approx(2 * operator_residual, rel=1e-12)
-        assert (doubled.det_indicator, doubled.nullspace_quality) == (
-            pair.det_indicator, pair.nullspace_quality)
+        r = pair.residuals
+        assert r.operator_residual > 0
+        # a replaced copy reads its residuals off its own z: doubling z doubles each
+        # residual and scale exactly, as the closed forms are homogeneous
+        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0))
+        assert doubled.residuals == dataclasses.replace(
+            r, operator_residual=2 * r.operator_residual, operator_scale=2 * r.operator_scale,
+            boundary_residual=2 * r.boundary_residual, boundary_scale=2 * r.boundary_scale)
+
+
+def component_ulps(f, g) -> float:
+    """The largest distance, in ulps of the larger, between matching parts of two term lists."""
+    assert [mu for mu, _ in f.terms] == [mu for mu, _ in g.terms]
+    return max((abs(u - v) / math.ulp(max(abs(u), abs(v)))
+                for (_, a), (_, b) in zip(f.terms, g.terms) for x, y in zip(a, b, strict=True)
+                for u, v in ((x.real, y.real), (x.imag, y.imag)) if u != v), default=0.0)
+
+
+class TestClosedForms:
+    """Norm, sign and residuals off z's terms, against the ExpPoly route of conftest."""
+
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_every_order_up_to_12_matches_the_exppoly_route(self, parity):
+        for n in range(1, 13):
+            # the normalisation integral cancels more with each order: measured at most
+            # 12 ulps for n <= 6, 791 at n = 10 and 65,977 (7.5e-12) at (12,2,antisym)
+            ulps = max(16, 4 ** (n - 3))
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                bound = 1e-12 if (n, p, parity) in ((12, 1, S), (10, 3, S)) else None
+                for pair in solver.extract_eigenfunctions(spec, cached_spectrum(n, p, parity, 8)):
+                    z = exppoly_route_pair(spec, pair.Lambda)
+                    assert sum((a[0] * b[0].conjugate()).real
+                               for (_, a), (_, b) in zip(z.terms, pair.z.terms)) > 0
+                    assert component_ulps(z, pair.z) <= ulps, (spec.label(), pair.index)
+                    r, old = pair.residuals, exppoly_route_residuals(pair)
+                    assert r.boundary_residual <= (bound or 1e-9) * r.boundary_scale
+                    assert r.operator_residual <= (bound or 1e-8) * r.operator_scale
+                    # on the same z: the relative columns agree to 6e-26, the scales to
+                    # 5.8e-13 relative, at (12,11,sym), where z^(24)'s norm cancels most
+                    for column, scale in (("operator_residual", "operator_scale"),
+                                          ("boundary_residual", "boundary_scale")):
+                        assert abs(getattr(r, column) / getattr(r, scale)
+                                   - old[column] / old[scale]) <= 1e-12
+                        assert getattr(r, scale) == pytest.approx(old[scale], rel=1e-11)
+
+    def test_anchors_and_the_injected_fault_have_their_exppoly_residuals(self):
+        # constants at nonzero frequencies plus a polynomial, not extracted: the bump
+        # x^2 of (2,1)'s corrupted pair leaves the operator a polynomial image
+        anchors = closed_form_anchor_pairs()
+        corrupted = _corrupted_pair(cached_eigenpair(2, 1, S, 0))
+        for pair in (*anchors, corrupted):
+            r, old = pair.residuals, exppoly_route_residuals(pair)
+            for column in old:
+                assert getattr(r, column) == pytest.approx(old[column], rel=1e-12, abs=1e-13)
+        assert corrupted.residuals.operator_residual > 1e-3 * corrupted.residuals.operator_scale
+
+    def test_a_polynomial_at_a_nonzero_frequency_has_no_closed_form(self):
+        spec = ProblemSpec(2, 1, S)
+        pair = solver.eigenpair_from_function(spec, PI * PI, ExpPoly.build([(1j, (1.0, 1.0))]))
+        with pytest.raises(ValueError, match="constant coefficient"):
+            pair.residuals
+
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_a_batch_extracts_each_pair_as_alone(self, monkeypatch, parity):
+        # every order n <= 12 at count 8: the stacked SVD gives each matrix's own null
+        # vector, and each pair, with its residuals, is its own extraction's bit for bit
+        svd, calls = np.linalg.svd, []
+
+        def recorded(matrices):
+            u, svals, vt = svd(matrices)
+            calls.append((matrices, svals, vt))
+            return u, svals, vt
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                eigenvalues = cached_spectrum(n, p, parity, 8)
+                calls.clear()
+                batch = solver.extract_eigenfunctions(spec, eigenvalues)
+                ((stack, svals, vt),) = calls
+                for i, (Lambda, pair) in enumerate(zip(eigenvalues, batch, strict=True)):
+                    calls.clear()
+                    alone = extract_eigenfunction(spec, Lambda, index=i)
+                    ((one, one_svals, one_vt),) = calls
+                    assert np.array_equal(one[0], stack[i]) and np.array_equal(one_vt[0], vt[i])
+                    assert np.array_equal(one_svals[0], svals[i])
+                    assert alone == pair and alone.residuals == pair.residuals
+
+
+class TestNoExpPolyAlgebra:
+    @pytest.fixture
+    def algebra(self, monkeypatch):
+        """A cold start, with ExpPoly products, canonical forms and derivative tables counted."""
+        cold_start(monkeypatch)
+        counts = {"__mul__": 0, "derivatives": 0, "_canonical": 0}
+        for owner, name in ((ExpPoly, "__mul__"), (ExpPoly, "derivatives"),
+                            (exppoly, "_canonical")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --n 4 --p 2 --count 4 --format json",
+        "spectrum --n 3 --p 3 --parity antisym --count 3",
+        "spectrum --n 12 --p 1 --count 3 --format csv",
+        "eigenfunction --n 3 --p 1 --index 2 --format json",
+        "eigenfunction --n 5 --p 5 --parity antisym --index 1",
+    ])
+    def test_spectrum_and_eigenfunction_fill_their_rows_without_it(self, algebra, capsys, argv):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out
+        assert algebra == {"__mul__": 0, "derivatives": 0, "_canonical": 0}
+
+    def test_the_identity_suite_still_reads_the_derivative_table(self, algebra, capsys):
+        assert main("verify --n 3 --p 1 --count 1".split()) == 0
+        capsys.readouterr()
+        assert algebra["derivatives"] > 0 and algebra["__mul__"] > 0
 
 
 class TestSpectrumStore:
@@ -980,6 +1101,30 @@ class TestFamilyScan:
         assert cached_spectrum(3, 1, S, 4) == expected[3]
         assert solver.cached_spectra([5, 3, 1, 5], 1, S, 4) == expected
         assert families == [[3], [1, 5]]
+
+    @pytest.mark.parametrize("argv, families", [
+        # the suite's orders n-1, n and --m and the parity shift's n+1, then antisymmetric n
+        ("verify --n 3 --p 1 --count 2", [[(2, S), (3, S), (4, S)], [(3, A)]]),
+        ("verify --n 3 --p 1 --count 2 --m 6", [[(2, S), (3, S), (4, S), (6, S)], [(3, A)]]),
+        ("verify --n 2 --p 2 --count 2 --inject-fault", [[(2, S), (3, S)], [(2, A)]]),
+        # an order the suite refuses scans nothing
+        ("verify --n 3 --p 1 --count 2 --m 3", []),
+    ])
+    def test_verify_scans_its_symmetric_orders_in_one_lockstep(
+        self, monkeypatch, capsys, argv, families
+    ):
+        monkeypatch.setattr(solver, "_STORE", {})
+        scanned = []
+        original = solver.scan_family
+
+        def recorded(specs, *args, **kwargs):
+            scanned.append([(spec.n, spec.parity) for spec in specs])
+            return original(specs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "scan_family", recorded)
+        main(argv.split())
+        capsys.readouterr()
+        assert scanned == families
 
 
 class TestOneProducer:
