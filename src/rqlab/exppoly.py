@@ -5,13 +5,19 @@ complex frequency ``mu`` and complex polynomial coefficients.  The class is
 closed under differentiation, multiplication and application of polynomials
 in ``sigma = i * d/dx``, and definite integrals over [-1, 1] have a closed
 form, so every identity check in this package can be evaluated without
-quadrature.
+quadrature.  The integral of a product of two such functions is one sum
+over their term pairs (:func:`bilinear`), which forms no product: every
+inner product and norm taken of an eigenpair, in extraction and in the
+identity suite, is that sum, over moment tables of ``x^k e^(s x)``
+memoised by frequency sum and degree.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,8 +62,9 @@ def _canonical(raw: list[Term]) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def _int_xk_exp(mu: complex, dmax: int) -> list[complex]:
-    """Closed-form integrals I_k = int_{-1}^{1} x^k exp(mu x) dx for k = 0..dmax.
+@functools.cache
+def _int_xk_exp(mu: complex, dmax: int) -> tuple[complex, ...]:
+    """Closed-form integrals I_k = int_{-1}^{1} x^k exp(mu x) dx for k = 0..dmax, memoised.
 
     Three regimes:
 
@@ -71,10 +78,13 @@ def _int_xk_exp(mu: complex, dmax: int) -> list[complex]:
       downward recurrence amplifies mid-stream roundoff by up to
       ``max_j |mu|^j / j! ~ e^|mu|``, which already loses half the digits of
       an oscillatory integral at |mu| ~ 15.
+
+    The downward pass starts above ``dmax``, so a table's bits may depend
+    on ``dmax``: the memo keeps one table per (mu, dmax).
     """
     amu = abs(mu)
     if amu == 0.0:
-        return [complex(2.0 / (k + 1)) if k % 2 == 0 else 0j for k in range(dmax + 1)]
+        return tuple(complex(2.0 / (k + 1)) if k % 2 == 0 else 0j for k in range(dmax + 1))
     if amu < SERIES_FREQ_CUTOFF:
         out = []
         for k in range(dmax + 1):
@@ -89,7 +99,7 @@ def _int_xk_exp(mu: complex, dmax: int) -> list[complex]:
                 if j > 6 and abs(t) <= 1e-18 * max(abs(acc), 1e-300):
                     break
             out.append(acc)
-        return out
+        return tuple(out)
 
     e_pos, e_neg = cmath.exp(mu), cmath.exp(-mu)
 
@@ -118,29 +128,7 @@ def _int_xk_exp(mu: complex, dmax: int) -> list[complex]:
                 out[j] = acc
             acc = (mu / j) * (endpoint(j) - acc)
         out[k_split + 1] = acc
-    return out
-
-
-def gram_integrals(mus: Sequence[complex]) -> list[list[complex]]:
-    """``G[a][b] = int_{-1}^{1} exp((mu_a + conj(mu_b)) x) dx`` for every pair of frequencies.
-
-    G is Hermitian, and ``I(s) = int e^{sx}`` is even in s, with the same
-    bits (``_int_xk_exp(-s)`` negates both its numerator and its
-    denominator), and ``I(conj(s)) = conj(I(s))``, so only one of the
-    frequency sums ``+-s, +-conj(s)`` is integrated.
-    """
-    gram = [[0j] * len(mus) for _ in mus]
-    conj = [mu.conjugate() for mu in mus]
-    integrals: dict[complex, complex] = {}
-    for a, mu in enumerate(mus):
-        for b in range(a, len(mus)):
-            s = mu + conj[b]
-            value = integrals.get(s)
-            if value is None:
-                value = integrals[s] = integrals[-s] = _int_xk_exp(s, 0)[0]
-                integrals[s.conjugate()] = integrals[-s.conjugate()] = value.conjugate()
-            gram[b][a], gram[a][b] = value.conjugate(), value
-    return gram
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -332,14 +320,33 @@ class SigmaPolynomial:
         return acc
 
 
+def bilinear(f_terms: Sequence[Term], g_terms: Sequence[Term]) -> complex:
+    """``int_{-1}^{1} f g dx`` of two term sequences, without forming the product.
+
+    Term pair by term pair, ``P e^(mu x)`` and ``Q e^(nu x)`` add
+    ``sum_i p_i sum_j q_j I_(i+j)`` with ``I = _int_xk_exp(mu + nu, deg P + deg Q)``;
+    two constants, as most of an eigenpair's terms are, add ``p_0 (q_0 I_0)``.
+    """
+    total = 0j
+    for mu, p in f_terms:
+        for nu, q in g_terms:
+            table = _int_xk_exp(mu + nu, len(p) + len(q) - 2)
+            if len(table) == 1:
+                total += p[0] * (q[0] * table[0])
+            else:
+                total += sum(a * sum(map(operator.mul, q, table[i:])) for i, a in enumerate(p))
+    return total
+
+
 def inner_product(f: ExpPoly, g: ExpPoly) -> complex:
     """Bilinear <f g> = int_{-1}^{1} f(x) g(x) dx (no conjugation)."""
-    return (f * g).integrate_unit()
+    return bilinear(f.terms, g.terms)
 
 
 def hermitian_inner_product(f: ExpPoly, g: ExpPoly) -> complex:
     """Sesquilinear int f * conj(g) dx."""
-    return (f * g.conjugate()).integrate_unit()
+    conjugate = [(mu.conjugate(), tuple(c.conjugate() for c in coeffs)) for mu, coeffs in g.terms]
+    return bilinear(f.terms, conjugate)
 
 
 def l2_norm_sq(f: ExpPoly) -> float:

@@ -35,7 +35,7 @@ from .reporting import (
     not_applicable,
     relative_residual,
 )
-from .solver import EigenPair, cached_eigenpair, cached_spectrum
+from .solver import EigenPair, _stored_pairs, cached_spectrum
 
 STONE_FLOOR = 1e-6  # |stone| must exceed this times the natural scale
 ANNIHILATION_TOL = 1e-9
@@ -651,9 +651,8 @@ def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[Iden
 
 
 def _pairs(n: int, p: int, count: int) -> list[EigenPair]:
-    """The first ``count`` symmetric eigenpairs of order n."""
-    cached_spectrum(n, p, "symmetric", count)  # one scan for the whole prefix
-    return [cached_eigenpair(n, p, "symmetric", i) for i in range(count)]
+    """The first ``count`` symmetric eigenpairs of order n, those the store lacks in one batch."""
+    return _stored_pairs(n, p, "symmetric", range(count))
 
 
 def run_identity_suite(

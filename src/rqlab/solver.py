@@ -12,9 +12,10 @@ of them from one evaluation and one stacked SVD: the kernel coefficients
 are the null direction of the p x p matrix ``R``, and the monomial
 coefficients follow from the first n-p boundary rows through the exact
 inverse of their monomial block.  An eigenfunction is a constant at each
-of its 2p root frequencies ``i root`` plus a polynomial, so its norm, its
-sign and its residuals are closed-form sums over those terms, with no
-ExpPoly algebra.
+of its 2p root frequencies ``i root`` plus a polynomial, so its
+derivatives and operator image are read off those terms, and its norm,
+mean and residual norms are closed-form integrals of them
+(:func:`exppoly.bilinear`), with no ExpPoly product or canonical form.
 
 The kernel rows K(rho) depend on p and the parity but not on n, so R has
 one producer, ``reduced_matrices``, which evaluates several orders of one
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
-from .exppoly import ExpPoly, Term, _int_xk_exp, gram_integrals
+from .exppoly import ExpPoly, Term, l2_norm_sq
 from .problem import SYMMETRIC, ProblemSpec, kernel_columns, root_system
 
 DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
@@ -371,46 +372,12 @@ def _magnitude_bound(mus: list[complex], coeffs: list[complex], poly: tuple[comp
             + sum(map(abs, poly)))
 
 
-class _Integrals:
-    """Closed-form integrals over [-1, 1] of functions on one set of nonzero frequencies.
-
-    A function here is a coefficient at each frequency (:func:`_split`)
-    and a polynomial.  Its squared L2 norm is the Gram sum
-    ``sum c_a conj(c_b) G[a][b]`` (:func:`exppoly.gram_integrals`) plus the
-    polynomial's cross and square terms, and every integral comes from
-    ``exppoly._int_xk_exp``.
-    """
-
-    def __init__(self, mus: list[complex]):
-        self.mus = mus
-        self.gram = gram_integrals(mus)
-        self._moments: list[list[complex]] = []  # int x^k e^(mu_a x), k = 0..degree, per mu_a
-
-    def _moments_to(self, degree: int) -> list[list[complex]]:
-        if not self._moments or len(self._moments[0]) <= degree:
-            self._moments = [_int_xk_exp(mu, degree) for mu in self.mus]
-        return self._moments
-
-    def mean(self, coeffs: list[complex], poly: tuple[complex, ...]) -> float:
-        """``int f``, real part."""
-        total = sum(c * table[0] for c, table in zip(coeffs, self._moments_to(0)))
-        if poly:
-            total += sum(map(operator.mul, poly, _int_xk_exp(0j, len(poly) - 1)))
-        return total.real
-
-    def norm_sq(self, coeffs: list[complex], poly: tuple[complex, ...]) -> float:
-        """``int |f|^2``."""
-        conj = [c.conjugate() for c in coeffs]
-        total = sum(a * sum(map(operator.mul, conj, row)) for a, row in zip(coeffs, self.gram))
-        if poly:
-            degree = len(poly) - 1
-            conj = [c.conjugate() for c in poly]
-            total += 2 * sum(a * sum(map(operator.mul, conj, table))
-                             for a, table in zip(coeffs, self._moments_to(degree)))
-            monomials = _int_xk_exp(0j, 2 * degree)
-            total += sum(a * sum(map(operator.mul, conj, monomials[k:]))
-                         for k, a in enumerate(poly))
-        return total.real
+def _norm_sq(mus: list[complex], coeffs: list[complex], poly: Sequence[complex]) -> float:
+    """``int |f|^2`` of a function in :func:`_split`'s form."""
+    terms = [(mu, (c,)) for mu, c in zip(mus, coeffs)]
+    if poly:
+        terms.append((0j, tuple(poly)))
+    return l2_norm_sq(ExpPoly(tuple(terms)))
 
 
 @dataclass(frozen=True)
@@ -445,7 +412,8 @@ class EigenPair:
         """The operator and boundary residuals in closed form off z's terms (:func:`_split`).
 
         z^(j) is ``mu^j c`` at each frequency plus P^(j), each ``e^(+-mu)``
-        is formed once, and each L2 norm is a Gram sum (:class:`_Integrals`).
+        is formed once, and each L2 norm is :func:`exppoly.l2_norm_sq` of
+        those terms.
         The operator ``sigma^(2n-2p) (sigma^(2p) - Lambda)`` is
         ``(-1)^n d^(2n) - (-1)^(n-p) Lambda d^(2n-2p)``.
         """
@@ -469,13 +437,12 @@ class EigenPair:
         image_poly = [a * c for c in low_poly] + [0j] * (len(high_poly) - len(low_poly))
         for k, c in enumerate(high_poly):
             image_poly[k] += b * c
-        integrals = _Integrals(mus)
-        image = integrals.norm_sq([a * u + b * v for u, v in zip(low, high)], tuple(image_poly))
+        image = _norm_sq(mus, [a * u + b * v for u, v in zip(low, high)], image_poly)
         return EigenResiduals(
             det_indicator=self.det_indicator,
             nullspace_quality=self.nullspace_quality,
             operator_residual=math.sqrt(max(image, 0.0)),
-            operator_scale=math.sqrt(max(integrals.norm_sq(high, high_poly), 0.0)),
+            operator_scale=math.sqrt(max(_norm_sq(mus, high, high_poly), 0.0)),
             boundary_residual=boundary,
             boundary_scale=boundary_scale,
         )
@@ -491,17 +458,17 @@ class EigenPair:
         return tuple(c.real for c in self.z.zero_frequency_coefficients())
 
 
-def _sign(mus: list[complex], coeffs: list[complex], poly: tuple[complex, ...],
-          integrals: _Integrals) -> float:
+def _sign(z: ExpPoly, mus: list[complex], coeffs: list[complex],
+          poly: tuple[complex, ...]) -> float:
     """1 or -1, so that the first non-negligible candidate of z comes out positive.
 
-    The candidates are <z>, the leading poly coefficient, z(0) and z'(0).
-    An antisymmetric z without monomials (n = p) has the first three 0 by
-    parity; its z'(0) is not.
+    The candidates are <z>, the leading poly coefficient, z(0) and z'(0),
+    read off z's terms in :func:`_split`'s form.  An antisymmetric z without
+    monomials (n = p) has the first three 0 by parity; its z'(0) is not.
     """
     scale = max(_magnitude_bound(mus, coeffs, poly), 1e-300)
     candidates = (
-        lambda: integrals.mean(coeffs, poly),
+        lambda: z.integrate_unit().real,
         lambda: poly[-1].real if poly else 0.0,
         lambda: (sum(coeffs) + sum(poly[:1])).real,
         lambda: (sum(map(operator.mul, mus, coeffs)) + sum(poly[1:2])).real,
@@ -522,7 +489,7 @@ def _eigenfunction(spec: ProblemSpec, rho: float, kernel: list[float],
     (:func:`problem.kernel_columns`); the columns that share a frequency
     add there, in column order, so z has one term per root plus the
     polynomial.  z is scaled to ``<z^(n-p) z^(n-p)> = 1`` and signed by
-    :func:`_sign`, both in closed form off these terms.
+    :func:`_sign`, both closed-form integrals of these terms.
     """
     merged: dict[complex, complex] = {}
     for c, (column, depth) in zip(kernel, kernel_columns(spec.p, spec.symmetric)):
@@ -539,15 +506,15 @@ def _eigenfunction(spec: ProblemSpec, rho: float, kernel: list[float],
     if poly:
         terms.append((0j, tuple(poly)))
     terms.sort(key=lambda term: (term[0].real, term[0].imag))
+    z = ExpPoly(tuple(terms))
     mus, coeffs, poly = _split(terms)
-    integrals = _Integrals(mus)
     w, w_poly = coeffs, poly
     for _ in range(spec.n - spec.p):
         w, w_poly = [mu * c for mu, c in zip(mus, w)], _derivative(w_poly)
-    norm_sq = integrals.norm_sq(w, w_poly)
+    norm_sq = _norm_sq(mus, w, w_poly)
     if not norm_sq > 0:
         raise SolverError("degenerate normalization integral")
-    return ExpPoly(tuple(terms)).scaled(_sign(mus, coeffs, poly, integrals) / math.sqrt(norm_sq))
+    return z.scaled(_sign(z, mus, coeffs, poly) / math.sqrt(norm_sq))
 
 
 def extract_eigenfunctions(
@@ -1006,10 +973,28 @@ def _check_interlacing(spec: ProblemSpec, eigenvalues: Sequence[float]) -> None:
                                   f"of {label_b}: the two orders do not interlace")
 
 
+def _stored_pairs(n: int, p: int, parity: str, indices: range) -> list[EigenPair]:
+    """Eigenpairs ``indices`` of (n, p, parity), each extracted once.
+
+    The pairs the store lacks are extracted in one batch, from the first of
+    them to the end of ``indices`` (:func:`extract_eigenfunctions`, which
+    gives each pair as alone); the first failure raises, and the pairs
+    before it are kept.
+    """
+    eigenvalues = cached_spectrum(n, p, parity, indices.stop)
+    pairs = _STORE[(n, p, parity)].pairs
+    first = next((i for i in indices if i not in pairs), None)
+    if first is not None:
+        batch = extract_eigenfunctions(ProblemSpec(n, p, parity),
+                                       eigenvalues[first:indices.stop], first)
+        for i, outcome in enumerate(batch, first):
+            if isinstance(outcome, SolverError):
+                raise outcome
+            pairs.setdefault(i, outcome)
+    return [pairs[i] for i in indices]
+
+
 def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair:
     """Eigenpair ``index`` of (n, p, parity), extracted once."""
-    Lambda = cached_spectrum(n, p, parity, index + 1)[index]
-    pairs = _STORE[(n, p, parity)].pairs
-    if index not in pairs:
-        pairs[index] = extract_eigenfunction(ProblemSpec(n, p, parity), Lambda, index=index)
-    return pairs[index]
+    (pair,) = _stored_pairs(n, p, parity, range(index, index + 1))
+    return pair

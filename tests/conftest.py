@@ -4,9 +4,10 @@ The oracles live in ``rqlab.selftest``, which the built-in self-test uses
 too.  They deliberately avoid the package's own closed-form paths:
 integrals are checked against a fixed Gauss-Legendre rule, transcendental
 roots against plain bisection, so a failure in the library cannot hide itself.
-The JSON oracle is the two-pass emitter the one-pass walker replaced, and
-the eigenpair oracle is the ExpPoly route that extraction's closed-form
-norm, sign and residuals replaced.
+The JSON oracle is the two-pass emitter the one-pass walker replaced, the
+eigenpair oracle is the ExpPoly route that extraction's closed-form norm,
+sign and residuals replaced, and the product oracle is the integral of a
+canonical ExpPoly product that ``exppoly.bilinear`` replaced.
 """
 
 import json
@@ -94,6 +95,11 @@ def rel_err(a: float, b: float) -> float:
 
 
 PI = math.pi
+
+
+def product_route(f, g) -> complex:
+    """``int f g`` as the product of the two ExpPolys, canonicalised, then integrated."""
+    return (f * g).integrate_unit()
 
 
 def _old_fix_sign(z):

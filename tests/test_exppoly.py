@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from rqlab import exppoly
-from rqlab.exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
+from rqlab.exppoly import ExpPoly, SigmaPolynomial, bilinear, hermitian_inner_product
+from rqlab.exppoly import inner_product, l2_norm_sq
 from rqlab.selftest import hermiticity_error, quadrature_miss
 
-from conftest import (PI, closed_form_regime, closed_form_regimes, quad_integral, random_exppoly,
-                      random_real_exppoly, rel_err)
+from conftest import (PI, closed_form_regime, closed_form_regimes, product_route, quad_integral,
+                      random_exppoly, random_real_exppoly, rel_err)
 
 
 def z2_closed_form() -> ExpPoly:
@@ -132,6 +133,58 @@ REGIME_CASES = {
     "upward": ExpPoly.build([(6 + 8j, (1.0, -0.5j, 0.25, 2.0))]),
     "downward": ExpPoly.build([(3 + 4j, (0, 0, 0, 0, 0, 0, 1.0, 0.5j, -2.0))]),
 }
+
+
+def _bits(table) -> list[tuple[str, str]]:
+    return [(c.real.hex(), c.imag.hex()) for c in table]
+
+
+class TestBilinear:
+    """The closed-form integral of a product against the product route it replaced."""
+
+    @staticmethod
+    def partners(f, g):
+        """g, f with every frequency negated (exact zero sums), and f's conjugate."""
+        return g, ExpPoly.build([(-mu, c) for mu, c in f.terms]), f.conjugate()
+
+    def test_every_inner_product_matches_the_product_route(self, rng):
+        for _ in range(150):
+            # polynomial coefficients at nonzero frequencies, up to degree 6
+            f = random_exppoly(rng, freq_scale=20.0, max_degree=6, terms=3)
+            for g in self.partners(f, random_exppoly(rng, freq_scale=20.0, max_degree=6)):
+                scale = f.magnitude_bound() * g.magnitude_bound()
+                expected = product_route(f, g)
+                assert abs(bilinear(f.terms, g.terms) - expected) <= 1e-14 * scale
+                assert abs(inner_product(f, g) - expected) <= 1e-14 * scale
+                conjugated = product_route(f, g.conjugate())
+                assert abs(hermitian_inner_product(f, g) - conjugated) <= 1e-14 * scale
+
+    def test_nothing_is_multiplied_or_canonicalised(self, rng, monkeypatch):
+        f, g = (random_exppoly(rng, freq_scale=5.0, max_degree=4) for _ in range(2))
+
+        def refused(*args):
+            raise AssertionError("an integral formed a product or a canonical form")
+
+        monkeypatch.setattr(ExpPoly, "__mul__", refused)
+        monkeypatch.setattr(exppoly, "_canonical", refused)
+        assert inner_product(f, g) == bilinear(f.terms, g.terms)
+        assert l2_norm_sq(f) == hermitian_inner_product(f, f).real > 0
+
+    def test_a_memoised_table_is_the_uncached_one_bit_for_bit(self, rng):
+        cases = [0j, 4e-4 + 3e-4j, 2 + 1j, 6 + 8j, 3 + 4j, 40j]
+        cases += [complex(*rng.uniform(-30, 30, 2)) for _ in range(20)]
+        for s in cases:
+            for degree in (0, 3, 12):
+                table = exppoly._int_xk_exp(s, degree)
+                assert isinstance(table, tuple) and table is exppoly._int_xk_exp(s, degree)
+                assert _bits(table) == _bits(exppoly._int_xk_exp.__wrapped__(s, degree))
+
+    def test_tables_of_different_degree_for_one_frequency_are_kept_apart(self):
+        s = 3.25 + 4.5j  # past I_3, the downward recurrence, which starts above the degree
+        long, short = exppoly._int_xk_exp(s, 12), exppoly._int_xk_exp(s, 6)
+        assert len(long) == 13 and len(short) == 7
+        assert _bits(short) == _bits(exppoly._int_xk_exp.__wrapped__(s, 6))
+        assert _bits(long) == _bits(exppoly._int_xk_exp.__wrapped__(s, 12))
 
 
 class TestQuadratureOracle:

@@ -15,6 +15,7 @@ import pytest
 
 import rqlab
 from rqlab import exppoly, solver
+from rqlab import invariants as inv
 from rqlab.cli import _corrupted_pair, main
 from rqlab.errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from rqlab.errors import ScanExhaustedError, SolverError
@@ -926,43 +927,49 @@ class TestNoExpPolyAlgebra:
     def test_the_identity_suite_still_reads_the_derivative_table(self, algebra, capsys):
         assert main("verify --n 3 --p 1 --count 1".split()) == 0
         capsys.readouterr()
-        assert algebra["derivatives"] > 0 and algebra["__mul__"] > 0
+        assert algebra["derivatives"] > 0 and algebra["__mul__"] == 0
 
 
 class TestSpectrumStore:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """An empty store, with the scanned orders and the extraction calls counted."""
+        """An empty store, with scanned orders, extraction batches and extracted pairs counted."""
         monkeypatch.setattr(solver, "_STORE", {})
-        calls = count_calls(monkeypatch, "extract_eigenfunction")
-        calls["scanned_orders"] = 0
-        original = solver.scan_family
+        calls = {"scanned_orders": 0, "batches": 0, "pairs": 0}
+        original, extract = solver.scan_family, solver.extract_eigenfunctions
 
         def counted(specs, *args, **kwargs):
             calls["scanned_orders"] += len(specs)
             return original(specs, *args, **kwargs)
 
+        def extracting(spec, eigenvalues, *args):
+            calls["batches"] += 1
+            calls["pairs"] += len(eigenvalues)
+            return extract(spec, eigenvalues, *args)
+
         monkeypatch.setattr(solver, "scan_family", counted)
+        monkeypatch.setattr(solver, "extract_eigenfunctions", extracting)
         return calls
 
     @pytest.mark.parametrize(
-        "argv, scans, extractions",
+        "argv, scans, batches, pairs",
         [
-            # orders 3, 2 and 4 for the suite, antisymmetric 3 for the parity shift
-            ("verify --n 3 --p 1 --count 3 --m 4", 4, 9),
+            # orders 3, 2 and 4 for the suite, antisymmetric 3 for the parity shift;
+            # each suite order's three pairs in one batch
+            ("verify --n 3 --p 1 --count 3 --m 4", 4, 3, 9),
             # one candidate pair, one eigenpair on each side
-            ("disjoint --n 3 --m 5 --p 1 --count 5 --collision-tol 0.05", 2, 2),
+            ("disjoint --n 3 --m 5 --p 1 --count 5 --collision-tol 0.05", 2, 2, 2),
             # a candidate at n = p has no stones to compare: no extraction
-            ("disjoint --n 2 --m 4 --p 2 --count 4 --collision-tol 0.05", 2, 0),
-            ("eigenfunction --n 3 --p 1 --index 3", 1, 1),
+            ("disjoint --n 2 --m 4 --p 2 --count 4 --collision-tol 0.05", 2, 0, 0),
+            ("eigenfunction --n 3 --p 1 --index 3", 1, 1, 1),
             # the cross-check column reads the store; Ritz needs no eigenpair
-            ("ritz --n 3 --p 1 --K 12 --count 2 --cross-check", 1, 0),
+            ("ritz --n 3 --p 1 --K 12 --count 2 --cross-check", 1, 0, 0),
         ],
     )
-    def test_each_order_is_scanned_once(self, calls, capsys, argv, scans, extractions):
+    def test_each_order_is_scanned_once(self, calls, capsys, argv, scans, batches, pairs):
         assert main(argv.split()) == 0
         capsys.readouterr()
-        assert calls == {"scanned_orders": scans, "extract_eigenfunction": extractions}
+        assert calls == {"scanned_orders": scans, "batches": batches, "pairs": pairs}
 
     def test_longer_prefix_rescans_shorter_does_not(self, calls):
         cached_spectrum(2, 1, S, 2)
@@ -971,7 +978,33 @@ class TestSpectrumStore:
         cached_spectrum(2, 1, S, 3)
         cached_eigenpair(2, 1, S, 2)
         cached_eigenpair(2, 1, S, 2)
-        assert calls == {"scanned_orders": 2, "extract_eigenfunction": 1}
+        assert calls == {"scanned_orders": 2, "batches": 1, "pairs": 1}
+
+    def test_the_suite_extracts_a_missing_prefix_in_one_batch(self, calls):
+        eigenvalues = cached_spectrum(3, 1, S, 4)
+        held = cached_eigenpair(3, 1, S, 2)
+        pairs = inv._pairs(3, 1, 4)
+        # one batch from the first missing index to the end; the held pair is kept
+        assert calls == {"scanned_orders": 1, "batches": 2, "pairs": 5}
+        assert pairs[2] is held and [pair.index for pair in pairs] == [0, 1, 2, 3]
+        assert inv._pairs(3, 1, 4) == pairs and calls["batches"] == 2
+        for i, pair in enumerate(pairs):
+            alone = extract_eigenfunction(ProblemSpec(3, 1, S), eigenvalues[i], index=i)
+            assert alone == pair and alone.residuals == pair.residuals
+
+    def test_the_first_failing_index_raises_and_the_pairs_before_it_are_kept(
+            self, calls, monkeypatch):
+        extract = solver.extract_eigenfunctions
+
+        def failing(spec, eigenvalues, first_index=0):
+            outcomes = extract(spec, eigenvalues, first_index)
+            return outcomes[:1] + [SolverError(f"index {first_index + i}")
+                                   for i in range(1, len(outcomes))]
+
+        monkeypatch.setattr(solver, "extract_eigenfunctions", failing)
+        with pytest.raises(SolverError, match="^index 1$"):
+            inv._pairs(3, 1, 3)
+        assert sorted(solver._STORE[(3, 1, S)].pairs) == [0]
 
     def test_exhausted_scan_is_kept(self, calls, monkeypatch):
         # (1,1,sym) has lambda = (k + 1/2) pi, so a ceiling of 5 holds two roots
