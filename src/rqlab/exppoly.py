@@ -5,11 +5,14 @@ complex frequency ``mu`` and complex polynomial coefficients.  The class is
 closed under differentiation, multiplication and application of polynomials
 in ``sigma = i * d/dx``, and definite integrals over [-1, 1] have a closed
 form, so every identity check in this package can be evaluated without
-quadrature.  The integral of a product of two such functions is one sum
-over their term pairs (:func:`bilinear`), which forms no product: every
-inner product and norm taken of an eigenpair, in extraction and in the
-identity suite, is that sum, over moment tables of ``x^k e^(s x)``
-memoised by frequency sum and degree.
+quadrature.  Derivatives have one producer, the table of
+:meth:`ExpPoly.derivatives`, and an operator in sigma is applied to such a
+table (:meth:`SigmaPolynomial.apply`): an eigenpair's norm, sign,
+residuals and identity checks all read them.  The integral of a product of
+two such functions is one sum over their term pairs (:func:`bilinear`),
+which forms no product: every inner product and norm taken of an
+eigenpair, in extraction and in the identity suite, is that sum, over
+moment tables of ``x^k e^(s x)`` memoised by frequency sum and degree.
 """
 
 from __future__ import annotations
@@ -200,22 +203,29 @@ class ExpPoly:
         return self.derivatives(order)[-1]
 
     def derivatives(self, order: int) -> tuple["ExpPoly", ...]:
-        """The table (f, f', ..., f^(order)): (P e^{mu x})' = (P' + mu P) e^{mu x}, term by term."""
+        """The table (f, f', ..., f^(order)): (P e^{mu x})' = (P' + mu P) e^{mu x}, term by term.
+
+        A constant term steps by one multiplication, ``c -> mu c``; a term
+        that vanishes is dropped, and a polynomial's trailing zeros trimmed.
+        """
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         table = [self]
+        terms = self.terms
         for _ in range(order):
-            new_terms: list[Term] = []
-            for mu, coeffs in table[-1].terms:
-                d = len(coeffs) - 1
-                out = [0j] * (d + 1)
-                for k in range(d + 1):
-                    v = mu * coeffs[k]
-                    if k + 1 <= d:
-                        v += (k + 1) * coeffs[k + 1]
-                    out[k] = v
-                new_terms.append((mu, _trim(out)))
-            table.append(ExpPoly(tuple((mu, c) for mu, c in new_terms if c)))
+            stepped: list[Term] = []
+            for mu, coeffs in terms:
+                if len(coeffs) == 1:
+                    c = mu * coeffs[0]
+                    if c:
+                        stepped.append((mu, (c,)))
+                elif coeffs:
+                    out = [mu * a + k * b for k, (a, b) in enumerate(zip(coeffs, coeffs[1:]), 1)]
+                    out.append(mu * coeffs[-1])
+                    if out := _trim(out):
+                        stepped.append((mu, out))
+            terms = tuple(stepped)
+            table.append(ExpPoly(terms))
         return tuple(table)
 
     def evaluate(self, x) -> complex:
@@ -311,13 +321,26 @@ class SigmaPolynomial:
     def apply(self, derivatives: Sequence[ExpPoly]) -> ExpPoly:
         """The image of f, read from f's table (f, f', ..., f^(d)), d >= degree.
 
-        sigma^k f = i^k f^(k) with the exact factors 1, i, -1, -i: nothing is differentiated.
+        sigma^k f = i^k f^(k) with the exact factors 1, i, -1, -i: nothing is
+        differentiated.  The rows share f's frequencies, and no row is longer
+        than the one before it at any of them, so each frequency's
+        coefficients are summed row by row in one pass, then trimmed and
+        sorted once, with the bits a sum of canonical ExpPolys gives.
         """
-        acc = ExpPoly.zero()
+        sums: dict[complex, list[complex]] = {}
         for k, c in enumerate(self.coeffs):
             if c != 0:
-                acc = acc + derivatives[k].scaled(c * _I_POWERS[k % 4])
-        return acc
+                factor = c * _I_POWERS[k % 4]
+                for mu, coeffs in derivatives[k].terms:
+                    if mu in sums:
+                        acc = sums[mu]
+                        for j, v in enumerate(coeffs):
+                            acc[j] += factor * v
+                    else:
+                        sums[mu] = [factor * v for v in coeffs]
+        terms = [(mu, _trim(acc)) for mu, acc in sums.items()]
+        return ExpPoly(tuple(sorted((term for term in terms if term[1]),
+                                    key=lambda term: (term[0].real, term[0].imag))))
 
 
 def bilinear(f_terms: Sequence[Term], g_terms: Sequence[Term]) -> complex:

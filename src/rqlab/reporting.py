@@ -91,7 +91,7 @@ def equality_report(identity_id, index, lhs, rhs, tol, notes="", details=None) -
     )
 
 
-def bound_report(identity_id, index, value, bound, notes="", details=None) -> IdentityReport:
+def bound_report(identity_id, index, value, bound) -> IdentityReport:
     """Pass when value <= bound (one-sided smallness check)."""
     return IdentityReport(
         identity_id=identity_id,
@@ -101,8 +101,6 @@ def bound_report(identity_id, index, value, bound, notes="", details=None) -> Id
         abs_residual=max(value - bound, 0.0),
         rel_residual=float(value) / max(abs(bound), RESIDUAL_FLOOR),
         verdict=PASS if value <= bound else FAIL,
-        notes=notes,
-        details=details or {},
     )
 
 

@@ -12,10 +12,11 @@ of them from one evaluation and one stacked SVD: the kernel coefficients
 are the null direction of the p x p matrix ``R``, and the monomial
 coefficients follow from the first n-p boundary rows through the exact
 inverse of their monomial block.  An eigenfunction is a constant at each
-of its 2p root frequencies ``i root`` plus a polynomial, so its
-derivatives and operator image are read off those terms, and its norm,
-mean and residual norms are closed-form integrals of them
-(:func:`exppoly.bilinear`), with no ExpPoly product or canonical form.
+of its 2p root frequencies ``i root`` plus a polynomial, built as those
+terms directly; its derivatives are ``ExpPoly.derivatives``' table, its
+operator image is ``SigmaPolynomial.apply`` of that table, and its norm,
+mean and residual norms are closed-form integrals (:func:`exppoly.bilinear`),
+with no ExpPoly product or canonical form.
 
 The kernel rows K(rho) depend on p and the parity but not on n, so R has
 one producer, ``reduced_matrices``, which evaluates several orders of one
@@ -42,11 +43,9 @@ and n+2, which the paper rules out and ``disjoint`` looks for) passes.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
 from .exppoly import ExpPoly, Term, l2_norm_sq
-from .problem import SYMMETRIC, ProblemSpec, kernel_columns, root_system
+from .problem import SYMMETRIC, ProblemSpec, kernel_columns, reduced_operator, root_system
 
 DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
 DEFAULT_LAMBDA_CEILING = 200.0  # in the lambda = Lambda^(1/2p) coordinate
@@ -342,44 +341,6 @@ class EigenResiduals:
     boundary_scale: float  # magnitude bound of the worst derivative order
 
 
-def _split(terms: Sequence[Term]) -> tuple[list[complex], list[complex], tuple[complex, ...]]:
-    """A function's nonzero frequencies, the constant coefficient at each, and its polynomial part.
-
-    An extracted eigenfunction has this shape (its frequencies are exactly
-    ``i root``), and so has each of its derivatives and operator images.
-    """
-    mus, coeffs, poly = [], [], ()
-    for mu, c in terms:
-        if mu == 0:
-            poly = c
-        elif len(c) == 1:
-            mus.append(mu)
-            coeffs.append(c[0])
-        else:
-            raise ValueError(
-                "a closed form needs a constant coefficient at every nonzero frequency")
-    return mus, coeffs, poly
-
-
-def _derivative(poly: tuple[complex, ...]) -> tuple[complex, ...]:
-    """P' of a trimmed polynomial part, whose leading coefficient stays nonzero."""
-    return tuple(k * c for k, c in enumerate(poly))[1:]
-
-
-def _magnitude_bound(mus: list[complex], coeffs: list[complex], poly: tuple[complex, ...]) -> float:
-    """``sum e^|Re mu| |c| + sum |p_k|``, an upper bound for sup |f| on [-1, 1]."""
-    return (sum(math.exp(abs(mu.real)) * abs(c) for mu, c in zip(mus, coeffs))
-            + sum(map(abs, poly)))
-
-
-def _norm_sq(mus: list[complex], coeffs: list[complex], poly: Sequence[complex]) -> float:
-    """``int |f|^2`` of a function in :func:`_split`'s form."""
-    terms = [(mu, (c,)) for mu, c in zip(mus, coeffs)]
-    if poly:
-        terms.append((0j, tuple(poly)))
-    return l2_norm_sq(ExpPoly(tuple(terms)))
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue with its eigenfunction and quality diagnostics.
@@ -387,12 +348,12 @@ class EigenPair:
     ``kernel_coeffs[j]`` is the coefficient of exp(i * root_j * x) in z,
     aligned with ``root_system(p, Lambda).roots``; ``poly_coeffs`` are
     the real coefficients of the polynomial part.  Both are read off z.
-    ``derivatives`` is z's table (z, z', ..., z^(2n)), which the identity
-    suite reads every operator image and derivative of z from, computed
-    when first read.  ``det_indicator`` and ``nullspace_quality`` come from
-    whoever built the pair, and a replaced copy keeps them; the operator and
-    boundary residuals are computed in closed form from z's terms when
-    ``residuals`` is first read, so they build no ExpPoly.
+    ``derivatives`` is z's table (z, z', ..., z^(2n)), which the residuals
+    and the identity suite read every operator image and derivative of z
+    from, computed when first read.  ``det_indicator`` and
+    ``nullspace_quality`` come from whoever built the pair, and a replaced
+    copy keeps them; the operator and boundary residuals are computed off
+    the table when ``residuals`` is first read.
     """
 
     spec: ProblemSpec
@@ -409,42 +370,21 @@ class EigenPair:
 
     @functools.cached_property
     def residuals(self) -> EigenResiduals:
-        """The operator and boundary residuals in closed form off z's terms (:func:`_split`).
+        """The operator and boundary residuals, read off z's table ``derivatives``.
 
-        z^(j) is ``mu^j c`` at each frequency plus P^(j), each ``e^(+-mu)``
-        is formed once, and each L2 norm is :func:`exppoly.l2_norm_sq` of
-        those terms.
-        The operator ``sigma^(2n-2p) (sigma^(2p) - Lambda)`` is
-        ``(-1)^n d^(2n) - (-1)^(n-p) Lambda d^(2n-2p)``.
+        The operator image is ``reduced_operator(spec, Lambda, n).apply`` of
+        the table, the call the identity suite makes at orders p..n-1, and
+        each L2 norm is :func:`exppoly.l2_norm_sq`.
         """
-        n, p = self.spec.n, self.spec.p
-        mus, coeffs, poly = _split(self.z.terms)
-        table = [(coeffs, poly)]
-        for _ in range(2 * n):
-            table.append(([mu * c for mu, c in zip(mus, table[-1][0])], _derivative(table[-1][1])))
-        ends = [(x, [cmath.exp(mu * x) for mu in mus]) for x in (1.0, -1.0)]
-        boundary = boundary_scale = 0.0
-        for cs, ps in table[:n]:
-            for x, values in ends:
-                value = 0j
-                for c in reversed(ps):
-                    value = value * x + c
-                boundary = max(boundary, abs(sum(map(operator.mul, cs, values), value)))
-            boundary_scale = max(boundary_scale, _magnitude_bound(mus, cs, ps))
-        (low, low_poly), (high, high_poly) = table[2 * (n - p)], table[2 * n]
-        a = -self.Lambda if (n - p) % 2 == 0 else self.Lambda
-        b = 1.0 if n % 2 == 0 else -1.0
-        image_poly = [a * c for c in low_poly] + [0j] * (len(high_poly) - len(low_poly))
-        for k, c in enumerate(high_poly):
-            image_poly[k] += b * c
-        image = _norm_sq(mus, [a * u + b * v for u, v in zip(low, high)], image_poly)
+        n, table = self.spec.n, self.derivatives
+        image = reduced_operator(self.spec, self.Lambda, n).apply(table)
         return EigenResiduals(
             det_indicator=self.det_indicator,
             nullspace_quality=self.nullspace_quality,
-            operator_residual=math.sqrt(max(image, 0.0)),
-            operator_scale=math.sqrt(max(_norm_sq(mus, high, high_poly), 0.0)),
-            boundary_residual=boundary,
-            boundary_scale=boundary_scale,
+            operator_residual=math.sqrt(max(l2_norm_sq(image), 0.0)),
+            operator_scale=math.sqrt(max(l2_norm_sq(table[2 * n]), 0.0)),
+            boundary_residual=max(abs(d.evaluate(x)) for d in table[:n] for x in (1.0, -1.0)),
+            boundary_scale=max(d.magnitude_bound() for d in table[:n]),
         )
 
     @property
@@ -458,20 +398,20 @@ class EigenPair:
         return tuple(c.real for c in self.z.zero_frequency_coefficients())
 
 
-def _sign(z: ExpPoly, mus: list[complex], coeffs: list[complex],
-          poly: tuple[complex, ...]) -> float:
+def _sign(z: ExpPoly, z1: ExpPoly) -> float:
     """1 or -1, so that the first non-negligible candidate of z comes out positive.
 
-    The candidates are <z>, the leading poly coefficient, z(0) and z'(0),
-    read off z's terms in :func:`_split`'s form.  An antisymmetric z without
-    monomials (n = p) has the first three 0 by parity; its z'(0) is not.
+    The candidates are <z>, the leading poly coefficient, z(0) and z'(0) = ``z1(0)``.
+    An antisymmetric z without monomials (n = p) has the first three 0 by
+    parity; its z'(0) is not.
     """
-    scale = max(_magnitude_bound(mus, coeffs, poly), 1e-300)
+    scale = max(z.magnitude_bound(), 1e-300)
+    poly = z.zero_frequency_coefficients()
     candidates = (
         lambda: z.integrate_unit().real,
         lambda: poly[-1].real if poly else 0.0,
-        lambda: (sum(coeffs) + sum(poly[:1])).real,
-        lambda: (sum(map(operator.mul, mus, coeffs)) + sum(poly[1:2])).real,
+        lambda: z.evaluate(0.0).real,
+        lambda: z1.evaluate(0.0).real,
     )
     for candidate in candidates:
         v = candidate()
@@ -489,7 +429,7 @@ def _eigenfunction(spec: ProblemSpec, rho: float, kernel: list[float],
     (:func:`problem.kernel_columns`); the columns that share a frequency
     add there, in column order, so z has one term per root plus the
     polynomial.  z is scaled to ``<z^(n-p) z^(n-p)> = 1`` and signed by
-    :func:`_sign`, both closed-form integrals of these terms.
+    :func:`_sign`, both read off one derivative table of z.
     """
     merged: dict[complex, complex] = {}
     for c, (column, depth) in zip(kernel, kernel_columns(spec.p, spec.symmetric)):
@@ -507,14 +447,11 @@ def _eigenfunction(spec: ProblemSpec, rho: float, kernel: list[float],
         terms.append((0j, tuple(poly)))
     terms.sort(key=lambda term: (term[0].real, term[0].imag))
     z = ExpPoly(tuple(terms))
-    mus, coeffs, poly = _split(terms)
-    w, w_poly = coeffs, poly
-    for _ in range(spec.n - spec.p):
-        w, w_poly = [mu * c for mu, c in zip(mus, w)], _derivative(w_poly)
-    norm_sq = _norm_sq(mus, w, w_poly)
+    table = z.derivatives(max(spec.n - spec.p, 1))
+    norm_sq = l2_norm_sq(table[spec.n - spec.p])
     if not norm_sq > 0:
         raise SolverError("degenerate normalization integral")
-    return z.scaled(_sign(z, mus, coeffs, poly) / math.sqrt(norm_sq))
+    return z.scaled(_sign(z, table[1]) / math.sqrt(norm_sq))
 
 
 def extract_eigenfunctions(

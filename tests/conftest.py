@@ -5,13 +5,19 @@ too.  They deliberately avoid the package's own closed-form paths:
 integrals are checked against a fixed Gauss-Legendre rule, transcendental
 roots against plain bisection, so a failure in the library cannot hide itself.
 The JSON oracle is the two-pass emitter the one-pass walker replaced, the
-eigenpair oracle is the ExpPoly route that extraction's closed-form norm,
-sign and residuals replaced, and the product oracle is the integral of a
-canonical ExpPoly product that ``exppoly.bilinear`` replaced.
+eigenpair oracle is z built by ExpPoly algebra from ``solution_basis``, the
+residual and normalisation oracle is the split-form walk over z's constant
+kernel coefficients and polynomial part that extraction once kept beside
+ExpPoly, the table oracles are the per-coefficient derivative loop and the
+canonical-sum sigma image that ``ExpPoly.derivatives`` and
+``SigmaPolynomial.apply`` replaced, and the product oracle is the integral
+of a canonical ExpPoly product that ``exppoly.bilinear`` replaced.
 """
 
+import cmath
 import json
 import math
+import operator
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -20,8 +26,8 @@ import pytest
 
 from rqlab import invariants as inv
 from rqlab import solver
-from rqlab.exppoly import SERIES_FREQ_CUTOFF, ExpPoly, inner_product, l2_norm_sq
-from rqlab.problem import build_operator, root_system, solution_basis
+from rqlab.exppoly import _I_POWERS, SERIES_FREQ_CUTOFF, ExpPoly, _trim, inner_product, l2_norm_sq
+from rqlab.problem import root_system, solution_basis
 from rqlab.reporting import FLOAT_BAND
 from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
 from rqlab.selftest import quadrature_integral as quad_integral
@@ -120,13 +126,13 @@ def _old_fix_sign(z):
 
 
 def exppoly_route_pair(spec, Lambda):
-    """z as ExpPoly algebra builds it: the oracle of the closed-form extraction.
+    """z as ExpPoly algebra builds it: the oracle of extraction's z.
 
     The null vector and monomial coefficients come from the same reduced
     system and SVD as extraction; z is then built from ``solution_basis``
     with ``ExpPoly.build``, normalised by ``inner_product`` and signed off
-    ExpPoly integrals and values, as ``solver`` did before it read all
-    three off z's terms in closed form.
+    ExpPoly integrals and values, where extraction adds the terms of each
+    frequency itself and never canonicalises.
     """
     (matrices,), degenerate, powers, kernel = solver.reduced_matrices(
         (spec,), [root_system(spec.p, Lambda).rho])
@@ -143,14 +149,110 @@ def exppoly_route_pair(spec, Lambda):
     return _old_fix_sign(z.scaled(1.0 / math.sqrt(inner_product(w, w).real)))
 
 
-def exppoly_route_residuals(pair) -> dict[str, float]:
-    """The operator and boundary residuals of a pair, read off z's derivative table."""
-    table = pair.z.derivatives(2 * pair.spec.n)
+def hexed(f) -> list:
+    """f's frequencies and coefficients as ``float.hex`` strings, signed zeros kept apart."""
+    return [(mu.real.hex(), mu.imag.hex(), [(c.real.hex(), c.imag.hex()) for c in coeffs])
+            for mu, coeffs in f.terms]
+
+
+def stepwise_derivatives(f, order: int) -> tuple:
+    """The table (f, f', ..., f^(order)), one coefficient at a time."""
+    table = [f]
+    for _ in range(order):
+        new_terms = []
+        for mu, coeffs in table[-1].terms:
+            d = len(coeffs) - 1
+            out = [0j] * (d + 1)
+            for k in range(d + 1):
+                v = mu * coeffs[k]
+                if k + 1 <= d:
+                    v += (k + 1) * coeffs[k + 1]
+                out[k] = v
+            new_terms.append((mu, _trim(out)))
+        table.append(ExpPoly(tuple((mu, c) for mu, c in new_terms if c)))
+    return tuple(table)
+
+
+def canonical_sum_apply(sigma, table):
+    """``sigma``'s image of f as a sum of canonical ExpPolys, one per nonzero coefficient."""
+    acc = ExpPoly.zero()
+    for k, c in enumerate(sigma.coeffs):
+        if c != 0:
+            acc = acc + table[k].scaled(c * _I_POWERS[k % 4])
+    return acc
+
+
+def _split(terms):
+    """The nonzero frequencies of f's terms, the constant at each, and the polynomial part."""
+    mus, coeffs, poly = [], [], ()
+    for mu, c in terms:
+        if mu == 0:
+            poly = c
+        else:
+            (constant,) = c
+            mus.append(mu)
+            coeffs.append(constant)
+    return mus, coeffs, poly
+
+
+def _split_walk(z, order: int) -> list:
+    """``(coefficients, polynomial part)`` of z, z', ..., z^(order): ``mu^j c`` and ``P^(j)``."""
+    mus, coeffs, poly = _split(z.terms)
+    table = [(coeffs, poly)]
+    for _ in range(order):
+        cs, ps = table[-1]
+        table.append(([mu * c for mu, c in zip(mus, cs)],
+                      tuple(k * c for k, c in enumerate(ps))[1:]))
+    return table
+
+
+def _split_magnitude_bound(mus, coeffs, poly) -> float:
+    return (sum(math.exp(abs(mu.real)) * abs(c) for mu, c in zip(mus, coeffs))
+            + sum(map(abs, poly)))
+
+
+def _split_norm_sq(mus, coeffs, poly) -> float:
+    terms = [(mu, (c,)) for mu, c in zip(mus, coeffs)]
+    if poly:
+        terms.append((0j, tuple(poly)))
+    return l2_norm_sq(ExpPoly(tuple(terms)))
+
+
+def split_route_norm_sq(z, order: int) -> float:
+    """``int |z^(order)|^2`` off z's split form, the way extraction once normalised."""
+    mus = _split(z.terms)[0]
+    return _split_norm_sq(mus, *_split_walk(z, order)[-1])
+
+
+def split_route_residuals(pair) -> dict[str, float]:
+    """The operator and boundary residuals of a pair, off z's split form.
+
+    z^(j) is ``mu^j c`` at each frequency plus P^(j), each ``e^(+-mu)`` is
+    formed once, and the operator ``sigma^(2n-2p) (sigma^(2p) - Lambda)``
+    is written out as ``(-1)^n d^(2n) - (-1)^(n-p) Lambda d^(2n-2p)``.
+    """
+    n, p = pair.spec.n, pair.spec.p
+    mus = _split(pair.z.terms)[0]
+    table = _split_walk(pair.z, 2 * n)
+    ends = [(x, [cmath.exp(mu * x) for mu in mus]) for x in (1.0, -1.0)]
+    boundary = boundary_scale = 0.0
+    for cs, ps in table[:n]:
+        for x, values in ends:
+            value = 0j
+            for c in reversed(ps):
+                value = value * x + c
+            boundary = max(boundary, abs(sum(map(operator.mul, cs, values), value)))
+        boundary_scale = max(boundary_scale, _split_magnitude_bound(mus, cs, ps))
+    (low, low_poly), (high, high_poly) = table[2 * (n - p)], table[2 * n]
+    a = -pair.Lambda if (n - p) % 2 == 0 else pair.Lambda
+    b = 1.0 if n % 2 == 0 else -1.0
+    image_poly = [a * c for c in low_poly] + [0j] * (len(high_poly) - len(low_poly))
+    for k, c in enumerate(high_poly):
+        image_poly[k] += b * c
+    image = _split_norm_sq(mus, [a * u + b * v for u, v in zip(low, high)], image_poly)
     return {
-        "operator_residual": math.sqrt(max(
-            l2_norm_sq(build_operator(pair.spec, pair.Lambda).apply(table)), 0.0)),
-        "operator_scale": math.sqrt(max(l2_norm_sq(table[-1]), 0.0)),
-        "boundary_residual": max(abs(d.evaluate(x)) for d in table[:pair.spec.n]
-                                 for x in (1.0, -1.0)),
-        "boundary_scale": max(d.magnitude_bound() for d in table[:pair.spec.n]),
+        "operator_residual": math.sqrt(max(image, 0.0)),
+        "operator_scale": math.sqrt(max(_split_norm_sq(mus, high, high_poly), 0.0)),
+        "boundary_residual": boundary,
+        "boundary_scale": boundary_scale,
     }

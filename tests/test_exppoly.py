@@ -14,8 +14,9 @@ from rqlab.exppoly import ExpPoly, SigmaPolynomial, bilinear, hermitian_inner_pr
 from rqlab.exppoly import inner_product, l2_norm_sq
 from rqlab.selftest import hermiticity_error, quadrature_miss
 
-from conftest import (PI, closed_form_regime, closed_form_regimes, product_route, quad_integral,
-                      random_exppoly, random_real_exppoly, rel_err)
+from conftest import (PI, canonical_sum_apply, closed_form_regime, closed_form_regimes, hexed,
+                      product_route, quad_integral, random_exppoly, random_real_exppoly, rel_err,
+                      stepwise_derivatives)
 
 
 def z2_closed_form() -> ExpPoly:
@@ -270,6 +271,42 @@ class TestSigmaPolynomial:
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
             SigmaPolynomial((0j,))
+
+
+def signed_zero_draw(rng) -> ExpPoly:
+    """A ``random_exppoly`` at a log-uniform frequency scale from 5e-4 to 50, degree <= 6.
+
+    Half the draws gain a polynomial part at frequency 0, and half have their
+    imaginary parts replaced by +-0.0, so the tables carry signed zeros.
+    """
+    f = random_exppoly(rng, freq_scale=10 ** rng.uniform(math.log10(5e-4), math.log10(50)),
+                       max_degree=6)
+    if rng.rand() < 0.5:
+        poly = tuple(complex(*rng.uniform(-2, 2, 2)) for _ in range(rng.randint(1, 8)))
+        f = f + ExpPoly.build([(0j, poly)])
+    if rng.rand() < 0.5:
+        f = ExpPoly(tuple((mu, tuple(complex(c.real, rng.choice((0.0, -0.0))) for c in coeffs))
+                          for mu, coeffs in f.terms))
+    return f
+
+
+class TestTableOracles:
+    """The table and the sigma image, bit for bit, against conftest's stepwise and summed routes."""
+
+    def test_random_draws_match_bit_for_bit(self, rng):
+        signed_zeros = 0
+        for _ in range(1500):
+            f = signed_zero_draw(rng)
+            order = rng.randint(0, 13)
+            table = f.derivatives(order)
+            assert [hexed(d) for d in table] == [hexed(d) for d in stepwise_derivatives(f, order)]
+            coeffs = [rng.choice((1.0, -1.0, 0.0, complex(*rng.uniform(-3, 3, 2))))
+                      for _ in range(rng.randint(0, order + 1))]
+            sigma = SigmaPolynomial((*coeffs, complex(*rng.uniform(-3, 3, 2))))
+            image = hexed(sigma.apply(table))
+            assert image == hexed(canonical_sum_apply(sigma, table))
+            signed_zeros += str(image).count("-0x0.0p+0")
+        assert signed_zeros > 0
 
 
 class TestProperties:

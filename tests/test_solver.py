@@ -21,7 +21,7 @@ from rqlab.errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalue
 from rqlab.errors import ScanExhaustedError, SolverError
 from rqlab.exppoly import ExpPoly, inner_product
 from rqlab.invariants import antisym_equals_next_sym
-from rqlab.problem import ProblemSpec, root_system, solution_basis
+from rqlab.problem import ProblemSpec, reduced_operator, root_system, solution_basis
 from rqlab.reporting import PASS
 from rqlab.selftest import closed_form_anchor_pairs, closed_form_spectrum_checks
 from rqlab.solver import (
@@ -34,8 +34,8 @@ from rqlab.solver import (
     scan_spectrum,
 )
 
-from conftest import PI, bisect_root, cold_start, exppoly_route_pair, exppoly_route_residuals
-from conftest import rel_err
+from conftest import PI, bisect_root, canonical_sum_apply, cold_start, exppoly_route_pair, hexed
+from conftest import rel_err, split_route_norm_sq, split_route_residuals, stepwise_derivatives
 
 S, A = "symmetric", "antisymmetric"
 
@@ -823,10 +823,11 @@ def component_ulps(f, g) -> float:
 
 
 class TestClosedForms:
-    """Norm, sign and residuals off z's terms, against the ExpPoly route of conftest."""
+    """Extraction's z against the ExpPoly route, its table and images against the stepwise
+    and summed routes, and its norm and residuals against the split-form walk, all of conftest."""
 
     @pytest.mark.parametrize("parity", [S, A])
-    def test_every_order_up_to_12_matches_the_exppoly_route(self, parity):
+    def test_every_order_up_to_12_matches_the_oracles(self, parity):
         for n in range(1, 13):
             # the normalisation integral cancels more with each order: measured at most
             # 12 ulps for n <= 6, 791 at n = 10 and 65,977 (7.5e-12) at (12,2,antisym)
@@ -839,33 +840,43 @@ class TestClosedForms:
                     assert sum((a[0] * b[0].conjugate()).real
                                for (_, a), (_, b) in zip(z.terms, pair.z.terms)) > 0
                     assert component_ulps(z, pair.z) <= ulps, (spec.label(), pair.index)
-                    r, old = pair.residuals, exppoly_route_residuals(pair)
+                    # the split walk's own normalisation integral of z: 4.6e-12 from 1 at most,
+                    # at (12,2,antisym)
+                    assert abs(split_route_norm_sq(pair.z, n - p) - 1.0) <= ulps * math.ulp(1.0)
+                    r, old = pair.residuals, split_route_residuals(pair)
                     assert r.boundary_residual <= (bound or 1e-9) * r.boundary_scale
                     assert r.operator_residual <= (bound or 1e-8) * r.operator_scale
-                    # on the same z: the relative columns agree to 6e-26, the scales to
-                    # 5.8e-13 relative, at (12,11,sym), where z^(24)'s norm cancels most
+                    # on the same z: measured, the relative columns agree to 3.7e-17 and the
+                    # scales to 3.3e-16 relative
                     for column, scale in (("operator_residual", "operator_scale"),
                                           ("boundary_residual", "boundary_scale")):
                         assert abs(getattr(r, column) / getattr(r, scale)
                                    - old[column] / old[scale]) <= 1e-12
                         assert getattr(r, scale) == pytest.approx(old[scale], rel=1e-11)
 
-    def test_anchors_and_the_injected_fault_have_their_exppoly_residuals(self):
+    @pytest.mark.parametrize("parity", [S, A])
+    def test_every_table_and_image_up_to_12_is_the_oracles_bit_for_bit(self, parity):
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                spec = ProblemSpec(n, p, parity)
+                for pair in solver.extract_eigenfunctions(spec, cached_spectrum(n, p, parity, 8)):
+                    table = pair.derivatives
+                    assert ([hexed(d) for d in table]
+                            == [hexed(d) for d in stepwise_derivatives(pair.z, 2 * n)])
+                    for order in range(p, n + 1):
+                        sigma = reduced_operator(spec, pair.Lambda, order)
+                        assert hexed(sigma.apply(table)) == hexed(canonical_sum_apply(sigma, table))
+
+    def test_anchors_and_the_injected_fault_have_their_split_form_residuals(self):
         # constants at nonzero frequencies plus a polynomial, not extracted: the bump
         # x^2 of (2,1)'s corrupted pair leaves the operator a polynomial image
         anchors = closed_form_anchor_pairs()
         corrupted = _corrupted_pair(cached_eigenpair(2, 1, S, 0))
         for pair in (*anchors, corrupted):
-            r, old = pair.residuals, exppoly_route_residuals(pair)
+            r, old = pair.residuals, split_route_residuals(pair)
             for column in old:
                 assert getattr(r, column) == pytest.approx(old[column], rel=1e-12, abs=1e-13)
         assert corrupted.residuals.operator_residual > 1e-3 * corrupted.residuals.operator_scale
-
-    def test_a_polynomial_at_a_nonzero_frequency_has_no_closed_form(self):
-        spec = ProblemSpec(2, 1, S)
-        pair = solver.eigenpair_from_function(spec, PI * PI, ExpPoly.build([(1j, (1.0, 1.0))]))
-        with pytest.raises(ValueError, match="constant coefficient"):
-            pair.residuals
 
     @pytest.mark.parametrize("parity", [S, A])
     def test_a_batch_extracts_each_pair_as_alone(self, monkeypatch, parity):
@@ -912,17 +923,20 @@ class TestNoExpPolyAlgebra:
             monkeypatch.setattr(owner, name, counted)
         return counts
 
-    @pytest.mark.parametrize("argv", [
-        "spectrum --n 4 --p 2 --count 4 --format json",
-        "spectrum --n 3 --p 3 --parity antisym --count 3",
-        "spectrum --n 12 --p 1 --count 3 --format csv",
-        "eigenfunction --n 3 --p 1 --index 2 --format json",
-        "eigenfunction --n 5 --p 5 --parity antisym --index 1",
+    @pytest.mark.parametrize("argv, pairs", [
+        ("spectrum --n 4 --p 2 --count 4 --format json", 4),
+        ("spectrum --n 3 --p 3 --parity antisym --count 3", 3),
+        ("spectrum --n 12 --p 1 --count 3 --format csv", 3),
+        ("eigenfunction --n 3 --p 1 --index 2 --format json", 1),
+        ("eigenfunction --n 5 --p 5 --parity antisym --index 1", 1),
     ])
-    def test_spectrum_and_eigenfunction_fill_their_rows_without_it(self, algebra, capsys, argv):
+    def test_spectrum_and_eigenfunction_fill_their_rows_without_it(
+        self, algebra, capsys, argv, pairs
+    ):
+        # two derivative walks per pair: extraction's norm and sign, and the residuals' table
         assert main(argv.split()) == 0
         assert capsys.readouterr().out
-        assert algebra == {"__mul__": 0, "derivatives": 0, "_canonical": 0}
+        assert algebra == {"__mul__": 0, "derivatives": 2 * pairs, "_canonical": 0}
 
     def test_the_identity_suite_still_reads_the_derivative_table(self, algebra, capsys):
         assert main("verify --n 3 --p 1 --count 1".split()) == 0
