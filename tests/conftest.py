@@ -10,8 +10,13 @@ residual and normalisation oracle is the split-form walk over z's constant
 kernel coefficients and polynomial part that extraction once kept beside
 ExpPoly, the table oracles are the per-coefficient derivative loop and the
 canonical-sum sigma image that ``ExpPoly.derivatives`` and
-``SigmaPolynomial.apply`` replaced, and the product oracle is the integral
-of a canonical ExpPoly product that ``exppoly.bilinear`` replaced.
+``SigmaPolynomial.apply`` replaced, the value oracle is the per-row
+evaluation, one exponential per term, that ``exppoly.evaluate_rows``
+replaced, the product oracle is the integral of a canonical ExpPoly product
+that ``exppoly.bilinear`` replaced, and the Ritz oracle is the dense route
+of the ``(1-x^2)^n x^(2k+s)`` trial basis (Gram matrices from Beta moments,
+exact Gram-Schmidt over all predecessors) that the banded Rodrigues basis of
+``rqlab.ritz`` replaced.
 """
 
 import cmath
@@ -173,6 +178,17 @@ def stepwise_derivatives(f, order: int) -> tuple:
     return tuple(table)
 
 
+def per_row_evaluate(f, x) -> complex:
+    """f(x), forming each term's ``e^(mu x)`` anew."""
+    total = 0j
+    for mu, coeffs in f.terms:
+        p = 0j
+        for c in reversed(coeffs):
+            p = p * x + c
+        total += p * cmath.exp(mu * x)
+    return total
+
+
 def canonical_sum_apply(sigma, table):
     """``sigma``'s image of f as a sum of canonical ExpPolys, one per nonzero coefficient."""
     acc = ExpPoly.zero()
@@ -256,3 +272,90 @@ def split_route_residuals(pair) -> dict[str, float]:
         "boundary_residual": boundary,
         "boundary_scale": boundary_scale,
     }
+
+
+def beta_moments(n: int, count: int, denominator: int) -> list[int]:
+    """``Q * beta_m`` for m < count, with ``beta_m = int (1-x^2)^n x^(2m)``.
+
+    ``beta_m = n! 2^(n+1) / ((2m+1)(2m+3)...(2m+2n+1))``, so
+    ``beta_(m+1) = beta_m (2m+1) / (2m+2n+3)``; every ``Q beta_m`` needed is the
+    integer ``sum_i (-1)^i C(n,i) 2Q/(2m+2i+1)``, so each division is exact.
+    """
+    moment = denominator * math.factorial(n) * 2 ** (n + 1) // math.prod(range(1, 2 * n + 2, 2))
+    moments = [moment]
+    for m in range(count - 1):
+        moment = moment * (2 * m + 1) // (2 * m + 2 * n + 3)
+        moments.append(moment)
+    return moments
+
+
+def phi_gram(n: int, s: int, K: int, order: int, moments: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``<phi_k^(r) phi_l^(r)>`` times the common denominator, for r = order.
+
+    By parts ``<phi_k^(r) phi_l^(r)> = (-1)^r <phi_k phi_l^(2r)>``, and
+    ``phi_l^(2r) = sum_j (-1)^j C(n,j) perm(e_l+2j, 2r) x^(e_l+2j-2r)`` with
+    ``e_l = 2l+s`` (s = 0 symmetric, 1 antisymmetric), so the entry is
+    ``sum_j`` of that coefficient times ``Q beta_(k+l+s+j-r)``; the terms with
+    ``e_l+2j < 2r`` vanish.
+    """
+    sign = -1 if order % 2 else 1
+    g = [[0] * K for _ in range(K)]
+    for l in range(K):
+        first = max(0, order - l)
+        coeffs = [sign * (-1) ** j * math.comb(n, j) * math.perm(2 * l + s + 2 * j, 2 * order)
+                  for j in range(first, n + 1)]
+        for k in range(l + 1):
+            start = k + l + s + first - order
+            g[k][l] = g[l][k] = sum(map(operator.mul, coeffs, moments[start:start + len(coeffs)]))
+    return tuple(tuple(row) for row in g)
+
+
+def phi_system(spec, K: int) -> tuple:
+    """(stiffness, mass, Q): the phi_k Gram matrices as integers over Q = lcm(1, 3, ..., 2*deg+1)."""
+    s = 0 if spec.symmetric else 1
+    degree = 2 * (K - 1) + s + spec.n + spec.p  # of phi_(K-1)^(n-p), the highest power
+    denominator = math.lcm(*range(1, 2 * degree + 2, 2))
+    moments = beta_moments(spec.n, 2 * K - 1 + s + spec.p, denominator)
+    return (phi_gram(spec.n, s, K, spec.n, moments),
+            phi_gram(spec.n, s, K, spec.n - spec.p, moments), denominator)
+
+
+def phi_reduced_matrix(stiffness, mass, denominator) -> np.ndarray:
+    """Float ``D^(-1/2) L^(-1) A L^(-T) D^(-1/2)`` for ``B = L D L^T``, dense.
+
+    Row i of ``L^(-1)`` is the B-orthogonal Gram-Schmidt image of ``e_i``
+    against every predecessor, kept as the primitive integer row ``u_i``
+    with mass norm ``n_i = u_i B u_i``, so ``D_i = n_i / u_i[i]^2``; each
+    reduced entry ``u_i A u_j / (Q u_i[i] u_j[j])`` is one integer ratio,
+    rounded once.  Only the lower triangle is filled.
+    """
+    K, a, b, scale = len(stiffness), stiffness, mass, denominator
+    rows: list[list[int]] = []
+    norms: list[int] = []
+    inv_sqrt: list[float] = []
+    reduced = np.zeros((K, K))
+    for i in range(K):
+        nums, dens = [], []
+        for u, n in zip(rows, norms):
+            c = sum(map(operator.mul, b[i], u))
+            d = math.gcd(c, n)
+            nums.append(c // d)
+            dens.append(n // d)
+        lcm = math.lcm(*dens)
+        row = [0] * i + [lcm]
+        for num, den, u in zip(nums, dens, rows):
+            factor = lcm // den * num
+            for m, x in enumerate(u):
+                row[m] -= factor * x
+        g = math.gcd(*row)
+        row = [x // g for x in row]
+        norm = lcm // g * sum(map(operator.mul, b[i], row))
+        assert norm > 0
+        rows.append(row)
+        norms.append(norm)
+        inv_sqrt.append(1.0 / math.sqrt(norm / (scale * row[i] ** 2)))
+        row_a = [sum(map(operator.mul, row, a[m])) for m in range(i + 1)]
+        for j in range(i + 1):
+            w = sum(map(operator.mul, row_a, rows[j])) / (scale * row[i] * rows[j][j])
+            reduced[i, j] = w * inv_sqrt[i] * inv_sqrt[j]
+    return reduced
