@@ -229,7 +229,13 @@ class ExpPoly:
         return tuple(table)
 
     def evaluate(self, x) -> complex:
-        return evaluate_rows((self,), x)[0]
+        total = 0j
+        for mu, coeffs in self.terms:
+            p = 0j
+            for c in reversed(coeffs):
+                p = p * x + c
+            total += p * cmath.exp(mu * x)
+        return total
 
     def integrate_unit(self) -> complex:
         """Exact integral over [-1, 1] via the closed form for x^k e^{mu x}."""
@@ -274,28 +280,6 @@ class ExpPoly:
             poly = " + ".join(f"({c:.6g})x^{k}" if k else f"({c:.6g})" for k, c in enumerate(coeffs))
             bits.append(f"[{poly}]e^({mu:.6g}x)")
         return " + ".join(bits)
-
-
-def evaluate_rows(rows: Sequence[ExpPoly], x) -> list[complex]:
-    """Each row's value at x, forming each ``e^(mu x)`` once for all the rows.
-
-    The rows of a derivative table share f's frequencies, so its boundary
-    values take one exponential per frequency, not one per row.
-    """
-    exps: dict[complex, complex] = {}
-    values = []
-    for f in rows:
-        total = 0j
-        for mu, coeffs in f.terms:
-            p = 0j
-            for c in reversed(coeffs):
-                p = p * x + c
-            e = exps.get(mu)
-            if e is None:
-                e = exps[mu] = cmath.exp(mu * x)
-            total += p * e
-        values.append(total)
-    return values
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from .errors import ScanExhaustedError, SolverError
-from .exppoly import ExpPoly, Term, evaluate_rows, l2_norm_sq
+from .exppoly import ExpPoly, Term, l2_norm_sq
 from .problem import SYMMETRIC, ProblemSpec, kernel_columns, reduced_operator, root_system
 
 DEFAULT_SCAN_STEP = 0.25  # consecutive root coordinates lie at least 3.13 apart
@@ -383,7 +383,7 @@ class EigenPair:
             nullspace_quality=self.nullspace_quality,
             operator_residual=math.sqrt(max(l2_norm_sq(image), 0.0)),
             operator_scale=math.sqrt(max(l2_norm_sq(table[2 * n]), 0.0)),
-            boundary_residual=max(abs(v) for x in (1.0, -1.0) for v in evaluate_rows(table[:n], x)),
+            boundary_residual=max(abs(d.evaluate(x)) for d in table[:n] for x in (1.0, -1.0)),
             boundary_scale=max(d.magnitude_bound() for d in table[:n]),
         )
 

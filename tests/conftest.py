@@ -10,13 +10,11 @@ residual and normalisation oracle is the split-form walk over z's constant
 kernel coefficients and polynomial part that extraction once kept beside
 ExpPoly, the table oracles are the per-coefficient derivative loop and the
 canonical-sum sigma image that ``ExpPoly.derivatives`` and
-``SigmaPolynomial.apply`` replaced, the value oracle is the per-row
-evaluation, one exponential per term, that ``exppoly.evaluate_rows``
-replaced, the product oracle is the integral of a canonical ExpPoly product
-that ``exppoly.bilinear`` replaced, and the Ritz oracle is the dense route
-of the ``(1-x^2)^n x^(2k+s)`` trial basis (Gram matrices from Beta moments,
-exact Gram-Schmidt over all predecessors) that the banded Rodrigues basis of
-``rqlab.ritz`` replaced.
+``SigmaPolynomial.apply`` replaced, the product oracle is the integral
+of a canonical ExpPoly product that ``exppoly.bilinear`` replaced, and the
+Ritz oracle is the dense route of the ``(1-x^2)^n x^(2k+s)`` trial basis
+(Gram matrices from Beta moments, exact Gram-Schmidt over all predecessors)
+that the banded Rodrigues basis of ``rqlab.ritz`` replaced.
 """
 
 import cmath
@@ -176,17 +174,6 @@ def stepwise_derivatives(f, order: int) -> tuple:
             new_terms.append((mu, _trim(out)))
         table.append(ExpPoly(tuple((mu, c) for mu, c in new_terms if c)))
     return tuple(table)
-
-
-def per_row_evaluate(f, x) -> complex:
-    """f(x), forming each term's ``e^(mu x)`` anew."""
-    total = 0j
-    for mu, coeffs in f.terms:
-        p = 0j
-        for c in reversed(coeffs):
-            p = p * x + c
-        total += p * cmath.exp(mu * x)
-    return total
 
 
 def canonical_sum_apply(sigma, table):

@@ -4,20 +4,19 @@ The randomized property sweeps are ``rqlab.selftest.property_checks``, which
 acceptance criterion 09 runs.
 """
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from rqlab import exppoly
-from rqlab.exppoly import ExpPoly, SigmaPolynomial, bilinear, evaluate_rows, hermitian_inner_product
+from rqlab.exppoly import ExpPoly, SigmaPolynomial, bilinear, hermitian_inner_product
 from rqlab.exppoly import inner_product, l2_norm_sq
 from rqlab.selftest import hermiticity_error, quadrature_miss
 
 from conftest import (PI, canonical_sum_apply, closed_form_regime, closed_form_regimes, hexed,
-                      per_row_evaluate, product_route, quad_integral, random_exppoly,
-                      random_real_exppoly, rel_err, stepwise_derivatives)
+                      product_route, quad_integral, random_exppoly, random_real_exppoly, rel_err,
+                      stepwise_derivatives)
 
 
 def z2_closed_form() -> ExpPoly:
@@ -225,32 +224,6 @@ class TestEvaluate:
 
     def test_half_cosine_at_center(self):
         assert ExpPoly.cosine(PI / 2).evaluate(0.0).real == pytest.approx(1.0)
-
-    def test_table_rows_match_the_per_row_oracle_bit_for_bit(self, rng):
-        for _ in range(300):
-            table = random_exppoly(rng).derivatives(rng.randint(0, 9))
-            for x in (1.0, -1.0, 0.0, float(rng.uniform(-1, 1))):
-                want = [per_row_evaluate(f, x) for f in table]
-                assert [(v.real.hex(), v.imag.hex()) for v in evaluate_rows(table, x)] == [
-                    (v.real.hex(), v.imag.hex()) for v in want]
-                assert [f.evaluate(x) for f in table] == want
-
-    def test_a_table_takes_one_exponential_per_frequency(self, rng, monkeypatch):
-        calls = []
-
-        class CountingCmath:
-            @staticmethod
-            def exp(z):
-                calls.append(z)
-                return cmath.exp(z)
-
-        monkeypatch.setattr(exppoly, "cmath", CountingCmath)
-        for _ in range(50):
-            f = random_exppoly(rng)
-            table = f.derivatives(6)
-            calls.clear()
-            evaluate_rows(table, 1.0)
-            assert len(calls) == len({mu for row in table for mu, _ in row.terms})
 
 
 class TestSigmaPolynomial:

@@ -180,12 +180,16 @@ class TestAssembly:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_double_sum_oracle(self, n):
         # every phi_k Gram integer and the denominator of the Beta-moment
-        # oracle, for every p and parity
+        # oracle, and the banded reduction's every float against the dense
+        # reduction of the double sum, for every p and parity
         for p in range(1, n + 1):
             for parity in (S, A):
                 for K in (1, 2, 20, 64) if n <= 4 else (1, 2, 20):
                     spec = ProblemSpec(n, p, parity)
-                    assert phi_system(spec, K) == _double_sum_system(spec, K), (p, parity, K)
+                    double_sum = _double_sum_system(spec, K)
+                    assert phi_system(spec, K) == double_sum, (p, parity, K)
+                    want = phi_reduced_matrix(*double_sum).tobytes()
+                    assert _reduced_matrix(assemble(spec, K)).tobytes() == want, (p, parity, K)
 
     @pytest.mark.parametrize("n, p, parity", [(1, 1, S), (2, 1, A), (3, 2, S), (4, 2, A), (6, 6, A)])
     def test_entries_match_exppoly_inner_products(self, n, p, parity):
