@@ -19,14 +19,9 @@ __version__ = "0.1.0"
 
 from .exppoly import ExpPoly, SigmaPolynomial, inner_product, l2_norm_sq
 from .invariants import antisym_equals_next_sym
-from .problem import ProblemSpec, RootSystem, build_operator, root_system, solution_basis
+from .problem import ProblemSpec, RootSystem, build_operator, root_system
 from .ritz import RitzSystem, assemble, ritz_values
-from .solver import (
-    EigenPair,
-    SpectrumSlice,
-    extract_eigenfunction,
-    scan_spectrum,
-)
+from .solver import EigenPair, SpectrumSlice, scan_spectrum
 
 __all__ = [
     "ExpPoly",
@@ -37,14 +32,12 @@ __all__ = [
     "RootSystem",
     "build_operator",
     "root_system",
-    "solution_basis",
     "RitzSystem",
     "assemble",
     "ritz_values",
     "EigenPair",
     "SpectrumSlice",
     "antisym_equals_next_sym",
-    "extract_eigenfunction",
     "scan_spectrum",
     "__version__",
 ]

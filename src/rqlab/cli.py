@@ -36,17 +36,8 @@ from .disjointness import DEFAULT_COLLISION_TOL, compare_spectra, follow_up_cand
 from .disjointness import sweep_conjecture
 from .errors import ConfigError, IdentityViolationError, RQLabError, ScanExhaustedError
 from .errors import SolverError
-from .exppoly import ExpPoly
-from .invariants import antisym_equals_next_sym
 from .problem import ANTISYMMETRIC, SYMMETRIC, ProblemSpec, root_system
-from .reporting import (
-    dumps_envelope,
-    format_csv,
-    format_table,
-    make_envelope,
-    not_applicable,
-    rollup_from_reports,
-)
+from .reporting import dumps_envelope, format_csv, format_table, make_envelope, rollup_from_reports
 from .ritz import MAX_BASIS_SIZE, assemble, ritz_values
 from .selftest import run_selftest
 from .solver import (
@@ -54,9 +45,7 @@ from .solver import (
     DEFAULT_SCAN_STEP,
     MAX_GRID_POINTS,
     cached_eigenpair,
-    cached_spectra,
     cached_spectrum,
-    eigenpair_from_function,
     extract_eigenfunctions,
     indicator_series,
     scan_spectrum,
@@ -175,27 +164,8 @@ def _cmd_eigenfunction(args):
     return results, rows, ["root_re", "root_im", "coeff_re", "coeff_im"], {"pass": True}, EXIT_OK
 
 
-def _corrupted_pair(pair):
-    """Negative control: a visibly perturbed copy that must fail the suite."""
-    bump = ExpPoly.monomial(2, 0.01 * max(pair.z.magnitude_bound(), 1.0))
-    return eigenpair_from_function(pair.spec, pair.Lambda, pair.z + bump, index=pair.index)
-
-
 def _cmd_verify(args):
-    n, p = args.n, args.p
-    if n >= p and (args.m is None or args.m > n):  # else the suite refuses these orders first
-        # the suite's orders n-1, n and --m and the parity shift's n+1, in one lockstep
-        # scan; an order whose scan fails fails alike where the suite or the shift reads it
-        cached_spectra({n - 1, n, n + 1, args.m or n} - set(range(p)), p, SYMMETRIC, args.count)
-    reports = invariants.run_identity_suite(args.n, args.p, count=args.count, m=args.m,
-                                            tol=args.tol)
-    try:
-        reports.extend(antisym_equals_next_sym(args.n, args.p, args.count, tol=args.tol))
-    except SolverError as exc:
-        reports.append(not_applicable("parity-shift", (args.n, args.p), notes=str(exc)))
-    if args.inject_fault:
-        first = cached_eigenpair(args.n, args.p, SYMMETRIC, 0)
-        reports.append(invariants.check_stone_identity(_corrupted_pair(first), args.tol))
+    reports = invariants.verify(args.n, args.p, args.count, args.m, args.tol, args.inject_fault)
     rollup = rollup_from_reports(reports)
     rows, columns = _report_rows(reports)
     results = {"reports": reports}
@@ -503,7 +473,7 @@ def _run(argv: list[str]) -> int:
     except IdentityViolationError as exc:
         print(f"rqlab: identity violation: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (SolverError, RQLabError) as exc:
+    except RQLabError as exc:
         print(f"rqlab: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

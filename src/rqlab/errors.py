@@ -35,7 +35,7 @@ class NonSimpleEigenvalueError(SolverError):
 
 
 class RitzConditioningError(SolverError):
-    """Mass matrix lost positive definiteness in floating point; lower K."""
+    """A mass pivot of the exact Ritz reduction is not positive: the assembly is broken."""
 
 
 class IdentityViolationError(RQLabError):

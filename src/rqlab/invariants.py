@@ -1,4 +1,4 @@
-"""Stones, stone polynomials, moments, brackets, and the identity suite.
+"""Stones, stone polynomials, moments, brackets, the identity suite, and verify's reports.
 
 For an eigenpair (Lambda, z) of order n with offset p < n, repeatedly
 peeling two derivative orders off the operator leaves polynomial residues:
@@ -24,9 +24,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, IdentityViolationError
+from .errors import ConfigError, IdentityViolationError, SolverError
 from .exppoly import ExpPoly, SigmaPolynomial, hermitian_inner_product, inner_product, l2_norm_sq
-from .problem import reduced_operator, root_system
+from .problem import SYMMETRIC, reduced_operator, root_system
 from .reporting import (
     FAIL,
     PASS,
@@ -35,7 +35,8 @@ from .reporting import (
     not_applicable,
     relative_residual,
 )
-from .solver import EigenPair, _stored_pairs, cached_spectrum
+from .solver import EigenPair, cached_eigenpair, cached_eigenpairs, cached_spectra, cached_spectrum
+from .solver import eigenpair_from_function
 
 STONE_FLOOR = 1e-6  # |stone| must exceed this times the natural scale
 ANNIHILATION_TOL = 1e-9
@@ -650,11 +651,6 @@ def antisym_equals_next_sym(n: int, p: int, count: int, tol: float) -> list[Iden
 # --------------------------------------------------------------------------
 
 
-def _pairs(n: int, p: int, count: int) -> list[EigenPair]:
-    """The first ``count`` symmetric eigenpairs of order n, those the store lacks in one batch."""
-    return _stored_pairs(n, p, "symmetric", range(count))
-
-
 def run_identity_suite(
     n: int,
     p: int,
@@ -671,7 +667,7 @@ def run_identity_suite(
     if m is not None and m <= n:
         raise ConfigError(f"partner order m={m} must exceed n={n}")
     reports: list[IdentityReport] = []
-    pairs = _pairs(n, p, count)
+    pairs = cached_eigenpairs(n, p, SYMMETRIC, range(count))
 
     for pair in pairs:
         reports.append(check_stone_lemma(pair))
@@ -685,16 +681,16 @@ def run_identity_suite(
             reports.append(check_positivity_family(pair, k, tol))
 
     if n - 1 >= p:
-        for prev in _pairs(n - 1, p, count):
+        for prev in cached_eigenpairs(n - 1, p, SYMMETRIC, range(count)):
             for pair in pairs:
                 reports.append(check_cross_identity(prev, pair, tol))
 
     if m is not None:
         left = pairs
-        right = _pairs(m, p, count)
+        right = cached_eigenpairs(m, p, SYMMETRIC, range(count))
         lo, hi = n, m
     elif n - 1 >= p:
-        left = _pairs(n - 1, p, count)
+        left = cached_eigenpairs(n - 1, p, SYMMETRIC, range(count))
         right = pairs
         lo, hi = n - 1, n
     else:
@@ -709,4 +705,35 @@ def run_identity_suite(
                 for l in range(0, lo - p):
                     for k in range(0, lo - p + q):
                         reports.append(check_cauchy_schwarz(zl, zr, l, k))
+    return reports
+
+
+def _corrupted_pair(pair: EigenPair) -> EigenPair:
+    """Negative control: a visibly perturbed copy that must fail the suite."""
+    bump = ExpPoly.monomial(2, 0.01 * max(pair.z.magnitude_bound(), 1.0))
+    return eigenpair_from_function(pair.spec, pair.Lambda, pair.z + bump, index=pair.index)
+
+
+def verify(
+    n: int, p: int, count: int, m: int | None, tol: float, inject_fault: bool
+) -> list[IdentityReport]:
+    """The reports of ``rqlab verify``: the identity suite, the parity shift, the negative control.
+
+    The suite's symmetric orders n-1, n and m and the parity shift's n+1
+    are scanned first, in one lockstep; an order whose scan fails fails
+    alike where the suite or the shift reads it.  A parity shift that
+    cannot be computed is one not-applicable report with the error as its
+    note.  With ``inject_fault`` the stone identity of a visibly corrupted
+    copy of the first eigenpair is appended, a report that must fail.
+    """
+    if n >= p and (m is None or m > n):  # else the suite refuses these orders first
+        cached_spectra({n - 1, n, n + 1, m or n} - set(range(p)), p, SYMMETRIC, count)
+    reports = run_identity_suite(n, p, count=count, m=m, tol=tol)
+    try:
+        reports.extend(antisym_equals_next_sym(n, p, count, tol=tol))
+    except SolverError as exc:
+        reports.append(not_applicable("parity-shift", (n, p), notes=str(exc)))
+    if inject_fault:
+        first = cached_eigenpair(n, p, SYMMETRIC, 0)
+        reports.append(check_stone_identity(_corrupted_pair(first), tol))
     return reports

@@ -14,10 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
-from .exppoly import ExpPoly, SigmaPolynomial
+from .exppoly import SigmaPolynomial
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -152,20 +150,3 @@ def kernel_columns(p: int, symmetric: bool) -> tuple[Column, ...]:
                          for even in (True, False)]
         columns += [(tuple((complex(f), complex(k)) for f, k in terms), b) for terms in functions]
     return tuple(columns)
-
-
-def solution_basis(spec: ProblemSpec, Lambda: float) -> tuple[ExpPoly, ...]:
-    """The p kernel functions of :func:`kernel_columns` at Lambda, then the n-p parity monomials.
-
-    A term is stored as ``c e^(mu x)`` with ``e^(-rho b)`` inside ``c``, so
-    evaluating it at ``|x| = 1`` forms ``e^(rho b)`` on its own, which
-    overflows to inf past ``rho b ~ 709.78``; once ``c`` underflows to 0 the
-    product is nan.  The boundary matrix therefore reads its own tables
-    (``solver.boundary_tables``), which fold ``e^(-b)`` into the exponent.
-    """
-    rho = root_system(spec.p, Lambda).rho
-    kernel = []
-    for terms, b in kernel_columns(spec.p, spec.symmetric):
-        h = 0.5 * np.exp(-rho * b)  # math.exp differs from np.exp in the last bit on some inputs
-        kernel.append(ExpPoly.build((rho * freq, (kappa * h,)) for freq, kappa in terms))
-    return tuple(kernel) + tuple(ExpPoly.monomial(m) for m in spec.monomial_degrees)

@@ -508,17 +508,6 @@ def extract_eigenfunctions(
     return outcomes
 
 
-def extract_eigenfunction(spec: ProblemSpec, Lambda: float, index: int = -1) -> EigenPair:
-    """The eigenpair at one refined eigenvalue: the one-pair case of :func:`extract_eigenfunctions`.
-
-    z is scaled to ``<z^(n-p) z^(n-p)> = 1``; a failed extraction raises.
-    """
-    (outcome,) = extract_eigenfunctions(spec, [Lambda], index)
-    if isinstance(outcome, SolverError):
-        raise outcome
-    return outcome
-
-
 def eigenpair_from_function(
     spec: ProblemSpec, Lambda: float, z: ExpPoly, index: int = -1
 ) -> EigenPair:
@@ -910,7 +899,7 @@ def _check_interlacing(spec: ProblemSpec, eigenvalues: Sequence[float]) -> None:
                                   f"of {label_b}: the two orders do not interlace")
 
 
-def _stored_pairs(n: int, p: int, parity: str, indices: range) -> list[EigenPair]:
+def cached_eigenpairs(n: int, p: int, parity: str, indices: range) -> list[EigenPair]:
     """Eigenpairs ``indices`` of (n, p, parity), each extracted once.
 
     The pairs the store lacks are extracted in one batch, from the first of
@@ -932,6 +921,6 @@ def _stored_pairs(n: int, p: int, parity: str, indices: range) -> list[EigenPair
 
 
 def cached_eigenpair(n: int, p: int, parity: str, index: int) -> EigenPair:
-    """Eigenpair ``index`` of (n, p, parity), extracted once."""
-    (pair,) = _stored_pairs(n, p, parity, range(index, index + 1))
+    """Eigenpair ``index`` of (n, p, parity): :func:`cached_eigenpairs` of the one index."""
+    (pair,) = cached_eigenpairs(n, p, parity, range(index, index + 1))
     return pair

@@ -5,7 +5,8 @@ too.  They deliberately avoid the package's own closed-form paths:
 integrals are checked against a fixed Gauss-Legendre rule, transcendental
 roots against plain bisection, so a failure in the library cannot hide itself.
 The JSON oracle is the two-pass emitter the one-pass walker replaced, the
-eigenpair oracle is z built by ExpPoly algebra from ``solution_basis``, the
+eigenpair oracle is z built by ExpPoly algebra from ``solution_basis`` (the
+kernel template's functions as ExpPolys, which only the tests read), the
 residual and normalisation oracle is the split-form walk over z's constant
 kernel coefficients and polynomial part that extraction once kept beside
 ExpPoly, the table oracles are the per-coefficient derivative loop and the
@@ -13,8 +14,8 @@ canonical-sum sigma image that ``ExpPoly.derivatives`` and
 ``SigmaPolynomial.apply`` replaced, the product oracle is the integral
 of a canonical ExpPoly product that ``exppoly.bilinear`` replaced, and the
 Ritz oracle is the dense route of the ``(1-x^2)^n x^(2k+s)`` trial basis
-(Gram matrices from Beta moments, exact Gram-Schmidt over all predecessors)
-that the banded Rodrigues basis of ``rqlab.ritz`` replaced.
+(Gram matrices as double sums over monomial pairs, exact Gram-Schmidt over
+all predecessors) that the banded Rodrigues basis of ``rqlab.ritz`` replaced.
 """
 
 import cmath
@@ -30,7 +31,7 @@ import pytest
 from rqlab import invariants as inv
 from rqlab import solver
 from rqlab.exppoly import _I_POWERS, SERIES_FREQ_CUTOFF, ExpPoly, _trim, inner_product, l2_norm_sq
-from rqlab.problem import root_system, solution_basis
+from rqlab.problem import kernel_columns, root_system
 from rqlab.reporting import FLOAT_BAND
 from rqlab.selftest import bisect_root, random_exppoly, random_real_exppoly
 from rqlab.selftest import quadrature_integral as quad_integral
@@ -126,6 +127,25 @@ def _old_fix_sign(z):
         if abs(v) > 1e-9 * scale:
             return z.scaled(-1.0) if v < 0 else z
     return z
+
+
+def solution_basis(spec, Lambda: float) -> tuple:
+    """The p kernel functions of ``kernel_columns`` at Lambda as ExpPolys, then the n-p monomials.
+
+    The eigenpair oracle builds z from this basis.
+
+    A term is stored as ``c e^(mu x)`` with ``e^(-rho b)`` inside ``c``, so
+    evaluating it at ``|x| = 1`` forms ``e^(rho b)`` on its own, which
+    overflows to inf past ``rho b ~ 709.78``; once ``c`` underflows to 0 the
+    product is nan.  The boundary matrix therefore reads its own tables
+    (``solver.boundary_tables``), which fold ``e^(-b)`` into the exponent.
+    """
+    rho = root_system(spec.p, Lambda).rho
+    kernel = []
+    for terms, b in kernel_columns(spec.p, spec.symmetric):
+        h = 0.5 * np.exp(-rho * b)  # math.exp differs from np.exp in the last bit on some inputs
+        kernel.append(ExpPoly.build((rho * freq, (kappa * h,)) for freq, kappa in terms))
+    return tuple(kernel) + tuple(ExpPoly.monomial(m) for m in spec.monomial_degrees)
 
 
 def exppoly_route_pair(spec, Lambda):
@@ -261,50 +281,35 @@ def split_route_residuals(pair) -> dict[str, float]:
     }
 
 
-def beta_moments(n: int, count: int, denominator: int) -> list[int]:
-    """``Q * beta_m`` for m < count, with ``beta_m = int (1-x^2)^n x^(2m)``.
-
-    ``beta_m = n! 2^(n+1) / ((2m+1)(2m+3)...(2m+2n+1))``, so
-    ``beta_(m+1) = beta_m (2m+1) / (2m+2n+3)``; every ``Q beta_m`` needed is the
-    integer ``sum_i (-1)^i C(n,i) 2Q/(2m+2i+1)``, so each division is exact.
-    """
-    moment = denominator * math.factorial(n) * 2 ** (n + 1) // math.prod(range(1, 2 * n + 2, 2))
-    moments = [moment]
-    for m in range(count - 1):
-        moment = moment * (2 * m + 1) // (2 * m + 2 * n + 3)
-        moments.append(moment)
-    return moments
-
-
-def phi_gram(n: int, s: int, K: int, order: int, moments: list[int]) -> tuple[tuple[int, ...], ...]:
-    """``<phi_k^(r) phi_l^(r)>`` times the common denominator, for r = order.
-
-    By parts ``<phi_k^(r) phi_l^(r)> = (-1)^r <phi_k phi_l^(2r)>``, and
-    ``phi_l^(2r) = sum_j (-1)^j C(n,j) perm(e_l+2j, 2r) x^(e_l+2j-2r)`` with
-    ``e_l = 2l+s`` (s = 0 symmetric, 1 antisymmetric), so the entry is
-    ``sum_j`` of that coefficient times ``Q beta_(k+l+s+j-r)``; the terms with
-    ``e_l+2j < 2r`` vanish.
-    """
-    sign = -1 if order % 2 else 1
-    g = [[0] * K for _ in range(K)]
-    for l in range(K):
-        first = max(0, order - l)
-        coeffs = [sign * (-1) ** j * math.comb(n, j) * math.perm(2 * l + s + 2 * j, 2 * order)
-                  for j in range(first, n + 1)]
-        for k in range(l + 1):
-            start = k + l + s + first - order
-            g[k][l] = g[l][k] = sum(map(operator.mul, coeffs, moments[start:start + len(coeffs)]))
-    return tuple(tuple(row) for row in g)
+def _trial_terms(spec, k: int, order: int) -> list[tuple[int, int]]:
+    """(power, integer coefficient) terms of the order-th derivative of ``(1-x^2)^n x^(2k+s)``."""
+    shift = 2 * k + (0 if spec.symmetric else 1)
+    powers = [(shift + 2 * j, (-1) ** j * math.comb(spec.n, j)) for j in range(spec.n + 1)]
+    return [(e - order, c * math.perm(e, order)) for e, c in powers if e >= order]
 
 
 def phi_system(spec, K: int) -> tuple:
-    """(stiffness, mass, Q): the phi_k Gram matrices as integers over Q = lcm(1, 3, ..., 2*deg+1)."""
-    s = 0 if spec.symmetric else 1
-    degree = 2 * (K - 1) + s + spec.n + spec.p  # of phi_(K-1)^(n-p), the highest power
+    """(stiffness, mass, Q): the phi_k Gram matrices as integers over Q = lcm(1, 3, ..., 2*deg+1).
+
+    No integration by parts: each entry is the double sum
+    ``sum f_a g_b w[a+b]`` over the monomials of both derivatives, with
+    ``w[s] = 2Q/(s+1)`` for even s.
+    """
+    hi = [_trial_terms(spec, k, spec.n) for k in range(K)]
+    lo = [_trial_terms(spec, k, spec.n - spec.p) for k in range(K)]
+    degree = max(e for terms in lo for e, _ in terms)  # hi has the lower powers
     denominator = math.lcm(*range(1, 2 * degree + 2, 2))
-    moments = beta_moments(spec.n, 2 * K - 1 + s + spec.p, denominator)
-    return (phi_gram(spec.n, s, K, spec.n, moments),
-            phi_gram(spec.n, s, K, spec.n - spec.p, moments), denominator)
+    weights = [2 * denominator // (s + 1) if s % 2 == 0 else 0 for s in range(2 * degree + 1)]
+
+    def gram(terms):
+        g = [[0] * K for _ in range(K)]
+        for i in range(K):
+            for j in range(i, K):
+                total = sum(fa * fb * weights[a + b] for a, fa in terms[i] for b, fb in terms[j])
+                g[i][j] = g[j][i] = total
+        return tuple(tuple(row) for row in g)
+
+    return gram(hi), gram(lo), denominator
 
 
 def phi_reduced_matrix(stiffness, mass, denominator) -> np.ndarray:

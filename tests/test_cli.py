@@ -186,7 +186,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise SolverError("antisymmetric scan ran out of ceiling")
 
-        monkeypatch.setattr(rqlab.cli, "antisym_equals_next_sym", fail)
+        monkeypatch.setattr(rqlab.invariants, "antisym_equals_next_sym", fail)
         code, out, _ = run_cli(
             capsys, "verify", "--n", "2", "--p", "1", "--count", "1", "--format", "json"
         )

@@ -7,10 +7,10 @@ import pytest
 
 from rqlab.errors import ConfigError
 from rqlab.exppoly import ExpPoly
-from rqlab.problem import ProblemSpec, build_operator, root_system, solution_basis
+from rqlab.problem import ProblemSpec, build_operator, root_system
 from rqlab.solver import boundary_tables
 
-from conftest import PI
+from conftest import PI, solution_basis
 
 
 class TestProblemSpec:

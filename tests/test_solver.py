@@ -15,19 +15,19 @@ import pytest
 
 import rqlab
 from rqlab import exppoly, solver
-from rqlab import invariants as inv
-from rqlab.cli import _corrupted_pair, main
+from rqlab.cli import main
 from rqlab.errors import ConfigError, DegenerateSystemError, NonSimpleEigenvalueError
 from rqlab.errors import ScanExhaustedError, SolverError
 from rqlab.exppoly import ExpPoly, inner_product
-from rqlab.invariants import antisym_equals_next_sym
-from rqlab.problem import ProblemSpec, reduced_operator, root_system, solution_basis
+from rqlab.invariants import _corrupted_pair, antisym_equals_next_sym
+from rqlab.problem import ProblemSpec, reduced_operator, root_system
 from rqlab.reporting import PASS
 from rqlab.selftest import closed_form_anchor_pairs, closed_form_spectrum_checks
 from rqlab.solver import (
     cached_eigenpair,
+    cached_eigenpairs,
     cached_spectrum,
-    extract_eigenfunction,
+    extract_eigenfunctions,
     monomial_annihilator,
     monomial_inverse,
     reduced_matrices,
@@ -35,7 +35,8 @@ from rqlab.solver import (
 )
 
 from conftest import PI, bisect_root, canonical_sum_apply, cold_start, exppoly_route_pair, hexed
-from conftest import rel_err, split_route_norm_sq, split_route_residuals, stepwise_derivatives
+from conftest import rel_err, solution_basis, split_route_norm_sq, split_route_residuals
+from conftest import stepwise_derivatives
 
 S, A = "symmetric", "antisymmetric"
 
@@ -547,7 +548,7 @@ class TestScanSpectrum:
 
 class TestExtraction:
     def test_2_1_closed_form_with_normalization(self):
-        pair = extract_eigenfunction(ProblemSpec(2, 1, S), PI * PI, index=0)
+        (pair,) = extract_eigenfunctions(ProblemSpec(2, 1, S), [PI * PI], 0)
         # normalized so <(z')^2> = 1: z = (1 + cos(pi x)) / pi
         for x in (-0.8, 0.0, 0.43, 1.0):
             expect = (1 + math.cos(PI * x)) / PI
@@ -556,7 +557,7 @@ class TestExtraction:
         assert inner_product(w, w).real == pytest.approx(1.0, rel=1e-12)
 
     def test_1_1_closed_form(self):
-        pair = extract_eigenfunction(ProblemSpec(1, 1, S), PI * PI / 4, index=0)
+        (pair,) = extract_eigenfunctions(ProblemSpec(1, 1, S), [PI * PI / 4], 0)
         for x in (-0.5, 0.0, 0.9):
             assert abs(pair.z.evaluate(x).real - math.cos(PI * x / 2)) < 1e-12
 
@@ -585,11 +586,11 @@ class TestExtraction:
             assert inner_product(hi, hi).real == pytest.approx(pair.Lambda, rel=1e-10)
 
     def test_extraction_away_from_eigenvalue_fails(self):
-        with pytest.raises(SolverError):
-            extract_eigenfunction(ProblemSpec(2, 1, S), 12.0)
+        (outcome,) = extract_eigenfunctions(ProblemSpec(2, 1, S), [12.0])
+        assert isinstance(outcome, SolverError)
 
     def test_kernel_and_poly_views(self):
-        pair = extract_eigenfunction(ProblemSpec(2, 1, S), PI * PI, index=0)
+        (pair,) = extract_eigenfunctions(ProblemSpec(2, 1, S), [PI * PI], 0)
         assert len(pair.kernel_coeffs) == 2
         assert pair.kernel_coeffs[0] == pytest.approx(pair.kernel_coeffs[1])  # cos split
         assert len(pair.poly_coeffs) == 1
@@ -636,7 +637,7 @@ class TestExtraction:
         monkeypatch.setattr(solver, "reduced_matrices", counted)
         Lambda = cached_spectrum(3, 1, S, 1)[0]
         calls.clear()
-        pair = extract_eigenfunction(ProblemSpec(3, 1, S), Lambda, index=0)
+        (pair,) = extract_eigenfunctions(ProblemSpec(3, 1, S), [Lambda], 0)
         assert len(calls) == 1
         assert pair.residuals.det_indicator == det_indicator(ProblemSpec(3, 1, S), Lambda)
 
@@ -672,10 +673,12 @@ class TestExtraction:
             return u, svals, vt
 
         monkeypatch.setattr(np.linalg, "svd", twin_zeros)
-        with pytest.raises(NonSimpleEigenvalueError, match="two near-zero singular values"):
-            extract_eigenfunction(ProblemSpec(3, 2, S), Lambda)
+        (outcome,) = extract_eigenfunctions(ProblemSpec(3, 2, S), [Lambda])
+        assert isinstance(outcome, NonSimpleEigenvalueError)
+        assert "two near-zero singular values" in str(outcome)
         # at p = 1 R has one singular value, so an eigenvalue there is simple
-        extract_eigenfunction(ProblemSpec(3, 1, S), cached_spectrum(3, 1, S, 1)[0])
+        (pair,) = extract_eigenfunctions(ProblemSpec(3, 1, S), [cached_spectrum(3, 1, S, 1)[0]])
+        assert isinstance(pair, solver.EigenPair)
 
 
 class TestSpectrumStructure:
@@ -714,7 +717,8 @@ class TestSpectrumStructure:
         # engineering envelope: n up to 8 stays at machine-precision residuals
         for (n, p) in [(7, 1), (8, 4)]:
             Lambda = scan_spectrum(ProblemSpec(n, p, S), 1).eigenvalues[0]
-            r = extract_eigenfunction(ProblemSpec(n, p, S), Lambda, index=0).residuals
+            (pair,) = extract_eigenfunctions(ProblemSpec(n, p, S), [Lambda], 0)
+            r = pair.residuals
             assert r.operator_residual <= 1e-8 * r.operator_scale
             assert r.boundary_residual <= 1e-9 * r.boundary_scale
 
@@ -899,7 +903,7 @@ class TestClosedForms:
                 ((stack, svals, vt),) = calls
                 for i, (Lambda, pair) in enumerate(zip(eigenvalues, batch, strict=True)):
                     calls.clear()
-                    alone = extract_eigenfunction(spec, Lambda, index=i)
+                    (alone,) = extract_eigenfunctions(spec, [Lambda], i)
                     ((one, one_svals, one_vt),) = calls
                     assert np.array_equal(one[0], stack[i]) and np.array_equal(one_vt[0], vt[i])
                     assert np.array_equal(one_svals[0], svals[i])
@@ -997,13 +1001,13 @@ class TestSpectrumStore:
     def test_the_suite_extracts_a_missing_prefix_in_one_batch(self, calls):
         eigenvalues = cached_spectrum(3, 1, S, 4)
         held = cached_eigenpair(3, 1, S, 2)
-        pairs = inv._pairs(3, 1, 4)
+        pairs = cached_eigenpairs(3, 1, S, range(4))
         # one batch from the first missing index to the end; the held pair is kept
         assert calls == {"scanned_orders": 1, "batches": 2, "pairs": 5}
         assert pairs[2] is held and [pair.index for pair in pairs] == [0, 1, 2, 3]
-        assert inv._pairs(3, 1, 4) == pairs and calls["batches"] == 2
+        assert cached_eigenpairs(3, 1, S, range(4)) == pairs and calls["batches"] == 2
         for i, pair in enumerate(pairs):
-            alone = extract_eigenfunction(ProblemSpec(3, 1, S), eigenvalues[i], index=i)
+            (alone,) = extract_eigenfunctions(ProblemSpec(3, 1, S), [eigenvalues[i]], i)
             assert alone == pair and alone.residuals == pair.residuals
 
     def test_the_first_failing_index_raises_and_the_pairs_before_it_are_kept(
@@ -1017,7 +1021,7 @@ class TestSpectrumStore:
 
         monkeypatch.setattr(solver, "extract_eigenfunctions", failing)
         with pytest.raises(SolverError, match="^index 1$"):
-            inv._pairs(3, 1, 3)
+            cached_eigenpairs(3, 1, S, range(3))
         assert sorted(solver._STORE[(3, 1, S)].pairs) == [0]
 
     def test_exhausted_scan_is_kept(self, calls, monkeypatch):
@@ -1049,7 +1053,8 @@ class TestSpectrumStore:
         assert cached_spectrum(n, p, parity, 2) == longer[:2]
         assert cached_spectrum(n, p, parity, 5) == longer
         shorter = scan_spectrum(spec, 2).eigenvalues
-        assert cached_eigenpair(n, p, parity, 1).z == extract_eigenfunction(spec, shorter[1]).z
+        (alone,) = extract_eigenfunctions(spec, [shorter[1]])
+        assert cached_eigenpair(n, p, parity, 1).z == alone.z
 
     def test_count_validation(self):
         with pytest.raises(ConfigError):
@@ -1195,7 +1200,7 @@ class TestOneProducer:
         assert calls and {orders for orders, _ in calls} == {3}
         Lambda = cached_spectrum(3, 1, S, 1)[0]
         calls.clear()
-        pair = extract_eigenfunction(spec, Lambda, index=0)
+        (pair,) = extract_eigenfunctions(spec, [Lambda], 0)
         solver.eigenpair_from_function(spec, Lambda, pair.z, index=0)
         list(solver.indicator_series(spec, [1.0, 2.0, 3.0]))
         assert calls == [(1, 1), (1, 1), (1, 3)]
