@@ -438,15 +438,16 @@ def _emit(text: str, out_path: str | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     # the heap that exists now (the imports, and all that a caller which forks
     # one child per command holds) leaves the collector's generations, so a
     # command's collections walk only what it allocates; a caller's frozen
-    # heap stays frozen
-    thaw = not gc.get_freeze_count()
+    # heap stays frozen.  Run as a program (argv read from sys.argv), the
+    # process ends with the command, and a heap kept frozen spares its
+    # shutdown the full collections over numpy and rqlab
+    thaw = argv is not None and not gc.get_freeze_count()
     gc.freeze()
     try:
-        return _run(argv)
+        return _run(list(sys.argv[1:] if argv is None else argv))
     finally:
         if thaw:
             gc.unfreeze()

@@ -13,7 +13,7 @@ the module never asserts a collision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, RQLabError, SolverError
 from .invariants import bracket, kernel_annihilation_residual, lambda_sq, moments
@@ -36,8 +36,7 @@ def alpha_sequence(seq, eps: float) -> list[float]:
 # --- data types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollisionCandidate:
+class CollisionCandidate(NamedTuple):
     p: int
     n: int
     index_n: int
@@ -48,8 +47,7 @@ class CollisionCandidate:
     gap: float  # |Lambda_n - Lambda_m| / max
 
 
-@dataclass(frozen=True)
-class GapTable:
+class GapTable(NamedTuple):
     n: int
     m: int
     p: int
@@ -61,8 +59,7 @@ class GapTable:
     candidates: tuple[CollisionCandidate, ...]
 
 
-@dataclass(frozen=True)
-class NecessaryConditionReport:
+class NecessaryConditionReport(NamedTuple):
     candidate: CollisionCandidate
     Lambda_mid: float
     eps_mid: float
@@ -328,8 +325,7 @@ def follow_up_candidates(table: GapTable) -> list[NecessaryConditionReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class SweepPair:
+class SweepPair(NamedTuple):
     n: int
     m: int
     min_gap: float
@@ -338,8 +334,7 @@ class SweepPair:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     p: int
     n_max: int
     count: int

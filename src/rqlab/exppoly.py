@@ -22,7 +22,6 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 FREQ_MERGE_TOL = 1e-12   # |mu1 - mu2| <= tol * (1 + |mu1|) -> same frequency
 SERIES_FREQ_CUTOFF = 1e-3  # below this, x^k exp(mu x) integrals use the power series
@@ -134,11 +133,47 @@ def _int_xk_exp(mu: complex, dmax: int) -> tuple[complex, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class _Frozen:
+    """A value held in one slot, set once by ``__init__``: equal, hashed and shown by ``_key()``.
+
+    Not a tuple, so no sequence operation applies to it: ``z * 2`` and
+    ``z + ()`` raise ``TypeError``, as they do on any value that defines
+    no such operation.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._key()!r})"
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), (self._key(),)
+
+
+class ExpPoly(_Frozen):
     """Canonical sum of terms ``P_i(x) * exp(mu_i * x)`` with distinct mu_i."""
 
-    terms: tuple[Term, ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def _key(self) -> tuple[Term, ...]:
+        return self.terms
 
     # ----- constructors -------------------------------------------------
 
@@ -282,19 +317,21 @@ class ExpPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class SigmaPolynomial:
+class SigmaPolynomial(_Frozen):
     """Polynomial in sigma = i * d/dx, coefficients in ascending powers."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
+    def __init__(self, coeffs: tuple[complex, ...]):
+        trimmed = list(coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
         if not trimmed or trimmed[-1] == 0:
             raise ValueError("sigma polynomial must have a nonzero leading coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in trimmed))
+
+    def _key(self) -> tuple[complex, ...]:
+        return self.coeffs
 
     @staticmethod
     def sigma_power(k: int) -> "SigmaPolynomial":
@@ -312,6 +349,8 @@ class SigmaPolynomial:
         return SigmaPolynomial(tuple(coeffs))
 
     def __mul__(self, other: "SigmaPolynomial") -> "SigmaPolynomial":
+        if not isinstance(other, SigmaPolynomial):
+            return NotImplemented
         prod = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigError, IdentityViolationError, SolverError
 from .exppoly import ExpPoly, SigmaPolynomial, hermitian_inner_product, inner_product, l2_norm_sq
@@ -100,8 +99,7 @@ def kernel_annihilation_residual(pair: EigenPair) -> float:
     return _reduced_image(pair, pair.spec.n - 1)[1]
 
 
-@dataclass(frozen=True)
-class StonePolynomials:
+class StonePolynomials(NamedTuple):
     """h^0..h^kmax plus the coefficient ladder c_0..c_kmax."""
 
     polynomials: tuple[ExpPoly, ...]
@@ -482,19 +480,24 @@ def check_root_completeness(pair: EigenPair) -> IdentityReport:
     )
 
 
-def square_variable_derivative(order: int) -> tuple[Fraction, ...]:
-    """Exact t_{kj} of (d/d(x^2))^k = sum_j t_{kj} x^{j-2k} d^j; index j-1 holds j = 1..k."""
+def square_variable_derivative(order: int) -> tuple[tuple[int, ...], int]:
+    """Exact t_{kj} of (d/d(x^2))^k = sum_j t_{kj} x^{j-2k} d^j, as (numerators, 2^k).
+
+    Index j-1 of the numerators holds j = 1..k.  Each step
+    ``t_{k+1,j} = ((j - 2k) t_{kj} + t_{k,j-1}) / 2`` halves, so ``2^k t_{kj}``
+    is an integer.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    t = [Fraction(1, 2)]  # k = 1: (1/(2x)) d
+    t = [1]  # k = 1: (1/(2x)) d
     for k in range(1, order):
-        nxt = [Fraction(0)] * (k + 1)
+        nxt = [0] * (k + 1)
         for j0, val in enumerate(t):
             j = j0 + 1
-            nxt[j0] += Fraction(j - 2 * k, 2) * val
-            nxt[j] += Fraction(1, 2) * val
+            nxt[j0] += (j - 2 * k) * val
+            nxt[j] += val
         t = nxt
-    return tuple(t)
+    return tuple(t), 2**order
 
 
 def _xi_derivative_at_one(table: Sequence[ExpPoly], order: int) -> tuple[float, float]:
@@ -503,9 +506,11 @@ def _xi_derivative_at_one(table: Sequence[ExpPoly], order: int) -> tuple[float, 
         return table[0].evaluate(1.0).real, table[0].magnitude_bound()
     value = 0.0
     scale = 0.0
-    for deriv, t in zip(table[1:], square_variable_derivative(order)):  # j = 1..order
-        value += float(t) * deriv.evaluate(1.0).real
-        scale += abs(float(t)) * deriv.magnitude_bound()
+    numerators, denominator = square_variable_derivative(order)
+    for deriv, v in zip(table[1:], numerators):  # j = 1..order
+        t = v / denominator
+        value += t * deriv.evaluate(1.0).real
+        scale += abs(t) * deriv.magnitude_bound()
     return value, scale
 
 

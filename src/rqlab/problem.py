@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .exppoly import SigmaPolynomial
@@ -22,21 +22,25 @@ ANTISYMMETRIC = "antisymmetric"
 PARITIES = (SYMMETRIC, ANTISYMMETRIC)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """One eigenvalue problem: derivative order n, quotient offset p, parity."""
-
+class _ProblemSpec(NamedTuple):
     n: int
     p: int
     parity: str = SYMMETRIC
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.p, int)):
+
+class ProblemSpec(_ProblemSpec):
+    """One eigenvalue problem: derivative order n, quotient offset p, parity."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, parity: str = SYMMETRIC):
+        if not (type(n) is int and type(p) is int):  # a bool is no order
             raise ConfigError("n and p must be integers")
-        if not 1 <= self.p <= self.n:
-            raise ConfigError(f"need 1 <= p <= n, got n={self.n}, p={self.p}")
-        if self.parity not in PARITIES:
-            raise ConfigError(f"parity must be one of {PARITIES}, got {self.parity!r}")
+        if not 1 <= p <= n:
+            raise ConfigError(f"need 1 <= p <= n, got n={n}, p={p}")
+        if parity not in PARITIES:
+            raise ConfigError(f"parity must be one of {PARITIES}, got {parity!r}")
+        return super().__new__(cls, n, p, parity)
 
     @property
     def symmetric(self) -> bool:
@@ -56,8 +60,7 @@ class ProblemSpec:
         return f"(n={self.n}, p={self.p}, {'sym' if self.symmetric else 'antisym'})"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """The 2p roots of lambda^{2p} = Lambda, ordered by angle pi*j/p."""
 
     Lambda: float

@@ -25,11 +25,12 @@ decimal strings to keep the interchange lossless.
 text ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` gives,
 without the stdlib's pure-Python indent encoder.  An envelope holds exactly
 the types rqlab builds: ``dict`` with ``str`` keys, ``list``, ``tuple`` and
-dataclass instances (their fields as a dict), and ``float``, ``int``, ``str``,
-``True``, ``False`` and ``None``.  No value of a subclass counts
-(``np.float64``, ``OrderedDict``), and nothing is converted: any other value,
-a numpy scalar, ``complex``, ``Fraction``, an array or a set, and any key that
-is not a ``str``, raises ``TypeError``.
+NamedTuple records (their ``_fields`` as a dict), and ``float``, ``int``,
+``str``, ``True``, ``False`` and ``None``.  No value of a subclass counts
+(``np.float64``, ``OrderedDict``, a tuple subclass without ``_fields``), and
+nothing is converted: any other value, a numpy scalar, ``complex``,
+``Fraction``, an array or a set, and any key that is not a ``str``, raises
+``TypeError``.
 
 CSV cells are written bare, except that a cell holding ``,``, ``"``, CR or LF
 is quoted as ``csv.writer`` quotes it: wrapped in double quotes, with each
@@ -39,9 +40,8 @@ quote inside doubled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import __version__
 
@@ -56,8 +56,7 @@ def relative_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One checked identity/inequality instance.
 
     ``identity_id`` names the relation, ``index`` carries whatever index
@@ -73,7 +72,7 @@ class IdentityReport:
     rel_residual: float = 0.0
     verdict: str = PASS
     notes: str = ""
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # one dict shared by every default: no report is changed once built
 
 
 def equality_report(identity_id, index, lhs, rhs, tol, notes="", details=None) -> IdentityReport:
@@ -114,7 +113,7 @@ SCHEMA_VERSION = 1
 TOOL_NAME = "rqlab"
 FLOAT_BAND = (1e-300, 1e300)
 _LO, _HI = FLOAT_BAND
-_FIELDS: dict[type, list[str]] = {}  # a dataclass's field names, sorted
+_FIELDS: dict[type, list[str]] = {}  # a record's field names, sorted
 _quote = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
@@ -134,9 +133,10 @@ def _emit(value: Any, out: list, nl: str) -> None:
         else:
             keys = _FIELDS.get(cls)
             if keys is None:
-                if not is_dataclass(cls):
+                names = getattr(cls, "_fields", None) if issubclass(cls, tuple) else None
+                if names is None:
                     raise TypeError(f"an envelope cannot hold a {cls.__name__}: {value!r}")
-                keys = _FIELDS[cls] = sorted(f.name for f in fields(cls))
+                keys = _FIELDS[cls] = sorted(names)
             values = [getattr(value, k) for k in keys]
         heads, sep, closing = [f"{inner}{_quote(k)}: " for k in keys], "{", "}"
     if not heads:

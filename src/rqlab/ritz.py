@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .problem import ProblemSpec
 MAX_BASIS_SIZE = 64  # far beyond the useful double-precision envelope (K ~ 25)
 
 
-@dataclass(frozen=True)
-class RitzSystem:
+class RitzSystem(NamedTuple):
     """Exact Gram matrices of the scaled Rodrigues basis, as integers over ``denominator``."""
 
     spec: ProblemSpec

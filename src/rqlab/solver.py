@@ -48,8 +48,7 @@ import itertools
 import math
 import sys
 from collections.abc import Generator, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,16 +144,21 @@ def monomial_annihilator(spec: ProblemSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def monomial_inverse(spec: ProblemSpec) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of ``M_q``, the first n-p rows of the monomial block M; empty at p = n.
+def monomial_inverse(spec: ProblemSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Exact inverse of ``M_q``, the first n-p rows of the monomial block M, as (numerators, D).
 
     Gauss-Jordan elimination leaves ``T M_q = diag(d)`` in the identity
-    columns T carried along, so row c of the inverse is ``T_c / d_c``.  Only
+    columns T carried along, so row c of the inverse is ``T_c / d_c``, and
+    over the common denominator ``D = lcm(d)`` its integer numerators are
+    ``T_c D / d_c``; no rows and ``D = 1`` at p = n.  An entry read as
+    ``numerator / D`` is the exact quotient correctly rounded.  Only
     extraction reads it, so a scan runs no elimination above the pivots.
     """
     q = spec.n - spec.p
     rows = _eliminated(spec, upward=True)[:q]
-    return tuple(tuple(Fraction(v, row[c]) for v in row[q:2 * q]) for c, row in enumerate(rows))
+    denominator = math.lcm(*(row[c] for c, row in enumerate(rows)))
+    return (tuple(tuple(v * (denominator // row[c]) for v in row[q:2 * q])
+                  for c, row in enumerate(rows)), denominator)
 
 
 @functools.cache
@@ -331,8 +335,7 @@ def indicator_series(
         yield from zip(chunk, values, trusted)
 
 
-@dataclass(frozen=True)
-class EigenResiduals:
+class EigenResiduals(NamedTuple):
     det_indicator: float  # det R, the scan's reduced determinant, at Lambda
     nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
     operator_residual: float  # L2 norm of the operator applied to z
@@ -341,8 +344,17 @@ class EigenResiduals:
     boundary_scale: float  # magnitude bound of the worst derivative order
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class _EigenPair(NamedTuple):
+    spec: ProblemSpec
+    Lambda: float
+    index: int
+    z: ExpPoly
+    det_indicator: float  # det R, the scan's reduced determinant, at Lambda
+    nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
+    normalized: bool = True
+
+
+class EigenPair(_EigenPair):
     """One eigenvalue with its eigenfunction and quality diagnostics.
 
     ``kernel_coeffs[j]`` is the coefficient of exp(i * root_j * x) in z,
@@ -353,16 +365,9 @@ class EigenPair:
     from, computed when first read.  ``det_indicator`` and
     ``nullspace_quality`` come from whoever built the pair, and a replaced
     copy keeps them; the operator and boundary residuals are computed off
-    the table when ``residuals`` is first read.
+    the table when ``residuals`` is first read.  The class has no
+    ``__slots__``, so each pair keeps those two in its own ``__dict__``.
     """
-
-    spec: ProblemSpec
-    Lambda: float
-    index: int
-    z: ExpPoly
-    det_indicator: float  # det R, the scan's reduced determinant, at Lambda
-    nullspace_quality: float  # sigma_min(R) / max(sigma_max(R), 1) at Lambda; 0 in closed form
-    normalized: bool = True
 
     @functools.cached_property
     def derivatives(self) -> tuple[ExpPoly, ...]:
@@ -480,7 +485,8 @@ def extract_eigenfunctions(
     _, svals, vt = np.linalg.svd(matrices)
     determinants = _determinants(matrices).tolist()
     q = spec.n - spec.p
-    inverse = np.array([[float(v) for v in row] for row in monomial_inverse(spec)]).reshape(q, q)
+    numerators, denominator = monomial_inverse(spec)
+    inverse = np.array([[v / denominator for v in row] for row in numerators]).reshape(q, q)
     outcomes: list[EigenPair | SolverError] = []
     for point, Lambda in enumerate(eigenvalues):
         smax = max(float(svals[point, 0]), 1.0)
@@ -519,8 +525,7 @@ def eigenpair_from_function(
     return EigenPair(spec, Lambda, index, z, indicator, 0.0, normalized=False)
 
 
-@dataclass(frozen=True)
-class ScanMetadata:
+class ScanMetadata(NamedTuple):
     grid_step: float
     bracket_count: int
     refinement_iterations: tuple[int, ...]  # determinant evaluations per refined root
@@ -529,16 +534,20 @@ class ScanMetadata:
     untrusted_points: int = 0  # grid points whose det R is within its rounding bound
 
 
-@dataclass(frozen=True)
-class SpectrumSlice:
+class _SpectrumSlice(NamedTuple):
     spec: ProblemSpec
     eigenvalues: tuple[float, ...]
     metadata: ScanMetadata
 
-    def __post_init__(self):
-        for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
+
+class SpectrumSlice(_SpectrumSlice):
+    __slots__ = ()
+
+    def __new__(cls, spec: ProblemSpec, eigenvalues: tuple[float, ...], metadata: ScanMetadata):
+        for a, b in zip(eigenvalues, eigenvalues[1:]):
             if not b > a:
                 raise SolverError(f"spectrum not strictly increasing: {a} !< {b}")
+        return super().__new__(cls, spec, eigenvalues, metadata)
 
 
 _Bracket = tuple[float, float, float, float]  # (a, f(a), b, f(b)): det R signs differ
@@ -798,13 +807,13 @@ def _roots(
     return found, tuple(iterations)
 
 
-@dataclass
 class _Order:
     """What the store knows of one (n, p, parity): an eigenvalue prefix and its pairs."""
 
-    eigenvalues: tuple[float, ...] = ()
-    pairs: dict[int, EigenPair] = field(default_factory=dict)
-    exhausted_at: float | None = None  # ceiling a scan ran out of grid at, after `eigenvalues`
+    def __init__(self, eigenvalues: tuple[float, ...] = ()):
+        self.eigenvalues = eigenvalues
+        self.pairs: dict[int, EigenPair] = {}
+        self.exhausted_at: float | None = None  # where a scan ran out of grid, past `eigenvalues`
 
 
 _STORE: dict[tuple[int, int, str], _Order] = {}

@@ -22,7 +22,6 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,8 +80,8 @@ def to_jsonable(obj):
         return str(obj)
     if isinstance(obj, np.generic):
         return to_jsonable(obj.item())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record, before any tuple
+        return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
@@ -162,8 +161,8 @@ def exppoly_route_pair(spec, Lambda):
     assert not degenerate
     _, _, vt = np.linalg.svd(matrices[0])
     q = spec.n - spec.p
-    inverse = np.array([[float(v) for v in row]
-                        for row in solver.monomial_inverse(spec)]).reshape(q, q)
+    numerators, denominator = solver.monomial_inverse(spec)
+    inverse = np.array([[v / denominator for v in row] for row in numerators]).reshape(q, q)
     monomial_part = np.einsum("mj,j,jk,k->m", inverse, powers[0, :q], kernel[0, :q], vt[-1])
     coeffs = vt[-1].tolist() + [-v for v in monomial_part.tolist()]
     z = ExpPoly.build(term for c, fn in zip(coeffs, solution_basis(spec, Lambda))

@@ -5,8 +5,12 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -630,3 +634,32 @@ class TestCollectorFreeze:
         capsys.readouterr()
         assert seen == [(True, False)]
         assert any(o is entry for o in gc.get_objects())
+
+
+# a sitecustomize module: every interpreter that finds it reports at exit whether
+# a frozen heap remains, after the program's last line and before finalization
+_EXIT_HOOK = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+
+class TestFrozenExit:
+    """Run as a program, ``main`` leaves the heap frozen through interpreter exit."""
+
+    @pytest.mark.parametrize("args, frozen", [
+        (["-m", "rqlab.cli", "--version"], True),
+        # what the console-script wrapper runs: main() reads sys.argv itself
+        (["-c", "import sys; sys.argv = ['rqlab', '--version']; from rqlab.cli import main; "
+                "sys.exit(main())"], True),
+        # a library call passes argv and gets its heap back
+        (["-c", "import sys; from rqlab.cli import main; sys.exit(main(['--version']))"], False),
+    ], ids=["python-m", "console-script", "library-call"])
+    def test_freeze_count_at_exit(self, tmp_path, args, frozen):
+        (tmp_path / "sitecustomize.py").write_text(_EXIT_HOOK)
+        src = str(Path(rqlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (0, f"rqlab {rqlab.__version__}\n")
+        assert done.stderr == f"frozen at exit: {frozen}\n"

@@ -1,6 +1,5 @@
 """Gap tables, conditional-collision diagnostics, conjecture sweeps."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -77,13 +76,11 @@ class TestNecessaryConditions:
         # a forced zero order gap is refused outright, however close the values
         zn = cached_eigenpair(3, 1, "symmetric", 0)
         with pytest.raises(ConfigError):
-            evaluate_necessary_conditions(zn, dataclasses.replace(zn))
+            evaluate_necessary_conditions(zn, zn._replace())
 
     def test_adjacent_order_contradiction(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
-        )
+        zm = cached_eigenpair(4, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-8))
         report = evaluate_necessary_conditions(zn, zm)
         assert report.verdict == "violated"
         head = [r for r in report.pair_equalities if r.identity_id == "collision-head-vanishing"]
@@ -91,17 +88,13 @@ class TestNecessaryConditions:
 
     def test_order_gap_two_contradiction(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(5, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
-        )
+        zm = cached_eigenpair(5, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-8))
         report = evaluate_necessary_conditions(zn, zm)
         assert report.verdict == "violated"
 
     def test_manufactured_diagnostic_run_is_finite(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(6, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
-        )
+        zm = cached_eigenpair(6, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-6))
         report = evaluate_necessary_conditions(zn, zm)
         groups = (report.pair_inequalities, report.pair_equalities, report.moment_signs,
                   report.gf_inequalities, report.gf_factorization)
@@ -114,9 +107,7 @@ class TestNecessaryConditions:
     @pytest.mark.parametrize("n, m", [(3, 6), (4, 6), (5, 6)])
     def test_gf_inequality_lhs_is_the_four_fold_product(self, n, m):
         zn = cached_eigenpair(n, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(m, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-6)
-        )
+        zm = cached_eigenpair(m, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-6))
         report = evaluate_necessary_conditions(zn, zm)
         c, d = (stone_coefficients(z) for z in (zn, zm))
         four_fold = gf(report.alpha)
@@ -130,9 +121,7 @@ class TestNecessaryConditions:
 
     def test_translation_identity_is_internal(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
-        )
+        zm = cached_eigenpair(4, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-8))
         report = evaluate_necessary_conditions(zn, zm)
         trans = [
             r for r in report.pair_equalities if r.identity_id == "collision-head-translation"
@@ -141,9 +130,7 @@ class TestNecessaryConditions:
 
     def test_midpoint_and_endpoint_epsilons(self):
         zn = cached_eigenpair(3, 1, "symmetric", 0)
-        zm = dataclasses.replace(
-            cached_eigenpair(4, 1, "symmetric", 0), Lambda=zn.Lambda * (1 + 1e-8)
-        )
+        zm = cached_eigenpair(4, 1, "symmetric", 0)._replace(Lambda=zn.Lambda * (1 + 1e-8))
         report = evaluate_necessary_conditions(zn, zm)
         assert report.eps_mid == pytest.approx(report.Lambda_mid ** (-1.0), rel=1e-12)
         assert len(report.eps_endpoints) == 2

@@ -107,6 +107,20 @@ class TestMultiply:
         assert abs(value.imag) < 1e-14
 
 
+class TestNoSequenceFallback:
+    # neither class is a tuple, so no tuple repetition or concatenation applies
+    def test_exppoly(self):
+        z = ExpPoly.cosine(1.0)
+        for operation in (lambda: z * 2, lambda: 2 * z, lambda: z + ()):
+            with pytest.raises(TypeError):
+                operation()
+
+    def test_sigma_polynomial(self):
+        sigma = SigmaPolynomial.sigma_power(2)
+        with pytest.raises(TypeError):
+            sigma * 2
+
+
 class TestIntegrateUnit:
     def test_one_plus_cos(self):
         assert z2_closed_form().integrate_unit().real == pytest.approx(2.0, rel=1e-14)

@@ -1,7 +1,8 @@
 """Stone/moment apparatus and the identity suite."""
 
-import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestStone:
     def test_scaling_invariance_of_checks(self, z2):
         base = inv.check_stone_identity(z2)
         doubled = inv.check_stone_identity(
-            dataclasses.replace(z2, z=z2.z.scaled(2.0), normalized=False)
+            z2._replace(z=z2.z.scaled(2.0), normalized=False)
         )
         assert doubled.verdict == PASS and base.verdict == PASS
         assert doubled.lhs == pytest.approx(4 * base.lhs, rel=1e-12)
@@ -168,7 +169,7 @@ class TestResidues:
 
     def test_strict_guard_on_a_perturbed_eigenvalue(self):
         genuine = cached_eigenpair(4, 1, S, 0)
-        bad = dataclasses.replace(genuine, Lambda=genuine.Lambda * (1 + 1e-6))
+        bad = genuine._replace(Lambda=genuine.Lambda * (1 + 1e-6))
         for _ in range(2):  # a raise is never remembered as a pass
             with pytest.raises(IdentityViolationError, match=r"\(order 3\)"):
                 inv.stone_polynomials(bad)
@@ -325,7 +326,16 @@ class TestRootCompleteness:
 
 class TestXiDerivatives:
     def test_expansion_coefficients(self):
-        assert inv.square_variable_derivative(2) == (inv.Fraction(-1, 4), inv.Fraction(1, 4))
+        numerators, denominator = inv.square_variable_derivative(2)
+        assert [Fraction(v, denominator) for v in numerators] == [Fraction(-1, 4), Fraction(1, 4)]
+        # (d/d(x^2))^k x^N = (N/2)(N/2 - 1)...(N/2 - k + 1) x^(N-2k), exactly, for every N
+        for k in range(1, 9):
+            numerators, denominator = inv.square_variable_derivative(k)
+            assert type(denominator) is int and all(type(v) is int for v in numerators)
+            for N in range(2 * k + 3):
+                lhs = sum(Fraction(v, denominator) * math.perm(N, j)
+                          for j, v in enumerate(numerators, 1))
+                assert lhs == math.prod(Fraction(N, 2) - i for i in range(k)), (k, N)
 
     def test_closed_form_2_1(self, z2):
         assert inv.check_xi_derivatives(z2).verdict == PASS

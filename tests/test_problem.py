@@ -22,6 +22,13 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(2, 1, "weird")
 
+    @pytest.mark.parametrize("n, p", [(True, True), (2, True), (True, 1), (2.0, 1), (2, "1")])
+    def test_orders_must_be_plain_integers(self, n, p):
+        # a bool is an int to isinstance, but no order: it would repr as n=True
+        # and be emitted as true
+        with pytest.raises(ConfigError, match="must be integers"):
+            ProblemSpec(n, p)
+
     def test_stone_availability(self):
         assert not ProblemSpec(2, 2, "symmetric").has_stones
         assert ProblemSpec(3, 2, "symmetric").has_stones

@@ -4,14 +4,14 @@ import csv
 import io
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
 
 from conftest import two_pass_dumps
+from rqlab.problem import ProblemSpec
 from rqlab.reporting import (
     dumps_envelope,
     equality_report,
@@ -19,6 +19,20 @@ from rqlab.reporting import (
     make_envelope,
     rollup_from_reports,
 )
+
+
+class Node(NamedTuple):
+    value: Any
+    kids: Any
+    name: str = "node"
+
+
+class Empty(NamedTuple):
+    pass
+
+
+class Bare(tuple):
+    """A tuple subclass with no ``_fields``: not a record."""
 
 
 def emitted(value):
@@ -41,6 +55,15 @@ class TestEmittedValues:
         value = {"a": (1, 2.5), "b": [None, True, {"c": "d"}]}
         assert emitted(value) == {"a": [1, 2.5], "b": [None, True, {"c": "d"}]}
 
+    def test_a_record_is_an_object_of_its_fields_in_sorted_order(self):
+        record = Node(2.5, (Empty(), ProblemSpec(3, 1)), "leaf")
+        env = make_envelope("x", {}, {"r": record})
+        text = dumps_envelope(env)
+        assert text == two_pass_dumps(env)
+        assert emitted(record) == {"kids": [{}, {"n": 3, "p": 1, "parity": "symmetric"}],
+                                   "name": "leaf", "value": 2.5}
+        assert text.index('"kids"') < text.index('"name"') < text.index('"value"')
+
     @pytest.mark.parametrize("leak, match", [
         (1 + 2j, "complex"),
         (Fraction(8, 3), "Fraction"),
@@ -52,8 +75,9 @@ class TestEmittedValues:
         ({1: 2.0}, "not int"),
         (np.arange(3), "ndarray"),
         ({"a", "b"}, "set"),
+        (Bare((1, 2)), "Bare"),
     ], ids=["complex", "fraction", "float64", "int64", "bool_", "str_", "OrderedDict",
-            "int-key", "ndarray", "set"])
+            "int-key", "ndarray", "set", "tuple-subclass"])
     def test_unknown_values_raise(self, leak, match):
         # nothing is converted: a subclass, a numpy scalar or a non-str key is a leak
         # from code that should have built a plain value, and an array or a set has
@@ -61,18 +85,6 @@ class TestEmittedValues:
         env = make_envelope("x", {}, {"values": [1.0, leak]})
         with pytest.raises(TypeError, match=match):
             dumps_envelope(env)
-
-
-@dataclass(frozen=True)
-class Node:
-    value: Any
-    kids: Any
-    name: str = "node"
-
-
-@dataclass(frozen=True)
-class Empty:
-    pass
 
 
 def test_one_pass_matches_the_two_pass_oracle():

@@ -1,6 +1,5 @@
 """Determinant scan and eigenfunction extraction."""
 
-import dataclasses
 import functools
 import math
 import os
@@ -201,19 +200,24 @@ class TestReduction:
         for n in range(1, 13):
             for p in range(1, n + 1):
                 spec = ProblemSpec(n, p, parity)
-                inverse = monomial_inverse(spec)
+                numerators, denominator = monomial_inverse(spec)
+                assert type(denominator) is int and denominator > 0
+                assert all(type(v) is int for row in numerators for v in row)
+                inverse = [[Fraction(v, denominator) for v in row] for row in numerators]
                 q = n - p
                 top = [[math.perm(m, j) for m in spec.monomial_degrees] for j in range(q)]
                 product = [[sum(inverse[i][k] * top[k][j] for k in range(q)) for j in range(q)]
                            for i in range(q)]
                 assert product == [[int(i == j) for j in range(q)] for i in range(q)], spec.label()
-                assert all(type(v) is Fraction for row in inverse for v in row)
+                # the reader's int / int is the exact quotient correctly rounded
+                assert ([[v / denominator for v in row] for row in numerators]
+                        == [[float(v) for v in row] for row in inverse])
 
     def test_p_equal_to_n_reduces_nothing(self):
         for n in range(1, 6):
             spec = ProblemSpec(n, n, A)
             assert np.array_equal(monomial_annihilator(spec), np.eye(n, dtype=int))
-            assert monomial_inverse(spec) == ()
+            assert monomial_inverse(spec) == ((), 1)
 
     @pytest.mark.parametrize("parity", [S, A])
     def test_every_order_completes_at_count_8(self, parity):
@@ -612,7 +616,7 @@ class TestExtraction:
 
     def test_rescaled_view(self):
         pair = cached_eigenpair(3, 1, S, 0)
-        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0), normalized=False)
+        doubled = pair._replace(z=pair.z.scaled(2.0), normalized=False)
         mean = pair.z.integrate_unit().real
         assert doubled.z.integrate_unit().real == pytest.approx(2 * mean, rel=1e-13)
         assert not doubled.normalized
@@ -622,7 +626,7 @@ class TestExtraction:
         # the derivative table follows z and stays out of equality
         assert doubled.derivatives[0] is doubled.z
         assert doubled.derivatives == doubled.z.derivatives(6)
-        same = dataclasses.replace(pair)
+        same = pair._replace()
         assert same == pair and hash(same) == hash(pair)
         assert same.derivatives == pair.derivatives
 
@@ -812,9 +816,9 @@ class TestLazyResiduals:
         assert r.operator_residual > 0
         # a replaced copy reads its residuals off its own z: doubling z doubles each
         # residual and scale exactly, as the closed forms are homogeneous
-        doubled = dataclasses.replace(pair, z=pair.z.scaled(2.0))
-        assert doubled.residuals == dataclasses.replace(
-            r, operator_residual=2 * r.operator_residual, operator_scale=2 * r.operator_scale,
+        doubled = pair._replace(z=pair.z.scaled(2.0))
+        assert doubled.residuals == r._replace(
+            operator_residual=2 * r.operator_residual, operator_scale=2 * r.operator_scale,
             boundary_residual=2 * r.boundary_residual, boundary_scale=2 * r.boundary_scale)
 
 
@@ -1084,8 +1088,8 @@ class TestFamilyScan:
             for spec, together in zip(specs, solver.scan_family(specs, 20), strict=True):
                 alone = scan_spectrum(spec, 20)
                 assert together.eigenvalues == alone.eigenvalues, spec.label()
-                for f in dataclasses.fields(solver.ScanMetadata):
-                    assert getattr(together.metadata, f.name) == getattr(alone.metadata, f.name)
+                for name in solver.ScanMetadata._fields:
+                    assert getattr(together.metadata, name) == getattr(alone.metadata, name)
 
     @pytest.mark.parametrize("orders, count, options, failing", [
         # (1,1) holds both roots below the ceiling, (5,1) runs out of grid

@@ -1,4 +1,7 @@
-"""The package's own structure: no member only the tests reach, no private name crosses modules."""
+"""The package's own structure.
+
+No member only the tests reach, no private name crosses modules, and no dataclass.
+"""
 
 import ast
 from pathlib import Path
@@ -62,3 +65,26 @@ def test_no_module_imports_another_modules_private_name():
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name.startswith("_") and not _dunder(alias.name)]
     assert imported == []
+
+
+def test_no_module_uses_dataclasses():
+    # a dataclass writes and execs its methods when its module is imported, on
+    # every start of the command line; the records are NamedTuples and
+    # __slots__ classes, which generate no code
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{module}: import {a.name}" for a in node.names
+                          if a.name.partition(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{module}: from dataclasses import ...")
+            elif isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                        target, "id", None)
+                    if name == "dataclass":
+                        found.append(f"{module}: @dataclass class {node.name}")
+    assert found == []
